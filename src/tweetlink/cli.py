@@ -309,9 +309,7 @@ def build_vectors(
     article_vecs = {}
     for doc_id in out_article_ids:
         pieces = eval_article_feats[doc_id]
-        if cfg.features == "external":
-            article_vecs[doc_id] = contrast.encode(encoder, "article", pieces, cfg.strategy)
-        elif cfg.strategy == "mean_chunks":
+        if cfg.features == "external" or cfg.strategy == "mean_chunks":
             article_vecs[doc_id] = contrast.encode(encoder, "article", pieces, cfg.strategy)
         else:
             # truncate: the single piece; augment: the header piece.

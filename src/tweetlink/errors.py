@@ -70,6 +70,10 @@ class EmptyInputError(TweetLinkError):
     pass
 
 
+class NonFiniteValueError(TweetLinkError):
+    """A score or vector holds NaN or an infinity."""
+
+
 # --- vectorization ------------------------------------------------------
 
 

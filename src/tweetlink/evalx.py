@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     DegenerateAgreementError,
     EmptyInputError,
+    NonFiniteValueError,
     NoPositivesError,
     ShapeMismatchError,
     UnequalRaterCountsError,
@@ -64,6 +65,22 @@ def masked_pairs(values, gt: GroundTruthMatrix) -> tuple[np.ndarray, np.ndarray]
     return flat_vals[keep], flat_gt[keep].astype(np.int8)
 
 
+def _ranked_sweep(scores, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Precision-recall steps of thresholding at each distinct score.
+
+    Returns (distinct scores descending, positives scoring >= each, pairs
+    scoring >= each) from one sort. Tied scores fall into one step.
+    """
+    if not np.isfinite(scores).all():
+        raise NonFiniteValueError("scores must be finite")
+    order = np.argsort(-scores, kind="stable")
+    ranked = scores[order]
+    tp = np.cumsum(labels[order] == 1)
+    # The last index of each tie group; comparing with != keeps -0.0 and 0.0 tied.
+    ends = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+    return ranked[ends], tp[ends], ends + 1
+
+
 def average_precision(scores, labels) -> float:
     """Area under the precision-recall steps of a descending-score ranking.
 
@@ -81,28 +98,11 @@ def average_precision(scores, labels) -> float:
     if total_pos == 0:
         raise NoPositivesError("average_precision needs at least one positive label")
 
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_pos = (labels[order] == 1).astype(np.int64)
-
-    ap = 0.0
-    prev_recall = 0.0
-    seen = 0
-    tp = 0
-    i = 0
-    n = len(sorted_scores)
-    while i < n:
-        j = i
-        while j < n and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        tp += int(sorted_pos[i:j].sum())
-        seen = j
-        recall = tp / total_pos
-        precision = tp / seen
-        ap += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j
-    return ap
+    _, tp, kept = _ranked_sweep(scores, labels)
+    recall = tp / total_pos
+    steps = np.diff(recall, prepend=0.0) * (tp / kept)
+    # cumsum adds strictly left to right, as a loop over the steps would.
+    return float(np.cumsum(steps)[-1])
 
 
 def binary_metrics(preds, labels) -> MetricsReport:

@@ -40,7 +40,9 @@ def score_matrix(
     """All-pairs cosine similarities, rows = tweets, columns = articles.
 
     Axis order follows the given id lists (defaulting to mapping order);
-    ids without a vector raise MissingEmbeddingError.
+    ids without a vector raise MissingEmbeddingError. The article vectors
+    are stacked once and each tweet row costs one matrix-vector product;
+    tweet vectors are never stacked, so no tweets x dim copy is made.
     """
     tweet_ids = tuple(tweet_ids if tweet_ids is not None else tweet_vecs.keys())
     article_ids = tuple(article_ids if article_ids is not None else article_vecs.keys())
@@ -54,15 +56,21 @@ def score_matrix(
             raise MissingEmbeddingError(doc_id) from None
 
     t_mat = [fetch(tweet_vecs, tid) for tid in tweet_ids]
-    a_mat = [fetch(article_vecs, aid) for aid in article_ids]
-    dims = {v.shape for v in t_mat} | {v.shape for v in a_mat}
+    a_list = [fetch(article_vecs, aid) for aid in article_ids]
+    dims = {v.shape for v in t_mat} | {v.shape for v in a_list}
     if len(dims) != 1:
         raise DimMismatchError(f"mixed vector shapes in the joint space: {sorted(dims)}")
+    if len(dims.pop()) != 1:
+        raise DimMismatchError("score_matrix needs flat vectors")
 
-    values = np.empty((len(tweet_ids), len(article_ids)), dtype=np.float64)
-    for i, tv in enumerate(t_mat):
-        for j, av in enumerate(a_mat):
-            values[i, j] = cosine(tv, av)
+    a_mat = np.stack(a_list)
+    a_norms = np.linalg.norm(a_mat, axis=1)
+    values = np.zeros((len(tweet_ids), len(article_ids)), dtype=np.float64)
+    for row, tv in zip(values, t_mat):
+        # A zero norm on either side leaves the cell at 0, as in cosine().
+        denom = a_norms * np.linalg.norm(tv)
+        np.divide(a_mat @ tv, denom, out=row, where=denom != 0.0)
+        np.clip(row, -1.0, 1.0, out=row)
     return SimilarityMatrix(tweet_ids, article_ids, values)
 
 
@@ -78,7 +86,8 @@ def calibrate_threshold(sim: SimilarityMatrix, gt: GroundTruthMatrix) -> tuple[f
     Candidates are the midpoints between consecutive distinct masked scores
     plus one value below and one above all scores, so every achievable
     confusion matrix is visited exactly once. Ties go to the smallest
-    threshold.
+    threshold. One sort of the labeled cells gives every candidate's counts,
+    so the scan costs O(n log n) in the number of labeled cells.
     """
     scores, labels = evalx.masked_pairs(sim.values, gt)
     if scores.size == 0:
@@ -86,17 +95,26 @@ def calibrate_threshold(sim: SimilarityMatrix, gt: GroundTruthMatrix) -> tuple[f
     if not (labels == 1).any():
         raise NoPositivesError("calibration needs at least one positive cell")
 
-    distinct = np.unique(scores)
-    candidates = [distinct[0] - _EDGE_EPS]
-    candidates.extend((distinct[:-1] + distinct[1:]) / 2.0)
-    candidates.append(distinct[-1] + _EDGE_EPS)
+    ranked, tp_ge, kept_ge = evalx._ranked_sweep(scores, labels)
+    distinct, tp_ge, kept_ge = ranked[::-1], tp_ge[::-1], kept_ge[::-1]
+    candidates = np.concatenate(
+        [
+            [distinct[0] - _EDGE_EPS],
+            (distinct[:-1] + distinct[1:]) / 2.0,
+            [distinct[-1] + _EDGE_EPS],
+        ]
+    )
+    # scores >= theta are exactly the distinct values from the first one >= theta
+    # on, even where a midpoint of adjacent doubles rounds onto one of them.
+    first = np.searchsorted(distinct, candidates, side="left")
+    tp = np.append(tp_ge, 0)[first]
+    kept = np.append(kept_ge, 0)[first]
 
-    best_threshold = None
-    best_f1 = -1.0
-    for theta in candidates:
-        preds = np.where(scores >= theta, 1, -1).astype(np.int8)
-        f1 = evalx.binary_metrics(preds, labels).f1
-        if f1 > best_f1:
-            best_f1 = f1
-            best_threshold = float(theta)
-    return best_threshold, best_f1
+    # binary_metrics' formulas, with 0 for a zero denominator.
+    total_pos = tp_ge[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        precision = np.where(kept > 0, tp / kept, 0.0)
+        recall = tp / total_pos
+        f1 = np.where(precision + recall > 0, 2 * precision * recall / (precision + recall), 0.0)
+    best = int(np.argmax(f1))  # the first maximum: ties go to the smallest threshold
+    return float(candidates[best]), float(f1[best])

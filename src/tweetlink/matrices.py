@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .errors import MalformedLineError, NonFiniteValueError, ShapeMismatchError
 
 RANGE_TOL = 1e-9
 
@@ -33,8 +33,7 @@ class SimilarityMatrix:
     def __post_init__(self):
         vals = _frozen(self.values, np.float64)
         _check_shape(vals, self.tweet_ids, self.article_ids)
-        if vals.size and (vals.min() < -1 - RANGE_TOL or vals.max() > 1 + RANGE_TOL):
-            raise ValueError("similarity values must lie within [-1, 1]")
+        _check_similarities(vals)
         object.__setattr__(self, "values", vals)
 
     @property
@@ -74,6 +73,14 @@ class GroundTruthMatrix:
         return int(np.count_nonzero(self.values))
 
 
+def _check_similarities(values: np.ndarray) -> None:
+    # NaN fails no range comparison, so finiteness is checked on its own.
+    if not np.isfinite(values).all():
+        raise NonFiniteValueError("similarity values must be finite")
+    if values.size and (values.min() < -1 - RANGE_TOL or values.max() > 1 + RANGE_TOL):
+        raise ValueError("similarity values must lie within [-1, 1]")
+
+
 def _check_shape(values: np.ndarray, tweet_ids, article_ids) -> None:
     if values.ndim != 2 or values.shape != (len(tweet_ids), len(article_ids)):
         raise ShapeMismatchError(
@@ -99,13 +106,23 @@ def write_matrix_csv(matrix, path) -> None:
 
 
 def read_similarity_csv(path) -> SimilarityMatrix:
+    """Read a write_matrix_csv export; a bad row raises MalformedLineError."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise MalformedLineError(str(path), 1, "missing header row")
         article_ids = tuple(header[1:])
         tweet_ids = []
         rows = []
         for row in reader:
+            try:
+                vals = np.array([float(v) for v in row[1:]], dtype=np.float64)
+                if vals.shape != (len(article_ids),):
+                    raise ValueError(f"expected {len(article_ids)} values, got {vals.size}")
+                _check_similarities(vals)
+            except (ValueError, NonFiniteValueError) as exc:
+                raise MalformedLineError(str(path), reader.line_num, str(exc)) from None
             tweet_ids.append(row[0])
-            rows.append([float(v) for v in row[1:]])
+            rows.append(vals)
     return SimilarityMatrix(tuple(tweet_ids), article_ids, np.array(rows, dtype=np.float64))

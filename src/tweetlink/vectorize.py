@@ -251,6 +251,9 @@ def load_embeddings(path) -> EmbeddingTable:
                 raise MalformedLineError(str(path), line_no, str(exc)) from exc
             if vec.ndim != 1:
                 raise MalformedLineError(str(path), line_no, "vector must be a flat list")
+            # json.loads accepts the NaN and Infinity literals.
+            if not np.isfinite(vec).all():
+                raise MalformedLineError(str(path), line_no, "vector holds NaN or Infinity")
             if doc_id in vectors:
                 raise DuplicateIdError(doc_id)
             if dim is None:

@@ -58,6 +58,28 @@ def binary_metrics_reference(preds, labels):
     }
 
 
+def calibrate_reference(scores, labels, edge_eps=1e-6):
+    """F1-maximizing threshold by evaluating every candidate on its own.
+
+    Candidates are the midpoints between consecutive distinct scores plus
+    one value edge_eps below and one above them all; ties go to the first
+    (smallest) candidate. Costs O(distinct scores x pairs).
+    """
+    scores = list(map(float, scores))
+    labels = list(map(int, labels))
+    distinct = sorted(set(scores))
+    candidates = [distinct[0] - edge_eps]
+    candidates.extend((lo + hi) / 2.0 for lo, hi in zip(distinct, distinct[1:]))
+    candidates.append(distinct[-1] + edge_eps)
+    best_threshold, best_f1 = None, -1.0
+    for theta in candidates:
+        preds = [1 if s >= theta else -1 for s in scores]
+        f1 = binary_metrics_reference(preds, labels)["f1"]
+        if f1 > best_f1:
+            best_threshold, best_f1 = theta, f1
+    return best_threshold, best_f1
+
+
 def masked_flatten_reference(values, gt_values):
     out_vals, out_labels = [], []
     for row_v, row_g in zip(values, gt_values):

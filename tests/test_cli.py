@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,6 +82,38 @@ class TestExitCodes:
             "out_dir": str(tmp_path / "out"),
         }))
         assert cli.main(["--config", str(cfg), "eval"]) == 1
+
+    def test_bad_matrix_cell_exit_2(self, small_corpus, make_config, tmp_path, capsys):
+        matrix = tmp_path / "bad.csv"
+        matrix.write_text("tweet_id,a1\nt1,abc\n")
+        cfg_path = make_config()
+        assert cli.main(["--config", str(cfg_path), "calibrate", "--matrix", str(matrix)]) == 2
+        assert "bad.csv:2:" in capsys.readouterr().err
+
+    def test_nan_embeddings_exit_2(self, small_corpus, make_config, tmp_path):
+        # The NaN tweet is left out of training, so only scoring would see it.
+        nan_id = next(d.id for d in small_corpus["docs"] if d.kind == "tweet")
+        emb = tmp_path / "embeddings.jsonl"
+        emb.write_text("".join(
+            f'{{"id": "{d.id}", "vector": [{"NaN" if d.id == nan_id else 1.0}, 0.5, {i}]}}\n'
+            for i, d in enumerate(small_corpus["docs"])
+        ))
+        train = [p for p in small_corpus["pairs"] if p.label == "match" and p.tweet_id != nan_id]
+        corpus.write_pairs(train, tmp_path / "train.jsonl")
+        cfg_path = make_config({
+            "model": "dual", "features": "external", "embeddings": str(emb),
+            "train_pairs": str(tmp_path / "train.jsonl"),
+            "train": {"epochs": 2, "joint_dim": 4, "seed": 7},
+        })
+        # In a child process, so a hang fails at the timeout instead of stalling the suite.
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "tweetlink.cli", "--config", str(cfg_path), "eval"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "embeddings.jsonl:" in proc.stderr
 
 
 class TestRunPipeline:

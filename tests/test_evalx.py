@@ -12,6 +12,7 @@ from tweetlink.corpus import AnnotationRecord
 from tweetlink.errors import (
     DegenerateAgreementError,
     EmptyInputError,
+    NonFiniteValueError,
     NoPositivesError,
     ShapeMismatchError,
     UnequalRaterCountsError,
@@ -77,6 +78,12 @@ class TestAveragePrecision:
     def test_empty(self):
         with pytest.raises(EmptyInputError):
             evalx.average_precision([], [])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        # NaN never equals itself, so a tie-group loop over it never ends.
+        with pytest.raises(NonFiniteValueError):
+            evalx.average_precision([bad, 0.5], [1, -1])
 
     def test_ties_grouped_order_independent(self):
         scores = [0.5, 0.5, 0.5, 0.2]

@@ -1,0 +1,88 @@
+"""Property tests: the one-sort calibration and AP sweep and the row-wise
+scoring kernel against the loop oracles they replace."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from reference import ap_reference, calibrate_reference, masked_flatten_reference
+from tweetlink import evalx, linker
+from tweetlink.matrices import GroundTruthMatrix, SimilarityMatrix
+
+
+@st.composite
+def score_pools(draw):
+    """A few scores to draw cells from, so ties are common.
+
+    Half the pools hold a run of adjacent doubles, whose midpoints round onto
+    one of the two scores they sit between.
+    """
+    pool = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        x = draw(st.floats(-0.99, 0.99))
+        pool += [x, np.nextafter(x, 1.0), np.nextafter(np.nextafter(x, 1.0), 1.0)]
+    return pool
+
+
+@st.composite
+def labeled_matrices(draw):
+    """(similarity values, ground truth) with at least one positive cell."""
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 6))
+    n = rows * cols
+    values = draw(st.lists(st.sampled_from(draw(score_pools())), min_size=n, max_size=n))
+    labels = draw(
+        st.one_of(
+            st.lists(st.sampled_from([-1, 0, 1]), min_size=n, max_size=n),
+            # A single label class, apart from the positive set below.
+            st.sampled_from([-1, 1]).map(lambda y: [y] * n),
+        )
+    )
+    labels[draw(st.integers(0, n - 1))] = 1
+    return np.reshape(values, (rows, cols)), np.reshape(labels, (rows, cols))
+
+
+def _matrices(values, labels):
+    tweets = tuple(f"t{i}" for i in range(values.shape[0]))
+    articles = tuple(f"a{j}" for j in range(values.shape[1]))
+    return SimilarityMatrix(tweets, articles, values), GroundTruthMatrix(tweets, articles, labels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(labeled_matrices())
+def test_calibrate_threshold_matches_per_candidate_scan(case):
+    sim, gt = _matrices(*case)
+    expected = calibrate_reference(*masked_flatten_reference(*case))
+    assert linker.calibrate_threshold(sim, gt) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(labeled_matrices())
+def test_average_precision_matches_reference(case):
+    scores, labels = masked_flatten_reference(*case)
+    assert evalx.average_precision(scores, labels) == ap_reference(scores, labels)
+
+
+coords = st.one_of(st.just(0.0), st.floats(1e-3, 10.0), st.floats(-10.0, -1e-3))
+
+
+@st.composite
+def vector_tables(draw):
+    """Tweet and article vectors (some all-zero) plus permuted id lists."""
+    dim = draw(st.integers(1, 5))
+    vec = st.one_of(st.just([0.0] * dim), st.lists(coords, min_size=dim, max_size=dim))
+    tweets = {f"t{i}": draw(vec) for i in range(draw(st.integers(1, 5)))}
+    articles = {f"a{j}": draw(vec) for j in range(draw(st.integers(1, 5)))}
+    tweet_ids = draw(st.permutations(sorted(tweets)))
+    article_ids = draw(st.permutations(sorted(articles)))
+    return tweets, articles, tweet_ids, article_ids
+
+
+@settings(max_examples=200, deadline=None)
+@given(vector_tables())
+def test_score_matrix_matches_per_pair_cosine(case):
+    tweets, articles, tweet_ids, article_ids = case
+    sim = linker.score_matrix(tweets, articles, tweet_ids, article_ids)
+    expected = [[linker.cosine(tweets[t], articles[a]) for a in article_ids] for t in tweet_ids]
+    assert sim.tweet_ids == tuple(tweet_ids) and sim.article_ids == tuple(article_ids)
+    np.testing.assert_allclose(sim.values, expected, rtol=0, atol=1e-12)

@@ -201,6 +201,13 @@ class TestEmbeddings:
         with pytest.raises(MalformedLineError):
             vectorize.load_embeddings(path)
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_rejected(self, tmp_path, literal):
+        path = tmp_path / "emb.jsonl"
+        path.write_text(f'{{"id": "t1", "vector": [1.0]}}\n{{"id": "t2", "vector": [{literal}]}}\n')
+        with pytest.raises(MalformedLineError, match=":2:"):
+            vectorize.load_embeddings(path)
+
     def test_missing_lookup(self, tmp_path):
         path = tmp_path / "emb.jsonl"
         path.write_text('{"id": "t1", "vector": [1.0]}\n')
