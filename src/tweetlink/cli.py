@@ -237,84 +237,75 @@ def build_vectors(
     fit_docs = [textprep.truncate(tokens[i], trunc) for i in fit_tweet_ids]
     fit_docs += [tokens[i] for i in fit_article_ids]
 
-    if cfg.model in ("tfidf", "lda"):
-        if cfg.model == "tfidf":
-            model = vectorize.tfidf_fit(fit_docs)
-            vec = lambda toks: vectorize.tfidf_transform(model, toks)
-        else:
-            model = vectorize.lda_fit(
-                fit_docs,
-                n_topics=cfg.lda.n_topics,
-                alpha=cfg.lda.alpha,
-                beta=cfg.lda.beta,
-                iters=cfg.lda.iters,
-                seed=cfg.seed,
-            )
-            vec = lambda toks: vectorize.lda_infer(
-                model, toks, iters=cfg.lda.infer_iters, seed=cfg.seed
-            )
-        tweet_vecs = {i: vec(textprep.truncate(tokens[i], trunc)) for i in out_tweet_ids}
-        article_vecs = {i: vec(tokens[i]) for i in out_article_ids}
-        return tweet_vecs, article_vecs, None
+    if cfg.model != "dual":
+        featurize = _featurizer(cfg, cfg.model, fit_docs)
+        tweet_docs = [(i, textprep.truncate(tokens[i], trunc)) for i in out_tweet_ids]
+        vecs = featurize(tweet_docs + [(i, tokens[i]) for i in out_article_ids])
+        tweet_vecs = dict(zip(out_tweet_ids, vecs[: len(tweet_docs)]))
+        return tweet_vecs, dict(zip(out_article_ids, vecs[len(tweet_docs) :])), None
 
     # model == "dual": build base features, train, then encode.
-    if cfg.features == "external":
-        table = vectorize.load_embeddings(cfg.embeddings)
-        featurize = lambda doc_id, toks: table.lookup(doc_id)
-    elif cfg.features == "lda":
-        base = vectorize.lda_fit(
-            fit_docs, n_topics=cfg.lda.n_topics, alpha=cfg.lda.alpha,
-            beta=cfg.lda.beta, iters=cfg.lda.iters, seed=cfg.seed,
-        )
-        featurize = lambda doc_id, toks: vectorize.lda_infer(
-            base, toks, iters=cfg.lda.infer_iters, seed=cfg.seed
-        )
-    else:
-        base = vectorize.tfidf_fit(fit_docs)
-        featurize = lambda doc_id, toks: vectorize.tfidf_transform(base, toks)
-
     def doc_tokens(doc_id):
         if doc_id not in tokens:
             raise UnknownIdError(doc_id)
         return tokens[doc_id]
 
-    def tweet_feature(doc_id):
-        return featurize(doc_id, textprep.truncate(doc_tokens(doc_id), trunc))
+    featurize = _featurizer(cfg, cfg.features, fit_docs)
+    external = cfg.features == "external"
 
-    def article_features_for(doc_ids):
-        feats = {}
-        for doc_id in doc_ids:
-            if cfg.features == "external":
-                feats[doc_id] = featurize(doc_id, None)
-            else:
-                feats[doc_id] = [
-                    featurize(doc_id, piece)
-                    for piece in _article_pieces(cfg, doc_tokens(doc_id))
-                ]
-        return feats
+    def features_for(tweet_ids, article_ids):
+        """Tweet and article feature maps from one featurize call."""
+        tweet_docs = [(i, textprep.truncate(doc_tokens(i), trunc)) for i in tweet_ids]
+        pieces = [[None] if external else _article_pieces(cfg, doc_tokens(i)) for i in article_ids]
+        feats = featurize(tweet_docs + [(i, p) for i, ps in zip(article_ids, pieces) for p in ps])
+        article_feats, pos = {}, len(tweet_docs)
+        for doc_id, ps in zip(article_ids, pieces):
+            article_feats[doc_id] = feats[pos] if external else feats[pos : pos + len(ps)]
+            pos += len(ps)
+        return dict(zip(tweet_ids, feats)), article_feats
 
     if not train_positives:
         raise ConfigInvalidError("model=dual needs match-labeled training pairs")
     train_tweet_ids = sorted({t for t, _ in train_positives})
-    train_article_ids = list(fit_article_ids)
-    tweet_feats = {i: tweet_feature(i) for i in train_tweet_ids}
-    article_feats = article_features_for(train_article_ids)
+    tweet_feats, article_feats = features_for(train_tweet_ids, fit_article_ids)
     encoder, _trace = contrast.train(train_positives, tweet_feats, article_feats, cfg.train, cfg.strategy)
 
-    eval_article_feats = article_features_for(out_article_ids)
+    # Output features are made after training, so the training peak holds only its own.
+    tweet_feats, article_feats = features_for(out_tweet_ids, out_article_ids)
     tweet_vecs = {
-        i: contrast.encode(encoder, "tweet", tweet_feature(i), cfg.strategy)
-        for i in out_tweet_ids
+        i: contrast.encode(encoder, "tweet", tweet_feats[i], cfg.strategy) for i in out_tweet_ids
     }
     article_vecs = {}
     for doc_id in out_article_ids:
-        pieces = eval_article_feats[doc_id]
-        if cfg.features == "external" or cfg.strategy == "mean_chunks":
+        pieces = article_feats[doc_id]
+        if external or cfg.strategy == "mean_chunks":
             article_vecs[doc_id] = contrast.encode(encoder, "article", pieces, cfg.strategy)
         else:
             # truncate: the single piece; augment: the header piece.
             article_vecs[doc_id] = contrast.encode(encoder, "article", pieces[0], cfg.strategy)
     return tweet_vecs, article_vecs, encoder
+
+
+def _featurizer(cfg: RunConfig, kind: str, fit_docs):
+    """Fit feature space `kind` on fit_docs; returns [(doc_id, tokens)] -> [vector].
+
+    LDA folds the whole list in with one batched call.
+    """
+    if kind == "external":
+        table = vectorize.load_embeddings(cfg.embeddings)
+        return lambda docs: [table.lookup(doc_id) for doc_id, _toks in docs]
+    if kind == "lda":
+        lda = vectorize.lda_fit(
+            fit_docs, n_topics=cfg.lda.n_topics, alpha=cfg.lda.alpha, beta=cfg.lda.beta,
+            iters=cfg.lda.iters, seed=cfg.seed,
+        )
+        return lambda docs: list(
+            vectorize.lda_infer_batch(
+                lda, [toks for _id, toks in docs], iters=cfg.lda.infer_iters, seed=cfg.seed
+            )
+        )
+    tfidf = vectorize.tfidf_fit(fit_docs)
+    return lambda docs: [vectorize.tfidf_transform(tfidf, toks) for _id, toks in docs]
 
 
 # --- pipeline operations ------------------------------------------------------
@@ -458,10 +449,15 @@ def sweep_size(cfg: RunConfig, sizes, cascades, gt: GroundTruthMatrix) -> list[S
     Scores each tweet once, then for each n aggregates the rows of the n
     oldest members per cascade with cfg.aggregation.
     """
+    return _sweep_size(cfg, sizes, cascades, gt, _load_corpus(cfg))
+
+
+def _sweep_size(cfg: RunConfig, sizes, cascades, gt, loaded) -> list[SweepRow]:
+    """sweep_size over an already loaded (tweets, articles, pairs) corpus."""
     sizes = list(sizes)
     if not sizes or any(n < 1 for n in sizes) or sizes != sorted(set(sizes)):
         raise ConfigInvalidError("sizes must be strictly increasing integers >= 1")
-    tweets, articles, pairs = _load_corpus(cfg)
+    tweets, articles, pairs = loaded
     tokens = _prepare_tokens(cfg, tweets, articles)
     tweet_ids = [d.id for d in tweets]
     article_ids = list(gt.article_ids)
@@ -658,7 +654,7 @@ def _cmd_sweep_size(cfg: RunConfig, args) -> int:
     gt = corpus.build_ground_truth(
         [p for p in pairs if p.tweet_id in root_set], root_ids, article_ids
     )
-    rows = sweep_size(cfg, sizes, cascades, gt)
+    rows = _sweep_size(cfg, sizes, cascades, gt, (tweets, articles, pairs))
     emit_report(
         [{"n": r.n, "ap": r.ap, "n_cascades": r.n_cascades} for r in rows],
         "csv",

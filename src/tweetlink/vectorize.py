@@ -6,12 +6,14 @@ can check against an independent hand computation.
 
 LDA is fitted with collapsed Gibbs sampling, which keeps runs deterministic
 per seed and needs nothing beyond integer count tables. Inference folds new
-documents in against frozen topic-word distributions.
+documents in against frozen topic-word distributions, batched across
+documents: each row equals the per-document fold-in bit for bit.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -153,6 +155,9 @@ def lda_fit(
         raise DegenerateKError("n_topics must be >= 1")
     if iters < 1:
         raise ValueError("iters must be >= 1")
+    for name, prior in (("alpha", alpha), ("beta", beta)):
+        if prior is not None and not (math.isfinite(prior) and prior > 0):
+            raise ConfigInvalidError(f"lda {name} must be finite and > 0, got {prior!r}")
     nonempty = [doc for doc in docs if doc]
     if not nonempty:
         raise EmptyCorpusError("lda_fit needs at least one nonempty document")
@@ -160,45 +165,70 @@ def lda_fit(
         alpha = 50.0 / n_topics
 
     vocab = Vocabulary.from_terms(tok for doc in nonempty for tok in doc)
-    word_ids = _doc_word_ids(nonempty, vocab)
+    word_ids = [[vocab.index[t] for t in doc] for doc in nonempty]
     vocab_size = vocab.size
     n_docs = len(word_ids)
+    n_tokens = sum(len(words) for words in word_ids)
 
+    # Integer counts live in Python lists (cheap scalar updates); the float
+    # factors (count + prior) of the sampling weight are cached per topic and
+    # rewritten from the integer count after every change, never nudged by
+    # +-1, so each one rounds exactly as (count + prior) does.
     rng = np.random.default_rng(seed)
-    n_dk = np.zeros((n_docs, n_topics), dtype=np.int64)
-    n_kw = np.zeros((n_topics, vocab_size), dtype=np.int64)
-    n_k = np.zeros(n_topics, dtype=np.int64)
+    n_dk = [[0] * n_topics for _ in range(n_docs)]
+    n_wk = [[0] * n_topics for _ in range(vocab_size)]  # word-major
+    n_k = [0] * n_topics
     assignments = []
     for d, words in enumerate(word_ids):
-        z = rng.integers(0, n_topics, size=len(words))
+        z = rng.integers(0, n_topics, size=len(words)).tolist()
         assignments.append(z)
         for w, k in zip(words, z):
-            n_dk[d, k] += 1
-            n_kw[k, w] += 1
+            n_dk[d][k] += 1
+            n_wk[w][k] += 1
             n_k[k] += 1
 
     beta_sum = vocab_size * beta
+    doc_f = np.array(n_dk, dtype=np.float64) + alpha
+    word_f = np.array(n_wk, dtype=np.float64) + beta
+    topic_f = np.array(n_k, dtype=np.float64) + beta_sum
+    p, cum = np.empty(n_topics), np.empty(n_topics)
+    multiply, divide, accumulate = np.multiply, np.divide, np.add.accumulate
     for _ in range(iters):
+        # One uniform per token in sweep order: the same stream as one
+        # rng.random() call per token.
+        uniforms = iter(rng.random(n_tokens).tolist())
         for d, words in enumerate(word_ids):
             z = assignments[d]
-            row = n_dk[d]
-            for j in range(len(words)):
-                w = words[j]
+            d_counts, d_f = n_dk[d], doc_f[d]
+            for j, w in enumerate(words):
                 k = z[j]
-                row[k] -= 1
-                n_kw[k, w] -= 1
+                w_counts, w_f = n_wk[w], word_f[w]
+                d_counts[k] -= 1
+                d_f[k] = d_counts[k] + alpha
+                w_counts[k] -= 1
+                w_f[k] = w_counts[k] + beta
                 n_k[k] -= 1
-                p = (row + alpha) * (n_kw[:, w] + beta) / (n_k + beta_sum)
-                cum = np.cumsum(p)
-                k_new = int(np.searchsorted(cum, rng.random() * cum[-1]))
-                z[j] = k_new
-                row[k_new] += 1
-                n_kw[k_new, w] += 1
-                n_k[k_new] += 1
+                topic_f[k] = n_k[k] + beta_sum
+                # p = (n_dk + alpha) * (n_kw + beta) / (n_k + beta_sum), cumulated.
+                multiply(d_f, w_f, out=p)
+                divide(p, topic_f, out=p)
+                accumulate(p, out=cum)
+                k = int(cum.searchsorted(next(uniforms) * cum[-1]))
+                z[j] = k
+                d_counts[k] += 1
+                d_f[k] = d_counts[k] + alpha
+                w_counts[k] += 1
+                w_f[k] = w_counts[k] + beta
+                n_k[k] += 1
+                topic_f[k] = n_k[k] + beta_sum
 
+    # Topic-major and C-contiguous: gammaln(...).sum() adds pairwise in memory
+    # order, and a transposed view would round the log-likelihood differently.
+    n_kw = np.ascontiguousarray(np.array(n_wk, dtype=np.int64).T)
+    n_k = np.array(n_k, dtype=np.int64)
     phi = (n_kw + beta) / (n_k + beta_sum)[:, None]
     doc_lens = np.array([len(w) for w in word_ids], dtype=np.int64)
-    ll = _gibbs_counts_ll(n_kw, n_k, n_dk, doc_lens, alpha, beta)
+    ll = _gibbs_counts_ll(n_kw, n_k, np.array(n_dk, dtype=np.int64), doc_lens, alpha, beta)
     return LdaModel(
         n_topics=n_topics, alpha=alpha, beta=beta, phi=phi, vocab=vocab, seed=seed,
         log_likelihood=ll,
@@ -206,29 +236,67 @@ def lda_fit(
 
 
 def lda_infer(model: LdaModel, doc: TokenSeq, iters: int = 50, seed: int = 0) -> np.ndarray:
-    """Fold-in Gibbs against frozen phi; returns smoothed topic proportions.
+    """Fold-in Gibbs against frozen phi for one document; see lda_infer_batch."""
+    return lda_infer_batch(model, [doc], iters=iters, seed=seed)[0]
 
-    Out-of-vocabulary tokens are ignored; a document with no known tokens
-    falls back to the symmetric prior, i.e. the uniform distribution.
+
+def lda_infer_batch(
+    model: LdaModel, docs: list[TokenSeq], iters: int = 50, seed: int = 0
+) -> np.ndarray:
+    """Fold-in Gibbs against frozen phi; returns (len(docs), n_topics) topic proportions.
+
+    Row i equals folding docs[i] in alone with a fresh generator seeded with
+    `seed`, bit for bit. Documents are independent given phi, so the batch
+    steps token position j of every document at once; sorted longest first,
+    the documents that still have a token j are a prefix. Out-of-vocabulary
+    tokens are ignored; a document with no known tokens falls back to the
+    symmetric prior, i.e. the uniform distribution.
     """
-    n_topics = model.n_topics
-    words = np.array([model.vocab.index[t] for t in doc if t in model.vocab.index], dtype=np.int64)
-    if len(words) == 0:
-        return np.full(n_topics, 1.0 / n_topics)
+    n_topics, alpha = model.n_topics, model.alpha
+    theta = np.full((len(docs), n_topics), 1.0 / n_topics)
+    word_ids = _doc_word_ids(docs, model.vocab)
+    known = [d for d in range(len(docs)) if len(word_ids[d])]
+    order = sorted(known, key=lambda d: -len(word_ids[d]))
+    if not order:
+        return theta
+    lens = np.array([len(word_ids[d]) for d in order], dtype=np.int64)
+    n_docs = len(order)
+    # Position-major ragged layout: token j of the active documents 0..a-1
+    # sits at flat[starts[j]:starts[j] + a], so no row is padded.
+    active = n_docs - np.searchsorted(lens[::-1], np.arange(lens[0]), side="right")
+    starts = np.concatenate(([0], np.cumsum(active)))
+    # slot[r]: flat index of the r-th token in document-major order.
+    slot = np.concatenate([starts[:n] + i for i, n in enumerate(lens.tolist())])
+    flat = np.empty(len(slot), dtype=np.int64)
+    flat[slot] = np.concatenate([word_ids[d] for d in order])
+    phi_t = np.ascontiguousarray(model.phi.T)  # (vocab, n_topics): phi[:, w] as a row
 
-    rng = np.random.default_rng(seed)
-    z = rng.integers(0, n_topics, size=len(words))
-    counts = np.bincount(z, minlength=n_topics).astype(np.int64)
+    rngs = [np.random.default_rng(seed) for _ in order]
+    z0 = np.concatenate([rng.integers(0, n_topics, size=n) for rng, n in zip(rngs, lens)])
+    # Whole numbers held as floats: exact, and count + alpha rounds as it does
+    # from an integer count.
+    counts = np.zeros((n_docs, n_topics))
+    cells = counts.reshape(-1)  # counts[d, k] is cells[row_base[d] + k]
+    row_base = np.arange(0, n_docs * n_topics, n_topics)
+    cell = np.empty_like(flat)  # each token's topic as its counts cell
+    cell[slot] = np.repeat(row_base, lens) + z0
+    np.add.at(cells, cell, 1)
+    u = np.empty((len(slot), 1))
+    accumulate, reduce = np.add.accumulate, np.add.reduce
     for _ in range(iters):
-        for j in range(len(words)):
-            w = words[j]
-            counts[z[j]] -= 1
-            p = (counts + model.alpha) * model.phi[:, w]
-            cum = np.cumsum(p)
-            k_new = int(np.searchsorted(cum, rng.random() * cum[-1]))
-            z[j] = k_new
-            counts[k_new] += 1
-    theta = (counts + model.alpha) / (len(words) + n_topics * model.alpha)
+        # One sweep of uniforms per document, drawn as the lone fold-in would.
+        u[slot, 0] = np.concatenate([rng.random(n) for rng, n in zip(rngs, lens)])
+        # Each step touches one cell per document, so the fancy-index
+        # updates below never hit the same cell twice.
+        for lo, a in zip(starts.tolist(), active.tolist()):
+            hi = lo + a
+            cells[cell[lo:hi]] -= 1
+            cum = accumulate((counts[:a] + alpha) * phi_t[flat[lo:hi]], axis=1)
+            # Counting cum < target is searchsorted(cum, target, side="left").
+            new = row_base[:a] + reduce(cum < u[lo:hi] * cum[:, -1:], axis=1)
+            cell[lo:hi] = new
+            cells[new] += 1
+    theta[order] = (counts + alpha) / (lens + n_topics * alpha)[:, None]
     return theta
 
 

@@ -1,9 +1,16 @@
 import json
+import os
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import settings
 
 from tweetlink import corpus
+
+# CI runs with HYPOTHESIS_PROFILE=ci: a fixed example sequence, so a failing
+# case found there reproduces locally with the same setting.
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

@@ -6,6 +6,9 @@ math only, so a bug in the package cannot hide in its own oracle.
 
 import math
 
+import numpy as np
+from scipy.special import gammaln
+
 
 def ap_reference(scores, labels):
     """Average precision by explicit threshold scan over distinct scores.
@@ -152,3 +155,80 @@ def random_tree(rng, n_nodes, base_time=1000):
         t += int(rng.integers(0, 3))  # allows timestamp ties
         rows.append((f"n{i:03d}", f"n{parent:03d}", t))
     return rows
+
+
+def lda_fit_reference(docs, n_topics, alpha=None, beta=0.01, iters=100, seed=0):
+    """Collapsed Gibbs LDA with one numpy draw and cumsum per token.
+
+    Returns (phi, log_likelihood). The fast sampler must reproduce this
+    generator stream and every rounding step exactly.
+    """
+    nonempty = [doc for doc in docs if doc]
+    if alpha is None:
+        alpha = 50.0 / n_topics
+    index = {term: i for i, term in enumerate(sorted({t for doc in nonempty for t in doc}))}
+    word_ids = [np.array([index[t] for t in doc], dtype=np.int64) for doc in nonempty]
+    vocab_size = len(index)
+    n_docs = len(word_ids)
+
+    rng = np.random.default_rng(seed)
+    n_dk = np.zeros((n_docs, n_topics), dtype=np.int64)
+    n_kw = np.zeros((n_topics, vocab_size), dtype=np.int64)
+    n_k = np.zeros(n_topics, dtype=np.int64)
+    assignments = []
+    for d, words in enumerate(word_ids):
+        z = rng.integers(0, n_topics, size=len(words))
+        assignments.append(z)
+        for w, k in zip(words, z):
+            n_dk[d, k] += 1
+            n_kw[k, w] += 1
+            n_k[k] += 1
+
+    beta_sum = vocab_size * beta
+    for _ in range(iters):
+        for d, words in enumerate(word_ids):
+            z = assignments[d]
+            row = n_dk[d]
+            for j in range(len(words)):
+                w = words[j]
+                k = z[j]
+                row[k] -= 1
+                n_kw[k, w] -= 1
+                n_k[k] -= 1
+                p = (row + alpha) * (n_kw[:, w] + beta) / (n_k + beta_sum)
+                cum = np.cumsum(p)
+                k_new = int(np.searchsorted(cum, rng.random() * cum[-1]))
+                z[j] = k_new
+                row[k_new] += 1
+                n_kw[k_new, w] += 1
+                n_k[k_new] += 1
+
+    phi = (n_kw + beta) / (n_k + beta_sum)[:, None]
+    doc_lens = np.array([len(w) for w in word_ids], dtype=np.int64)
+    ll = n_topics * (gammaln(vocab_size * beta) - vocab_size * gammaln(beta))
+    ll += gammaln(n_kw + beta).sum() - gammaln(n_k + vocab_size * beta).sum()
+    ll += n_docs * (gammaln(n_topics * alpha) - n_topics * gammaln(alpha))
+    ll += gammaln(n_dk + alpha).sum() - gammaln(doc_lens + n_topics * alpha).sum()
+    return phi, float(ll)
+
+
+def lda_infer_reference(phi, vocab_index, alpha, doc, iters=50, seed=0):
+    """Fold one document in against frozen phi with its own seeded generator."""
+    n_topics = phi.shape[0]
+    words = np.array([vocab_index[t] for t in doc if t in vocab_index], dtype=np.int64)
+    if len(words) == 0:
+        return np.full(n_topics, 1.0 / n_topics)
+
+    rng = np.random.default_rng(seed)
+    z = rng.integers(0, n_topics, size=len(words))
+    counts = np.bincount(z, minlength=n_topics).astype(np.int64)
+    for _ in range(iters):
+        for j in range(len(words)):
+            w = words[j]
+            counts[z[j]] -= 1
+            p = (counts + alpha) * phi[:, w]
+            cum = np.cumsum(p)
+            k_new = int(np.searchsorted(cum, rng.random() * cum[-1]))
+            z[j] = k_new
+            counts[k_new] += 1
+    return (counts + alpha) / (len(words) + n_topics * alpha)

@@ -69,6 +69,14 @@ class TestExitCodes:
     def test_missing_config_flag(self, capsys):
         assert cli.main(["eval"]) == 2
 
+    @pytest.mark.parametrize(
+        "prior",
+        [{"alpha": float("nan")}, {"alpha": 0.0}, {"alpha": -1.0}, {"beta": 0.0}, {"beta": -1.0}],
+    )
+    def test_bad_lda_prior_exit_2(self, small_corpus, make_config, prior, capsys):
+        cfg_path = make_config({"model": "lda", "lda": {"iters": 2, **prior}})
+        assert cli.main(["--config", str(cfg_path), "eval"]) == 2
+
     def test_degenerate_labels_exit_1(self, tmp_path, capsys):
         docs, pairs = corpus.synth_fixture(seed=1, n_topics=1, n_articles=2,
                                            tweets_per_article=2, vocab_per_topic=10)

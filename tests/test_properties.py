@@ -1,12 +1,19 @@
-"""Property tests: the one-sort calibration and AP sweep and the row-wise
-scoring kernel against the loop oracles they replace."""
+"""Property tests: the one-sort calibration and AP sweep, the row-wise
+scoring kernel and the LDA sampler and batched fold-in against the loop
+oracles they replace."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import ap_reference, calibrate_reference, masked_flatten_reference
-from tweetlink import evalx, linker
+from reference import (
+    ap_reference,
+    calibrate_reference,
+    lda_fit_reference,
+    lda_infer_reference,
+    masked_flatten_reference,
+)
+from tweetlink import evalx, linker, vectorize
 from tweetlink.matrices import GroundTruthMatrix, SimilarityMatrix
 
 
@@ -86,3 +93,58 @@ def test_score_matrix_matches_per_pair_cosine(case):
     expected = [[linker.cosine(tweets[t], articles[a]) for a in article_ids] for t in tweet_ids]
     assert sim.tweet_ids == tuple(tweet_ids) and sim.article_ids == tuple(article_ids)
     np.testing.assert_allclose(sim.values, expected, rtol=0, atol=1e-12)
+
+
+@st.composite
+def lda_cases(draw):
+    """A small corpus, priors, a sweep count and a seed for lda_fit.
+
+    Some documents are empty; at least one is not.
+    """
+    vocab = [f"w{i}" for i in range(draw(st.integers(1, 12)))]
+    doc = st.lists(st.sampled_from(vocab), max_size=12)
+    docs = draw(st.lists(doc, min_size=1, max_size=8))
+    docs.append(draw(st.lists(st.sampled_from(vocab), min_size=1, max_size=12)))
+    docs = draw(st.permutations(docs))
+    return {
+        "docs": docs,
+        "n_topics": draw(st.integers(1, 30)),
+        "alpha": draw(st.one_of(st.none(), st.floats(0.01, 5.0))),
+        "beta": draw(st.one_of(st.just(0.01), st.floats(0.001, 2.0))),
+        "iters": draw(st.integers(1, 4)),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(lda_cases())
+def test_lda_fit_matches_reference(case):
+    model = vectorize.lda_fit(**case)
+    phi, log_likelihood = lda_fit_reference(**case)
+    assert np.array_equal(model.phi, phi)
+    assert model.log_likelihood == log_likelihood
+
+
+@settings(max_examples=100, deadline=None)
+@given(lda_cases(), st.data())
+def test_lda_infer_batch_rows_match_reference(case, data):
+    model = vectorize.lda_fit(**{**case, "iters": 1})
+    known = sorted(model.vocab.index)
+    token = st.sampled_from(known + ["oov1", "oov2"])
+    queries = data.draw(
+        st.lists(
+            st.one_of(
+                st.lists(token, max_size=30),
+                st.lists(st.sampled_from(["oov1", "oov2"]), min_size=1, max_size=3),
+            ),
+            max_size=8,
+        )
+    )
+    queries += case["docs"]
+    iters = data.draw(st.integers(1, 5))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    theta = vectorize.lda_infer_batch(model, queries, iters=iters, seed=seed)
+    assert theta.shape == (len(queries), case["n_topics"])
+    for row, doc in zip(theta, queries):
+        expected = lda_infer_reference(model.phi, model.vocab.index, model.alpha, doc, iters, seed)
+        assert np.array_equal(row, expected)

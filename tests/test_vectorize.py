@@ -6,6 +6,7 @@ import pytest
 from reference import tfidf_reference
 from tweetlink import corpus, textprep, vectorize
 from tweetlink.errors import (
+    ConfigInvalidError,
     DegenerateKError,
     DimMismatchError,
     DuplicateIdError,
@@ -159,6 +160,33 @@ class TestLda:
             vectorize.lda_fit([[]], n_topics=2)
         with pytest.raises(ValueError):
             vectorize.lda_fit([["a"]], n_topics=1, iters=0)
+
+    @pytest.mark.parametrize(
+        "prior",
+        [
+            {"alpha": math.nan},
+            {"alpha": math.inf},
+            {"alpha": 0.0},
+            {"alpha": -0.5},
+            {"beta": math.nan},
+            {"beta": math.inf},
+            {"beta": 0.0},
+            {"beta": -0.01},
+        ],
+    )
+    def test_bad_priors_rejected(self, prior):
+        with pytest.raises(ConfigInvalidError):
+            vectorize.lda_fit([["a", "b"], ["c"]], n_topics=2, iters=2, **prior)
+
+    def test_batch_rows_equal_single_fold_ins(self):
+        docs = _fixture_tokens()
+        model = vectorize.lda_fit(docs, n_topics=3, iters=5, seed=4)
+        queries = [docs[0], [], ["zzz"], docs[1] + ["zzz"], docs[2][:1]]
+        batch = vectorize.lda_infer_batch(model, queries, iters=7, seed=2)
+        assert batch.shape == (len(queries), 3)
+        for row, doc in zip(batch, queries):
+            np.testing.assert_array_equal(row, vectorize.lda_infer(model, doc, iters=7, seed=2))
+        assert vectorize.lda_infer_batch(model, [], iters=7, seed=2).shape == (0, 3)
 
     def test_save_load_roundtrip(self, tmp_path):
         model = vectorize.lda_fit([["a", "b"], ["c", "d"]], n_topics=2, iters=5, seed=3)
