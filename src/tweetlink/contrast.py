@@ -12,6 +12,13 @@ configurable ratio, independent of the batch size. Long articles are
 handled by one of three strategies: plain truncation, mean over uniform
 sentinel-wrapped chunks, or a header+parts split where every piece becomes
 an extra positive example.
+
+Training packs the feature vectors as sparse rows. Each mini-batch step
+gathers only the feature columns nonzero in its batch, so the forward pass,
+the backward pass and the weight update cost time in proportion to the
+batch's nonzeros, not to the vocabulary; the other columns have a zero
+gradient. Only the momentum velocity update stays dense, because every
+column with a nonzero velocity moves on every step.
 """
 
 from __future__ import annotations
@@ -118,27 +125,21 @@ class DualEncoder:
 # --- loss and gradient ------------------------------------------------------
 
 
-def _cos_parts(e1: np.ndarray, e2: np.ndarray):
-    n1 = np.linalg.norm(e1)
-    n2 = np.linalg.norm(e2)
-    if n1 == 0.0 or n2 == 0.0:
-        return 0.0, n1, n2
-    return float(np.dot(e1, e2) / (n1 * n2)), n1, n2
-
-
-def cosine_embedding_loss(e1, e2, y: int, margin: float = 0.0) -> float:
-    """Contrastive cosine loss; zero-norm inputs use the cosine=0 convention."""
+def _one_row(e1, e2, y: int, margin: float):
+    """Validate one embedding pair and run it through the batch loss kernel."""
     e1 = np.asarray(e1, dtype=np.float64)
     e2 = np.asarray(e2, dtype=np.float64)
     if e1.shape != e2.shape or e1.ndim != 1:
         raise DimMismatchError(f"embedding shapes disagree: {e1.shape} vs {e2.shape}")
     if y not in (1, -1):
         raise ValueError("y must be +1 or -1")
-    c, _, _ = _cos_parts(e1, e2)
-    c = min(1.0, max(-1.0, c))
-    if y == 1:
-        return 1.0 - c
-    return max(0.0, c - margin)
+    return _batch_loss_and_grads(e1[None], e2[None], np.array([float(y)]), margin)
+
+
+def cosine_embedding_loss(e1, e2, y: int, margin: float = 0.0) -> float:
+    """Contrastive cosine loss; zero-norm inputs use the cosine=0 convention."""
+    losses, _, _ = _one_row(e1, e2, y, margin)
+    return float(losses[0])
 
 
 def loss_gradient(e1, e2, y: int, margin: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -148,23 +149,8 @@ def loss_gradient(e1, e2, y: int, margin: float = 0.0) -> tuple[np.ndarray, np.n
     for y = -1) both gradients are zero; the same convention applies to
     zero-norm inputs, where the cosine is pinned to 0.
     """
-    e1 = np.asarray(e1, dtype=np.float64)
-    e2 = np.asarray(e2, dtype=np.float64)
-    if e1.shape != e2.shape or e1.ndim != 1:
-        raise DimMismatchError(f"embedding shapes disagree: {e1.shape} vs {e2.shape}")
-    if y not in (1, -1):
-        raise ValueError("y must be +1 or -1")
-    zeros = (np.zeros_like(e1), np.zeros_like(e2))
-    c, n1, n2 = _cos_parts(e1, e2)
-    if n1 == 0.0 or n2 == 0.0:
-        return zeros
-    if y == -1 and c <= margin:
-        return zeros
-    dc_de1 = e2 / (n1 * n2) - (c / n1**2) * e1
-    dc_de2 = e1 / (n1 * n2) - (c / n2**2) * e2
-    if y == 1:
-        return -dc_de1, -dc_de2
-    return dc_de1, dc_de2
+    _, d_e1, d_e2 = _one_row(e1, e2, y, margin)
+    return d_e1[0], d_e2[0]
 
 
 # --- negative sampling --------------------------------------------------------
@@ -282,28 +268,57 @@ def build_training_pairs(
     return pairs
 
 
+def _csr(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR arrays (indptr, indices, data) holding the nonzeros of 1-D rows."""
+    cols = [np.flatnonzero(r) for r in rows]
+    indptr = np.zeros(len(cols) + 1, dtype=np.int64)
+    np.cumsum([len(c) for c in cols], out=indptr[1:])
+    indices = np.concatenate(cols)
+    data = np.concatenate([r[c] for r, c in zip(rows, cols)])
+    return indptr, indices, data
+
+
 def _pack(pairs: list[TrainingPair]):
-    """Stack pairs into padded arrays: (X_t, X_a, piece mask, labels)."""
+    """Pack pairs as sparse rows.
+
+    Returns (dim_t, dim_a, tweet CSR, article piece CSR, pieces per pair,
+    labels).
+
+    Tweet rows follow the pair order; the article pieces of pair i are the
+    contiguous piece rows starting at the sum of the earlier pairs' counts.
+    """
     in_t = {p.x_tweet.shape[-1] for p in pairs}
     in_a = {np.atleast_2d(p.x_article).shape[-1] for p in pairs}
     if len(in_t) != 1 or len(in_a) != 1:
         raise DimMismatchError("inconsistent feature dimensions across training pairs")
-    dim_t = in_t.pop()
-    dim_a = in_a.pop()
-    n = len(pairs)
-    max_pieces = max(np.atleast_2d(p.x_article).shape[0] for p in pairs)
+    pieces = [np.atleast_2d(p.x_article) for p in pairs]
+    x_t = _csr([p.x_tweet for p in pairs])
+    x_a = _csr([row for piece_rows in pieces for row in piece_rows])
+    counts = np.array([len(piece_rows) for piece_rows in pieces], dtype=np.int64)
+    y = np.array([float(p.y) for p in pairs])
+    return in_t.pop(), in_a.pop(), x_t, x_a, counts, y
 
-    x_t = np.zeros((n, dim_t))
-    x_a = np.zeros((n, max_pieces, dim_a))
-    mask = np.zeros((n, max_pieces))
-    y = np.zeros(n)
-    for i, p in enumerate(pairs):
-        x_t[i] = p.x_tweet
-        pieces = np.atleast_2d(p.x_article)
-        x_a[i, : pieces.shape[0]] = pieces
-        mask[i, : pieces.shape[0]] = 1.0
-        y[i] = p.y
-    return x_t, x_a, mask, y
+
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(s, s + n) over (starts, lens)."""
+    ends = np.cumsum(lens)
+    return np.arange(ends[-1]) + np.repeat(starts - ends + lens, lens)
+
+
+def _gather(csr, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The given CSR rows as a dense block over their distinct columns only.
+
+    Returns (u, block): u holds the sorted column ids nonzero in any of the
+    rows, and block[r, j] is row r's value in column u[j].
+    """
+    indptr, indices, data = csr
+    starts = indptr[rows]
+    lens = indptr[rows + 1] - starts
+    pos = _ranges(starts, lens)
+    u, local = np.unique(indices[pos], return_inverse=True)
+    block = np.zeros((len(rows), len(u)))
+    block[np.repeat(np.arange(len(rows)), lens), local] = data[pos]
+    return u, block
 
 
 def _init_map(rng: np.random.Generator, in_dim: int, out_dim: int) -> AffineMap:
@@ -311,19 +326,6 @@ def _init_map(rng: np.random.Generator, in_dim: int, out_dim: int) -> AffineMap:
     weight = rng.uniform(-scale, scale, size=(out_dim, in_dim))
     bias = rng.uniform(-scale, scale, size=out_dim)
     return AffineMap(weight=weight, bias=bias)
-
-
-def _forward_batch(w_t, b_t, w_a, b_a, tanh, x_t, x_a, mask):
-    """Batched forward pass; returns embeddings plus intermediates for backprop."""
-    e_t = x_t @ w_t.T + b_t
-    if tanh:
-        e_t = np.tanh(e_t)
-    h = x_a @ w_a.T + b_a  # (n, pieces, d)
-    if tanh:
-        h = np.tanh(h)
-    counts = mask.sum(axis=1)
-    e_a = (h * mask[:, :, None]).sum(axis=1) / counts[:, None]
-    return e_t, e_a, h, counts
 
 
 def _batch_loss_and_grads(e_t, e_a, y, margin):
@@ -360,55 +362,69 @@ def train(
     is the exact objective sequence.
     """
     pairs = build_training_pairs(positives, tweet_features, article_features, cfg, strategy)
-    x_t, x_a, mask, y = _pack(pairs)
-    n_examples, dim_t = x_t.shape
-    dim_a = x_a.shape[2]
+    dim_t, dim_a, x_t, x_a, counts, y = _pack(pairs)
+    n_examples = len(pairs)
+    first_piece = np.cumsum(counts) - counts
 
     rng = np.random.default_rng(cfg.seed)
     t_map = _init_map(rng, dim_t, cfg.joint_dim)
     a_map = _init_map(rng, dim_a, cfg.joint_dim)
-    w_t, b_t = t_map.weight.copy(), t_map.bias.copy()
-    w_a, b_a = a_map.weight.copy(), a_map.bias.copy()
+    # Transposed (in_dim, joint_dim) weights: a batch's columns are contiguous rows.
+    wt_t, b_t = t_map.weight.T.copy(), t_map.bias.copy()
+    wt_a, b_a = a_map.weight.T.copy(), a_map.bias.copy()
     tanh = cfg.nonlinearity == "tanh"
 
-    vel = [np.zeros_like(w_t), np.zeros_like(b_t), np.zeros_like(w_a), np.zeros_like(b_a)]
+    vel = [np.zeros_like(wt_t), np.zeros_like(b_t), np.zeros_like(wt_a), np.zeros_like(b_a)]
     trace: list[float] = []
     for _ in range(cfg.epochs):
         order = rng.permutation(n_examples)
         loss_sum = 0.0
         for start in range(0, n_examples, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            bx_t, bx_a, bmask, by = x_t[idx], x_a[idx], mask[idx], y[idx]
-            e_t, e_a, h, counts = _forward_batch(w_t, b_t, w_a, b_a, tanh, bx_t, bx_a, bmask)
-            losses, d_et, d_ea = _batch_loss_and_grads(e_t, e_a, by, cfg.margin)
+            b = len(idx)
+            u_t, bx_t = _gather(x_t, idx)
+            bcounts = counts[idx]
+            u_a, bx_a = _gather(x_a, _ranges(first_piece[idx], bcounts))
+            # pool[i, r] = 1 where piece row r belongs to example i.
+            pool = np.zeros((b, bx_a.shape[0]))
+            pool[np.repeat(np.arange(b), bcounts), np.arange(bx_a.shape[0])] = 1.0
+
+            e_t = bx_t @ wt_t[u_t] + b_t
+            h = bx_a @ wt_a[u_a] + b_a  # (piece rows, d)
+            if tanh:
+                e_t = np.tanh(e_t)
+                h = np.tanh(h)
+            e_a = (pool @ h) / bcounts[:, None]
+            losses, d_et, d_ea = _batch_loss_and_grads(e_t, e_a, y[idx], cfg.margin)
             batch_loss = float(losses.sum())
             if not np.isfinite(batch_loss):
                 raise NonFiniteLossError("training loss diverged")
             loss_sum += batch_loss
 
             d_pre_t = d_et * (1.0 - e_t**2) if tanh else d_et
-            d_h = (d_ea / counts[:, None])[:, None, :] * bmask[:, :, None]
+            d_h = pool.T @ (d_ea / bcounts[:, None])
             d_pre_a = d_h * (1.0 - h**2) if tanh else d_h
 
-            b = len(idx)
             grads = [
-                d_pre_t.T @ bx_t / b,
+                bx_t.T @ d_pre_t / b,
                 d_pre_t.sum(axis=0) / b,
-                np.einsum("npd,npi->di", d_pre_a, bx_a) / b,
-                d_pre_a.sum(axis=(0, 1)) / b,
+                bx_a.T @ d_pre_a / b,
+                d_pre_a.sum(axis=0) / b,
             ]
-            params = [w_t, b_t, w_a, b_a]
-            for k, (param, grad) in enumerate(zip(params, grads)):
+            touched = [u_t, slice(None), u_a, slice(None)]
+            params = [wt_t, b_t, wt_a, b_a]
+            for k, (param, grad, at) in enumerate(zip(params, grads, touched)):
                 if cfg.momentum > 0:
-                    vel[k] = cfg.momentum * vel[k] - cfg.lr * grad
+                    vel[k] *= cfg.momentum
+                    vel[k][at] -= cfg.lr * grad
                     param += vel[k]
                 else:
-                    param -= cfg.lr * grad
+                    param[at] -= cfg.lr * grad
         trace.append(loss_sum / n_examples)
 
     encoder = DualEncoder(
-        tweet_map=AffineMap(weight=w_t, bias=b_t),
-        article_map=AffineMap(weight=w_a, bias=b_a),
+        tweet_map=AffineMap(weight=np.ascontiguousarray(wt_t.T), bias=b_t),
+        article_map=AffineMap(weight=np.ascontiguousarray(wt_a.T), bias=b_a),
         nonlinearity=cfg.nonlinearity,
     )
     return encoder, trace
@@ -469,9 +485,9 @@ def save_encoder(model: DualEncoder, path, train_config: TrainConfig | None = No
         payload["train_config"] = {
             k: getattr(train_config, k) for k in train_config.__dataclass_fields__
         }
+    # json.dumps takes the C encoder; json.dump always runs the pure-Python one.
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def load_encoder(path) -> DualEncoder:
@@ -488,8 +504,8 @@ def load_encoder(path) -> DualEncoder:
 
 def _map_payload(amap: AffineMap) -> dict:
     return {
-        "weight": [[float(v) for v in row] for row in amap.weight],
-        "bias": [float(v) for v in amap.bias],
+        "weight": amap.weight.tolist(),
+        "bias": amap.bias.tolist(),
     }
 
 

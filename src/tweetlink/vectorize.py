@@ -137,6 +137,11 @@ def _gibbs_counts_ll(n_kw, n_k, n_dk, doc_lens, alpha, beta):
     return float(ll)
 
 
+def _check_prior(name: str, prior: float) -> None:
+    if not (math.isfinite(prior) and prior > 0):
+        raise ConfigInvalidError(f"lda {name} must be finite and > 0, got {prior!r}")
+
+
 def lda_fit(
     docs: list[TokenSeq],
     n_topics: int,
@@ -155,9 +160,9 @@ def lda_fit(
         raise DegenerateKError("n_topics must be >= 1")
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    for name, prior in (("alpha", alpha), ("beta", beta)):
-        if prior is not None and not (math.isfinite(prior) and prior > 0):
-            raise ConfigInvalidError(f"lda {name} must be finite and > 0, got {prior!r}")
+    if alpha is not None:
+        _check_prior("alpha", alpha)
+    _check_prior("beta", beta)
     nonempty = [doc for doc in docs if doc]
     if not nonempty:
         raise EmptyCorpusError("lda_fit needs at least one nonempty document")
@@ -378,11 +383,26 @@ def save_lda(model: LdaModel, path) -> None:
 def load_lda(path) -> LdaModel:
     payload = _load_model_payload(path, "lda")
     vocab = Vocabulary({term: i for i, term in enumerate(payload["vocab"])})
+    n_topics = int(payload["n_topics"])
+    alpha = float(payload["alpha"])
+    beta = float(payload["beta"])
+    _check_prior("alpha", alpha)
+    _check_prior("beta", beta)
+    try:
+        phi = np.asarray(payload["phi"], dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ConfigInvalidError(f"{path}: lda phi is not a numeric table") from None
+    if phi.shape != (n_topics, vocab.size):
+        raise ConfigInvalidError(
+            f"{path}: lda phi has shape {phi.shape}, expected {(n_topics, vocab.size)}"
+        )
+    if not (np.isfinite(phi).all() and (phi >= 0).all()):
+        raise ConfigInvalidError(f"{path}: lda phi must be finite and non-negative")
     return LdaModel(
-        n_topics=int(payload["n_topics"]),
-        alpha=float(payload["alpha"]),
-        beta=float(payload["beta"]),
-        phi=np.asarray(payload["phi"], dtype=np.float64),
+        n_topics=n_topics,
+        alpha=alpha,
+        beta=beta,
+        phi=phi,
         vocab=vocab,
         seed=int(payload["seed"]),
         log_likelihood=float(payload["log_likelihood"]),

@@ -232,3 +232,97 @@ def lda_infer_reference(phi, vocab_index, alpha, doc, iters=50, seed=0):
             z[j] = k_new
             counts[k_new] += 1
     return (counts + alpha) / (len(words) + n_topics * alpha)
+
+
+def _pack_dense(pairs):
+    """Stack pairs into padded arrays: (X_t, X_a, piece mask, labels)."""
+    in_t = {p.x_tweet.shape[-1] for p in pairs}
+    in_a = {np.atleast_2d(p.x_article).shape[-1] for p in pairs}
+    assert len(in_t) == 1 and len(in_a) == 1
+    dim_t = in_t.pop()
+    dim_a = in_a.pop()
+    n = len(pairs)
+    max_pieces = max(np.atleast_2d(p.x_article).shape[0] for p in pairs)
+
+    x_t = np.zeros((n, dim_t))
+    x_a = np.zeros((n, max_pieces, dim_a))
+    mask = np.zeros((n, max_pieces))
+    y = np.zeros(n)
+    for i, p in enumerate(pairs):
+        x_t[i] = p.x_tweet
+        pieces = np.atleast_2d(p.x_article)
+        x_a[i, : pieces.shape[0]] = pieces
+        mask[i, : pieces.shape[0]] = 1.0
+        y[i] = p.y
+    return x_t, x_a, mask, y
+
+
+def _forward_dense(w_t, b_t, w_a, b_a, tanh, x_t, x_a, mask):
+    """Batched forward pass; returns embeddings plus intermediates for backprop."""
+    e_t = x_t @ w_t.T + b_t
+    if tanh:
+        e_t = np.tanh(e_t)
+    h = x_a @ w_a.T + b_a  # (n, pieces, d)
+    if tanh:
+        h = np.tanh(h)
+    counts = mask.sum(axis=1)
+    e_a = (h * mask[:, :, None]).sum(axis=1) / counts[:, None]
+    return e_t, e_a, h, counts
+
+
+def train_reference(positives, tweet_features, article_features, cfg, strategy="truncate"):
+    """Dual-encoder training on padded dense arrays over the whole vocabulary.
+
+    The same pairs, initialization, generator stream, loss kernel and update
+    rule as contrast.train, with every step's forward pass, einsum backward
+    pass and update run over all feature columns. Returns
+    (w_t, b_t, w_a, b_a, trace) with weights shaped (joint_dim, in_dim).
+    """
+    from tweetlink import contrast
+
+    pairs = contrast.build_training_pairs(
+        positives, tweet_features, article_features, cfg, strategy
+    )
+    x_t, x_a, mask, y = _pack_dense(pairs)
+    n_examples, dim_t = x_t.shape
+    dim_a = x_a.shape[2]
+
+    rng = np.random.default_rng(cfg.seed)
+    t_map = contrast._init_map(rng, dim_t, cfg.joint_dim)
+    a_map = contrast._init_map(rng, dim_a, cfg.joint_dim)
+    w_t, b_t = t_map.weight.copy(), t_map.bias.copy()
+    w_a, b_a = a_map.weight.copy(), a_map.bias.copy()
+    tanh = cfg.nonlinearity == "tanh"
+
+    vel = [np.zeros_like(w_t), np.zeros_like(b_t), np.zeros_like(w_a), np.zeros_like(b_a)]
+    trace = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n_examples)
+        loss_sum = 0.0
+        for start in range(0, n_examples, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            bx_t, bx_a, bmask, by = x_t[idx], x_a[idx], mask[idx], y[idx]
+            e_t, e_a, h, counts = _forward_dense(w_t, b_t, w_a, b_a, tanh, bx_t, bx_a, bmask)
+            losses, d_et, d_ea = contrast._batch_loss_and_grads(e_t, e_a, by, cfg.margin)
+            loss_sum += float(losses.sum())
+
+            d_pre_t = d_et * (1.0 - e_t**2) if tanh else d_et
+            d_h = (d_ea / counts[:, None])[:, None, :] * bmask[:, :, None]
+            d_pre_a = d_h * (1.0 - h**2) if tanh else d_h
+
+            b = len(idx)
+            grads = [
+                d_pre_t.T @ bx_t / b,
+                d_pre_t.sum(axis=0) / b,
+                np.einsum("npd,npi->di", d_pre_a, bx_a) / b,
+                d_pre_a.sum(axis=(0, 1)) / b,
+            ]
+            params = [w_t, b_t, w_a, b_a]
+            for k, (param, grad) in enumerate(zip(params, grads)):
+                if cfg.momentum > 0:
+                    vel[k] = cfg.momentum * vel[k] - cfg.lr * grad
+                    param += vel[k]
+                else:
+                    param -= cfg.lr * grad
+        trace.append(loss_sum / n_examples)
+    return w_t, b_t, w_a, b_a, trace

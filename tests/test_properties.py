@@ -1,6 +1,6 @@
 """Property tests: the one-sort calibration and AP sweep, the row-wise
-scoring kernel and the LDA sampler and batched fold-in against the loop
-oracles they replace."""
+scoring kernel, the LDA sampler and batched fold-in, and the sparse-row
+dual-encoder training loop against the oracles they replace."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -12,8 +12,9 @@ from reference import (
     lda_fit_reference,
     lda_infer_reference,
     masked_flatten_reference,
+    train_reference,
 )
-from tweetlink import evalx, linker, vectorize
+from tweetlink import contrast, evalx, linker, vectorize
 from tweetlink.matrices import GroundTruthMatrix, SimilarityMatrix
 
 
@@ -148,3 +149,68 @@ def test_lda_infer_batch_rows_match_reference(case, data):
     for row, doc in zip(theta, queries):
         expected = lda_infer_reference(model.phi, model.vocab.index, model.alpha, doc, iters, seed)
         assert np.array_equal(row, expected)
+
+
+@st.composite
+def training_cases(draw):
+    """Features, positives, strategy and config for one contrast.train call.
+
+    Feature values come from a drawn seed, not drawn floats, so exact hinge
+    ties (cos == margin) do not occur. Rows are either sparse and
+    L2-normalized with 0-3 nonzeros (TF-IDF-like; zero nonzeros is an
+    all-out-of-vocabulary document) or dense topic proportions (LDA-like,
+    K = 3-20).
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    strategy = draw(st.sampled_from(contrast.STRATEGIES))
+    dense = draw(st.booleans())
+    dim = draw(st.integers(3, 20)) if dense else draw(st.integers(4, 60))
+
+    def row():
+        if dense:
+            return rng.dirichlet(np.ones(dim))
+        vec = np.zeros(dim)
+        cols = rng.choice(dim, size=int(rng.integers(0, 4)), replace=False)
+        vec[cols] = rng.random(len(cols)) + 0.1
+        return vec / np.linalg.norm(vec) if len(cols) else vec
+
+    def pieces():
+        if strategy == "truncate":
+            return row()
+        return np.stack([row() for _ in range(int(rng.integers(1, 4)))])
+
+    n_tweets = draw(st.integers(1, 6))
+    n_articles = draw(st.integers(2, 5))
+    tweets = {f"t{i}": row() for i in range(n_tweets)}
+    articles = {f"a{j}": pieces() for j in range(n_articles)}
+    positives = []
+    for t in tweets:
+        linked = rng.choice(n_articles, size=int(rng.integers(1, n_articles)), replace=False)
+        positives += [(t, f"a{j}") for j in sorted(linked)]
+    cfg = contrast.TrainConfig(
+        neg_ratio=draw(st.sampled_from([0.5, 1.0, 2.0])),
+        lr=draw(st.sampled_from([0.05, 0.5])),
+        epochs=draw(st.integers(0, 5)),
+        batch_size=draw(st.one_of(st.integers(1, 9), st.just(10**6))),
+        seed=draw(st.integers(0, 1000)),
+        margin=draw(st.sampled_from([0.0, 0.3])),
+        nonlinearity=draw(st.sampled_from(["none", "tanh"])),
+        momentum=draw(st.sampled_from([0.0, 0.9])),
+        joint_dim=draw(st.integers(1, 6)),
+    )
+    return positives, tweets, articles, cfg, strategy
+
+
+@settings(max_examples=300, deadline=None)
+@given(training_cases())
+def test_train_matches_dense_reference(case):
+    encoder, trace = contrast.train(*case)
+    w_t, b_t, w_a, b_a, ref_trace = train_reference(*case)
+    for got, want in (
+        (encoder.tweet_map.weight, w_t),
+        (encoder.tweet_map.bias, b_t),
+        (encoder.article_map.weight, w_a),
+        (encoder.article_map.bias, b_a),
+        (trace, ref_trace),
+    ):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)

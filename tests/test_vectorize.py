@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -198,6 +199,30 @@ class TestLda:
         assert (loaded.n_topics, loaded.alpha, loaded.beta, loaded.seed) == (
             model.n_topics, model.alpha, model.beta, model.seed,
         )
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"alpha": -1.0},
+            {"alpha": 0.0},
+            {"alpha": math.nan},
+            {"beta": 0.0},
+            {"beta": math.inf},
+            {"phi": [[0.5, 0.5], [0.5, -0.5]]},
+            {"phi": [[0.5, math.nan], [0.5, 0.5]]},
+            {"phi": [[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]]},
+            {"phi": [[1.0], [1.0]]},
+            {"phi": [[0.5, 0.5], [1.0]]},
+        ],
+    )
+    def test_load_rejects_bad_model(self, tmp_path, edit):
+        model = vectorize.lda_fit([["a", "b"], ["a"]], n_topics=2, iters=2, seed=3)
+        path = tmp_path / "lda.json"
+        vectorize.save_lda(model, path)
+        payload = json.loads(path.read_text())
+        path.write_text(json.dumps({**payload, **edit}))
+        with pytest.raises(ConfigInvalidError):
+            vectorize.load_lda(path)
 
 
 class TestEmbeddings:
