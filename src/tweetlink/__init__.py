@@ -27,12 +27,14 @@ from .corpus import (
     Document,
     KeywordList,
     LinkedPair,
+    PairTable,
     build_ground_truth,
     extract_summary,
     keyword_filter,
     load_annotations,
     load_documents,
     load_keywords,
+    load_pair_table,
     load_pairs,
     synth_fixture,
 )

@@ -173,14 +173,14 @@ class SweepRow:
 def _load_corpus(cfg: RunConfig):
     try:
         docs = corpus.load_documents(cfg.documents)
-        pairs = corpus.load_pairs(cfg.pairs)
+        pairs = corpus.load_pair_table(cfg.pairs)
     except OSError as exc:
         raise ConfigInvalidError(str(exc)) from exc
     if cfg.keywords:
         kws = corpus.load_keywords(cfg.keywords)
         docs = corpus.keyword_filter(docs, kws)
         ids = {d.id for d in docs}
-        pairs = [p for p in pairs if p.tweet_id in ids and p.article_id in ids]
+        pairs = pairs.select(ids, ids)
     tweets = [d for d in docs if d.kind == corpus.KIND_TWEET]
     articles = [d for d in docs if d.kind == corpus.KIND_ARTICLE]
     if not tweets or not articles:
@@ -214,8 +214,11 @@ def _article_pieces(cfg: RunConfig, tokens: list[str]) -> list[list[str]]:
     return [textprep.truncate(tokens, cfg.chunking.truncate_limit)]
 
 
-def _match_pairs(pairs) -> list[tuple[str, str]]:
-    return [(p.tweet_id, p.article_id) for p in pairs if p.label == "match"]
+def _match_pairs(pairs: corpus.PairTable) -> list[tuple[str, str]]:
+    return [
+        (t, a) for t, a, label in zip(pairs.tweet_ids, pairs.article_ids, pairs.labels)
+        if label == "match"
+    ]
 
 
 def build_vectors(
@@ -323,7 +326,7 @@ def run_pipeline(cfg: RunConfig) -> tuple[SimilarityMatrix, evalx.MetricsReport]
     article_ids = [d.id for d in articles]
 
     if cfg.train_pairs:
-        train_positives = _match_pairs(corpus.load_pairs(cfg.train_pairs))
+        train_positives = _match_pairs(corpus.load_pair_table(cfg.train_pairs))
     else:
         train_positives = _match_pairs(pairs)
 
@@ -417,11 +420,7 @@ def sweep_hyperparams(cfg: RunConfig, grid, split, budget: int | None = None):
     train_positives = [
         (t, a) for t, a in _match_pairs(pairs) if t in train_t_set and a in train_a_set
     ]
-    gt = corpus.build_ground_truth(
-        [p for p in pairs if p.tweet_id in set(val_t) and p.article_id in set(val_a)],
-        val_t,
-        val_a,
-    )
+    gt = corpus.build_ground_truth(pairs.select(set(val_t), set(val_a)), val_t, val_a)
     # Leakage guard: no evaluated cell may appear among the training pairs.
     eval_cells = {(t, a) for t in val_t for a in val_a}
     if eval_cells & set(train_positives):
@@ -542,9 +541,7 @@ def _cmd_ingest(cfg: RunConfig, args) -> int:
         "n_tweets": len(tweets),
         "n_articles": len(articles),
         "n_pairs": len(pairs),
-        "pair_labels": {
-            label: sum(1 for p in pairs if p.label == label) for label in corpus.PAIR_LABELS
-        },
+        "pair_labels": {label: pairs.labels.count(label) for label in corpus.PAIR_LABELS},
     }
     if cfg.annotations:
         summary["n_annotations"] = len(corpus.load_annotations(cfg.annotations))
@@ -591,7 +588,7 @@ def _cmd_train(cfg: RunConfig, args) -> int:
     tweet_ids = [d.id for d in tweets]
     article_ids = [d.id for d in articles]
     train_positives = _match_pairs(
-        corpus.load_pairs(cfg.train_pairs) if cfg.train_pairs else pairs
+        corpus.load_pair_table(cfg.train_pairs) if cfg.train_pairs else pairs
     )
     _tv, _av, encoder = build_vectors(
         cfg, tokens, tweet_ids, article_ids, [], [], train_positives
@@ -650,10 +647,7 @@ def _cmd_sweep_size(cfg: RunConfig, args) -> int:
     cascades = cascade_mod.build_cascades(tweets)
     root_ids = [c.root_id for c in cascades]
     article_ids = [d.id for d in articles]
-    root_set = set(root_ids)
-    gt = corpus.build_ground_truth(
-        [p for p in pairs if p.tweet_id in root_set], root_ids, article_ids
-    )
+    gt = corpus.build_ground_truth(pairs.select(tweet_ids=set(root_ids)), root_ids, article_ids)
     rows = _sweep_size(cfg, sizes, cascades, gt, (tweets, articles, pairs))
     emit_report(
         [{"n": r.n, "ap": r.ap, "n_cascades": r.n_cascades} for r in rows],

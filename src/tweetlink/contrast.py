@@ -238,11 +238,19 @@ def build_training_pairs(
         except KeyError:
             raise MissingEmbeddingError(tweet_id) from None
 
+    stacked: dict[str, np.ndarray] = {}
+
+    def article_pieces(article_id: str) -> np.ndarray:
+        """The article's pieces, stacked once and shared by all of its pairs."""
+        if article_id not in stacked:
+            stacked[article_id] = _article_pieces(article_features, article_id)
+        return stacked[article_id]
+
     pairs: list[TrainingPair] = []
     expanded: list[tuple[str, str]] = []
     for tweet_id, article_id in positives:
         x_t = tweet_vec(tweet_id)
-        pieces = _article_pieces(article_features, article_id)
+        pieces = article_pieces(article_id)
         if strategy == "augment":
             for piece in pieces:
                 pairs.append(TrainingPair(x_t, piece, 1))
@@ -260,7 +268,7 @@ def build_training_pairs(
 
     article_ids = list(article_features.keys())
     for tweet_id, article_id in sample_negatives(expanded, article_ids, cfg.neg_ratio, cfg.seed):
-        pieces = _article_pieces(article_features, article_id)
+        pieces = article_pieces(article_id)
         if strategy == "mean_chunks":
             pairs.append(TrainingPair(tweet_vec(tweet_id), pieces, -1))
         else:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -67,6 +68,57 @@ class LinkedPair:
             raise ValueError(f"unknown pair label {self.label!r}")
 
 
+# Each valid label mapped to itself: one lookup validates a label and swaps
+# it for the shared constant.
+_LABELS = {label: label for label in PAIR_LABELS}
+_LABEL_VALUES = {"match": 1, "no_match": -1, "unknown": 0}
+
+
+@dataclass(frozen=True)
+class PairTable:
+    """Linked pairs as parallel columns in file order.
+
+    Row i is (tweet_ids[i], article_ids[i], labels[i]). Iterating yields the
+    rows as LinkedPair, so a table stands in for a list of pairs.
+    """
+
+    tweet_ids: tuple[str, ...]
+    article_ids: tuple[str, ...]
+    labels: tuple[str, ...]
+
+    def __post_init__(self):
+        for name in ("tweet_ids", "article_ids", "labels"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        if not len(self.tweet_ids) == len(self.article_ids) == len(self.labels):
+            raise ValueError("pair columns must have equal lengths")
+        unknown = set(self.labels).difference(PAIR_LABELS)
+        if unknown:
+            raise ValueError(f"unknown pair labels {sorted(map(repr, unknown))}")
+
+    @classmethod
+    def from_pairs(cls, pairs) -> "PairTable":
+        pairs = list(pairs)
+        return cls(
+            [p.tweet_id for p in pairs], [p.article_id for p in pairs], [p.label for p in pairs]
+        )
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __iter__(self):
+        return map(LinkedPair, self.tweet_ids, self.article_ids, self.labels)
+
+    def select(self, tweet_ids=None, article_ids=None) -> "PairTable":
+        """The rows whose tweet id is in `tweet_ids` and article id in
+        `article_ids`, in order; None admits every id."""
+        keep = [
+            (tweet_ids is None or t in tweet_ids) and (article_ids is None or a in article_ids)
+            for t, a in zip(self.tweet_ids, self.article_ids)
+        ]
+        columns = (self.tweet_ids, self.article_ids, self.labels)
+        return PairTable(*(compress(col, keep) for col in columns))
+
+
 @dataclass(frozen=True)
 class AnnotationRecord:
     tweet_id: str
@@ -91,15 +143,31 @@ class KeywordList:
                 raise ValueError(f"keyword {entry!r} must be lowercase")
 
 
+# json.loads' own scanner: one C call returns a value and the index after it.
+_scan_once = json.JSONDecoder().scan_once
+_JSON_WS = " \t\n\r"
+
+
 def _iter_jsonl(path):
+    """(line number, object) for each non-blank line, parsed exactly as json.loads.
+
+    A line holding a value from its first character, then only JSON
+    whitespace, costs one scanner call. Any other line goes to json.loads
+    itself, so it is accepted, rejected and its error worded alike.
+    """
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedLineError(str(path), line_no, str(exc)) from exc
+                obj, end = _scan_once(line, 0)
+            except (StopIteration, ValueError):
+                end = None
+            if end is None or line[end:].strip(_JSON_WS):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise MalformedLineError(str(path), line_no, str(exc)) from exc
             if not isinstance(obj, dict):
                 raise MalformedLineError(str(path), line_no, "expected a JSON object")
             yield line_no, obj
@@ -145,20 +213,32 @@ def load_documents(path, kind: str | None = None) -> list[Document]:
     return docs
 
 
-def load_pairs(path) -> list[LinkedPair]:
-    pairs = []
+def load_pair_table(path) -> PairTable:
+    """Read pairs.jsonl into a PairTable, building no per-pair objects.
+
+    A line missing a field raises MissingFieldError (tweet_id, article_id,
+    label checked in that order); a label outside PAIR_LABELS raises
+    MalformedLineError with the file and line.
+    """
+    tweet_ids, article_ids, labels = [], [], []
     for line_no, obj in _iter_jsonl(path):
         try:
-            pairs.append(
-                LinkedPair(
-                    tweet_id=str(_require(obj, "tweet_id", line_no)),
-                    article_id=str(_require(obj, "article_id", line_no)),
-                    label=_require(obj, "label", line_no),
-                )
-            )
-        except ValueError as exc:
-            raise MalformedLineError(str(path), line_no, str(exc)) from exc
-    return pairs
+            tweet_id, article_id, label = obj["tweet_id"], obj["article_id"], obj["label"]
+        except KeyError:
+            for name in ("tweet_id", "article_id", "label"):
+                _require(obj, name, line_no)
+        try:
+            labels.append(_LABELS[label])
+        except (KeyError, TypeError):  # TypeError: an unhashable label such as [] or {}
+            raise MalformedLineError(str(path), line_no, f"unknown pair label {label!r}") from None
+        tweet_ids.append(str(tweet_id))
+        article_ids.append(str(article_id))
+    return PairTable(tweet_ids, article_ids, labels)
+
+
+def load_pairs(path) -> list[LinkedPair]:
+    """Read pairs.jsonl as LinkedPair records; validation as load_pair_table."""
+    return list(load_pair_table(path))
 
 
 def load_annotations(path) -> list[AnnotationRecord]:
@@ -250,23 +330,37 @@ def keyword_filter(docs, keywords: KeywordList) -> list[Document]:
 def build_ground_truth(pairs, tweet_ids, article_ids) -> GroundTruthMatrix:
     """Three-valued label matrix: 1 match, -1 no-match, 0 unknown/unannotated.
 
-    Conflicting duplicate labels for one cell raise instead of overwriting;
-    silent last-wins would hide labeling bugs.
+    `pairs` is a PairTable or an iterable of LinkedPair. Conflicting
+    duplicate labels for one cell raise instead of overwriting; silent
+    last-wins would hide labeling bugs. The first pair in order that fails
+    raises: an unknown id (tweet checked before article) as UnknownIdError, a
+    label other than the first one given for its cell as ConflictingLabelError.
     """
+    table = pairs if isinstance(pairs, PairTable) else PairTable.from_pairs(pairs)
     t_index = {tid: i for i, tid in enumerate(tweet_ids)}
     a_index = {aid: j for j, aid in enumerate(article_ids)}
+    n = len(table)
+    rows = np.fromiter(map(t_index.get, table.tweet_ids, repeat(-1)), np.int64, n)
+    cols = np.fromiter(map(a_index.get, table.article_ids, repeat(-1)), np.int64, n)
+    codes = np.fromiter(map(_LABEL_VALUES.__getitem__, table.labels), np.int8, n)
+
+    unknown = np.flatnonzero((rows < 0) | (cols < 0))
+    n_known = int(unknown[0]) if len(unknown) else n
+    rows, cols, codes = rows[:n_known], cols[:n_known], codes[:n_known]
+    _, first, inverse = np.unique(
+        rows * len(article_ids) + cols, return_index=True, return_inverse=True
+    )
+    conflicts = np.flatnonzero(codes != codes[first][inverse])
+    if len(conflicts):
+        k = int(conflicts[0])
+        raise ConflictingLabelError(table.tweet_ids[k], table.article_ids[k])
+    if n_known < n:
+        k = n_known
+        bad = table.tweet_ids[k] if table.tweet_ids[k] not in t_index else table.article_ids[k]
+        raise UnknownIdError(bad)
+
     values = np.zeros((len(tweet_ids), len(article_ids)), dtype=np.int8)
-    assigned: dict[tuple[int, int], str] = {}
-    for pair in pairs:
-        if pair.tweet_id not in t_index:
-            raise UnknownIdError(pair.tweet_id)
-        if pair.article_id not in a_index:
-            raise UnknownIdError(pair.article_id)
-        cell = (t_index[pair.tweet_id], a_index[pair.article_id])
-        if cell in assigned and assigned[cell] != pair.label:
-            raise ConflictingLabelError(pair.tweet_id, pair.article_id)
-        assigned[cell] = pair.label
-        values[cell] = {"match": 1, "no_match": -1, "unknown": 0}[pair.label]
+    values[rows, cols] = codes
     return GroundTruthMatrix(tuple(tweet_ids), tuple(article_ids), values)
 
 

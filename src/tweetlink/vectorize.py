@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
+from .corpus import _iter_jsonl
 from .errors import (
     ConfigInvalidError,
     DegenerateKError,
@@ -312,28 +313,24 @@ def load_embeddings(path) -> EmbeddingTable:
     """Read embeddings.jsonl ({"id": ..., "vector": [...]}); dim fixed by the first row."""
     vectors: dict[str, np.ndarray] = {}
     dim = None
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                doc_id = str(obj["id"])
-                vec = np.asarray(obj["vector"], dtype=np.float64)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise MalformedLineError(str(path), line_no, str(exc)) from exc
-            if vec.ndim != 1:
-                raise MalformedLineError(str(path), line_no, "vector must be a flat list")
-            # json.loads accepts the NaN and Infinity literals.
-            if not np.isfinite(vec).all():
-                raise MalformedLineError(str(path), line_no, "vector holds NaN or Infinity")
-            if doc_id in vectors:
-                raise DuplicateIdError(doc_id)
-            if dim is None:
-                dim = len(vec)
-            elif len(vec) != dim:
-                raise DimMismatchError(f"id {doc_id!r} has dim {len(vec)}, expected {dim}")
-            vectors[doc_id] = vec
+    for line_no, obj in _iter_jsonl(path):
+        try:
+            doc_id = str(obj["id"])
+            vec = np.asarray(obj["vector"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedLineError(str(path), line_no, str(exc)) from exc
+        if vec.ndim != 1:
+            raise MalformedLineError(str(path), line_no, "vector must be a flat list")
+        # JSON decoding accepts the NaN and Infinity literals.
+        if not np.isfinite(vec).all():
+            raise MalformedLineError(str(path), line_no, "vector holds NaN or Infinity")
+        if doc_id in vectors:
+            raise DuplicateIdError(doc_id)
+        if dim is None:
+            dim = len(vec)
+        elif len(vec) != dim:
+            raise DimMismatchError(f"id {doc_id!r} has dim {len(vec)}, expected {dim}")
+        vectors[doc_id] = vec
     return EmbeddingTable(vectors=vectors, dim=dim or 0)
 
 

@@ -4,10 +4,20 @@ These deliberately avoid the library's code paths: plain loops, dicts and
 math only, so a bug in the package cannot hide in its own oracle.
 """
 
+import json
 import math
 
 import numpy as np
 from scipy.special import gammaln
+
+from tweetlink.corpus import LinkedPair
+from tweetlink.errors import (
+    ConflictingLabelError,
+    MalformedLineError,
+    MissingFieldError,
+    UnknownIdError,
+)
+from tweetlink.matrices import GroundTruthMatrix
 
 
 def ap_reference(scores, labels):
@@ -326,3 +336,60 @@ def train_reference(positives, tweet_features, article_features, cfg, strategy="
                     param -= cfg.lr * grad
         trace.append(loss_sum / n_examples)
     return w_t, b_t, w_a, b_a, trace
+
+
+def iter_jsonl_reference(path):
+    """(line number, object) per non-blank line, each parsed with json.loads."""
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedLineError(str(path), line_no, str(exc)) from exc
+            if not isinstance(obj, dict):
+                raise MalformedLineError(str(path), line_no, "expected a JSON object")
+            yield line_no, obj
+
+
+def _require(obj, field, line_no):
+    if field not in obj:
+        raise MissingFieldError(field, line_no)
+    return obj[field]
+
+
+def load_pairs_reference(path):
+    """One LinkedPair per line; the dataclass rejects an unknown label."""
+    pairs = []
+    for line_no, obj in iter_jsonl_reference(path):
+        try:
+            pairs.append(
+                LinkedPair(
+                    tweet_id=str(_require(obj, "tweet_id", line_no)),
+                    article_id=str(_require(obj, "article_id", line_no)),
+                    label=_require(obj, "label", line_no),
+                )
+            )
+        except ValueError as exc:
+            raise MalformedLineError(str(path), line_no, str(exc)) from exc
+    return pairs
+
+
+def build_ground_truth_reference(pairs, tweet_ids, article_ids):
+    """Label matrix filled one pair at a time, raising at the first bad pair."""
+    t_index = {tid: i for i, tid in enumerate(tweet_ids)}
+    a_index = {aid: j for j, aid in enumerate(article_ids)}
+    values = np.zeros((len(tweet_ids), len(article_ids)), dtype=np.int8)
+    assigned = {}
+    for pair in pairs:
+        if pair.tweet_id not in t_index:
+            raise UnknownIdError(pair.tweet_id)
+        if pair.article_id not in a_index:
+            raise UnknownIdError(pair.article_id)
+        cell = (t_index[pair.tweet_id], a_index[pair.article_id])
+        if cell in assigned and assigned[cell] != pair.label:
+            raise ConflictingLabelError(pair.tweet_id, pair.article_id)
+        assigned[cell] = pair.label
+        values[cell] = {"match": 1, "no_match": -1, "unknown": 0}[pair.label]
+    return GroundTruthMatrix(tuple(tweet_ids), tuple(article_ids), values)

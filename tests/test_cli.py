@@ -69,6 +69,14 @@ class TestExitCodes:
     def test_missing_config_flag(self, capsys):
         assert cli.main(["eval"]) == 2
 
+    def test_unhashable_pair_label_exit_2(self, small_corpus, make_config, capsys):
+        path = small_corpus["pairs_path"]
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = '{"tweet_id": "t", "article_id": "a", "label": []}\n'
+        path.write_text("".join(lines))
+        assert cli.main(["--config", str(make_config()), "eval"]) == 2
+        assert "pairs.jsonl:3: unknown pair label []" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "prior",
         [{"alpha": float("nan")}, {"alpha": 0.0}, {"alpha": -1.0}, {"beta": 0.0}, {"beta": -1.0}],

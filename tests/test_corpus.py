@@ -231,6 +231,30 @@ class TestOtherLoaders:
         corpus.write_pairs(pairs, path)
         assert corpus.load_pairs(path) == pairs
 
+    def test_pair_table_columns(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        _write_lines(path, [
+            {"tweet_id": "t1", "article_id": "a1", "label": "match"},
+            {"tweet_id": 7, "article_id": "a2", "label": "unknown"},
+        ])
+        table = corpus.load_pair_table(path)
+        assert table.tweet_ids == ("t1", "7")
+        assert table.article_ids == ("a1", "a2")
+        assert table.labels == ("match", "unknown")
+        assert list(table) == corpus.load_pairs(path)
+
+    def test_pair_table_select(self):
+        table = corpus.PairTable(("t1", "t2", "t1"), ("a1", "a1", "a2"), ("match",) * 3)
+        assert table.select({"t1"}).article_ids == ("a1", "a2")
+        assert table.select({"t1", "t2"}, {"a1"}).tweet_ids == ("t1", "t2")
+        assert len(table.select(article_ids=set())) == 0
+
+    def test_pair_table_rejects_bad_columns(self):
+        with pytest.raises(ValueError):
+            corpus.PairTable(("t1",), ("a1", "a2"), ("match",))
+        with pytest.raises(ValueError):
+            corpus.PairTable(("t1",), ("a1",), ("maybe",))
+
     def test_bad_pair_label(self, tmp_path):
         path = tmp_path / "p.jsonl"
         _write_lines(path, [{"tweet_id": "t", "article_id": "a", "label": "maybe"}])

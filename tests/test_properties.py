@@ -1,20 +1,29 @@
 """Property tests: the one-sort calibration and AP sweep, the row-wise
-scoring kernel, the LDA sampler and batched fold-in, and the sparse-row
-dual-encoder training loop against the oracles they replace."""
+scoring kernel, the LDA sampler and batched fold-in, the sparse-row
+dual-encoder training loop, and the JSONL reader, pair table loader and
+ground-truth builder against the oracles they replace."""
+
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference import (
     ap_reference,
+    build_ground_truth_reference,
     calibrate_reference,
+    iter_jsonl_reference,
     lda_fit_reference,
     lda_infer_reference,
+    load_pairs_reference,
     masked_flatten_reference,
     train_reference,
 )
-from tweetlink import contrast, evalx, linker, vectorize
+from tweetlink import contrast, corpus, evalx, linker, vectorize
+from tweetlink.errors import TweetLinkError
 from tweetlink.matrices import GroundTruthMatrix, SimilarityMatrix
 
 
@@ -214,3 +223,188 @@ def test_train_matches_dense_reference(case):
         (trace, ref_trace),
     ):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+
+# --- JSONL reading and the ground truth -----------------------------------------
+
+# Characters that may sit around a value. Only the first four are JSON
+# whitespace; "\r" also ends a line when the file is read back; all but the
+# BOM are whitespace to str.strip, so a line of them alone is blank.
+PADS = ["", " ", "\t", "\r", "\ufeff", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"]
+
+# No lone surrogates: lines are written to the file as UTF-8.
+texts = st.text(st.characters(blacklist_categories=("Cs",)), max_size=4)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | texts,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(texts, kids, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def jsonl_lines(draw):
+    """One line of text: a value, a bad literal or nothing, between pads."""
+    value = draw(json_values)
+    body = draw(
+        st.sampled_from(
+            [
+                json.dumps({"v": value}),
+                json.dumps(value, ensure_ascii=False),
+                '{"v": NaN}',
+                '{"v": -Infinity}',
+                '{"a": 1, "a": 2}',
+                '{"a": ',
+                "nul",
+                "",
+            ]
+        )
+    )
+    tail = draw(st.sampled_from(["", " x", ' {"b": 2}', "]", "[]", ","]))
+    pads = st.lists(st.sampled_from(PADS), max_size=2).map("".join)
+    return draw(pads) + body + draw(st.sampled_from([tail, ""])) + draw(pads)
+
+
+def _write(text: str, lines) -> Path:
+    path = Path(text) / "data.jsonl"
+    path.write_text("\n".join(lines), encoding="utf-8", newline="")
+    return path
+
+
+def _outcome(fn, *args):
+    """fn's result as a repr, or the error it raised: (type, message, line)."""
+    try:
+        return repr(list(fn(*args)))
+    except TweetLinkError as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(jsonl_lines(), min_size=1, max_size=5), st.booleans())
+@example(['\ufeff{"a": 1}'], True)
+@example(['\x0b{"a": 1}'], True)
+@example(['{"a": 1}\x1c'], True)
+@example([' {"a": 1}\t\r', '{"a": 2}\xa0'], False)
+@example(['{"a": 1} {"b": 2}'], True)
+@example(['{"a": 1}x'], False)
+@example(['{"v": NaN}', '{"v": Infinity}', ' {"v": -Infinity} '], True)
+@example(["", "  ", "\x0b", "\u2028\x1c", '{"a": 1}', "\t", "[1]"], True)
+def test_iter_jsonl_matches_json_loads(lines, final_newline):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write(tmp, lines + [""] if final_newline else lines)
+        assert _outcome(corpus._iter_jsonl, path) == _outcome(iter_jsonl_reference, path)
+
+
+pair_ids = st.one_of(
+    st.sampled_from(["t1", "t2", "a1"]), st.integers(-2, 2), st.none(), st.floats(-1, 1),
+    st.lists(st.integers(0, 2), max_size=2),
+)
+bad_labels = st.one_of(
+    st.sampled_from(["maybe", "Match", ""]), st.none(), st.integers(0, 2),
+    st.just([]), st.just({}), st.just(["match"]),
+)
+
+
+@st.composite
+def pair_lines(draw):
+    """A pairs.jsonl line: mostly valid, else missing a field, holding a bad
+    label, not an object, malformed or blank."""
+    obj = {
+        "tweet_id": draw(pair_ids),
+        "article_id": draw(pair_ids),
+        "label": draw(st.sampled_from(corpus.PAIR_LABELS)),
+        **draw(st.dictionaries(st.sampled_from(["note", "score"]), json_values, max_size=1)),
+    }
+    fault = draw(st.integers(0, 12))
+    if fault < 3:
+        del obj[("tweet_id", "article_id", "label")[fault]]
+    elif fault < 5:
+        obj["label"] = draw(bad_labels)
+    elif fault == 5:
+        return json.dumps(list(obj.values()))
+    elif fault == 6:
+        return draw(st.sampled_from(["{", "  ", "\x0b", '"match"', "7"]))
+    items = list(obj.items())
+    return json.dumps(dict(draw(st.permutations(items))))
+
+
+_PAIR = '{"tweet_id": "t1", "article_id": "a1", "label": "match"}'
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(pair_lines(), min_size=1, max_size=8))
+@example([_PAIR, '{"tweet_id": "t1", "label": "match"}'])
+@example([_PAIR, '{"article_id": "a1"}'])
+@example(["", _PAIR, '["t1", "a1", "match"]'])
+@example([_PAIR, _PAIR, '{"tweet_id": "t1", "article_id": "a1", "label": "maybe"}'])
+@example([_PAIR, '{"tweet_id": 5, "article_id": null, "label": []}'])
+@example(['{"tweet_id": "t1", "article_id": "a1", "label": {}}'])
+def test_load_pair_table_matches_per_pair_loader(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write(tmp, lines)
+        want = _outcome(load_pairs_reference, path)
+        assert _outcome(corpus.load_pair_table, path) == want
+        assert _outcome(corpus.load_pairs, path) == want
+
+
+@st.composite
+def ground_truth_cases(draw):
+    """(pairs, tweet ids, article ids): few ids, so duplicate cells are common.
+
+    Consistent cases give every cell one label; the others draw a label per
+    pair, so a cell may get several. Unknown ids ("t?", "a?") are optional.
+    """
+    tweet_ids = [f"t{i}" for i in range(draw(st.integers(0, 4)))]
+    article_ids = [f"a{j}" for j in range(draw(st.integers(0, 4)))]
+    unknown = draw(st.booleans())
+    pool_t = tweet_ids + ["t?"] * unknown
+    pool_a = article_ids + ["a?"] * unknown
+    consistent = draw(st.booleans())
+    cell_labels = {}
+    pairs = []
+    if pool_t and pool_a:
+        for _ in range(draw(st.integers(0, 12))):
+            cell = (draw(st.sampled_from(pool_t)), draw(st.sampled_from(pool_a)))
+            label = draw(st.sampled_from(corpus.PAIR_LABELS))
+            if consistent:
+                label = cell_labels.setdefault(cell, label)
+            pairs.append(corpus.LinkedPair(*cell, label))
+    return pairs, tweet_ids, article_ids
+
+
+def _ground_truth_outcome(pairs, tweet_ids, article_ids, build):
+    try:
+        gt = build(pairs, tweet_ids, article_ids)
+    except TweetLinkError as exc:
+        return type(exc), str(exc)
+    return gt.tweet_ids, gt.article_ids, gt.values.dtype, gt.values.tolist()
+
+
+def _pairs(*rows):
+    return [corpus.LinkedPair(*row) for row in rows]
+
+
+@settings(max_examples=500, deadline=None)
+@given(ground_truth_cases())
+# Unknown tweet and article on one pair: the tweet is named.
+@example((_pairs(("t0", "a0", "match"), ("t?", "a?", "match")), ["t0"], ["a0"]))
+@example((_pairs(("t0", "a0", "match"), ("t0", "a?", "match")), ["t0"], ["a0"]))
+# Conflicts on two cells: the first in file order is reported.
+@example((
+    _pairs(("t0", "a0", "match"), ("t1", "a0", "no_match"), ("t1", "a0", "match"),
+           ("t0", "a0", "unknown"), ("t0", "a0", "no_match")),
+    ["t0", "t1"], ["a0"],
+))
+# A conflict before an unknown id, and after one.
+@example((_pairs(("t0", "a0", "match"), ("t0", "a0", "no_match"), ("t?", "a0", "match")),
+          ["t0"], ["a0"]))
+@example((_pairs(("t0", "a0", "match"), ("t?", "a0", "match"), ("t0", "a0", "no_match")),
+          ["t0"], ["a0"]))
+# Consistent duplicates pass.
+@example((_pairs(("t0", "a1", "no_match"), ("t0", "a1", "no_match"), ("t1", "a0", "unknown"),
+                 ("t1", "a0", "unknown"), ("t0", "a0", "match")), ["t0", "t1"], ["a0", "a1"]))
+def test_build_ground_truth_matches_per_pair_loop(case):
+    pairs, tweet_ids, article_ids = case
+    want = _ground_truth_outcome(pairs, tweet_ids, article_ids, build_ground_truth_reference)
+    for given_pairs in (corpus.PairTable.from_pairs(pairs), pairs, iter(pairs)):
+        got = _ground_truth_outcome(given_pairs, tweet_ids, article_ids, corpus.build_ground_truth)
+        assert got == want
