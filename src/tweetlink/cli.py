@@ -358,6 +358,7 @@ def run_pipeline(cfg: RunConfig) -> tuple[SimilarityMatrix, evalx.MetricsReport]
             "n_tweets": len(tweet_ids),
             "n_articles": len(article_ids),
         },
+        exact=True,
     )
     return sim, report
 
@@ -520,9 +521,11 @@ def _round_floats(obj):
     return obj
 
 
-def _write_json(path, obj) -> None:
+def _write_json(path, obj, exact: bool = False) -> None:
+    """Floats go out at 6 decimals, or with `exact` in shortest round-trip form,
+    so that a threshold read back makes the same decisions."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_round_floats(obj), fh, sort_keys=True, indent=2)
+        json.dump(obj if exact else _round_floats(obj), fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
@@ -625,7 +628,7 @@ def _cmd_calibrate(cfg: RunConfig, args) -> int:
         sim = linker.score_matrix(tweet_vecs, article_vecs, tweet_ids, article_ids)
     gt = corpus.build_ground_truth(pairs, tweet_ids, article_ids)
     threshold, f1 = linker.calibrate_threshold(sim, gt)
-    _write_json(_out_dir(cfg) / "threshold.json", {"threshold": threshold, "f1": f1})
+    _write_json(_out_dir(cfg) / "threshold.json", {"threshold": threshold, "f1": f1}, exact=True)
     return 0
 
 

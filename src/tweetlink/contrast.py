@@ -13,12 +13,21 @@ handled by one of three strategies: plain truncation, mean over uniform
 sentinel-wrapped chunks, or a header+parts split where every piece becomes
 an extra positive example.
 
-Training packs the feature vectors as sparse rows. Each mini-batch step
-gathers only the feature columns nonzero in its batch, so the forward pass,
-the backward pass and the weight update cost time in proportion to the
-batch's nonzeros, not to the vocabulary; the other columns have a zero
-gradient. Only the momentum velocity update stays dense, because every
-column with a nonzero velocity moves on every step.
+Training packs each distinct tweet row and article piece row once as a
+sparse row; examples are indices into those rows. Each mini-batch step
+works on a dense block over only the feature columns nonzero in its batch,
+so the forward pass, the backward pass and the weight update cost time in
+proportion to the batch's nonzeros, not to the vocabulary; the other
+columns have a zero gradient. Only the momentum velocity update stays
+dense, because every column with a nonzero velocity moves on every step.
+
+The blocks are planned once per epoch: after the epoch's shuffle, one
+vectorized pass per side finds every batch's sorted distinct columns and
+each nonzero's place in its batch's block, so a step only slices the plan
+and scatters its block. The plan holds one epoch of int32 positions and
+values and is freed when the epoch ends. The arithmetic and its order are
+those of gathering each batch on its own, so the weights come out the same
+bit for bit.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -232,47 +242,51 @@ def build_training_pairs(
     if not positives:
         raise EmptyInputError("training needs at least one positive pair")
 
+    # One array per tweet and per article piece, shared by every pair that
+    # uses it, so _pack can convert each distinct row once.
+    tweet_rows: dict[str, np.ndarray] = {}
+    stacked: dict[str, tuple[np.ndarray, list[np.ndarray]]] = {}
+
     def tweet_vec(tweet_id: str) -> np.ndarray:
-        try:
-            return np.asarray(tweet_features[tweet_id], dtype=np.float64)
-        except KeyError:
-            raise MissingEmbeddingError(tweet_id) from None
+        if tweet_id not in tweet_rows:
+            try:
+                tweet_rows[tweet_id] = np.asarray(tweet_features[tweet_id], dtype=np.float64)
+            except KeyError:
+                raise MissingEmbeddingError(tweet_id) from None
+        return tweet_rows[tweet_id]
 
-    stacked: dict[str, np.ndarray] = {}
-
-    def article_pieces(article_id: str) -> np.ndarray:
-        """The article's pieces, stacked once and shared by all of its pairs."""
+    def article_pieces(article_id: str) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The article's stacked pieces and one view per piece row."""
         if article_id not in stacked:
-            stacked[article_id] = _article_pieces(article_features, article_id)
+            pieces = _article_pieces(article_features, article_id)
+            stacked[article_id] = pieces, list(pieces)
         return stacked[article_id]
 
     pairs: list[TrainingPair] = []
     expanded: list[tuple[str, str]] = []
     for tweet_id, article_id in positives:
         x_t = tweet_vec(tweet_id)
-        pieces = article_pieces(article_id)
+        pieces, rows = article_pieces(article_id)
         if strategy == "augment":
-            for piece in pieces:
+            for piece in rows:
                 pairs.append(TrainingPair(x_t, piece, 1))
                 expanded.append((tweet_id, article_id))
         elif strategy == "mean_chunks":
             pairs.append(TrainingPair(x_t, pieces, 1))
             expanded.append((tweet_id, article_id))
         else:
-            if pieces.shape[0] != 1:
+            if len(rows) != 1:
                 raise DimMismatchError(
-                    f"article {article_id!r} has {pieces.shape[0]} pieces under 'truncate'"
+                    f"article {article_id!r} has {len(rows)} pieces under 'truncate'"
                 )
-            pairs.append(TrainingPair(x_t, pieces[0], 1))
+            pairs.append(TrainingPair(x_t, rows[0], 1))
             expanded.append((tweet_id, article_id))
 
     article_ids = list(article_features.keys())
     for tweet_id, article_id in sample_negatives(expanded, article_ids, cfg.neg_ratio, cfg.seed):
-        pieces = article_pieces(article_id)
-        if strategy == "mean_chunks":
-            pairs.append(TrainingPair(tweet_vec(tweet_id), pieces, -1))
-        else:
-            pairs.append(TrainingPair(tweet_vec(tweet_id), pieces[0], -1))
+        pieces, rows = article_pieces(article_id)
+        x_a = pieces if strategy == "mean_chunks" else rows[0]
+        pairs.append(TrainingPair(tweet_vec(tweet_id), x_a, -1))
     return pairs
 
 
@@ -286,25 +300,48 @@ def _csr(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return indptr, indices, data
 
 
-def _pack(pairs: list[TrainingPair]):
-    """Pack pairs as sparse rows.
+class _Packed(NamedTuple):
+    """Training examples as indices into sparse rows packed once each."""
 
-    Returns (dim_t, dim_a, tweet CSR, article piece CSR, pieces per pair,
-    labels).
+    dim_t: int
+    dim_a: int
+    x_t: tuple  # tweet CSR (indptr, indices, data)
+    x_a: tuple  # article piece CSR
+    t_row: np.ndarray  # per example: its tweet row,
+    first_piece: np.ndarray  # its first piece row (its pieces are contiguous),
+    counts: np.ndarray  # its number of pieces
+    y: np.ndarray  # and its label
 
-    Tweet rows follow the pair order; the article pieces of pair i are the
-    contiguous piece rows starting at the sum of the earlier pairs' counts.
+
+def _pack(pairs: list[TrainingPair]) -> _Packed:
+    """Pack each distinct row once as a sparse row; pairs become row indices.
+
+    Rows are told apart by array identity, so pairs that share an array (as
+    build_training_pairs makes them) share its packed rows. Equal rows in
+    distinct arrays are packed twice, which costs time but changes nothing.
     """
     in_t = {p.x_tweet.shape[-1] for p in pairs}
-    in_a = {np.atleast_2d(p.x_article).shape[-1] for p in pairs}
+    in_a = {p.x_article.shape[-1] for p in pairs}
     if len(in_t) != 1 or len(in_a) != 1:
         raise DimMismatchError("inconsistent feature dimensions across training pairs")
-    pieces = [np.atleast_2d(p.x_article) for p in pairs]
-    x_t = _csr([p.x_tweet for p in pairs])
-    x_a = _csr([row for piece_rows in pieces for row in piece_rows])
-    counts = np.array([len(piece_rows) for piece_rows in pieces], dtype=np.int64)
+    t_index: dict[int, int] = {}
+    a_index: dict[int, tuple[int, int]] = {}
+    t_rows: list[np.ndarray] = []
+    a_rows: list[np.ndarray] = []
+    index = []
+    for p in pairs:
+        if id(p.x_tweet) not in t_index:
+            t_index[id(p.x_tweet)] = len(t_rows)
+            t_rows.append(p.x_tweet)
+        if id(p.x_article) not in a_index:
+            pieces = np.atleast_2d(p.x_article)
+            a_index[id(p.x_article)] = len(a_rows), len(pieces)
+            a_rows.extend(pieces)
+        index.append((t_index[id(p.x_tweet)], *a_index[id(p.x_article)]))
+    t_row, first_piece, counts = np.array(index, dtype=np.int64).T.copy()
     y = np.array([float(p.y) for p in pairs])
-    return in_t.pop(), in_a.pop(), x_t, x_a, counts, y
+    x_t, x_a = _csr(t_rows), _csr(a_rows)
+    return _Packed(in_t.pop(), in_a.pop(), x_t, x_a, t_row, first_piece, counts, y)
 
 
 def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -313,45 +350,114 @@ def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1]) + np.repeat(starts - ends + lens, lens)
 
 
-def _gather(csr, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The given CSR rows as a dense block over their distinct columns only.
+class _EpochGather:
+    """Every batch's rows of one CSR matrix as dense blocks over the batch's columns.
 
-    Returns (u, block): u holds the sorted column ids nonzero in any of the
-    rows, and block[r, j] is row r's value in column u[j].
+    `rows` lists the CSR rows of all batches back to back, and `batch[r]` is
+    the batch of rows[r] (non-decreasing). One np.unique over the keys
+    batch * in_dim + column sorts every batch's distinct columns at once and
+    places each nonzero in its batch's block, instead of one np.unique per
+    batch. The plan keeps only the values and their int32 positions.
     """
-    indptr, indices, data = csr
-    starts = indptr[rows]
-    lens = indptr[rows + 1] - starts
-    pos = _ranges(starts, lens)
-    u, local = np.unique(indices[pos], return_inverse=True)
-    block = np.zeros((len(rows), len(u)))
-    block[np.repeat(np.arange(len(rows)), lens), local] = data[pos]
-    return u, block
+
+    def __init__(self, csr, rows: np.ndarray, batch: np.ndarray, n_batches: int, in_dim: int):
+        indptr, indices, data = csr
+        starts = indptr[rows]
+        lens = indptr[rows + 1] - starts
+        pos = _ranges(starts, lens)
+        self.values = data[pos]
+        key = indices[pos]
+        del pos
+        nz_batch = np.repeat(batch, lens)
+        # int64 keys: n_batches * in_dim may pass 2**31.
+        key += nz_batch * np.int64(in_dim)
+        keys, local_col = np.unique(key, return_inverse=True)
+        del key
+        ends = np.arange(n_batches + 1)
+        row_bounds = np.searchsorted(batch, ends)
+        col_bounds = np.searchsorted(keys, ends * np.int64(in_dim))
+        local_col -= col_bounds[nz_batch]
+        # Position in the batch's flattened (rows, columns) block.
+        local_row = np.arange(len(rows)) - row_bounds[batch]
+        local_col += np.repeat(local_row, lens) * np.diff(col_bounds)[nz_batch]
+        # int32 unless a batch's block has 2**31 cells, which no memory holds anyway.
+        self.flat = local_col.astype(np.int32 if local_col.max(initial=0) < 2**31 else np.int64)
+        del local_col
+        self.cols = (keys % in_dim).astype(np.int32)
+        self.row_bounds = row_bounds.tolist()
+        self.col_bounds = col_bounds.tolist()
+        self.nz_bounds = np.searchsorted(nz_batch, ends).tolist()
+
+    def __call__(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(u, block) for batch k: u holds its sorted distinct columns, and
+        block[r, j] is its r-th row's value in column u[j]."""
+        c0, c1 = self.col_bounds[k], self.col_bounds[k + 1]
+        z0, z1 = self.nz_bounds[k], self.nz_bounds[k + 1]
+        shape = (self.row_bounds[k + 1] - self.row_bounds[k], c1 - c0)
+        block = np.zeros(shape[0] * shape[1])
+        block[self.flat[z0:z1]] = self.values[z0:z1]
+        return self.cols[c0:c1], block.reshape(shape)
 
 
-def _init_map(rng: np.random.Generator, in_dim: int, out_dim: int) -> AffineMap:
+def _epoch_batches(packed: _Packed, order: np.ndarray, bs: int):
+    """Yield each batch of one epoch: (u_t, bx_t, u_a, bx_a, pool, counts, y).
+
+    Batch k holds the examples order[k * bs : (k + 1) * bs]; pool[i, r] = 1
+    where piece row r of bx_a belongs to example i. Both sides' gathers are
+    planned for the whole epoch up front and freed when it ends.
+    """
+    n = len(order)
+    n_batches = -(-n // bs)
+    example_batch = np.arange(n) // bs
+    counts, y = packed.counts[order], packed.y[order]
+    gather_t = _EpochGather(packed.x_t, packed.t_row[order], example_batch, n_batches, packed.dim_t)
+    gather_a = _EpochGather(
+        packed.x_a,
+        _ranges(packed.first_piece[order], counts),
+        np.repeat(example_batch, counts),
+        n_batches,
+        packed.dim_a,
+    )
+    # The example each piece row belongs to, counted within its batch.
+    piece_example = np.repeat(np.arange(n) % bs, counts)
+    piece_bounds = gather_a.row_bounds
+    for k, start in enumerate(range(0, n, bs)):
+        stop = min(start + bs, n)
+        u_a, bx_a = gather_a(k)
+        n_rows = bx_a.shape[0]
+        pool = np.zeros((stop - start, n_rows))
+        pool[piece_example[piece_bounds[k] : piece_bounds[k + 1]], np.arange(n_rows)] = 1.0
+        yield *gather_t(k), u_a, bx_a, pool, counts[start:stop, None], y[start:stop]
+
+
+def _init_map(rng: np.random.Generator, in_dim: int, out_dim: int):
+    """Seeded uniform(-s, s) weights, transposed to (in_dim, out_dim), and bias."""
     scale = 1.0 / math.sqrt(in_dim)
     weight = rng.uniform(-scale, scale, size=(out_dim, in_dim))
     bias = rng.uniform(-scale, scale, size=out_dim)
-    return AffineMap(weight=weight, bias=bias)
+    return weight.T.copy(), bias
 
 
 def _batch_loss_and_grads(e_t, e_a, y, margin):
     """Vectorized loss row-per-pair and gradients w.r.t. both embedding batches."""
-    n1 = np.linalg.norm(e_t, axis=1)
-    n2 = np.linalg.norm(e_a, axis=1)
+    # np.linalg.norm's own arithmetic for real rows, without its wrapper.
+    n1 = np.sqrt(np.add.reduce(e_t * e_t, axis=1))
+    n2 = np.sqrt(np.add.reduce(e_a * e_a, axis=1))
     ok = (n1 > 0) & (n2 > 0)
     safe1 = np.where(ok, n1, 1.0)
     safe2 = np.where(ok, n2, 1.0)
-    cos = np.where(ok, (e_t * e_a).sum(axis=1) / (safe1 * safe2), 0.0)
-    cos = np.clip(cos, -1.0, 1.0)
+    denom = safe1 * safe2
+    cos = np.where(ok, (e_t * e_a).sum(axis=1) / denom, 0.0)
+    cos = np.minimum(np.maximum(cos, -1.0), 1.0)  # np.clip, without its wrapper
 
-    losses = np.where(y > 0, 1.0 - cos, np.maximum(0.0, cos - margin))
+    positive = y > 0
+    losses = np.where(positive, 1.0 - cos, np.maximum(0.0, cos - margin))
     # Gradient sign: -dcos for positives, +dcos for active negatives, 0 elsewhere.
-    sign = np.where(y > 0, -1.0, np.where(cos > margin, 1.0, 0.0)) * ok
-    dc_det = e_a / (safe1 * safe2)[:, None] - (cos / safe1**2)[:, None] * e_t
-    dc_dea = e_t / (safe1 * safe2)[:, None] - (cos / safe2**2)[:, None] * e_a
-    return losses, sign[:, None] * dc_det, sign[:, None] * dc_dea
+    sign = (np.where(positive, -1.0, np.where(cos > margin, 1.0, 0.0)) * ok)[:, None]
+    denom = denom[:, None]
+    dc_det = e_a / denom - (cos / safe1**2)[:, None] * e_t
+    dc_dea = e_t / denom - (cos / safe2**2)[:, None] * e_a
+    return losses, sign * dc_det, sign * dc_dea
 
 
 def train(
@@ -370,64 +476,63 @@ def train(
     is the exact objective sequence.
     """
     pairs = build_training_pairs(positives, tweet_features, article_features, cfg, strategy)
-    dim_t, dim_a, x_t, x_a, counts, y = _pack(pairs)
+    packed = _pack(pairs)
     n_examples = len(pairs)
-    first_piece = np.cumsum(counts) - counts
 
     rng = np.random.default_rng(cfg.seed)
-    t_map = _init_map(rng, dim_t, cfg.joint_dim)
-    a_map = _init_map(rng, dim_a, cfg.joint_dim)
     # Transposed (in_dim, joint_dim) weights: a batch's columns are contiguous rows.
-    wt_t, b_t = t_map.weight.T.copy(), t_map.bias.copy()
-    wt_a, b_a = a_map.weight.T.copy(), a_map.bias.copy()
+    wt_t, b_t = _init_map(rng, packed.dim_t, cfg.joint_dim)
+    wt_a, b_a = _init_map(rng, packed.dim_a, cfg.joint_dim)
     tanh = cfg.nonlinearity == "tanh"
 
-    vel = [np.zeros_like(wt_t), np.zeros_like(b_t), np.zeros_like(wt_a), np.zeros_like(b_a)]
+    if cfg.momentum > 0:
+        vel = [np.zeros_like(wt_t), np.zeros_like(b_t), np.zeros_like(wt_a), np.zeros_like(b_a)]
     trace: list[float] = []
     for _ in range(cfg.epochs):
         order = rng.permutation(n_examples)
         loss_sum = 0.0
-        for start in range(0, n_examples, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            b = len(idx)
-            u_t, bx_t = _gather(x_t, idx)
-            bcounts = counts[idx]
-            u_a, bx_a = _gather(x_a, _ranges(first_piece[idx], bcounts))
-            # pool[i, r] = 1 where piece row r belongs to example i.
-            pool = np.zeros((b, bx_a.shape[0]))
-            pool[np.repeat(np.arange(b), bcounts), np.arange(bx_a.shape[0])] = 1.0
+        batches = _epoch_batches(packed, order, cfg.batch_size)
+        for u_t, bx_t, u_a, bx_a, pool, bcounts, by in batches:
+            b = len(by)
+            # The batch's weight rows; without momentum they are updated here
+            # and written back, so they are gathered once per step.
+            w_t = wt_t.take(u_t, axis=0)
+            w_a = wt_a.take(u_a, axis=0)
 
-            e_t = bx_t @ wt_t[u_t] + b_t
-            h = bx_a @ wt_a[u_a] + b_a  # (piece rows, d)
+            e_t = bx_t @ w_t + b_t
+            h = bx_a @ w_a + b_a  # (piece rows, d)
             if tanh:
                 e_t = np.tanh(e_t)
                 h = np.tanh(h)
-            e_a = (pool @ h) / bcounts[:, None]
-            losses, d_et, d_ea = _batch_loss_and_grads(e_t, e_a, y[idx], cfg.margin)
+            e_a = (pool @ h) / bcounts
+            losses, d_et, d_ea = _batch_loss_and_grads(e_t, e_a, by, cfg.margin)
             batch_loss = float(losses.sum())
-            if not np.isfinite(batch_loss):
+            if not math.isfinite(batch_loss):
                 raise NonFiniteLossError("training loss diverged")
             loss_sum += batch_loss
 
             d_pre_t = d_et * (1.0 - e_t**2) if tanh else d_et
-            d_h = pool.T @ (d_ea / bcounts[:, None])
+            d_h = pool.T @ (d_ea / bcounts)
             d_pre_a = d_h * (1.0 - h**2) if tanh else d_h
 
-            grads = [
-                bx_t.T @ d_pre_t / b,
-                d_pre_t.sum(axis=0) / b,
-                bx_a.T @ d_pre_a / b,
-                d_pre_a.sum(axis=0) / b,
-            ]
-            touched = [u_t, slice(None), u_a, slice(None)]
-            params = [wt_t, b_t, wt_a, b_a]
-            for k, (param, grad, at) in enumerate(zip(params, grads, touched)):
-                if cfg.momentum > 0:
-                    vel[k] *= cfg.momentum
-                    vel[k][at] -= cfg.lr * grad
-                    param += vel[k]
-                else:
-                    param[at] -= cfg.lr * grad
+            # Steps lr * (gradient / b), each rounded as written.
+            steps = [bx_t.T @ d_pre_t, d_pre_t.sum(axis=0), bx_a.T @ d_pre_a, d_pre_a.sum(axis=0)]
+            for step in steps:
+                step /= b
+                step *= cfg.lr
+            if cfg.momentum > 0:
+                touched = [u_t, slice(None), u_a, slice(None)]
+                for v, param, step, at in zip(vel, (wt_t, b_t, wt_a, b_a), steps, touched):
+                    v *= cfg.momentum
+                    v[at] -= step
+                    param += v
+            else:
+                w_t -= steps[0]
+                wt_t[u_t] = w_t
+                b_t -= steps[1]
+                w_a -= steps[2]
+                wt_a[u_a] = w_a
+                b_a -= steps[3]
         trace.append(loss_sum / n_examples)
 
     encoder = DualEncoder(

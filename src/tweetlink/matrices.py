@@ -99,10 +99,9 @@ def write_matrix_csv(matrix, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["tweet_id", *matrix.article_ids])
         for tid, row in zip(matrix.tweet_ids, matrix.values):
-            if is_float:
-                writer.writerow([tid, *(f"{v:.6f}" for v in row)])
-            else:
-                writer.writerow([tid, *(int(v) for v in row)])
+            # Python floats and ints: formatting numpy scalars one by one is slower.
+            row = row.tolist()
+            writer.writerow([tid, *map("{:.6f}".format, row)] if is_float else [tid, *row])
 
 
 def read_similarity_csv(path) -> SimilarityMatrix:

@@ -66,9 +66,33 @@ class ChunkingConfig:
             raise ValueError("bos/eos/pad sentinels must be pairwise distinct")
 
 
-def _is_emoji(ch: str) -> bool:
-    cp = ord(ch)
-    return any(lo <= cp <= hi for lo, hi in _EMOJI_RANGES)
+class _CharFilter(dict):
+    """str.translate table that keeps letters, whitespace and `extra`.
+
+    Each code point is classified with str.isalpha / str.isspace on first
+    sight and remembered. The answer depends on the code point alone, so the
+    table is safe to share, and it never holds more than the characters seen.
+    """
+
+    def __init__(self, extra: str = ""):
+        super().__init__({ord(ch): ch for ch in extra})
+
+    def __missing__(self, cp: int) -> str | None:
+        ch = chr(cp)
+        kept = ch if ch.isalpha() or ch.isspace() else None
+        self[cp] = kept
+        return kept
+
+
+_KEEP_LETTERS = _CharFilter()
+_KEEP_LETTERS_AND_HASH = _CharFilter("#")
+# Once only letters, whitespace and '#' are left, a '#' whose left neighbour
+# is not whitespace does not start its token, so only token-leading '#'s stay.
+_INNER_HASH_RE = re.compile(r"(?<=\S)#")
+
+_EMOJI_CLASS = "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _EMOJI_RANGES)
+_MODIFIER_CLASS = "".join(chr(cp) for cp in sorted(_EMOJI_MODIFIERS))
+_EMOJI_OR_MODIFIER_RE = re.compile(f"[{_EMOJI_CLASS}{_MODIFIER_CLASS}]")
 
 
 def _emoji_alias(ch: str) -> str:
@@ -77,35 +101,21 @@ def _emoji_alias(ch: str) -> str:
     return f" :{name or 'emoji'}: "
 
 
+def _alias_or_drop(m: re.Match) -> str:
+    ch = m.group()
+    return "" if ord(ch) in _EMOJI_MODIFIERS else _emoji_alias(ch)
+
+
 def _handle_emoji(text: str, mode: str) -> str:
-    out = []
-    for ch in text:
-        if ord(ch) in _EMOJI_MODIFIERS:
-            continue
-        if _is_emoji(ch):
-            if mode == "alias":
-                out.append(_emoji_alias(ch))
-        else:
-            out.append(ch)
-    return "".join(out)
+    return _EMOJI_OR_MODIFIER_RE.sub(_alias_or_drop if mode == "alias" else "", text)
 
 
 def _filter_chars(segment: str, keep_hash: bool) -> str:
     # Drops digits, punctuation and symbols; keeps letters and whitespace.
     # With keep_hash, a token-leading '#' survives so hashtags stay marked.
-    out = []
-    token_start = True
-    for ch in segment:
-        if ch.isalpha():
-            out.append(ch)
-            token_start = False
-        elif ch.isspace():
-            out.append(ch)
-            token_start = True
-        elif keep_hash and ch == "#" and token_start:
-            out.append(ch)
-            token_start = False
-    return "".join(out)
+    if not keep_hash:
+        return segment.translate(_KEEP_LETTERS)
+    return _INNER_HASH_RE.sub("", segment.translate(_KEEP_LETTERS_AND_HASH))
 
 
 def _strip_digits_punct(text: str, keep_hash: bool) -> str:

@@ -18,6 +18,14 @@ from tweetlink.errors import (
     UnknownIdError,
 )
 from tweetlink.matrices import GroundTruthMatrix
+from tweetlink.textprep import (
+    _ALIAS_RE,
+    _EMOJI_MODIFIERS,
+    _EMOJI_RANGES,
+    _MENTION_RE,
+    _URL_RE,
+    _emoji_alias,
+)
 
 
 def ap_reference(scores, labels):
@@ -267,6 +275,13 @@ def _pack_dense(pairs):
     return x_t, x_a, mask, y
 
 
+def _init_reference(rng, in_dim, out_dim):
+    """Seeded uniform(-s, s) weight (out_dim, in_dim) and bias, s = 1/sqrt(in_dim)."""
+    scale = 1.0 / math.sqrt(in_dim)
+    weight = rng.uniform(-scale, scale, size=(out_dim, in_dim))
+    return weight, rng.uniform(-scale, scale, size=out_dim)
+
+
 def _forward_dense(w_t, b_t, w_a, b_a, tanh, x_t, x_a, mask):
     """Batched forward pass; returns embeddings plus intermediates for backprop."""
     e_t = x_t @ w_t.T + b_t
@@ -298,10 +313,8 @@ def train_reference(positives, tweet_features, article_features, cfg, strategy="
     dim_a = x_a.shape[2]
 
     rng = np.random.default_rng(cfg.seed)
-    t_map = contrast._init_map(rng, dim_t, cfg.joint_dim)
-    a_map = contrast._init_map(rng, dim_a, cfg.joint_dim)
-    w_t, b_t = t_map.weight.copy(), t_map.bias.copy()
-    w_a, b_a = a_map.weight.copy(), a_map.bias.copy()
+    w_t, b_t = _init_reference(rng, dim_t, cfg.joint_dim)
+    w_a, b_a = _init_reference(rng, dim_a, cfg.joint_dim)
     tanh = cfg.nonlinearity == "tanh"
 
     vel = [np.zeros_like(w_t), np.zeros_like(b_t), np.zeros_like(w_a), np.zeros_like(b_a)]
@@ -393,3 +406,175 @@ def build_ground_truth_reference(pairs, tweet_ids, article_ids):
         assigned[cell] = pair.label
         values[cell] = {"match": 1, "no_match": -1, "unknown": 0}[pair.label]
     return GroundTruthMatrix(tuple(tweet_ids), tuple(article_ids), values)
+
+
+def _csr_rows(rows):
+    """CSR arrays (indptr, indices, data) holding the nonzeros of 1-D rows."""
+    cols = [np.flatnonzero(r) for r in rows]
+    indptr = np.zeros(len(cols) + 1, dtype=np.int64)
+    np.cumsum([len(c) for c in cols], out=indptr[1:])
+    indices = np.concatenate(cols)
+    data = np.concatenate([r[c] for r, c in zip(rows, cols)])
+    return indptr, indices, data
+
+
+def _ranges(starts, lens):
+    """Concatenation of arange(s, s + n) over (starts, lens)."""
+    ends = np.cumsum(lens)
+    return np.arange(ends[-1]) + np.repeat(starts - ends + lens, lens)
+
+
+def _gather_rows(csr, rows):
+    """(u, block): the CSR rows as a dense block over their sorted distinct columns u."""
+    indptr, indices, data = csr
+    starts = indptr[rows]
+    lens = indptr[rows + 1] - starts
+    pos = _ranges(starts, lens)
+    u, local = np.unique(indices[pos], return_inverse=True)
+    block = np.zeros((len(rows), len(u)))
+    block[np.repeat(np.arange(len(rows)), lens), local] = data[pos]
+    return u, block
+
+
+def batch_loss_and_grads_reference(e_t, e_a, y, margin):
+    """The batch loss kernel with its norms taken by np.linalg.norm."""
+    n1 = np.linalg.norm(e_t, axis=1)
+    n2 = np.linalg.norm(e_a, axis=1)
+    ok = (n1 > 0) & (n2 > 0)
+    safe1 = np.where(ok, n1, 1.0)
+    safe2 = np.where(ok, n2, 1.0)
+    cos = np.where(ok, (e_t * e_a).sum(axis=1) / (safe1 * safe2), 0.0)
+    cos = np.clip(cos, -1.0, 1.0)
+
+    losses = np.where(y > 0, 1.0 - cos, np.maximum(0.0, cos - margin))
+    sign = np.where(y > 0, -1.0, np.where(cos > margin, 1.0, 0.0)) * ok
+    dc_det = e_a / (safe1 * safe2)[:, None] - (cos / safe1**2)[:, None] * e_t
+    dc_dea = e_t / (safe1 * safe2)[:, None] - (cos / safe2**2)[:, None] * e_a
+    return losses, sign[:, None] * dc_det, sign[:, None] * dc_dea
+
+
+def train_stepwise_reference(positives, tweet_features, article_features, cfg, strategy="truncate"):
+    """Sparse-row dual-encoder training that gathers each batch on its own.
+
+    Every pair's rows are packed separately, and every step finds its
+    batch's distinct columns with its own np.unique. contrast.train must
+    reproduce its weights, biases and trace bit for bit. Returns
+    (w_t, b_t, w_a, b_a, trace) with weights shaped (joint_dim, in_dim).
+    """
+    from tweetlink import contrast
+
+    pairs = contrast.build_training_pairs(
+        positives, tweet_features, article_features, cfg, strategy
+    )
+    pieces = [np.atleast_2d(p.x_article) for p in pairs]
+    x_t = _csr_rows([p.x_tweet for p in pairs])
+    x_a = _csr_rows([row for piece_rows in pieces for row in piece_rows])
+    counts = np.array([len(piece_rows) for piece_rows in pieces], dtype=np.int64)
+    y = np.array([float(p.y) for p in pairs])
+    n_examples = len(pairs)
+    first_piece = np.cumsum(counts) - counts
+
+    rng = np.random.default_rng(cfg.seed)
+    w_t, b_t = _init_reference(rng, pairs[0].x_tweet.shape[-1], cfg.joint_dim)
+    w_a, b_a = _init_reference(rng, pieces[0].shape[-1], cfg.joint_dim)
+    wt_t, wt_a = w_t.T.copy(), w_a.T.copy()
+    tanh = cfg.nonlinearity == "tanh"
+
+    vel = [np.zeros_like(wt_t), np.zeros_like(b_t), np.zeros_like(wt_a), np.zeros_like(b_a)]
+    trace = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n_examples)
+        loss_sum = 0.0
+        for start in range(0, n_examples, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            b = len(idx)
+            u_t, bx_t = _gather_rows(x_t, idx)
+            bcounts = counts[idx]
+            u_a, bx_a = _gather_rows(x_a, _ranges(first_piece[idx], bcounts))
+            pool = np.zeros((b, bx_a.shape[0]))
+            pool[np.repeat(np.arange(b), bcounts), np.arange(bx_a.shape[0])] = 1.0
+
+            e_t = bx_t @ wt_t[u_t] + b_t
+            h = bx_a @ wt_a[u_a] + b_a
+            if tanh:
+                e_t = np.tanh(e_t)
+                h = np.tanh(h)
+            e_a = (pool @ h) / bcounts[:, None]
+            losses, d_et, d_ea = batch_loss_and_grads_reference(e_t, e_a, y[idx], cfg.margin)
+            loss_sum += float(losses.sum())
+
+            d_pre_t = d_et * (1.0 - e_t**2) if tanh else d_et
+            d_h = pool.T @ (d_ea / bcounts[:, None])
+            d_pre_a = d_h * (1.0 - h**2) if tanh else d_h
+
+            grads = [
+                bx_t.T @ d_pre_t / b,
+                d_pre_t.sum(axis=0) / b,
+                bx_a.T @ d_pre_a / b,
+                d_pre_a.sum(axis=0) / b,
+            ]
+            touched = [u_t, slice(None), u_a, slice(None)]
+            params = [wt_t, b_t, wt_a, b_a]
+            for k, (param, grad, at) in enumerate(zip(params, grads, touched)):
+                if cfg.momentum > 0:
+                    vel[k] *= cfg.momentum
+                    vel[k][at] -= cfg.lr * grad
+                    param += vel[k]
+                else:
+                    param[at] -= cfg.lr * grad
+        trace.append(loss_sum / n_examples)
+    return wt_t.T, b_t, wt_a.T, b_a, trace
+
+
+def _is_emoji(ch):
+    cp = ord(ch)
+    return any(lo <= cp <= hi for lo, hi in _EMOJI_RANGES)
+
+
+def _handle_emoji_per_char(text, mode):
+    out = []
+    for ch in text:
+        if ord(ch) in _EMOJI_MODIFIERS:
+            continue
+        if _is_emoji(ch):
+            if mode == "alias":
+                out.append(_emoji_alias(ch))
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def _filter_chars_per_char(segment, keep_hash):
+    out = []
+    token_start = True
+    for ch in segment:
+        if ch.isalpha():
+            out.append(ch)
+            token_start = False
+        elif ch.isspace():
+            out.append(ch)
+            token_start = True
+        elif keep_hash and ch == "#" and token_start:
+            out.append(ch)
+            token_start = False
+    return "".join(out)
+
+
+def clean_reference(text, cfg):
+    """textprep.clean with per-character emoji handling and filtering."""
+    t = text.lower()
+    t = _URL_RE.sub(" ", t)
+    t = _MENTION_RE.sub(" ", t)
+    if cfg.strip_hashes:
+        t = t.replace("#", "")
+    t = _handle_emoji_per_char(t, cfg.emoji_mode)
+    keep_hash = not cfg.strip_hashes
+    parts = []
+    pos = 0
+    for m in _ALIAS_RE.finditer(t):
+        parts.append(_filter_chars_per_char(t[pos : m.start()], keep_hash))
+        parts.append(m.group())
+        pos = m.end()
+    parts.append(_filter_chars_per_char(t[pos:], keep_hash))
+    words = [w for w in "".join(parts).split() if len(w) >= cfg.min_word_len]
+    return " ".join(words)

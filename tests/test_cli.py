@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tweetlink import cli, corpus
+from tweetlink import cli, corpus, linker
 from tweetlink.cli import RunConfig
 from tweetlink.errors import ConfigInvalidError, EmptyGridError
+from tweetlink.matrices import SimilarityMatrix
 
 
 class TestRunConfig:
@@ -155,6 +156,38 @@ class TestRunPipeline:
         for name in ("similarity.csv", "report.json"):
             assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
 
+
+
+class TestThresholdReplay:
+    def test_stored_threshold_reproduces_decisions(self, make_config, tmp_path, monkeypatch):
+        # Scores 0.1234564 (match) and 0.1234561 (no match): the calibrated
+        # threshold is their midpoint, 0.12345625. At 6 decimals it would be
+        # stored as 0.123456, which turns the true negative into a false positive.
+        docs = [
+            corpus.Document("a1", "article", "markets rally after the central bank", 1),
+            corpus.Document("t1", "tweet", "markets rally today", 2),
+            corpus.Document("t2", "tweet", "central bank news", 3),
+        ]
+        pairs = [corpus.LinkedPair("t1", "a1", "match"), corpus.LinkedPair("t2", "a1", "no_match")]
+        corpus.write_documents(docs, tmp_path / "documents.jsonl")
+        corpus.write_pairs(pairs, tmp_path / "pairs.jsonl")
+        sim = SimilarityMatrix(("t1", "t2"), ("a1",), [[0.1234564], [0.1234561]])
+        monkeypatch.setattr(linker, "score_matrix", lambda *args, **kwargs: sim)
+
+        threshold, _ = linker.calibrate_threshold(
+            sim, corpus.build_ground_truth(pairs, ["t1", "t2"], ["a1"])
+        )
+        assert threshold == pytest.approx(0.12345625, abs=1e-12)
+        decisions = linker.classify(sim, threshold).values.tolist()
+        assert decisions == [[1], [-1]]
+
+        cfg_path = str(make_config())
+        assert cli.main(["--config", cfg_path, "eval"]) == 0
+        assert cli.main(["--config", cfg_path, "calibrate"]) == 0
+        for name in ("report.json", "threshold.json"):
+            stored = json.loads((tmp_path / "out" / name).read_text())["threshold"]
+            assert stored == threshold
+            assert linker.classify(sim, stored).values.tolist() == decisions
 
 class TestSubcommands:
     def test_ingest(self, small_corpus, make_config, tmp_path):

@@ -1,8 +1,28 @@
+import csv
+
 import numpy as np
 import pytest
 
 from tweetlink.errors import MalformedLineError, NonFiniteValueError
-from tweetlink.matrices import SimilarityMatrix, read_similarity_csv, write_matrix_csv
+from tweetlink.matrices import (
+    ClassificationMatrix,
+    SimilarityMatrix,
+    read_similarity_csv,
+    write_matrix_csv,
+)
+
+
+def _write_per_numpy_scalar(matrix, path):
+    """The exporter formatting numpy scalars one by one, as a byte oracle."""
+    is_float = matrix.values.dtype.kind == "f"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["tweet_id", *matrix.article_ids])
+        for tid, row in zip(matrix.tweet_ids, matrix.values):
+            if is_float:
+                writer.writerow([tid, *(f"{v:.6f}" for v in row)])
+            else:
+                writer.writerow([tid, *(int(v) for v in row)])
 
 
 class TestSimilarityMatrix:
@@ -36,3 +56,30 @@ class TestReadSimilarityCsv:
         path.write_text("")
         with pytest.raises(MalformedLineError, match=":1:"):
             read_similarity_csv(path)
+
+
+class TestWriteMatrixCsv:
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            SimilarityMatrix(
+                ("t1", "t,2", 't"3'),
+                ("a1", "a 2"),
+                [[-0.0, 1.0], [-1.0, 5e-7], [-5e-7, 0.1234565]],
+            ),
+            SimilarityMatrix(("t1", ""), (), np.zeros((2, 0))),
+            ClassificationMatrix(("t1", "t2"), ("a1", "a2"), [[1, -1], [-1, 1]]),
+        ],
+    )
+    def test_bytes_match_per_scalar_formatting(self, tmp_path, matrix):
+        write_matrix_csv(matrix, tmp_path / "fast.csv")
+        _write_per_numpy_scalar(matrix, tmp_path / "slow.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
+
+    def test_random_values_match(self, tmp_path):
+        rng = np.random.default_rng(3)
+        values = rng.uniform(-1, 1, size=(7, 5)).round(int(rng.integers(5, 9)))
+        sim = SimilarityMatrix(tuple(f"t{i}" for i in range(7)), tuple("abcde"), values)
+        write_matrix_csv(sim, tmp_path / "fast.csv")
+        _write_per_numpy_scalar(sim, tmp_path / "slow.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()

@@ -1,7 +1,8 @@
 """Property tests: the one-sort calibration and AP sweep, the row-wise
 scoring kernel, the LDA sampler and batched fold-in, the sparse-row
-dual-encoder training loop, and the JSONL reader, pair table loader and
-ground-truth builder against the oracles they replace."""
+dual-encoder training loop (against dense and per-step-gather oracles), text
+cleaning, and the JSONL reader, pair table loader and ground-truth builder
+against the oracles they replace."""
 
 import json
 import tempfile
@@ -13,16 +14,19 @@ from hypothesis import strategies as st
 
 from reference import (
     ap_reference,
+    batch_loss_and_grads_reference,
     build_ground_truth_reference,
     calibrate_reference,
+    clean_reference,
     iter_jsonl_reference,
     lda_fit_reference,
     lda_infer_reference,
     load_pairs_reference,
     masked_flatten_reference,
     train_reference,
+    train_stepwise_reference,
 )
-from tweetlink import contrast, corpus, evalx, linker, vectorize
+from tweetlink import contrast, corpus, evalx, linker, textprep, vectorize
 from tweetlink.errors import TweetLinkError
 from tweetlink.matrices import GroundTruthMatrix, SimilarityMatrix
 
@@ -225,6 +229,32 @@ def test_train_matches_dense_reference(case):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
+@settings(max_examples=300, deadline=None)
+@given(training_cases())
+def test_train_matches_stepwise_reference_exactly(case):
+    encoder, trace = contrast.train(*case)
+    w_t, b_t, w_a, b_a, ref_trace = train_stepwise_reference(*case)
+    assert np.array_equal(encoder.tweet_map.weight, w_t)
+    assert np.array_equal(encoder.tweet_map.bias, b_t)
+    assert np.array_equal(encoder.article_map.weight, w_a)
+    assert np.array_equal(encoder.article_map.bias, b_a)
+    assert trace == ref_trace
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 6), st.sampled_from([0.0, 0.3]))
+def test_batch_loss_kernel_matches_linalg_norm_kernel(seed, rows, dim, margin):
+    rng = np.random.default_rng(seed)
+    scale = rng.choice([0.0, 1e-3, 1.0, 1e3], size=(2, rows, 1))  # 0.0 makes all-zero rows
+    e_t, e_a = rng.normal(size=(2, rows, dim)) * scale
+    y = rng.choice([-1.0, 1.0], size=rows)
+    for got, want in zip(
+        contrast._batch_loss_and_grads(e_t, e_a, y, margin),
+        batch_loss_and_grads_reference(e_t, e_a, y, margin),
+    ):
+        assert np.array_equal(got, want)
+
+
 # --- JSONL reading and the ground truth -----------------------------------------
 
 # Characters that may sit around a value. Only the first four are JSON
@@ -408,3 +438,37 @@ def test_build_ground_truth_matches_per_pair_loop(case):
     for given_pairs in (corpus.PairTable.from_pairs(pairs), pairs, iter(pairs)):
         got = _ground_truth_outcome(given_pairs, tweet_ids, article_ids, corpus.build_ground_truth)
         assert got == want
+
+
+# --- text cleaning ---------------------------------------------------------------
+
+_EMOJI_EDGES = [
+    chr(cp) for lo, hi in textprep._EMOJI_RANGES for cp in (lo - 1, lo, hi, hi + 1)
+]
+_TEXT_PIECES = _EMOJI_EDGES + [
+    "\ufe0e", "\ufe0f", "\u200d",  # emoji modifiers
+    ":smile:", ":a_1:", "::", ":", ":x", "\U0001F600\u200d\U0001F600",
+    "#", "##", "#tag", "a#b", "1#x", ":ok:#x",
+    "0", "42", "\u00b2", "\u216b", "\u0663", "\u00bd", "_",  # digits, some not isdecimal
+    "a", "Zz", "\u00e9t\u00e9", "\u00df", "\u0130", "\u01c5", "\u05d0\u05d1",  # letters
+    " ", "\t", "\n", "\u3000", "\x85", "\u2028", "\x1c", "\xa0",  # whitespace
+    "!", "-", "@who", "http://x.y/z", "www.a.b", ".", "\u2764",
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(st.one_of(st.sampled_from(_TEXT_PIECES), st.characters()), max_size=12).map("".join),
+    st.sampled_from(["drop", "alias"]),
+    st.booleans(),
+    st.integers(1, 4),
+)
+@example("\u2600\u27bf\u25ff\u27c0 \U0001F1E6\U0001F1FF", "alias", True, 1)
+@example("\ufe0e#a\ufe0f#b \u200d:smile:#tag a#b ##c 1#x", "drop", False, 1)
+@example(":ok:#x :a_1:\U0001F600:b: \u00b2\u216b\u0663abc", "alias", False, 1)
+@example("z\u00e9\u0142 \u3000mi\x85da\u2028x", "drop", True, 1)
+def test_clean_matches_per_character_reference(text, emoji_mode, strip_hashes, min_word_len):
+    cfg = textprep.CleaningConfig(
+        min_word_len=min_word_len, emoji_mode=emoji_mode, strip_hashes=strip_hashes
+    )
+    assert textprep.clean(text, cfg) == clean_reference(text, cfg)
