@@ -4,6 +4,19 @@ All commands read one JSON config document (nested sections, overridable by
 a few global flags) and write deterministic artifacts into an output
 directory: identical config + seed always reproduces identical bytes.
 
+Every command runs one staged pipeline, `_Run`, up to the stage it needs.
+Each stage is computed on first use and kept for the rest of the command:
+
+    corpus           documents and pairs, keyword-filtered     ingest, cascades
+    tokens           cleaned and lemmatized tokens per doc      prep, fit
+    train_positives  match pairs of train_pairs, else of pairs
+    vectors          tfidf/lda vectors, or dual-encoder outputs train
+    similarity       tweets x articles cosine matrix            score, sweep-size
+    ground_truth     corpus labels of the similarity's cells    calibrate, eval
+
+sweep-hp loads the corpus once and redoes tokens and vectors per grid point
+on an article-disjoint train/val split.
+
 Exit codes: 0 success, 1 degenerate evaluation (e.g. no positive labels),
 2 config or I/O problems.
 """
@@ -15,6 +28,7 @@ import copy
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -167,7 +181,7 @@ class SweepRow:
     n_cascades: int
 
 
-# --- corpus loading and preparation ----------------------------------------
+# --- stages --------------------------------------------------------------------
 
 
 def _load_corpus(cfg: RunConfig):
@@ -237,11 +251,8 @@ def build_vectors(
     vectors are the final representation and the encoder slot is None.
     """
     trunc = cfg.chunking.truncate_limit
-    fit_docs = [textprep.truncate(tokens[i], trunc) for i in fit_tweet_ids]
-    fit_docs += [tokens[i] for i in fit_article_ids]
-
     if cfg.model != "dual":
-        featurize = _featurizer(cfg, cfg.model, fit_docs)
+        featurize = _featurizer(cfg, cfg.model, tokens, fit_tweet_ids, fit_article_ids)
         tweet_docs = [(i, textprep.truncate(tokens[i], trunc)) for i in out_tweet_ids]
         vecs = featurize(tweet_docs + [(i, tokens[i]) for i in out_article_ids])
         tweet_vecs = dict(zip(out_tweet_ids, vecs[: len(tweet_docs)]))
@@ -253,28 +264,27 @@ def build_vectors(
             raise UnknownIdError(doc_id)
         return tokens[doc_id]
 
-    featurize = _featurizer(cfg, cfg.features, fit_docs)
+    featurize = _featurizer(cfg, cfg.features, tokens, fit_tweet_ids, fit_article_ids)
     external = cfg.features == "external"
-
-    def features_for(tweet_ids, article_ids):
-        """Tweet and article feature maps from one featurize call."""
-        tweet_docs = [(i, textprep.truncate(doc_tokens(i), trunc)) for i in tweet_ids]
-        pieces = [[None] if external else _article_pieces(cfg, doc_tokens(i)) for i in article_ids]
-        feats = featurize(tweet_docs + [(i, p) for i, ps in zip(article_ids, pieces) for p in ps])
-        article_feats, pos = {}, len(tweet_docs)
-        for doc_id, ps in zip(article_ids, pieces):
-            article_feats[doc_id] = feats[pos] if external else feats[pos : pos + len(ps)]
-            pos += len(ps)
-        return dict(zip(tweet_ids, feats)), article_feats
-
     if not train_positives:
         raise ConfigInvalidError("model=dual needs match-labeled training pairs")
-    train_tweet_ids = sorted({t for t, _ in train_positives})
-    tweet_feats, article_feats = features_for(train_tweet_ids, fit_article_ids)
-    encoder, _trace = contrast.train(train_positives, tweet_feats, article_feats, cfg.train, cfg.strategy)
 
-    # Output features are made after training, so the training peak holds only its own.
-    tweet_feats, article_feats = features_for(out_tweet_ids, out_article_ids)
+    # One featurize call over the training and output documents: each is featurized once.
+    tweet_ids = list(dict.fromkeys([*sorted({t for t, _ in train_positives}), *out_tweet_ids]))
+    article_ids = list(dict.fromkeys([*fit_article_ids, *out_article_ids]))
+    tweet_docs = [(i, textprep.truncate(doc_tokens(i), trunc)) for i in tweet_ids]
+    pieces = [[None] if external else _article_pieces(cfg, doc_tokens(i)) for i in article_ids]
+    feats = featurize(tweet_docs + [(i, p) for i, ps in zip(article_ids, pieces) for p in ps])
+    tweet_feats, article_feats, pos = dict(zip(tweet_ids, feats)), {}, len(tweet_docs)
+    for doc_id, ps in zip(article_ids, pieces):
+        article_feats[doc_id] = feats[pos] if external else feats[pos : pos + len(ps)]
+        pos += len(ps)
+
+    # Training draws its negatives from these keys, in this order.
+    fit_feats = {i: article_feats[i] for i in fit_article_ids}
+    encoder, _trace = contrast.train(
+        train_positives, tweet_feats, fit_feats, cfg.train, cfg.strategy
+    )
     tweet_vecs = {
         i: contrast.encode(encoder, "tweet", tweet_feats[i], cfg.strategy) for i in out_tweet_ids
     }
@@ -289,63 +299,112 @@ def build_vectors(
     return tweet_vecs, article_vecs, encoder
 
 
-def _featurizer(cfg: RunConfig, kind: str, fit_docs):
-    """Fit feature space `kind` on fit_docs; returns [(doc_id, tokens)] -> [vector].
+def _fit(cfg: RunConfig, kind: str, tokens, tweet_ids, article_ids):
+    """Fit a tfidf or lda model on the given tweets (truncated) and articles."""
+    trunc = cfg.chunking.truncate_limit
+    docs = [textprep.truncate(tokens[i], trunc) for i in tweet_ids]
+    docs += [tokens[i] for i in article_ids]
+    if kind == "lda":
+        return vectorize.lda_fit(
+            docs, n_topics=cfg.lda.n_topics, alpha=cfg.lda.alpha, beta=cfg.lda.beta,
+            iters=cfg.lda.iters, seed=cfg.seed,
+        )
+    return vectorize.tfidf_fit(docs)
+
+
+def _featurizer(cfg: RunConfig, kind: str, tokens, fit_tweet_ids, fit_article_ids):
+    """Feature space `kind` fitted on the fit side; returns [(doc_id, tokens)] -> [vector].
 
     LDA folds the whole list in with one batched call.
     """
     if kind == "external":
         table = vectorize.load_embeddings(cfg.embeddings)
         return lambda docs: [table.lookup(doc_id) for doc_id, _toks in docs]
+    model = _fit(cfg, kind, tokens, fit_tweet_ids, fit_article_ids)
     if kind == "lda":
-        lda = vectorize.lda_fit(
-            fit_docs, n_topics=cfg.lda.n_topics, alpha=cfg.lda.alpha, beta=cfg.lda.beta,
-            iters=cfg.lda.iters, seed=cfg.seed,
-        )
         return lambda docs: list(
             vectorize.lda_infer_batch(
-                lda, [toks for _id, toks in docs], iters=cfg.lda.infer_iters, seed=cfg.seed
+                model, [toks for _id, toks in docs], iters=cfg.lda.infer_iters, seed=cfg.seed
             )
         )
-    tfidf = vectorize.tfidf_fit(fit_docs)
-    return lambda docs: [vectorize.tfidf_transform(tfidf, toks) for _id, toks in docs]
+    return lambda docs: [vectorize.tfidf_transform(model, toks) for _id, toks in docs]
+
+
+class _Run:
+    """One pipeline run over `cfg`; each stage is computed on first use, then kept.
+
+    A stage can be supplied instead of computed by assigning it, as
+    `calibrate --matrix` does with the similarity.
+    """
+
+    def __init__(self, cfg: RunConfig):
+        self.cfg = cfg
+
+    @cached_property
+    def corpus(self):
+        """(tweets, articles, pairs), keyword-filtered when cfg.keywords is set."""
+        return _load_corpus(self.cfg)
+
+    @cached_property
+    def tweet_ids(self) -> list[str]:
+        return [d.id for d in self.corpus[0]]
+
+    @cached_property
+    def article_ids(self) -> list[str]:
+        return [d.id for d in self.corpus[1]]
+
+    @cached_property
+    def tokens(self) -> dict[str, list[str]]:
+        tweets, articles, _pairs = self.corpus
+        return _prepare_tokens(self.cfg, tweets, articles)
+
+    @cached_property
+    def train_positives(self) -> list[tuple[str, str]]:
+        """The match pairs of cfg.train_pairs when it is set, else of the corpus pairs."""
+        if self.cfg.train_pairs:
+            return _match_pairs(corpus.load_pair_table(self.cfg.train_pairs))
+        return _match_pairs(self.corpus[2])
+
+    @cached_property
+    def vectors(self):
+        """(tweet vectors, article vectors, dual encoder or None), fitted on every document."""
+        ids = (self.tweet_ids, self.article_ids)
+        return build_vectors(self.cfg, self.tokens, *ids, *ids, self.train_positives)
+
+    @cached_property
+    def similarity(self) -> SimilarityMatrix:
+        tweet_vecs, article_vecs, _encoder = self.vectors
+        return linker.score_matrix(tweet_vecs, article_vecs, self.tweet_ids, self.article_ids)
+
+    @cached_property
+    def ground_truth(self) -> GroundTruthMatrix:
+        """The corpus labels of the similarity's cells."""
+        sim = self.similarity
+        return corpus.build_ground_truth(self.corpus[2], sim.tweet_ids, sim.article_ids)
+
+
+def _as_run(run: _Run | RunConfig) -> _Run:
+    return run if isinstance(run, _Run) else _Run(run)
 
 
 # --- pipeline operations ------------------------------------------------------
 
 
-def run_pipeline(cfg: RunConfig) -> tuple[SimilarityMatrix, evalx.MetricsReport]:
-    """prep -> vectorize/train -> score -> (calibrate) -> classify -> masked metrics.
+def run_pipeline(run: _Run | RunConfig) -> tuple[SimilarityMatrix, evalx.MetricsReport]:
+    """score -> (calibrate) -> classify -> masked metrics, for a run or a config.
 
     Writes similarity.csv and report.json (plus encoder.json for the dual
     model) into cfg.out_dir.
     """
-    tweets, articles, pairs = _load_corpus(cfg)
-    tokens = _prepare_tokens(cfg, tweets, articles)
-    tweet_ids = [d.id for d in tweets]
-    article_ids = [d.id for d in articles]
-
-    if cfg.train_pairs:
-        train_positives = _match_pairs(corpus.load_pair_table(cfg.train_pairs))
-    else:
-        train_positives = _match_pairs(pairs)
-
-    tweet_vecs, article_vecs, encoder = build_vectors(
-        cfg, tokens, tweet_ids, article_ids, tweet_ids, article_ids, train_positives
-    )
-    sim = linker.score_matrix(tweet_vecs, article_vecs, tweet_ids, article_ids)
-    gt = corpus.build_ground_truth(pairs, tweet_ids, article_ids)
-
+    run = _as_run(run)
+    cfg, sim, gt = run.cfg, run.similarity, run.ground_truth
     calibrated = cfg.threshold is None
-    if calibrated:
-        threshold, _ = linker.calibrate_threshold(sim, gt)
-    else:
-        threshold = cfg.threshold
-    cls = linker.classify(sim, threshold)
-    report = evalx.evaluate_masked(sim.values, cls.values, gt)
+    threshold = linker.calibrate_threshold(sim, gt)[0] if calibrated else cfg.threshold
+    report = evalx.evaluate_masked(sim.values, linker.classify(sim, threshold).values, gt)
 
     out = _out_dir(cfg)
     write_matrix_csv(sim, out / "similarity.csv")
+    encoder = run.vectors[2]
     if encoder is not None:
         contrast.save_encoder(encoder, out / "encoder.json", cfg.train)
     _write_json(
@@ -355,8 +414,8 @@ def run_pipeline(cfg: RunConfig) -> tuple[SimilarityMatrix, evalx.MetricsReport]
             "threshold": threshold,
             "calibrated": calibrated,
             "metrics": report.to_dict(),
-            "n_tweets": len(tweet_ids),
-            "n_articles": len(article_ids),
+            "n_tweets": len(sim.tweet_ids),
+            "n_articles": len(sim.article_ids),
         },
         exact=True,
     )
@@ -390,14 +449,18 @@ def split_by_article(article_ids, match_pairs, seed: int, val_fraction: float = 
     }
 
 
-def sweep_hyperparams(cfg: RunConfig, grid, split, budget: int | None = None):
+def sweep_hyperparams(run: _Run | RunConfig, grid, split, budget: int | None = None):
     """Evaluate each grid point on the validation side; return the AP argmax.
 
     The split must keep articles and tweets disjoint between sides; training
-    only ever sees train-side match pairs, evaluation only val-side cells.
-    Ties go to the earliest grid point. With a budget, a seeded random
-    subset of the grid is visited instead (order preserved).
+    only ever sees train-side positives, evaluation only val-side cells.
+    Each point's tokens are prepared from its derived config, over the
+    corpus the run loaded once. Ties go to the earliest grid point. With a
+    budget, a seeded random subset of the grid is visited instead (order
+    preserved).
     """
+    run = _as_run(run)
+    cfg = run.cfg
     grid = list(grid)
     if not grid:
         raise EmptyGridError("hyperparameter grid is empty")
@@ -415,11 +478,10 @@ def sweep_hyperparams(cfg: RunConfig, grid, split, budget: int | None = None):
         keep = sorted(rng.choice(len(grid), size=budget, replace=False))
         grid = [grid[i] for i in keep]
 
-    tweets, articles, pairs = _load_corpus(cfg)
-    tokens = _prepare_tokens(cfg, tweets, articles)
+    tweets, articles, pairs = run.corpus
     train_a_set, train_t_set = set(train_a), set(train_t)
     train_positives = [
-        (t, a) for t, a in _match_pairs(pairs) if t in train_t_set and a in train_a_set
+        (t, a) for t, a in run.train_positives if t in train_t_set and a in train_a_set
     ]
     gt = corpus.build_ground_truth(pairs.select(set(val_t), set(val_a)), val_t, val_a)
     # Leakage guard: no evaluated cell may appear among the training pairs.
@@ -431,6 +493,7 @@ def sweep_hyperparams(cfg: RunConfig, grid, split, budget: int | None = None):
     best = None
     for point in grid:
         derived = cfg.with_overrides(point)
+        tokens = _prepare_tokens(derived, tweets, articles)
         tweet_vecs, article_vecs, _enc = build_vectors(
             derived, tokens, train_t, train_a, val_t, val_a, train_positives
         )
@@ -443,30 +506,22 @@ def sweep_hyperparams(cfg: RunConfig, grid, split, budget: int | None = None):
     return best[0], best[1], rows
 
 
-def sweep_size(cfg: RunConfig, sizes, cascades, gt: GroundTruthMatrix) -> list[SweepRow]:
+def sweep_size(run: _Run | RunConfig, sizes, cascades, gt: GroundTruthMatrix) -> list[SweepRow]:
     """Masked AP of cascade-level scores as a function of the cut size.
 
-    Scores each tweet once, then for each n aggregates the rows of the n
-    oldest members per cascade with cfg.aggregation.
+    Takes the run's similarity (every tweet scored once), then for each n
+    aggregates the rows of the n oldest members per cascade with
+    cfg.aggregation. `gt` holds one row per cascade over the run's articles.
     """
-    return _sweep_size(cfg, sizes, cascades, gt, _load_corpus(cfg))
-
-
-def _sweep_size(cfg: RunConfig, sizes, cascades, gt, loaded) -> list[SweepRow]:
-    """sweep_size over an already loaded (tweets, articles, pairs) corpus."""
     sizes = list(sizes)
     if not sizes or any(n < 1 for n in sizes) or sizes != sorted(set(sizes)):
         raise ConfigInvalidError("sizes must be strictly increasing integers >= 1")
-    tweets, articles, pairs = loaded
-    tokens = _prepare_tokens(cfg, tweets, articles)
-    tweet_ids = [d.id for d in tweets]
-    article_ids = list(gt.article_ids)
-    tweet_vecs, article_vecs, _enc = build_vectors(
-        cfg, tokens, tweet_ids, [d.id for d in articles], tweet_ids, article_ids,
-        _match_pairs(pairs),
-    )
-    sim = linker.score_matrix(tweet_vecs, article_vecs, tweet_ids, article_ids)
+    run = _as_run(run)
+    sim = run.similarity
+    if tuple(gt.article_ids) != sim.article_ids:
+        raise ConfigInvalidError("sweep ground truth must cover the run's articles in order")
     row_of = {tid: sim.values[i] for i, tid in enumerate(sim.tweet_ids)}
+    aggregation = run.cfg.aggregation
 
     n_evaluated = int((np.abs(gt.values).sum(axis=1) > 0).sum())
     rows = []
@@ -474,7 +529,7 @@ def _sweep_size(cfg: RunConfig, sizes, cascades, gt, loaded) -> list[SweepRow]:
         agg_rows = []
         for c in cascades:
             members = cascade_mod.cut(c, n).member_ids
-            agg_rows.append(cascade_mod.aggregate([row_of[t] for t in members], cfg.aggregation))
+            agg_rows.append(cascade_mod.aggregate([row_of[t] for t in members], aggregation))
         values = np.clip(np.asarray(agg_rows), -1.0, 1.0)
         scores, labels = evalx.masked_pairs(values, gt)
         ap = evalx.average_precision(scores, labels)
@@ -538,129 +593,78 @@ def _out_dir(cfg: RunConfig) -> Path:
 # --- command handlers -----------------------------------------------------------
 
 
-def _cmd_ingest(cfg: RunConfig, args) -> int:
-    tweets, articles, pairs = _load_corpus(cfg)
+def _cmd_ingest(run: _Run, args) -> None:
+    tweets, articles, pairs = run.corpus
     summary = {
         "n_tweets": len(tweets),
         "n_articles": len(articles),
         "n_pairs": len(pairs),
         "pair_labels": {label: pairs.labels.count(label) for label in corpus.PAIR_LABELS},
     }
-    if cfg.annotations:
-        summary["n_annotations"] = len(corpus.load_annotations(cfg.annotations))
-    _write_json(_out_dir(cfg) / "ingest.json", summary)
-    return 0
+    if run.cfg.annotations:
+        summary["n_annotations"] = len(corpus.load_annotations(run.cfg.annotations))
+    _write_json(_out_dir(run.cfg) / "ingest.json", summary)
 
 
-def _cmd_prep(cfg: RunConfig, args) -> int:
-    tweets, articles, pairs = _load_corpus(cfg)
-    tokens = _prepare_tokens(cfg, tweets, articles)
-    out = _out_dir(cfg) / "prepared.jsonl"
-    with open(out, "w", encoding="utf-8") as fh:
+def _cmd_prep(run: _Run, args) -> None:
+    tweets, articles, _pairs = run.corpus
+    tokens = run.tokens
+    with open(_out_dir(run.cfg) / "prepared.jsonl", "w", encoding="utf-8") as fh:
         for doc in [*tweets, *articles]:
             fh.write(json.dumps({"id": doc.id, "kind": doc.kind, "tokens": tokens[doc.id]}) + "\n")
-    return 0
 
 
-def _cmd_fit(cfg: RunConfig, args) -> int:
-    model_kind = args.model or cfg.model
-    if model_kind not in ("tfidf", "lda"):
+def _cmd_fit(run: _Run, args) -> None:
+    kind = args.model or run.cfg.model
+    if kind not in ("tfidf", "lda"):
         raise ConfigInvalidError("fit supports model tfidf or lda")
-    tweets, articles, pairs = _load_corpus(cfg)
-    tokens = _prepare_tokens(cfg, tweets, articles)
-    trunc = cfg.chunking.truncate_limit
-    docs = [textprep.truncate(tokens[d.id], trunc) for d in tweets]
-    docs += [tokens[d.id] for d in articles]
-    out = _out_dir(cfg)
-    if model_kind == "tfidf":
-        vectorize.save_tfidf(vectorize.tfidf_fit(docs), out / "model_tfidf.json")
-    else:
-        model = vectorize.lda_fit(
-            docs, n_topics=cfg.lda.n_topics, alpha=cfg.lda.alpha, beta=cfg.lda.beta,
-            iters=cfg.lda.iters, seed=cfg.seed,
-        )
-        vectorize.save_lda(model, out / "model_lda.json")
-    return 0
+    model = _fit(run.cfg, kind, run.tokens, run.tweet_ids, run.article_ids)
+    save = vectorize.save_lda if kind == "lda" else vectorize.save_tfidf
+    save(model, _out_dir(run.cfg) / f"model_{kind}.json")
 
 
-def _cmd_train(cfg: RunConfig, args) -> int:
-    if cfg.model != "dual":
+def _cmd_train(run: _Run, args) -> None:
+    if run.cfg.model != "dual":
         raise ConfigInvalidError("train requires model=dual")
-    tweets, articles, pairs = _load_corpus(cfg)
-    tokens = _prepare_tokens(cfg, tweets, articles)
-    tweet_ids = [d.id for d in tweets]
-    article_ids = [d.id for d in articles]
-    train_positives = _match_pairs(
-        corpus.load_pair_table(cfg.train_pairs) if cfg.train_pairs else pairs
-    )
-    _tv, _av, encoder = build_vectors(
-        cfg, tokens, tweet_ids, article_ids, [], [], train_positives
-    )
-    contrast.save_encoder(encoder, _out_dir(cfg) / "encoder.json", cfg.train)
-    return 0
+    contrast.save_encoder(run.vectors[2], _out_dir(run.cfg) / "encoder.json", run.cfg.train)
 
 
-def _cmd_score(cfg: RunConfig, args) -> int:
-    tweets, articles, pairs = _load_corpus(cfg)
-    tokens = _prepare_tokens(cfg, tweets, articles)
-    tweet_ids = [d.id for d in tweets]
-    article_ids = [d.id for d in articles]
-    tweet_vecs, article_vecs, _enc = build_vectors(
-        cfg, tokens, tweet_ids, article_ids, tweet_ids, article_ids, _match_pairs(pairs)
-    )
-    sim = linker.score_matrix(tweet_vecs, article_vecs, tweet_ids, article_ids)
-    write_matrix_csv(sim, _out_dir(cfg) / "similarity.csv")
-    return 0
+def _cmd_score(run: _Run, args) -> None:
+    write_matrix_csv(run.similarity, _out_dir(run.cfg) / "similarity.csv")
 
 
-def _cmd_calibrate(cfg: RunConfig, args) -> int:
-    tweets, articles, pairs = _load_corpus(cfg)
-    tweet_ids = [d.id for d in tweets]
-    article_ids = [d.id for d in articles]
+def _cmd_calibrate(run: _Run, args) -> None:
     if args.matrix:
-        sim = read_similarity_csv(args.matrix)
-        tweet_ids, article_ids = list(sim.tweet_ids), list(sim.article_ids)
-    else:
-        tokens = _prepare_tokens(cfg, tweets, articles)
-        tweet_vecs, article_vecs, _enc = build_vectors(
-            cfg, tokens, tweet_ids, article_ids, tweet_ids, article_ids, _match_pairs(pairs)
-        )
-        sim = linker.score_matrix(tweet_vecs, article_vecs, tweet_ids, article_ids)
-    gt = corpus.build_ground_truth(pairs, tweet_ids, article_ids)
-    threshold, f1 = linker.calibrate_threshold(sim, gt)
-    _write_json(_out_dir(cfg) / "threshold.json", {"threshold": threshold, "f1": f1}, exact=True)
-    return 0
+        run.similarity = read_similarity_csv(args.matrix)
+    threshold, f1 = linker.calibrate_threshold(run.similarity, run.ground_truth)
+    out = _out_dir(run.cfg) / "threshold.json"
+    _write_json(out, {"threshold": threshold, "f1": f1}, exact=True)
 
 
-def _cmd_eval(cfg: RunConfig, args) -> int:
-    run_pipeline(cfg)
-    return 0
+def _cmd_eval(run: _Run, args) -> None:
+    run_pipeline(run)
 
 
-def _cmd_cascades(cfg: RunConfig, args) -> int:
-    tweets, _articles, _pairs = _load_corpus(cfg)
-    cascades = cascade_mod.build_cascades(tweets)
-    cascade_mod.write_cascades_jsonl(cascades, _out_dir(cfg) / "cascades.jsonl")
-    return 0
+def _cmd_cascades(run: _Run, args) -> None:
+    cascades = cascade_mod.build_cascades(run.corpus[0])
+    cascade_mod.write_cascades_jsonl(cascades, _out_dir(run.cfg) / "cascades.jsonl")
 
 
-def _cmd_sweep_size(cfg: RunConfig, args) -> int:
+def _cmd_sweep_size(run: _Run, args) -> None:
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    tweets, articles, pairs = _load_corpus(cfg)
+    tweets, _articles, pairs = run.corpus
     cascades = cascade_mod.build_cascades(tweets)
     root_ids = [c.root_id for c in cascades]
-    article_ids = [d.id for d in articles]
-    gt = corpus.build_ground_truth(pairs.select(tweet_ids=set(root_ids)), root_ids, article_ids)
-    rows = _sweep_size(cfg, sizes, cascades, gt, (tweets, articles, pairs))
+    gt = corpus.build_ground_truth(pairs.select(tweet_ids=set(root_ids)), root_ids, run.article_ids)
+    rows = sweep_size(run, sizes, cascades, gt)
     emit_report(
         [{"n": r.n, "ap": r.ap, "n_cascades": r.n_cascades} for r in rows],
         "csv",
-        _out_dir(cfg) / "sweep_size.csv",
+        _out_dir(run.cfg) / "sweep_size.csv",
     )
-    return 0
 
 
-def _cmd_sweep_hp(cfg: RunConfig, args) -> int:
+def _cmd_sweep_hp(run: _Run, args) -> None:
     try:
         with open(args.grid, encoding="utf-8") as fh:
             grid = json.load(fh)
@@ -668,28 +672,25 @@ def _cmd_sweep_hp(cfg: RunConfig, args) -> int:
         raise ConfigInvalidError(f"cannot read grid {args.grid}: {exc}") from exc
     if not isinstance(grid, list) or not all(isinstance(p, dict) for p in grid):
         raise ConfigInvalidError("grid file must hold a JSON list of override objects")
-    tweets, articles, pairs = _load_corpus(cfg)
     split = split_by_article(
-        [d.id for d in articles], _match_pairs(pairs), cfg.seed, args.val_fraction
+        run.article_ids, _match_pairs(run.corpus[2]), run.cfg.seed, args.val_fraction
     )
-    best, best_ap, rows = sweep_hyperparams(cfg, grid, split, budget=args.budget)
+    best, best_ap, rows = sweep_hyperparams(run, grid, split, budget=args.budget)
     _write_json(
-        _out_dir(cfg) / "sweep_hp.json",
+        _out_dir(run.cfg) / "sweep_hp.json",
         {"best_params": best, "best_val_ap": best_ap, "rows": rows, "split": split},
     )
-    return 0
 
 
-def _cmd_report(cfg: RunConfig | None, args) -> int:
+def _cmd_report(run: _Run | None, args) -> None:
     try:
         with open(args.input, encoding="utf-8") as fh:
             results = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigInvalidError(f"cannot read results {args.input}: {exc}") from exc
-    out_dir = Path(cfg.out_dir) if cfg else Path(args.out_dir or "out")
+    out_dir = Path(run.cfg.out_dir) if run else Path(args.out_dir or "out")
     out_dir.mkdir(parents=True, exist_ok=True)
     emit_report(results, args.format, out_dir / f"report.{args.format}")
-    return 0
 
 
 # --- entry point -------------------------------------------------------------------
@@ -704,47 +705,37 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out-dir", help="override the config output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("ingest", help="validate input files and write corpus counts")
-    sub.add_parser("prep", help="write cleaned+lemmatized tokens per document")
-    fit = sub.add_parser("fit", help="fit and save a tfidf or lda model")
+    def command(name, handler, help):
+        cmd = sub.add_parser(name, help=help)
+        cmd.set_defaults(handler=handler)
+        return cmd
+
+    command("ingest", _cmd_ingest, "validate input files and write corpus counts")
+    command("prep", _cmd_prep, "write cleaned+lemmatized tokens per document")
+    fit = command("fit", _cmd_fit, "fit and save a tfidf or lda model")
     fit.add_argument("--model", choices=("tfidf", "lda"))
-    sub.add_parser("train", help="train and save the dual encoder")
-    sub.add_parser("score", help="write the tweets-by-articles similarity CSV")
-    cal = sub.add_parser("calibrate", help="pick the F1-maximizing threshold")
+    command("train", _cmd_train, "train and save the dual encoder")
+    command("score", _cmd_score, "write the tweets-by-articles similarity CSV")
+    cal = command("calibrate", _cmd_calibrate, "pick the F1-maximizing threshold")
     cal.add_argument("--matrix", help="reuse a similarity CSV instead of rescoring")
-    sub.add_parser("eval", help="full pipeline: score, threshold, masked metrics")
-    sub.add_parser("cascades", help="build reply/quote cascades and export them")
-    sweep_n = sub.add_parser("sweep-size", help="cascade-size sweep of masked AP")
+    command("eval", _cmd_eval, "full pipeline: score, threshold, masked metrics")
+    command("cascades", _cmd_cascades, "build reply/quote cascades and export them")
+    sweep_n = command("sweep-size", _cmd_sweep_size, "cascade-size sweep of masked AP")
     sweep_n.add_argument("--sizes", required=True, help="comma-separated cut sizes, ascending")
-    sweep_h = sub.add_parser("sweep-hp", help="grid search maximizing validation AP")
+    sweep_h = command("sweep-hp", _cmd_sweep_hp, "grid search maximizing validation AP")
     sweep_h.add_argument("--grid", required=True, help="JSON list of dotted config overrides")
     sweep_h.add_argument("--budget", type=int, help="random-search budget over the grid")
     sweep_h.add_argument("--val-fraction", type=float, default=0.5)
-    rep = sub.add_parser("report", help="re-emit a results JSON as json or csv")
+    rep = command("report", _cmd_report, "re-emit a results JSON as json or csv")
     rep.add_argument("--input", required=True)
     rep.add_argument("--format", choices=("json", "csv"), default="json")
     return parser
 
 
-_HANDLERS = {
-    "ingest": _cmd_ingest,
-    "prep": _cmd_prep,
-    "fit": _cmd_fit,
-    "train": _cmd_train,
-    "score": _cmd_score,
-    "calibrate": _cmd_calibrate,
-    "eval": _cmd_eval,
-    "cascades": _cmd_cascades,
-    "sweep-size": _cmd_sweep_size,
-    "sweep-hp": _cmd_sweep_hp,
-    "report": _cmd_report,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = None
+        run = None
         if args.command != "report" or args.config:
             if not args.config:
                 raise ConfigInvalidError(f"{args.command} requires --config")
@@ -757,7 +748,9 @@ def main(argv=None) -> int:
                 overrides["out_dir"] = args.out_dir
             if overrides:
                 cfg = cfg.with_overrides(overrides)
-        return _HANDLERS[args.command](cfg, args)
+            run = _Run(cfg)
+        args.handler(run, args)
+        return 0
     except (ConfigInvalidError, OSError, MalformedLineError, MissingFieldError, DuplicateIdError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tweetlink import cli, corpus, linker
+from tweetlink import cli, corpus, evalx, linker
 from tweetlink.cli import RunConfig
-from tweetlink.errors import ConfigInvalidError, EmptyGridError
+from tweetlink.errors import ConfigInvalidError, EmptyCorpusError, EmptyGridError
 from tweetlink.matrices import SimilarityMatrix
 
 
@@ -355,6 +356,50 @@ class TestSweepHyperparams:
         assert rows1 == rows2 and best1 == best2
         assert len(rows1) == 2
 
+    def _val_ap(self, cfg, split, positives):
+        """Validation AP of cfg trained on `positives`, evaluated without sweep_hyperparams."""
+        tweets, articles, pairs = cli._load_corpus(cfg)
+        train_t, train_a = split["train_tweets"], split["train_articles"]
+        val_t, val_a = split["val_tweets"], split["val_articles"]
+        positives = [(t, a) for t, a in positives if t in set(train_t) and a in set(train_a)]
+        tokens = cli._prepare_tokens(cfg, tweets, articles)
+        tv, av, _ = cli.build_vectors(cfg, tokens, train_t, train_a, val_t, val_a, positives)
+        sim = linker.score_matrix(tv, av, val_t, val_a)
+        gt = corpus.build_ground_truth(pairs.select(set(val_t), set(val_a)), val_t, val_a)
+        return evalx.average_precision(*evalx.masked_pairs(sim.values, gt))
+
+    def test_text_overrides_rebuild_tokens(self, bigger_corpus):
+        cfg = self._config(bigger_corpus)
+        tweets, articles, pairs = cli._load_corpus(cfg)
+        split = cli.split_by_article([d.id for d in articles], cli._match_pairs(pairs), 3)
+        point = {"summary_articles": True, "max_summary_chars": 40,
+                 "train.lr": 0.5, "train.epochs": 5}
+        _, _, rows = cli.sweep_hyperparams(cfg, [point], split)
+        derived = cfg.with_overrides(point)
+        assert rows[0]["val_ap"] == self._val_ap(derived, split, cli._match_pairs(pairs))
+
+    def test_trains_on_train_pairs(self, bigger_corpus):
+        pairs = corpus.load_pairs(bigger_corpus / "pairs.jsonl")
+        matches = [p for p in pairs if p.label == "match"]
+        corpus.write_pairs(matches[::3], bigger_corpus / "train.jsonl")
+        cfg = self._config(bigger_corpus).with_overrides(
+            {"train_pairs": str(bigger_corpus / "train.jsonl")}
+        )
+        tweets, articles, pairs = cli._load_corpus(cfg)
+        split = cli.split_by_article([d.id for d in articles], cli._match_pairs(pairs), 3)
+        point = {"train.lr": 0.5, "train.epochs": 5}
+        _, _, rows = cli.sweep_hyperparams(cfg, [point], split)
+        positives = [(p.tweet_id, p.article_id) for p in matches[::3]]
+        assert rows[0]["val_ap"] == self._val_ap(cfg.with_overrides(point), split, positives)
+
+    def test_cleaning_override_that_empties_every_document(self, bigger_corpus):
+        cfg = self._config(bigger_corpus)
+        tweets, articles, pairs = cli._load_corpus(cfg)
+        split = cli.split_by_article([d.id for d in articles], cli._match_pairs(pairs), 3)
+        # Every word of the fixture has 6 letters.
+        with pytest.raises(EmptyCorpusError):
+            cli.sweep_hyperparams(cfg, [{"cleaning.min_word_len": 7}], split)
+
 
 class TestEmitReport:
     def test_deterministic_bytes(self, tmp_path):
@@ -380,3 +425,99 @@ class TestEmitReport:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ConfigInvalidError):
             cli.emit_report({"a": 1}, "xml", tmp_path / "r.xml")
+
+
+class TestCommandsAgree:
+    """score, calibrate, sweep-size and train run the stages eval runs, on the same positives."""
+
+    @pytest.fixture(params=["tfidf", "lda", "dual"])
+    def config(self, request, small_corpus, make_config, tmp_path):
+        extra = {
+            "tfidf": {},
+            "lda": {"model": "lda", "lda": {"n_topics": 2, "iters": 5, "infer_iters": 5}},
+            "dual": {
+                "model": "dual", "strategy": "truncate",
+                "train_pairs": str(tmp_path / "train.jsonl"),
+                "train": {"epochs": 3, "joint_dim": 8, "seed": 7},
+            },
+        }[request.param]
+        matches = [p for p in small_corpus["pairs"] if p.label == "match"]
+        corpus.write_pairs(matches[::2], tmp_path / "train.jsonl")  # a strict subset
+        return request.param, str(make_config(extra))
+
+    def test_outputs_match_eval(self, config, tmp_path, monkeypatch):
+        model, cfg_path = config
+        scored = []
+        score_matrix = linker.score_matrix
+
+        def recording(*args, **kwargs):
+            scored.append(score_matrix(*args, **kwargs))
+            return scored[-1]
+
+        monkeypatch.setattr(linker, "score_matrix", recording)
+
+        def run(command, *flags):
+            out = tmp_path / command
+            assert cli.main(["--config", cfg_path, "--out-dir", str(out), command, *flags]) == 0
+            return out
+
+        evaluated, scored_out, calibrated = run("eval"), run("score"), run("calibrate")
+        run("sweep-size", "--sizes", "1,2")
+        assert (scored_out / "similarity.csv").read_bytes() == (
+            evaluated / "similarity.csv"
+        ).read_bytes()
+        report = json.loads((evaluated / "report.json").read_text())
+        threshold = json.loads((calibrated / "threshold.json").read_text())
+        assert threshold["threshold"] == report["threshold"]
+        # sweep-size aggregates the same scores eval writes.
+        assert len(scored) == 4
+        assert all(np.array_equal(sim.values, scored[0].values) for sim in scored)
+        if model == "dual":
+            encoder = (run("train") / "encoder.json").read_bytes()
+            assert encoder == (evaluated / "encoder.json").read_bytes()
+
+
+def test_cli_surface():
+    """Subcommands and their option strings; dropping or renaming one breaks callers."""
+    parser = cli._build_parser()
+
+    def options(p):
+        return {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert options(parser) == {"--config", "--seed", "--out-dir"}
+    assert {name: options(p) for name, p in sub.choices.items()} == {
+        "ingest": set(),
+        "prep": set(),
+        "fit": {"--model"},
+        "train": set(),
+        "score": set(),
+        "calibrate": {"--matrix"},
+        "eval": set(),
+        "cascades": set(),
+        "sweep-size": {"--sizes"},
+        "sweep-hp": {"--grid", "--budget", "--val-fraction"},
+        "report": {"--input", "--format"},
+    }
+
+
+def test_dual_featurizes_each_document_once(small_corpus, make_config, monkeypatch):
+    from tweetlink import vectorize
+
+    calls = []
+    transform = vectorize.tfidf_transform
+    monkeypatch.setattr(vectorize, "tfidf_transform", lambda *a: calls.append(1) or transform(*a))
+    cfg_path = make_config({"model": "dual", "train": {"epochs": 1, "joint_dim": 4, "seed": 7}})
+    assert cli.main(["--config", str(cfg_path), "eval"]) == 0
+    assert len(calls) == len(small_corpus["docs"])  # 24 tweets + 8 single-piece articles
+
+
+def test_sweep_size_needs_the_runs_article_columns(small_corpus, make_config):
+    cfg = RunConfig.from_file(make_config())
+    tweets, articles, pairs = cli._load_corpus(cfg)
+    cascades = cli.cascade_mod.build_cascades(tweets)
+    root_ids = [c.root_id for c in cascades]
+    reversed_articles = [d.id for d in articles][::-1]
+    gt = corpus.build_ground_truth(pairs.select(set(root_ids)), root_ids, reversed_articles)
+    with pytest.raises(ConfigInvalidError):
+        cli.sweep_size(cfg, [1], cascades, gt)
