@@ -16,6 +16,7 @@ from .contrast import (
     TrainingPair,
     cosine_embedding_loss,
     encode,
+    encode_batch,
     load_encoder,
     loss_gradient,
     sample_negatives,
@@ -49,7 +50,7 @@ from .evalx import (
     masked_pairs,
 )
 from .linker import calibrate_threshold, classify, cosine, score_matrix
-from .matrices import ClassificationMatrix, GroundTruthMatrix, SimilarityMatrix
+from .matrices import ClassificationMatrix, CsrRows, GroundTruthMatrix, SimilarityMatrix
 from .textprep import (
     ChunkingConfig,
     CleaningConfig,
@@ -70,6 +71,7 @@ from .vectorize import (
     load_embeddings,
     tfidf_fit,
     tfidf_transform,
+    tfidf_transform_batch,
 )
 
 __version__ = "0.1.0"

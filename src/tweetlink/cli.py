@@ -15,7 +15,7 @@ Each stage is computed on first use and kept for the rest of the command:
     ground_truth     corpus labels of the similarity's cells    calibrate, eval
 
 sweep-hp loads the corpus once and redoes tokens and vectors per grid point
-on an article-disjoint train/val split.
+on an article-disjoint train/val split; grid points may not change the corpus.
 
 Exit codes: 0 success, 1 degenerate evaluation (e.g. no positive labels),
 2 config or I/O problems.
@@ -46,6 +46,7 @@ from .errors import (
     UnknownIdError,
 )
 from .matrices import (
+    CsrRows,
     GroundTruthMatrix,
     SimilarityMatrix,
     read_similarity_csv,
@@ -54,6 +55,8 @@ from .matrices import (
 
 MODELS = ("tfidf", "lda", "dual")
 FEATURES = ("tfidf", "lda", "external")
+# Config keys that select the corpus: one value per run, never per grid point.
+CORPUS_KEYS = frozenset({"documents", "pairs", "keywords", "train_pairs"})
 
 
 @dataclass(frozen=True)
@@ -244,19 +247,20 @@ def build_vectors(
     out_article_ids,
     train_positives=None,
 ):
-    """Vector maps for every requested document, fitted on the fit-side only.
+    """(tweet rows, article rows, encoder) for the output ids, fitted on the fit side only.
 
-    For model=dual this trains the encoder on `train_positives` over the
-    selected feature space and returns it; otherwise the raw tfidf/lda
-    vectors are the final representation and the encoder slot is None.
+    Row i of each matrix belongs to the i-th output id of its side. For
+    model=dual this trains the encoder on `train_positives` over the
+    selected feature space and returns it with the encoded rows (dense);
+    otherwise the tfidf (CSR) or lda (dense) rows are the final
+    representation and the encoder slot is None.
     """
     trunc = cfg.chunking.truncate_limit
     if cfg.model != "dual":
         featurize = _featurizer(cfg, cfg.model, tokens, fit_tweet_ids, fit_article_ids)
         tweet_docs = [(i, textprep.truncate(tokens[i], trunc)) for i in out_tweet_ids]
-        vecs = featurize(tweet_docs + [(i, tokens[i]) for i in out_article_ids])
-        tweet_vecs = dict(zip(out_tweet_ids, vecs[: len(tweet_docs)]))
-        return tweet_vecs, dict(zip(out_article_ids, vecs[len(tweet_docs) :])), None
+        article_docs = [(i, tokens[i]) for i in out_article_ids]
+        return featurize(tweet_docs), featurize(article_docs), None
 
     # model == "dual": build base features, train, then encode.
     def doc_tokens(doc_id):
@@ -269,34 +273,39 @@ def build_vectors(
     if not train_positives:
         raise ConfigInvalidError("model=dual needs match-labeled training pairs")
 
-    # One featurize call over the training and output documents: each is featurized once.
+    # One featurize call per side over the training and output documents, so
+    # each is featurized once; training and encoding take dense rows.
     tweet_ids = list(dict.fromkeys([*sorted({t for t, _ in train_positives}), *out_tweet_ids]))
     article_ids = list(dict.fromkeys([*fit_article_ids, *out_article_ids]))
-    tweet_docs = [(i, textprep.truncate(doc_tokens(i), trunc)) for i in tweet_ids]
+    tweet_x = _dense(featurize([(i, textprep.truncate(doc_tokens(i), trunc)) for i in tweet_ids]))
     pieces = [[None] if external else _article_pieces(cfg, doc_tokens(i)) for i in article_ids]
-    feats = featurize(tweet_docs + [(i, p) for i, ps in zip(article_ids, pieces) for p in ps])
-    tweet_feats, article_feats, pos = dict(zip(tweet_ids, feats)), {}, len(tweet_docs)
+    piece_x = _dense(featurize([(i, p) for i, ps in zip(article_ids, pieces) for p in ps]))
+    tweet_row = {doc_id: r for r, doc_id in enumerate(tweet_ids)}
+    piece_rows, pos = {}, 0  # article id -> slice of its piece rows
     for doc_id, ps in zip(article_ids, pieces):
-        article_feats[doc_id] = feats[pos] if external else feats[pos : pos + len(ps)]
+        piece_rows[doc_id] = slice(pos, pos + len(ps))
         pos += len(ps)
 
     # Training draws its negatives from these keys, in this order.
-    fit_feats = {i: article_feats[i] for i in fit_article_ids}
+    fit_feats = {i: piece_x[piece_rows[i]] for i in fit_article_ids}
     encoder, _trace = contrast.train(
-        train_positives, tweet_feats, fit_feats, cfg.train, cfg.strategy
+        train_positives, dict(zip(tweet_ids, tweet_x)), fit_feats, cfg.train, cfg.strategy
     )
-    tweet_vecs = {
-        i: contrast.encode(encoder, "tweet", tweet_feats[i], cfg.strategy) for i in out_tweet_ids
-    }
-    article_vecs = {}
-    for doc_id in out_article_ids:
-        pieces = article_feats[doc_id]
-        if external or cfg.strategy == "mean_chunks":
-            article_vecs[doc_id] = contrast.encode(encoder, "article", pieces, cfg.strategy)
-        else:
-            # truncate: the single piece; augment: the header piece.
-            article_vecs[doc_id] = contrast.encode(encoder, "article", pieces[0], cfg.strategy)
-    return tweet_vecs, article_vecs, encoder
+
+    out_tweets = tweet_x[[tweet_row[i] for i in out_tweet_ids]]
+    out_pieces = [piece_rows[i] for i in out_article_ids]
+    if cfg.strategy == "mean_chunks":
+        rows = [r for s in out_pieces for r in range(s.start, s.stop)]
+        counts = [s.stop - s.start for s in out_pieces]
+    else:
+        # truncate: the single piece; augment: the header piece.
+        rows, counts = [s.start for s in out_pieces], None
+    tweet_vecs = contrast.encode_batch(encoder, "tweet", out_tweets)
+    return tweet_vecs, contrast.encode_batch(encoder, "article", piece_x[rows], counts), encoder
+
+
+def _dense(rows) -> np.ndarray:
+    return rows.toarray() if isinstance(rows, CsrRows) else rows
 
 
 def _fit(cfg: RunConfig, kind: str, tokens, tweet_ids, article_ids):
@@ -313,21 +322,22 @@ def _fit(cfg: RunConfig, kind: str, tokens, tweet_ids, article_ids):
 
 
 def _featurizer(cfg: RunConfig, kind: str, tokens, fit_tweet_ids, fit_article_ids):
-    """Feature space `kind` fitted on the fit side; returns [(doc_id, tokens)] -> [vector].
+    """Feature space `kind` fitted on the fit side; returns [(doc_id, tokens)] -> row matrix.
 
-    LDA folds the whole list in with one batched call.
+    The rows follow the given list: CSR for tfidf, dense for lda and
+    external. tfidf and lda transform the whole list with one batched call.
     """
     if kind == "external":
         table = vectorize.load_embeddings(cfg.embeddings)
-        return lambda docs: [table.lookup(doc_id) for doc_id, _toks in docs]
+        return lambda docs: np.array(
+            [table.lookup(doc_id) for doc_id, _toks in docs], dtype=np.float64
+        ).reshape(len(docs), table.dim)
     model = _fit(cfg, kind, tokens, fit_tweet_ids, fit_article_ids)
     if kind == "lda":
-        return lambda docs: list(
-            vectorize.lda_infer_batch(
-                model, [toks for _id, toks in docs], iters=cfg.lda.infer_iters, seed=cfg.seed
-            )
+        return lambda docs: vectorize.lda_infer_batch(
+            model, [toks for _id, toks in docs], iters=cfg.lda.infer_iters, seed=cfg.seed
         )
-    return lambda docs: [vectorize.tfidf_transform(model, toks) for _id, toks in docs]
+    return lambda docs: vectorize.tfidf_transform_batch(model, [toks for _id, toks in docs])
 
 
 class _Run:
@@ -367,14 +377,14 @@ class _Run:
 
     @cached_property
     def vectors(self):
-        """(tweet vectors, article vectors, dual encoder or None), fitted on every document."""
+        """(tweet rows, article rows, dual encoder or None), fitted on every document."""
         ids = (self.tweet_ids, self.article_ids)
         return build_vectors(self.cfg, self.tokens, *ids, *ids, self.train_positives)
 
     @cached_property
     def similarity(self) -> SimilarityMatrix:
-        tweet_vecs, article_vecs, _encoder = self.vectors
-        return linker.score_matrix(tweet_vecs, article_vecs, self.tweet_ids, self.article_ids)
+        tweet_rows, article_rows, _encoder = self.vectors
+        return linker.score_matrix(tweet_rows, article_rows, self.tweet_ids, self.article_ids)
 
     @cached_property
     def ground_truth(self) -> GroundTruthMatrix:
@@ -455,7 +465,8 @@ def sweep_hyperparams(run: _Run | RunConfig, grid, split, budget: int | None = N
     The split must keep articles and tweets disjoint between sides; training
     only ever sees train-side positives, evaluation only val-side cells.
     Each point's tokens are prepared from its derived config, over the
-    corpus the run loaded once. Ties go to the earliest grid point. With a
+    corpus the run loaded once; a point that overrides one of CORPUS_KEYS
+    raises ConfigInvalidError. Ties go to the earliest grid point. With a
     budget, a seeded random subset of the grid is visited instead (order
     preserved).
     """
@@ -464,6 +475,12 @@ def sweep_hyperparams(run: _Run | RunConfig, grid, split, budget: int | None = N
     grid = list(grid)
     if not grid:
         raise EmptyGridError("hyperparameter grid is empty")
+    for point in grid:
+        corpus_keys = sorted(CORPUS_KEYS.intersection(point))
+        if corpus_keys:
+            raise ConfigInvalidError(
+                f"grid point {point!r} overrides {corpus_keys}; the corpus is loaded once per sweep"
+            )
     train_a = list(split["train_articles"])
     val_a = list(split["val_articles"])
     train_t = list(split["train_tweets"])
@@ -494,10 +511,10 @@ def sweep_hyperparams(run: _Run | RunConfig, grid, split, budget: int | None = N
     for point in grid:
         derived = cfg.with_overrides(point)
         tokens = _prepare_tokens(derived, tweets, articles)
-        tweet_vecs, article_vecs, _enc = build_vectors(
+        tweet_rows, article_rows, _enc = build_vectors(
             derived, tokens, train_t, train_a, val_t, val_a, train_positives
         )
-        sim = linker.score_matrix(tweet_vecs, article_vecs, val_t, val_a)
+        sim = linker.score_matrix(tweet_rows, article_rows, val_t, val_a)
         scores, labels = evalx.masked_pairs(sim.values, gt)
         ap = evalx.average_precision(scores, labels)
         rows.append({"params": point, "val_ap": ap})
@@ -651,7 +668,10 @@ def _cmd_cascades(run: _Run, args) -> None:
 
 
 def _cmd_sweep_size(run: _Run, args) -> None:
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    except ValueError:
+        raise ConfigInvalidError(f"--sizes must list integers, got {args.sizes!r}") from None
     tweets, _articles, pairs = run.corpus
     cascades = cascade_mod.build_cascades(tweets)
     root_ids = [c.root_id for c in cascades]

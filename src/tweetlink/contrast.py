@@ -28,6 +28,9 @@ and scatters its block. The plan holds one epoch of int32 positions and
 values and is freed when the epoch ends. The arithmetic and its order are
 those of gathering each batch on its own, so the weights come out the same
 bit for bit.
+
+Encoding projects all of a side's documents with one batched product
+(encode_batch), averaging a document's piece rows under mean_chunks.
 """
 
 from __future__ import annotations
@@ -547,17 +550,13 @@ def train(
 
 
 def encode(model: DualEncoder, side: str, features, strategy: str = "truncate") -> np.ndarray:
-    """Project features into the joint space.
+    """Project one document's features into the joint space; see encode_batch.
 
     mean_chunks expects the chunk feature vectors (list or 2-D array) and
     averages their projections; truncate/augment expect one feature vector.
     """
-    if side not in SIDES:
-        raise ValueError(f"unknown side {side!r}; expected one of {SIDES}")
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    amap = model.tweet_map if side == "tweet" else model.article_map
-
     if strategy == "mean_chunks":
         if isinstance(features, (list, tuple)):
             if not features:
@@ -570,15 +569,38 @@ def encode(model: DualEncoder, side: str, features, strategy: str = "truncate") 
         if vec.ndim != 1:
             raise DimMismatchError(f"strategy {strategy!r} expects a single feature vector")
         pieces = vec[None, :]
+    return encode_batch(model, side, pieces, [len(pieces)])[0]
 
-    if pieces.shape[1] != amap.in_dim:
+
+def encode_batch(model: DualEncoder, side: str, rows, counts=None) -> np.ndarray:
+    """Project feature rows with one batched product; one output row per document.
+
+    Document i owns the next counts[i] rows and gets the mean of their
+    projections; counts=None gives every row its own document. Each row is
+    projected on its own (np.matmul loops over the rows in C), so a row's
+    projection does not depend on the other rows in the batch, and row i
+    equals encode() of document i bit for bit.
+    """
+    if side not in SIDES:
+        raise ValueError(f"unknown side {side!r}; expected one of {SIDES}")
+    amap = model.tweet_map if side == "tweet" else model.article_map
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != amap.in_dim:
         raise DimMismatchError(
-            f"{side} features have dim {pieces.shape[1]}, expected {amap.in_dim}"
+            f"{side} features have shape {rows.shape}, expected (rows, {amap.in_dim})"
         )
-    out = pieces @ amap.weight.T + amap.bias
+    out = np.matmul(rows[:, None, :], amap.weight.T)[:, 0] + amap.bias
     if model.nonlinearity == "tanh":
         out = np.tanh(out)
-    return out.mean(axis=0)
+    if counts is None:
+        return out
+    counts = np.asarray(counts, dtype=np.int64)
+    if (counts < 1).any():
+        raise EmptyChunkListError("every document needs at least one feature row")
+    if counts.sum() != len(rows):
+        raise DimMismatchError(f"counts cover {counts.sum()} rows, got {len(rows)}")
+    starts = np.cumsum(counts) - counts
+    return np.add.reduceat(out, starts, axis=0) / counts[:, None]
 
 
 # --- persistence -----------------------------------------------------------------

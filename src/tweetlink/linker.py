@@ -1,6 +1,14 @@
-"""Pairwise cosine scoring, thresholding, and F1-maximizing calibration."""
+"""Pairwise cosine scoring, thresholding, and F1-maximizing calibration.
+
+Every cosine comes from one kernel over row matrices: the articles are
+stacked densely once, and the tweets are either sparse CSR rows (one gather
+of the article columns their entries hit, summed per tweet row) or dense
+rows (one batched matrix-vector product).
+"""
 
 from __future__ import annotations
+
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -12,10 +20,61 @@ from .errors import (
     NoLabeledCellsError,
     NoPositivesError,
 )
-from .matrices import ClassificationMatrix, GroundTruthMatrix, SimilarityMatrix
+from .matrices import ClassificationMatrix, CsrRows, GroundTruthMatrix, SimilarityMatrix
 
 # Offset for the outermost threshold candidates, below/above every score.
 _EDGE_EPS = 1e-6
+# Cells of one block of gathered article columns (512 KB): blocks stay in
+# cache, and the gather never holds nonzeros x articles at once.
+_GATHER_CELLS = 1 << 16
+
+
+def _sparse_dots(tweets: CsrRows, articles: np.ndarray) -> np.ndarray:
+    """Dot products of CSR tweet rows with dense article rows, block by block.
+
+    Each row's entries sit in one block and are summed in order by reduceat,
+    so a row's dots do not depend on the blocking or on the other rows.
+    """
+    indptr = tweets.indptr
+    dots = np.zeros((tweets.shape[0], len(articles)))
+    nonempty = np.flatnonzero(np.diff(indptr))  # reduceat cannot sum an empty row
+    if not nonempty.size:
+        return dots
+    columns = np.ascontiguousarray(articles.T)  # article values per feature
+    step = max(1, _GATHER_CELLS // max(1, len(articles)))
+    # Blocks of whole rows, each starting at the first row that starts at or
+    # past a multiple of step entries (a row longer than step is one block).
+    cuts = np.unique(np.searchsorted(indptr[nonempty], np.arange(0, indptr[-1], step)))
+    cuts = cuts[cuts < len(nonempty)].tolist()
+    for lo, hi in zip(cuts, [*cuts[1:], len(nonempty)]):
+        rows = nonempty[lo:hi]
+        first, last = indptr[rows[0]], indptr[rows[-1] + 1]
+        terms = columns[tweets.indices[first:last]]
+        terms *= tweets.data[first:last, None]
+        dots[rows] = np.add.reduceat(terms, indptr[rows] - first, axis=0)
+    return dots
+
+
+def _cosines(tweets, articles: np.ndarray) -> np.ndarray:
+    """(n_tweets, n_articles) cosines of CSR or dense tweet rows against dense article rows.
+
+    Each cell divides by both row norms (no row is assumed to be unit-length),
+    a zero norm on either side gives 0, and results are clipped to [-1, 1].
+    """
+    if isinstance(tweets, CsrRows):
+        dots = _sparse_dots(tweets, articles)
+        entries = tweets.row_of_entries()
+        t_norms = np.sqrt(np.bincount(entries, tweets.data**2, tweets.shape[0]))
+    else:
+        # One matrix-vector product and one dot per tweet row, looped over in
+        # C by np.matmul: each cell rounds as `articles @ row` and
+        # np.linalg.norm(row) do, so equal rows keep equal scores.
+        dots = np.matmul(articles, tweets[:, :, None])[:, :, 0]
+        t_norms = np.sqrt(np.matmul(tweets[:, None, :], tweets[:, :, None]).ravel())
+    denom = np.multiply.outer(t_norms, np.linalg.norm(articles, axis=1))
+    values = np.zeros_like(dots)
+    np.divide(dots, denom, out=values, where=denom != 0.0)
+    return np.clip(values, -1.0, 1.0, out=values)
 
 
 def cosine(u, v) -> float:
@@ -24,11 +83,38 @@ def cosine(u, v) -> float:
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape or u.ndim != 1:
         raise DimMismatchError(f"cannot compare vectors of shapes {u.shape} and {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
+    return float(_cosines(u[None], v[None])[0, 0])
+
+
+def _ids(vecs, ids, side: str) -> tuple:
+    if ids is not None:
+        return tuple(ids)
+    if isinstance(vecs, Mapping):
+        return tuple(vecs.keys())
+    raise TypeError(f"{side} rows given as a matrix need their ids")
+
+
+def _rows(vecs, ids: tuple, side: str):
+    """A CSR or dense row matrix as given, or a mapping's vectors stacked densely in ids order."""
+    if not isinstance(vecs, Mapping):
+        rows = vecs if isinstance(vecs, CsrRows) else np.asarray(vecs, dtype=np.float64)
+        if len(rows.shape) != 2 or rows.shape[0] != len(ids):
+            raise DimMismatchError(f"{len(ids)} {side} ids for a matrix of shape {rows.shape}")
+        return rows
+
+    def fetch(doc_id):
+        try:
+            return np.asarray(vecs[doc_id], dtype=np.float64)
+        except KeyError:
+            raise MissingEmbeddingError(doc_id) from None
+
+    vectors = [fetch(doc_id) for doc_id in ids]
+    shapes = {v.shape for v in vectors}
+    if len(shapes) != 1:
+        raise DimMismatchError(f"mixed {side} vector shapes: {sorted(shapes)}")
+    if len(shapes.pop()) != 1:
+        raise DimMismatchError("score_matrix needs flat vectors")
+    return np.stack(vectors)
 
 
 def score_matrix(
@@ -39,39 +125,25 @@ def score_matrix(
 ) -> SimilarityMatrix:
     """All-pairs cosine similarities, rows = tweets, columns = articles.
 
-    Axis order follows the given id lists (defaulting to mapping order);
-    ids without a vector raise MissingEmbeddingError. The article vectors
-    are stacked once and each tweet row costs one matrix-vector product;
-    tweet vectors are never stacked, so no tweets x dim copy is made.
+    Each side is a row matrix (CsrRows or a dense 2-D array) whose rows
+    follow the given id list, or a mapping id -> vector, read in the order
+    of the given ids (defaulting to mapping order); an id without a vector
+    raises MissingEmbeddingError. Every cell comes from one product, see
+    _cosines.
     """
-    tweet_ids = tuple(tweet_ids if tweet_ids is not None else tweet_vecs.keys())
-    article_ids = tuple(article_ids if article_ids is not None else article_vecs.keys())
+    tweet_ids = _ids(tweet_vecs, tweet_ids, "tweet")
+    article_ids = _ids(article_vecs, article_ids, "article")
     if not tweet_ids or not article_ids:
         raise EmptyInputError("score_matrix needs at least one tweet and one article")
-
-    def fetch(vecs, doc_id):
-        try:
-            return np.asarray(vecs[doc_id], dtype=np.float64)
-        except KeyError:
-            raise MissingEmbeddingError(doc_id) from None
-
-    t_mat = [fetch(tweet_vecs, tid) for tid in tweet_ids]
-    a_list = [fetch(article_vecs, aid) for aid in article_ids]
-    dims = {v.shape for v in t_mat} | {v.shape for v in a_list}
-    if len(dims) != 1:
-        raise DimMismatchError(f"mixed vector shapes in the joint space: {sorted(dims)}")
-    if len(dims.pop()) != 1:
-        raise DimMismatchError("score_matrix needs flat vectors")
-
-    a_mat = np.stack(a_list)
-    a_norms = np.linalg.norm(a_mat, axis=1)
-    values = np.zeros((len(tweet_ids), len(article_ids)), dtype=np.float64)
-    for row, tv in zip(values, t_mat):
-        # A zero norm on either side leaves the cell at 0, as in cosine().
-        denom = a_norms * np.linalg.norm(tv)
-        np.divide(a_mat @ tv, denom, out=row, where=denom != 0.0)
-        np.clip(row, -1.0, 1.0, out=row)
-    return SimilarityMatrix(tweet_ids, article_ids, values)
+    tweets = _rows(tweet_vecs, tweet_ids, "tweet")
+    articles = _rows(article_vecs, article_ids, "article")
+    if tweets.shape[1] != articles.shape[1]:
+        raise DimMismatchError(
+            f"tweet rows have dim {tweets.shape[1]}, article rows dim {articles.shape[1]}"
+        )
+    if isinstance(articles, CsrRows):
+        articles = articles.toarray()
+    return SimilarityMatrix(tweet_ids, article_ids, _cosines(tweets, articles))
 
 
 def classify(sim: SimilarityMatrix, threshold: float) -> ClassificationMatrix:

@@ -1,14 +1,18 @@
-"""Axis-labeled tweets-by-articles matrices.
+"""Axis-labeled tweets-by-articles matrices, and sparse feature rows.
 
 Three matrix flavors share one layout: rows are tweets, columns are
 articles, both in a caller-fixed order. Values distinguish them:
 similarities in [-1, 1], binary decisions in {+1, -1}, and ground-truth
 labels in {1, -1, 0} where 0 means unknown (masked out of evaluation).
+
+CsrRows holds document feature rows (one per document, one column per
+term) in compressed sparse row form.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +20,29 @@ import numpy as np
 from .errors import MalformedLineError, NonFiniteValueError, ShapeMismatchError
 
 RANGE_TOL = 1e-9
+
+
+@dataclass(frozen=True, eq=False)
+class CsrRows:
+    """Sparse rows: row i holds data[indptr[i]:indptr[i + 1]] in columns indices[...]."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    n_cols: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.indptr) - 1, self.n_cols
+
+    def row_of_entries(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.row_of_entries(), self.indices] = self.data
+        return out
 
 
 def _frozen(values: np.ndarray, dtype) -> np.ndarray:
@@ -94,14 +121,24 @@ def write_matrix_csv(matrix, path) -> None:
 
     Floats are fixed at 6 decimals so identical runs emit identical bytes.
     """
-    is_float = matrix.values.dtype.kind == "f"
+    n_cols = len(matrix.article_ids)
+    # csv.writer's dialect: comma-separated, "\r\n"-terminated lines.
+    cells = ("," + ("%.6f" if matrix.values.dtype.kind == "f" else "%d")) * n_cols + "\r\n"
+    quoted = io.StringIO()
+    quote = csv.writer(quoted)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["tweet_id", *matrix.article_ids])
         for tid, row in zip(matrix.tweet_ids, matrix.values):
+            if not n_cols:
+                writer.writerow([tid])  # csv quotes a lone empty field
+                continue
+            # The id as csv writes it in a row of several fields: "<id>,\r\n".
+            quoted.seek(0)
+            quoted.truncate()
+            quote.writerow([tid, ""])
             # Python floats and ints: formatting numpy scalars one by one is slower.
-            row = row.tolist()
-            writer.writerow([tid, *map("{:.6f}".format, row)] if is_float else [tid, *row])
+            fh.write(quoted.getvalue()[:-3] + cells % tuple(row.tolist()))
 
 
 def read_similarity_csv(path) -> SimilarityMatrix:

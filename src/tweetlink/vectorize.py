@@ -2,7 +2,9 @@
 
 TF-IDF uses the smoothed convention idf(t) = ln((1+N)/(1+df(t))) + 1 with raw
 term counts and L2 normalization; the exact variant is pinned here so tests
-can check against an independent hand computation.
+can check against an independent hand computation. A batch of documents is
+transformed into one sparse row matrix (CSR arrays), since a document holds
+a handful of the vocabulary's terms.
 
 LDA is fitted with collapsed Gibbs sampling, which keeps runs deterministic
 per seed and needs nothing beyond integer count tables. Inference folds new
@@ -14,11 +16,10 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
-from scipy.special import gammaln
 
 from .corpus import _iter_jsonl
 from .errors import (
@@ -30,6 +31,7 @@ from .errors import (
     MalformedLineError,
     MissingEmbeddingError,
 )
+from .matrices import CsrRows
 from .textprep import TokenSeq
 
 
@@ -106,16 +108,28 @@ def tfidf_fit(docs: list[TokenSeq]) -> TfidfModel:
 
 
 def tfidf_transform(model: TfidfModel, doc: TokenSeq) -> np.ndarray:
-    """Weight vector count(t) * idf(t), L2-normalized; all-OOV docs map to zero."""
-    vec = np.zeros(model.vocab.size, dtype=np.float64)
-    for term, count in Counter(doc).items():
-        i = model.vocab.index.get(term)
-        if i is not None:
-            vec[i] = count * model.idf[i]
-    norm = np.linalg.norm(vec)
-    if norm > 0.0:
-        vec /= norm
-    return vec
+    """One document's dense weight vector; see tfidf_transform_batch."""
+    return tfidf_transform_batch(model, [doc]).toarray()[0]
+
+
+def tfidf_transform_batch(model: TfidfModel, docs: list[TokenSeq]) -> CsrRows:
+    """Rows count(t) * idf(t), L2-normalized, as a (len(docs), vocab) CSR matrix.
+
+    Each row's columns are sorted. Out-of-vocabulary tokens are ignored, so
+    empty and all-OOV documents map to zero rows.
+    """
+    index = model.vocab.index
+    ids = [[index[t] for t in doc if t in index] for doc in docs]
+    doc_of = np.repeat(np.arange(len(docs), dtype=np.int64), [len(i) for i in ids])
+    terms = np.fromiter(chain.from_iterable(ids), dtype=np.int64, count=len(doc_of))
+    # One key per (document, term): np.unique sorts them row-major and counts repeats.
+    keys, counts = np.unique(doc_of * model.vocab.size + terms, return_counts=True)
+    rows, indices = np.divmod(keys, model.vocab.size)
+    data = counts * model.idf[indices]
+    norms = np.sqrt(np.bincount(rows, weights=data * data, minlength=len(docs)))
+    data /= norms[rows]
+    indptr = np.searchsorted(rows, np.arange(len(docs) + 1))
+    return CsrRows(indptr, indices, data, model.vocab.size)
 
 
 # --- LDA ------------------------------------------------------------------
@@ -129,6 +143,9 @@ def _doc_word_ids(docs: list[TokenSeq], vocab: Vocabulary) -> list[np.ndarray]:
 
 
 def _gibbs_counts_ll(n_kw, n_k, n_dk, doc_lens, alpha, beta):
+    # Imported here: scipy costs more to import than anything else the CLI loads.
+    from scipy.special import gammaln
+
     n_topics, vocab_size = n_kw.shape
     n_docs = len(doc_lens)
     ll = n_topics * (gammaln(vocab_size * beta) - vocab_size * gammaln(beta))

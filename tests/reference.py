@@ -6,6 +6,7 @@ math only, so a bug in the package cannot hide in its own oracle.
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 from scipy.special import gammaln
@@ -13,7 +14,10 @@ from scipy.special import gammaln
 from tweetlink.corpus import LinkedPair
 from tweetlink.errors import (
     ConflictingLabelError,
+    DimMismatchError,
+    EmptyInputError,
     MalformedLineError,
+    MissingEmbeddingError,
     MissingFieldError,
     UnknownIdError,
 )
@@ -132,6 +136,46 @@ def tfidf_reference(docs):
         return {t: w / norm for t, w in weights.items()}
 
     return idf, transform
+
+
+def tfidf_transform_reference(model, doc):
+    """One document's dense tf-idf vector, built entry by entry (the per-document transform)."""
+    vec = np.zeros(model.vocab.size, dtype=np.float64)
+    for term, count in Counter(doc).items():
+        i = model.vocab.index.get(term)
+        if i is not None:
+            vec[i] = count * model.idf[i]
+    norm = np.linalg.norm(vec)
+    if norm > 0.0:
+        vec /= norm
+    return vec
+
+
+def score_matrix_reference(tweet_vecs, article_vecs, tweet_ids, article_ids):
+    """All-pairs cosines of two id -> vector mappings, one matrix-vector product per tweet row."""
+    if not tweet_ids or not article_ids:
+        raise EmptyInputError("score_matrix needs at least one tweet and one article")
+
+    def fetch(vecs, doc_id):
+        try:
+            return np.asarray(vecs[doc_id], dtype=np.float64)
+        except KeyError:
+            raise MissingEmbeddingError(doc_id) from None
+
+    t_mat = [fetch(tweet_vecs, tid) for tid in tweet_ids]
+    a_list = [fetch(article_vecs, aid) for aid in article_ids]
+    dims = {v.shape for v in t_mat} | {v.shape for v in a_list}
+    if len(dims) != 1 or len(dims.pop()) != 1:
+        raise DimMismatchError("vectors must be flat and of one shape")
+    a_mat = np.stack(a_list)
+    a_norms = np.linalg.norm(a_mat, axis=1)
+    values = np.zeros((len(tweet_ids), len(article_ids)), dtype=np.float64)
+    for row, tv in zip(values, t_mat):
+        # A zero norm on either side leaves the cell at 0.
+        denom = a_norms * np.linalg.norm(tv)
+        np.divide(a_mat @ tv, denom, out=row, where=denom != 0.0)
+        np.clip(row, -1.0, 1.0, out=row)
+    return values
 
 
 def fd_gradient(fn, x, step=1e-6):

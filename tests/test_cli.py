@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tweetlink import cli, corpus, evalx, linker
+from tweetlink import cli, contrast, corpus, evalx, linker, textprep, vectorize
 from tweetlink.cli import RunConfig
 from tweetlink.errors import ConfigInvalidError, EmptyCorpusError, EmptyGridError
 from tweetlink.matrices import SimilarityMatrix
@@ -502,14 +502,14 @@ def test_cli_surface():
 
 
 def test_dual_featurizes_each_document_once(small_corpus, make_config, monkeypatch):
-    from tweetlink import vectorize
-
-    calls = []
-    transform = vectorize.tfidf_transform
-    monkeypatch.setattr(vectorize, "tfidf_transform", lambda *a: calls.append(1) or transform(*a))
+    rows = []
+    transform = vectorize.tfidf_transform_batch
+    monkeypatch.setattr(
+        vectorize, "tfidf_transform_batch", lambda model, docs: rows.extend(docs) or transform(model, docs)
+    )
     cfg_path = make_config({"model": "dual", "train": {"epochs": 1, "joint_dim": 4, "seed": 7}})
     assert cli.main(["--config", str(cfg_path), "eval"]) == 0
-    assert len(calls) == len(small_corpus["docs"])  # 24 tweets + 8 single-piece articles
+    assert len(rows) == len(small_corpus["docs"])  # 24 tweets + 8 single-piece articles
 
 
 def test_sweep_size_needs_the_runs_article_columns(small_corpus, make_config):
@@ -521,3 +521,57 @@ def test_sweep_size_needs_the_runs_article_columns(small_corpus, make_config):
     gt = corpus.build_ground_truth(pairs.select(set(root_ids)), root_ids, reversed_articles)
     with pytest.raises(ConfigInvalidError):
         cli.sweep_size(cfg, [1], cascades, gt)
+
+
+def test_import_loads_no_scipy():
+    """scipy is imported only where LDA computes its log-likelihood, not at startup."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, tweetlink.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("sizes", ["1,x", "1.5"])
+def test_sweep_size_rejects_non_integer_sizes(small_corpus, make_config, sizes, capsys):
+    assert cli.main(["--config", str(make_config()), "sweep-size", "--sizes", sizes]) == 2
+    assert "--sizes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["documents", "pairs", "keywords", "train_pairs"])
+def test_sweep_hp_rejects_corpus_overrides(small_corpus, make_config, tmp_path, key, capsys):
+    # The corpus is loaded once for the whole grid, so such a point could not be applied.
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{}, {key: str(tmp_path / "nope.txt")}]))
+    code = cli.main(["--config", str(make_config()), "sweep-hp", "--grid", str(grid)])
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sweep_hp.json").exists()
+
+
+@pytest.mark.parametrize("strategy", ["truncate", "mean_chunks", "augment"])
+def test_dual_rows_match_per_document_encoding(small_corpus, make_config, strategy):
+    """build_vectors encodes each side in one batch; each row is the document's own encode()."""
+    cfg = RunConfig.from_file(make_config({
+        "model": "dual", "strategy": strategy,
+        "chunking": {"content_len": 6, "header_len": 5, "part_len": 4, "truncate_limit": 20},
+        "train": {"epochs": 2, "joint_dim": 5, "seed": 7},
+    }))
+    run = cli._Run(cfg)
+    tweet_rows, article_rows, encoder = run.vectors
+    tokens, trunc = run.tokens, cfg.chunking.truncate_limit
+    model = cli._fit(cfg, "tfidf", tokens, run.tweet_ids, run.article_ids)
+    for row, doc_id in zip(tweet_rows, run.tweet_ids):
+        feats = vectorize.tfidf_transform(model, textprep.truncate(tokens[doc_id], trunc))
+        assert np.array_equal(row, contrast.encode(encoder, "tweet", feats))
+    n_pieces = []
+    for row, doc_id in zip(article_rows, run.article_ids):
+        pieces = [vectorize.tfidf_transform(model, p) for p in cli._article_pieces(cfg, tokens[doc_id])]
+        n_pieces.append(len(pieces))
+        features = pieces if strategy == "mean_chunks" else pieces[0]
+        assert np.array_equal(row, contrast.encode(encoder, "article", features, strategy))
+    if strategy != "truncate":
+        assert max(n_pieces) > 1

@@ -284,6 +284,17 @@ class TestEncode:
         with pytest.raises(ValueError):
             contrast.encode(enc, "caption", np.ones(4), "truncate")
 
+    def test_batch_counts_must_cover_the_rows(self):
+        enc = self._encoder()
+        rows = np.ones((3, 5))
+        assert contrast.encode_batch(enc, "article", rows, [2, 1]).shape == (2, 3)
+        with pytest.raises(EmptyChunkListError):
+            contrast.encode_batch(enc, "article", rows, [3, 0])
+        with pytest.raises(DimMismatchError):
+            contrast.encode_batch(enc, "article", rows, [1, 1])
+        with pytest.raises(DimMismatchError):
+            contrast.encode_batch(enc, "article", np.ones(5))
+
 
 class TestPersistence:
     def test_roundtrip_bitwise(self, tmp_path):

@@ -69,6 +69,14 @@ class TestWriteMatrixCsv:
             ),
             SimilarityMatrix(("t1", ""), (), np.zeros((2, 0))),
             ClassificationMatrix(("t1", "t2"), ("a1", "a2"), [[1, -1], [-1, 1]]),
+            # Ids that csv quotes: comma, quote, line breaks; empty ids.
+            SimilarityMatrix(
+                ("t,1", 't"2', "t\n3", "t\r4", "", '"'),
+                ("a,1", 'a"2', "a\n3", ""),
+                [[-0.0, 5e-7, -5e-7, 0.0]] * 6,
+            ),
+            SimilarityMatrix(("t1", "t,2", ""), ("only",), [[-0.0], [5e-7], [-5e-7]]),
+            ClassificationMatrix(("t,1", ""), ("a\n1",), [[1], [-1]]),
         ],
     )
     def test_bytes_match_per_scalar_formatting(self, tmp_path, matrix):

@@ -1,5 +1,6 @@
-"""Property tests: the one-sort calibration and AP sweep, the row-wise
-scoring kernel, the LDA sampler and batched fold-in, the sparse-row
+"""Property tests: the one-sort calibration and AP sweep, the one-product
+scoring kernel, the batch TF-IDF transform, batched encoding, the LDA
+sampler and batched fold-in, the sparse-row
 dual-encoder training loop (against dense and per-step-gather oracles), text
 cleaning, and the JSONL reader, pair table loader and ground-truth builder
 against the oracles they replace."""
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference import (
+    _csr_rows,
     ap_reference,
     batch_loss_and_grads_reference,
     build_ground_truth_reference,
@@ -23,12 +25,20 @@ from reference import (
     lda_infer_reference,
     load_pairs_reference,
     masked_flatten_reference,
+    score_matrix_reference,
+    tfidf_reference,
+    tfidf_transform_reference,
     train_reference,
     train_stepwise_reference,
 )
 from tweetlink import contrast, corpus, evalx, linker, textprep, vectorize
-from tweetlink.errors import TweetLinkError
-from tweetlink.matrices import GroundTruthMatrix, SimilarityMatrix
+from tweetlink.errors import (
+    DimMismatchError,
+    EmptyInputError,
+    MissingEmbeddingError,
+    TweetLinkError,
+)
+from tweetlink.matrices import CsrRows, GroundTruthMatrix, SimilarityMatrix
 
 
 @st.composite
@@ -107,6 +117,159 @@ def test_score_matrix_matches_per_pair_cosine(case):
     expected = [[linker.cosine(tweets[t], articles[a]) for a in article_ids] for t in tweet_ids]
     assert sim.tweet_ids == tuple(tweet_ids) and sim.article_ids == tuple(article_ids)
     np.testing.assert_allclose(sim.values, expected, rtol=0, atol=1e-12)
+
+
+def _csr(dense) -> CsrRows:
+    return CsrRows(*_csr_rows(list(dense)), dense.shape[1])
+
+
+@st.composite
+def row_matrices(draw):
+    """Dense tweet and article rows of one width; some rows are zero, few are unit-length."""
+    dim = draw(st.integers(1, 6))
+    row = st.one_of(st.just([0.0] * dim), st.lists(coords, min_size=dim, max_size=dim))
+    tweets = draw(st.lists(row, min_size=1, max_size=6))
+    articles = draw(st.lists(row, min_size=1, max_size=6))
+    return np.array(tweets, dtype=np.float64), np.array(articles, dtype=np.float64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_matrices())
+@example((np.array([[3.0]]), np.array([[-0.5]])))
+@example((np.array([[0.0, 0.0]]), np.array([[0.0, 2.0]])))
+def test_score_matrix_kernel_matches_row_loop(case):
+    tweets, articles = case
+    t_ids = [f"t{i}" for i in range(len(tweets))]
+    a_ids = [f"a{j}" for j in range(len(articles))]
+    expected = score_matrix_reference(dict(zip(t_ids, tweets)), dict(zip(a_ids, articles)), t_ids, a_ids)
+    inputs = [
+        (_csr(tweets), articles),  # sparse tweets x dense articles, the tfidf path
+        (tweets, articles),  # dense x dense, the lda / external / dual path
+        (_csr(tweets), _csr(articles)),
+        (dict(zip(t_ids, tweets)), dict(zip(a_ids, articles))),
+    ]
+    for t_rows, a_rows in inputs:
+        sim = linker.score_matrix(t_rows, a_rows, t_ids, a_ids)
+        assert sim.tweet_ids == tuple(t_ids) and sim.article_ids == tuple(a_ids)
+        np.testing.assert_allclose(sim.values, expected, rtol=0, atol=1e-15)
+        assert not sim.values[~tweets.any(axis=1)].any()
+        assert not sim.values[:, ~articles.any(axis=1)].any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_matrices(), st.integers(1, 40))
+def test_sparse_dots_do_not_depend_on_blocking(case, cells):
+    tweets, articles = case
+    csr = _csr(tweets)
+    whole = linker._sparse_dots(csr, articles)  # one block at these sizes
+    saved = linker._GATHER_CELLS
+    linker._GATHER_CELLS = cells
+    try:
+        blocked = linker._sparse_dots(csr, articles)
+    finally:
+        linker._GATHER_CELLS = saved
+    assert np.array_equal(blocked, whole)
+    np.testing.assert_allclose(whole, tweets @ articles.T, rtol=0, atol=1e-13)
+
+
+def _error_type(fn, *args):
+    try:
+        fn(*args)
+    except TweetLinkError as exc:
+        return type(exc)
+    return None
+
+
+def test_score_matrix_errors_match_row_loop():
+    t, a = {"t": [1.0, 0.0]}, {"a": [1.0, 0.0]}
+    cases = [
+        (t, a, ["t"], ["a", "ghost"], MissingEmbeddingError),
+        (t, {"a": [1.0, 0.0, 0.0]}, ["t"], ["a"], DimMismatchError),
+        ({"t": [[1.0, 0.0]]}, {"a": [[1.0, 0.0]]}, ["t"], ["a"], DimMismatchError),
+        (t, a, [], ["a"], EmptyInputError),
+        (t, a, ["t"], [], EmptyInputError),
+    ]
+    for tweets, articles, t_ids, a_ids, error in cases:
+        assert _error_type(linker.score_matrix, tweets, articles, t_ids, a_ids) is error
+        assert _error_type(score_matrix_reference, tweets, articles, t_ids, a_ids) is error
+    rows = np.eye(2)
+    for tweets, articles, t_ids in [
+        (_csr(rows), np.ones((1, 3)), ["t0", "t1"]),  # widths differ
+        (_csr(rows), np.ones((1, 2)), ["t0"]),  # fewer ids than rows
+        (rows[0], np.ones((1, 2)), ["t0"]),  # not a row matrix
+    ]:
+        assert _error_type(linker.score_matrix, tweets, articles, t_ids, ["a0"]) is DimMismatchError
+    assert _error_type(linker.score_matrix, np.zeros((0, 2)), rows, [], ["a0", "a1"]) is EmptyInputError
+
+
+@st.composite
+def tfidf_cases(draw):
+    """A fitted vocabulary and query documents: empty, all out-of-vocabulary,
+    mixed, and a few tokens repeated many times."""
+    vocab = [f"w{i}" for i in range(draw(st.integers(1, 10)))]
+    fit_docs = draw(st.lists(st.lists(st.sampled_from(vocab), max_size=8), max_size=6))
+    fit_docs.append(draw(st.lists(st.sampled_from(vocab), min_size=1, max_size=8)))
+    token = st.sampled_from(vocab + ["oov1", "oov2"])
+    query = st.one_of(
+        st.just([]),
+        st.lists(st.sampled_from(["oov1", "oov2"]), min_size=1, max_size=3),
+        st.lists(token, max_size=12),
+        st.tuples(st.lists(token, min_size=1, max_size=2), st.integers(2, 9)).map(
+            lambda case: case[0] * case[1]
+        ),
+    )
+    return fit_docs, draw(st.lists(query, max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tfidf_cases())
+def test_tfidf_transform_batch_matches_references(case):
+    fit_docs, queries = case
+    model = vectorize.tfidf_fit(fit_docs)
+    _idf, transform = tfidf_reference(fit_docs)
+    rows = vectorize.tfidf_transform_batch(model, queries)
+    assert rows.shape == (len(queries), model.vocab.size)
+    dense = rows.toarray()
+    for r, doc in enumerate(queries):
+        cols = rows.indices[rows.indptr[r] : rows.indptr[r + 1]]
+        assert (np.diff(cols) > 0).all() and (rows.data[rows.indptr[r] : rows.indptr[r + 1]] > 0).all()
+        np.testing.assert_allclose(dense[r], tfidf_transform_reference(model, doc), rtol=0, atol=1e-15)
+        by_hand = np.zeros(model.vocab.size)
+        for term, weight in transform(doc).items():
+            by_hand[model.vocab.index[term]] = weight
+        np.testing.assert_allclose(dense[r], by_hand, rtol=0, atol=1e-15)
+        assert np.array_equal(vectorize.tfidf_transform(model, doc), dense[r])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(contrast.STRATEGIES),
+    st.sampled_from(["none", "tanh"]),
+)
+def test_encode_batch_matches_per_document_encode(seed, strategy, nonlinearity):
+    rng = np.random.default_rng(seed)
+    d, in_t, in_a = (int(n) for n in rng.integers(1, 8, size=3))
+    encoder = contrast.DualEncoder(
+        tweet_map=contrast.AffineMap(rng.normal(size=(d, in_t)), rng.normal(size=d)),
+        article_map=contrast.AffineMap(rng.normal(size=(d, in_a)), rng.normal(size=d)),
+        nonlinearity=nonlinearity,
+    )
+    n_docs = int(rng.integers(1, 6))
+    # Some rows are zero, as all-out-of-vocabulary documents are.
+    tweets = rng.normal(size=(n_docs, in_t)) * rng.integers(0, 2, size=(n_docs, 1))
+    counts = rng.integers(1, 4, size=n_docs) if strategy == "mean_chunks" else np.ones(n_docs, int)
+    pieces = rng.normal(size=(int(counts.sum()), in_a))
+    starts = np.cumsum(counts) - counts
+
+    got = contrast.encode_batch(encoder, "tweet", tweets)
+    for row, x in zip(got, tweets):
+        assert np.array_equal(row, contrast.encode(encoder, "tweet", x, strategy))
+    got = contrast.encode_batch(encoder, "article", pieces, counts)
+    for row, start, n in zip(got, starts, counts):
+        features = pieces[start : start + n] if strategy == "mean_chunks" else pieces[start]
+        expected = contrast.encode(encoder, "article", features, strategy)
+        assert np.array_equal(row, expected)
 
 
 @st.composite
