@@ -27,7 +27,7 @@ import argparse
 import copy
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -46,6 +46,7 @@ from .errors import (
     UnknownIdError,
 )
 from .matrices import (
+    CSV_DECIMALS,
     CsrRows,
     GroundTruthMatrix,
     SimilarityMatrix,
@@ -66,6 +67,13 @@ class LdaParams:
     beta: float = 0.01
     iters: int = 100
     infer_iters: int = 50
+    sampler: str = "documents"
+
+    def __post_init__(self):
+        if self.sampler not in vectorize.LDA_SAMPLERS:
+            raise ValueError(
+                f"lda sampler must be one of {vectorize.LDA_SAMPLERS}, got {self.sampler!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -316,7 +324,7 @@ def _fit(cfg: RunConfig, kind: str, tokens, tweet_ids, article_ids):
     if kind == "lda":
         return vectorize.lda_fit(
             docs, n_topics=cfg.lda.n_topics, alpha=cfg.lda.alpha, beta=cfg.lda.beta,
-            iters=cfg.lda.iters, seed=cfg.seed,
+            iters=cfg.lda.iters, seed=cfg.seed, sampler=cfg.lda.sampler,
         )
     return vectorize.tfidf_fit(docs)
 
@@ -408,28 +416,52 @@ def run_pipeline(run: _Run | RunConfig) -> tuple[SimilarityMatrix, evalx.Metrics
     """
     run = _as_run(run)
     cfg, sim, gt = run.cfg, run.similarity, run.ground_truth
+    # The labeled cells are flattened and sorted once: calibration's sweep
+    # also gives the AP, and thresholding them equals masking classify().
+    scores, labels = evalx.masked_pairs(sim.values, gt)
     calibrated = cfg.threshold is None
-    threshold = linker.calibrate_threshold(sim, gt)[0] if calibrated else cfg.threshold
-    report = evalx.evaluate_masked(sim.values, linker.classify(sim, threshold).values, gt)
+    if calibrated:
+        threshold, _f1, sweep = linker._calibrate_masked(scores, labels)
+    else:
+        threshold = cfg.threshold
+    preds = np.where(scores >= threshold, 1, -1).astype(np.int8)
+    report = evalx.binary_metrics(preds, labels)
+    ap = evalx._sweep_ap(sweep) if calibrated else evalx.average_precision(scores, labels)
+    report = replace(report, average_precision=ap)
 
     out = _out_dir(cfg)
     write_matrix_csv(sim, out / "similarity.csv")
     encoder = run.vectors[2]
+    summary = {
+        "model": cfg.model,
+        "threshold": threshold,
+        "calibrated": calibrated,
+        "metrics": report.to_dict(),
+        "n_tweets": len(sim.tweet_ids),
+        "n_articles": len(sim.article_ids),
+    }
     if encoder is not None:
         contrast.save_encoder(encoder, out / "encoder.json", cfg.train)
-    _write_json(
-        out / "report.json",
-        {
-            "model": cfg.model,
-            "threshold": threshold,
-            "calibrated": calibrated,
-            "metrics": report.to_dict(),
-            "n_tweets": len(sim.tweet_ids),
-            "n_articles": len(sim.article_ids),
-        },
-        exact=True,
-    )
+        overlap = _train_eval_overlap(run.train_positives, gt)
+        summary["n_train_eval_overlap"] = overlap
+        if overlap:
+            print(
+                f"warning: {overlap} evaluated match pairs were also trained on; "
+                "set train_pairs to evaluate on unseen pairs",
+                file=sys.stderr,
+            )
+    _write_json(out / "report.json", summary, exact=True)
     return sim, report
+
+
+def _train_eval_overlap(train_positives, gt: GroundTruthMatrix) -> int:
+    """Distinct training match pairs that are labeled cells of `gt`, i.e. evaluated."""
+    row = {t: i for i, t in enumerate(gt.tweet_ids)}
+    col = {a: j for j, a in enumerate(gt.article_ids)}
+    return sum(
+        1 for t, a in set(train_positives)
+        if t in row and a in col and gt.values[row[t], col[a]] != 0
+    )
 
 
 def split_by_article(article_ids, match_pairs, seed: int, val_fraction: float = 0.5):
@@ -654,8 +686,12 @@ def _cmd_calibrate(run: _Run, args) -> None:
     if args.matrix:
         run.similarity = read_similarity_csv(args.matrix)
     threshold, f1 = linker.calibrate_threshold(run.similarity, run.ground_truth)
-    out = _out_dir(run.cfg) / "threshold.json"
-    _write_json(out, {"threshold": threshold, "f1": f1}, exact=True)
+    result = {"threshold": threshold, "f1": f1}
+    if args.matrix:
+        # The CSV's rounded cells, not the scores the model computed.
+        result["score_decimals"] = CSV_DECIMALS
+        result["max_score_error"] = 0.5 * 10.0**-CSV_DECIMALS
+    _write_json(_out_dir(run.cfg) / "threshold.json", result, exact=True)
 
 
 def _cmd_eval(run: _Run, args) -> None:

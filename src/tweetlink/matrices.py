@@ -116,14 +116,20 @@ def _check_shape(values: np.ndarray, tweet_ids, article_ids) -> None:
         )
 
 
+# Decimals of the float cells write_matrix_csv writes: a cell read back is
+# within half a unit of the last decimal of the value written.
+CSV_DECIMALS = 6
+
+
 def write_matrix_csv(matrix, path) -> None:
     """Export with article ids as the header row and tweet ids as the first column.
 
-    Floats are fixed at 6 decimals so identical runs emit identical bytes.
+    Floats are fixed at CSV_DECIMALS decimals so identical runs emit identical bytes.
     """
     n_cols = len(matrix.article_ids)
+    cell = f"%.{CSV_DECIMALS}f" if matrix.values.dtype.kind == "f" else "%d"
     # csv.writer's dialect: comma-separated, "\r\n"-terminated lines.
-    cells = ("," + ("%.6f" if matrix.values.dtype.kind == "f" else "%d")) * n_cols + "\r\n"
+    cells = ("," + cell) * n_cols + "\r\n"
     quoted = io.StringIO()
     quote = csv.writer(quoted)
     with open(path, "w", newline="", encoding="utf-8") as fh:

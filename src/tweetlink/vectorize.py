@@ -7,9 +7,12 @@ transformed into one sparse row matrix (CSR arrays), since a document holds
 a handful of the vocabulary's terms.
 
 LDA is fitted with collapsed Gibbs sampling, which keeps runs deterministic
-per seed and needs nothing beyond integer count tables. Inference folds new
-documents in against frozen topic-word distributions, batched across
-documents: each row equals the per-document fold-in bit for bit.
+per seed and needs nothing beyond integer count tables. The default sampler
+steps every document's token j at once (AD-LDA with one document per worker;
+Newman, Asuncion, Smyth & Welling, JMLR 2009); the sequential sampler updates
+the counts after every token. Inference folds new documents in against
+frozen topic-word distributions, batched across documents the same way: each
+row equals the per-document fold-in bit for bit.
 """
 
 from __future__ import annotations
@@ -75,6 +78,7 @@ class LdaModel:
     # Joint log p(words, assignments) from the final Gibbs counts; a training
     # diagnostic that grows as sampling settles.
     log_likelihood: float = float("nan")
+    sampler: str = "documents"  # one of LDA_SAMPLERS
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,6 +138,10 @@ def tfidf_transform_batch(model: TfidfModel, docs: list[TokenSeq]) -> CsrRows:
 
 # --- LDA ------------------------------------------------------------------
 
+# "documents": all documents step token position j together (the default);
+# "sequential": one token at a time, the counts updated after each.
+LDA_SAMPLERS = ("documents", "sequential")
+
 
 def _doc_word_ids(docs: list[TokenSeq], vocab: Vocabulary) -> list[np.ndarray]:
     return [
@@ -160,6 +168,27 @@ def _check_prior(name: str, prior: float) -> None:
         raise ConfigInvalidError(f"lda {name} must be finite and > 0, got {prior!r}")
 
 
+def _position_major(lens):
+    """Position-major ragged layout of documents with lens[d] >= 1 tokens each.
+
+    Documents are ranked longest first (ties keep their order), so the
+    documents that have a token j are ranks 0..active[j]-1, and token j of
+    rank r sits at flat index starts[j] + r: no row is padded. Returns
+    (rank, starts, active, slot); slot[i] is the flat index of the i-th token
+    of the documents concatenated in their given order.
+    """
+    lens = np.asarray(lens, dtype=np.int64)
+    order = np.argsort(-lens, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(lens))
+    by_len = lens[order]
+    active = len(lens) - np.searchsorted(by_len[::-1], np.arange(by_len[0]), side="right")
+    starts = np.concatenate(([0], np.cumsum(active)))
+    position = np.arange(by_len.sum()) - np.repeat(np.cumsum(lens) - lens, lens)
+    slot = starts[position] + np.repeat(rank, lens)
+    return rank, starts, active, slot
+
+
 def lda_fit(
     docs: list[TokenSeq],
     n_topics: int,
@@ -167,17 +196,22 @@ def lda_fit(
     beta: float = 0.01,
     iters: int = 100,
     seed: int = 0,
+    sampler: str = "documents",
 ) -> LdaModel:
     """Collapsed Gibbs sampling over token-topic assignments.
 
     Defaults follow the common heuristic alpha = 50 / n_topics, beta = 0.01.
-    phi is read off the final count tables with beta smoothing, so every
-    entry is strictly positive and each row sums to one.
+    `sampler` is one of LDA_SAMPLERS; both draw the same generator stream and
+    agree bit for bit on a one-document corpus. phi is read off the final
+    count tables with beta smoothing, so every entry is strictly positive and
+    each row sums to one.
     """
     if n_topics < 1:
         raise DegenerateKError("n_topics must be >= 1")
     if iters < 1:
         raise ValueError("iters must be >= 1")
+    if sampler not in LDA_SAMPLERS:
+        raise ConfigInvalidError(f"lda sampler must be one of {LDA_SAMPLERS}, got {sampler!r}")
     if alpha is not None:
         _check_prior("alpha", alpha)
     _check_prior("beta", beta)
@@ -189,7 +223,27 @@ def lda_fit(
 
     vocab = Vocabulary.from_terms(tok for doc in nonempty for tok in doc)
     word_ids = [[vocab.index[t] for t in doc] for doc in nonempty]
-    vocab_size = vocab.size
+    beta_sum = vocab.size * beta
+    rng = np.random.default_rng(seed)
+    if sampler == "sequential":
+        n_kw, n_k, n_dk = _sequential_gibbs(word_ids, n_topics, vocab.size, alpha, beta, iters, rng)
+    else:
+        gibbs = _DocumentGibbs(word_ids, n_topics, vocab.size, alpha, beta, rng)
+        for _ in range(iters):
+            gibbs.sweep(rng.random(len(gibbs.words)))
+        n_kw, n_k, n_dk = gibbs.counts()
+
+    phi = (n_kw + beta) / (n_k + beta_sum)[:, None]
+    doc_lens = np.array([len(w) for w in word_ids], dtype=np.int64)
+    ll = _gibbs_counts_ll(n_kw, n_k, n_dk, doc_lens, alpha, beta)
+    return LdaModel(
+        n_topics=n_topics, alpha=alpha, beta=beta, phi=phi, vocab=vocab, seed=seed,
+        log_likelihood=ll, sampler=sampler,
+    )
+
+
+def _sequential_gibbs(word_ids, n_topics, vocab_size, alpha, beta, iters, rng):
+    """Token-by-token sweeps; returns the (n_kw, n_k, n_dk) int64 count tables."""
     n_docs = len(word_ids)
     n_tokens = sum(len(words) for words in word_ids)
 
@@ -197,7 +251,6 @@ def lda_fit(
     # factors (count + prior) of the sampling weight are cached per topic and
     # rewritten from the integer count after every change, never nudged by
     # +-1, so each one rounds exactly as (count + prior) does.
-    rng = np.random.default_rng(seed)
     n_dk = [[0] * n_topics for _ in range(n_docs)]
     n_wk = [[0] * n_topics for _ in range(vocab_size)]  # word-major
     n_k = [0] * n_topics
@@ -248,14 +301,76 @@ def lda_fit(
     # Topic-major and C-contiguous: gammaln(...).sum() adds pairwise in memory
     # order, and a transposed view would round the log-likelihood differently.
     n_kw = np.ascontiguousarray(np.array(n_wk, dtype=np.int64).T)
-    n_k = np.array(n_k, dtype=np.int64)
-    phi = (n_kw + beta) / (n_k + beta_sum)[:, None]
-    doc_lens = np.array([len(w) for w in word_ids], dtype=np.int64)
-    ll = _gibbs_counts_ll(n_kw, n_k, np.array(n_dk, dtype=np.int64), doc_lens, alpha, beta)
-    return LdaModel(
-        n_topics=n_topics, alpha=alpha, beta=beta, phi=phi, vocab=vocab, seed=seed,
-        log_likelihood=ll,
-    )
+    return n_kw, np.array(n_k, dtype=np.int64), np.array(n_dk, dtype=np.int64)
+
+
+class _DocumentGibbs:
+    """Document-parallel collapsed Gibbs state (AD-LDA, one document per worker).
+
+    Each document is still sampled token by token in order, but all documents
+    take their token j in one step of the position-major layout: the step
+    removes the active documents' old assignments from every count table,
+    draws each new topic from one (active, n_topics) block of weights, and
+    adds the new assignments back. Within a step the documents see each
+    other's word and topic counts as of the step's start. Counts are floats
+    holding whole numbers, so count + prior rounds as it does from an integer
+    count: on one document every draw equals the sequential sweep's.
+    """
+
+    def __init__(self, word_ids, n_topics, vocab_size, alpha, beta, rng):
+        lens = [len(words) for words in word_ids]
+        self.rank, self.starts, self.active, self.slot = _position_major(lens)
+        self.n_topics, self.alpha, self.beta = n_topics, alpha, beta
+        self.beta_sum = vocab_size * beta
+        n_tokens = len(self.slot)
+        # words[i], z[i]: the word and topic of flat token i.
+        self.words = np.empty(n_tokens, dtype=np.int64)
+        self.words[self.slot] = np.fromiter(chain.from_iterable(word_ids), np.int64, n_tokens)
+        self.z = np.empty(n_tokens, dtype=np.int64)
+        # Initial topics per document in document order: the sequential draws.
+        self.z[self.slot] = np.concatenate([rng.integers(0, n_topics, size=n) for n in lens])
+        doc = np.empty(n_tokens, dtype=np.int64)
+        doc[self.slot] = np.repeat(self.rank, lens)
+        self.n_dk = np.zeros((len(lens), n_topics))  # rows by rank
+        self.n_wk = np.zeros((vocab_size, n_topics))  # word-major
+        np.add.at(self.n_dk, (doc, self.z), 1)
+        np.add.at(self.n_wk, (self.words, self.z), 1)
+        self.n_k = np.bincount(self.z, minlength=n_topics).astype(np.float64)
+        self._row_base = np.arange(0, self.n_dk.size, n_topics)  # n_dk[r, k] is at r * K + k
+        self._word_base = self.words * n_topics  # n_wk[w, k] is at w * K + k
+        self._u = np.empty((n_tokens, 1))
+
+    def sweep(self, uniforms: np.ndarray) -> None:
+        """One sweep, drawing with uniforms[i] for the i-th token in document order."""
+        n_topics, alpha, beta, beta_sum = self.n_topics, self.alpha, self.beta, self.beta_sum
+        words, z, u = self.words, self.z, self._u
+        u[self.slot, 0] = uniforms
+        dk, wk, n_k = self.n_dk.reshape(-1), self.n_wk.reshape(-1), self.n_k
+        row_base, word_base = self._row_base, self._word_base
+        accumulate, reduce, bincount = np.add.accumulate, np.add.reduce, np.bincount
+        subtract_at, add_at = np.subtract.at, np.add.at
+        for lo, a in zip(self.starts.tolist(), self.active.tolist()):
+            hi = lo + a
+            old = z[lo:hi]
+            # One token per active document: the n_dk cells are distinct, the
+            # n_wk cells may repeat, hence ufunc.at there.
+            dk[row_base[:a] + old] -= 1
+            subtract_at(wk, word_base[lo:hi] + old, 1)
+            n_k -= bincount(old, minlength=n_topics)
+            p = (self.n_dk[:a] + alpha) * (self.n_wk[words[lo:hi]] + beta) / (n_k + beta_sum)
+            cum = accumulate(p, axis=1)
+            # Counting cum < target is searchsorted(cum, target, side="left").
+            new = reduce(cum < u[lo:hi] * cum[:, -1:], axis=1)
+            z[lo:hi] = new
+            dk[row_base[:a] + new] += 1
+            add_at(wk, word_base[lo:hi] + new, 1)
+            n_k += bincount(new, minlength=n_topics)
+
+    def counts(self):
+        """(n_kw, n_k, n_dk) as int64, n_kw topic-major and n_dk in document order,
+        laid out as the sequential sampler returns them."""
+        n_kw = np.ascontiguousarray(self.n_wk.T.astype(np.int64))
+        return n_kw, self.n_k.astype(np.int64), self.n_dk[self.rank].astype(np.int64)
 
 
 def lda_infer(model: LdaModel, doc: TokenSeq, iters: int = 50, seed: int = 0) -> np.ndarray:
@@ -279,30 +394,23 @@ def lda_infer_batch(
     theta = np.full((len(docs), n_topics), 1.0 / n_topics)
     word_ids = _doc_word_ids(docs, model.vocab)
     known = [d for d in range(len(docs)) if len(word_ids[d])]
-    order = sorted(known, key=lambda d: -len(word_ids[d]))
-    if not order:
+    if not known:
         return theta
-    lens = np.array([len(word_ids[d]) for d in order], dtype=np.int64)
-    n_docs = len(order)
-    # Position-major ragged layout: token j of the active documents 0..a-1
-    # sits at flat[starts[j]:starts[j] + a], so no row is padded.
-    active = n_docs - np.searchsorted(lens[::-1], np.arange(lens[0]), side="right")
-    starts = np.concatenate(([0], np.cumsum(active)))
-    # slot[r]: flat index of the r-th token in document-major order.
-    slot = np.concatenate([starts[:n] + i for i, n in enumerate(lens.tolist())])
+    lens = [len(word_ids[d]) for d in known]
+    rank, starts, active, slot = _position_major(lens)
     flat = np.empty(len(slot), dtype=np.int64)
-    flat[slot] = np.concatenate([word_ids[d] for d in order])
+    flat[slot] = np.concatenate([word_ids[d] for d in known])
     phi_t = np.ascontiguousarray(model.phi.T)  # (vocab, n_topics): phi[:, w] as a row
 
-    rngs = [np.random.default_rng(seed) for _ in order]
+    rngs = [np.random.default_rng(seed) for _ in known]
     z0 = np.concatenate([rng.integers(0, n_topics, size=n) for rng, n in zip(rngs, lens)])
     # Whole numbers held as floats: exact, and count + alpha rounds as it does
-    # from an integer count.
-    counts = np.zeros((n_docs, n_topics))
-    cells = counts.reshape(-1)  # counts[d, k] is cells[row_base[d] + k]
-    row_base = np.arange(0, n_docs * n_topics, n_topics)
+    # from an integer count. Rows by rank, so the active documents are a prefix.
+    counts = np.zeros((len(known), n_topics))
+    cells = counts.reshape(-1)  # counts[r, k] is cells[row_base[r] + k]
+    row_base = np.arange(0, counts.size, n_topics)
     cell = np.empty_like(flat)  # each token's topic as its counts cell
-    cell[slot] = np.repeat(row_base, lens) + z0
+    cell[slot] = np.repeat(row_base[rank], lens) + z0
     np.add.at(cells, cell, 1)
     u = np.empty((len(slot), 1))
     accumulate, reduce = np.add.accumulate, np.add.reduce
@@ -319,7 +427,7 @@ def lda_infer_batch(
             new = row_base[:a] + reduce(cum < u[lo:hi] * cum[:, -1:], axis=1)
             cell[lo:hi] = new
             cells[new] += 1
-    theta[order] = (counts + alpha) / (lens + n_topics * alpha)[:, None]
+    theta[known] = (counts[rank] + alpha) / (np.array(lens) + n_topics * alpha)[:, None]
     return theta
 
 
@@ -378,6 +486,8 @@ def load_tfidf(path) -> TfidfModel:
 
 
 def save_lda(model: LdaModel, path) -> None:
+    """Write the model as JSON. A file without a "sampler" key was fitted by the
+    sequential sampler, as every file written before the key existed was."""
     payload = {
         "format": "lda",
         "version": 1,
@@ -389,6 +499,8 @@ def save_lda(model: LdaModel, path) -> None:
         "vocab": model.vocab.terms(),
         "phi": [[float(v) for v in row] for row in model.phi],
     }
+    if model.sampler != "sequential":
+        payload["sampler"] = model.sampler
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True)
         fh.write("\n")
@@ -402,6 +514,11 @@ def load_lda(path) -> LdaModel:
     beta = float(payload["beta"])
     _check_prior("alpha", alpha)
     _check_prior("beta", beta)
+    sampler = payload.get("sampler", "sequential")
+    if sampler not in LDA_SAMPLERS:
+        raise ConfigInvalidError(
+            f"{path}: lda sampler must be one of {LDA_SAMPLERS}, got {sampler!r}"
+        )
     try:
         phi = np.asarray(payload["phi"], dtype=np.float64)
     except (TypeError, ValueError):
@@ -420,6 +537,7 @@ def load_lda(path) -> LdaModel:
         vocab=vocab,
         seed=int(payload["seed"]),
         log_likelihood=float(payload["log_likelihood"]),
+        sampler=sampler,
     )
 
 

@@ -1,6 +1,6 @@
 """Property tests: the one-sort calibration and AP sweep, the one-product
 scoring kernel, the batch TF-IDF transform, batched encoding, the LDA
-sampler and batched fold-in, the sparse-row
+samplers and batched fold-in, the sparse-row
 dual-encoder training loop (against dense and per-step-gather oracles), text
 cleaning, and the JSONL reader, pair table loader and ground-truth builder
 against the oracles they replace."""
@@ -296,10 +296,47 @@ def lda_cases(draw):
 @settings(max_examples=100, deadline=None)
 @given(lda_cases())
 def test_lda_fit_matches_reference(case):
-    model = vectorize.lda_fit(**case)
+    model = vectorize.lda_fit(**case, sampler="sequential")
     phi, log_likelihood = lda_fit_reference(**case)
     assert np.array_equal(model.phi, phi)
     assert model.log_likelihood == log_likelihood
+
+
+@settings(max_examples=100, deadline=None)
+@given(lda_cases())
+def test_lda_documents_sampler_on_one_document_matches_reference(case):
+    """With one nonempty document the parallel steps are the sequential sweep."""
+    first = next(i for i, doc in enumerate(case["docs"]) if doc)
+    case["docs"] = [doc if i == first else [] for i, doc in enumerate(case["docs"])]
+    model = vectorize.lda_fit(**case, sampler="documents")
+    phi, log_likelihood = lda_fit_reference(**case)
+    assert np.array_equal(model.phi, phi)
+    assert model.log_likelihood == log_likelihood
+
+
+@settings(max_examples=100, deadline=None)
+@given(lda_cases())
+def test_lda_documents_sweep_keeps_counts_equal_to_assignments(case):
+    docs = [doc for doc in case["docs"] if doc]
+    vocab = vectorize.Vocabulary.from_terms(t for doc in docs for t in doc)
+    word_ids = [[vocab.index[t] for t in doc] for doc in docs]
+    n_topics, beta = case["n_topics"], case["beta"]
+    rng = np.random.default_rng(case["seed"])
+    gibbs = vectorize._DocumentGibbs(word_ids, n_topics, vocab.size, 0.5, beta, rng)
+    words = np.concatenate(word_ids)
+    doc_of = np.repeat(np.arange(len(docs)), [len(w) for w in word_ids])
+    for _ in range(case["iters"] + 1):
+        z = gibbs.z[gibbs.slot]  # topics in document order
+        n_dk = np.zeros((len(docs), n_topics), dtype=np.int64)
+        n_kw = np.zeros((n_topics, vocab.size), dtype=np.int64)
+        np.add.at(n_dk, (doc_of, z), 1)
+        np.add.at(n_kw, (z, words), 1)
+        got_kw, got_k, got_dk = gibbs.counts()
+        assert np.array_equal(got_kw, n_kw)
+        assert np.array_equal(got_k, n_kw.sum(axis=1))
+        assert np.array_equal(got_dk, n_dk)
+        assert np.array_equal(gibbs.words[gibbs.slot], words)
+        gibbs.sweep(rng.random(len(words)))
 
 
 @settings(max_examples=100, deadline=None)
