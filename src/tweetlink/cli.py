@@ -27,7 +27,7 @@ import argparse
 import copy
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -67,13 +67,6 @@ class LdaParams:
     beta: float = 0.01
     iters: int = 100
     infer_iters: int = 50
-    sampler: str = "documents"
-
-    def __post_init__(self):
-        if self.sampler not in vectorize.LDA_SAMPLERS:
-            raise ValueError(
-                f"lda sampler must be one of {vectorize.LDA_SAMPLERS}, got {self.sampler!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -324,7 +317,7 @@ def _fit(cfg: RunConfig, kind: str, tokens, tweet_ids, article_ids):
     if kind == "lda":
         return vectorize.lda_fit(
             docs, n_topics=cfg.lda.n_topics, alpha=cfg.lda.alpha, beta=cfg.lda.beta,
-            iters=cfg.lda.iters, seed=cfg.seed, sampler=cfg.lda.sampler,
+            iters=cfg.lda.iters, seed=cfg.seed,
         )
     return vectorize.tfidf_fit(docs)
 
@@ -416,18 +409,9 @@ def run_pipeline(run: _Run | RunConfig) -> tuple[SimilarityMatrix, evalx.Metrics
     """
     run = _as_run(run)
     cfg, sim, gt = run.cfg, run.similarity, run.ground_truth
-    # The labeled cells are flattened and sorted once: calibration's sweep
-    # also gives the AP, and thresholding them equals masking classify().
-    scores, labels = evalx.masked_pairs(sim.values, gt)
     calibrated = cfg.threshold is None
-    if calibrated:
-        threshold, _f1, sweep = linker._calibrate_masked(scores, labels)
-    else:
-        threshold = cfg.threshold
-    preds = np.where(scores >= threshold, 1, -1).astype(np.int8)
-    report = evalx.binary_metrics(preds, labels)
-    ap = evalx._sweep_ap(sweep) if calibrated else evalx.average_precision(scores, labels)
-    report = replace(report, average_precision=ap)
+    threshold = linker.calibrate_threshold(sim, gt)[0] if calibrated else cfg.threshold
+    report = evalx.evaluate_masked(sim.values, linker.classify(sim, threshold).values, gt)
 
     out = _out_dir(cfg)
     write_matrix_csv(sim, out / "similarity.csv")
@@ -441,8 +425,8 @@ def run_pipeline(run: _Run | RunConfig) -> tuple[SimilarityMatrix, evalx.Metrics
         "n_articles": len(sim.article_ids),
     }
     if encoder is not None:
-        contrast.save_encoder(encoder, out / "encoder.json", cfg.train)
         overlap = _train_eval_overlap(run.train_positives, gt)
+        contrast.save_encoder(encoder, out / "encoder.json", cfg.train)
         summary["n_train_eval_overlap"] = overlap
         if overlap:
             print(

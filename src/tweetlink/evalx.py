@@ -10,7 +10,7 @@ as 0, matching how an all-negative classifier is conventionally reported.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,13 +98,8 @@ def average_precision(scores, labels) -> float:
     if total_pos == 0:
         raise NoPositivesError("average_precision needs at least one positive label")
 
-    return _sweep_ap(_ranked_sweep(scores, labels))
-
-
-def _sweep_ap(sweep) -> float:
-    """Average precision from a _ranked_sweep whose pairs include a positive."""
-    _, tp, kept = sweep
-    recall = tp / tp[-1]
+    _, tp, kept = _ranked_sweep(scores, labels)
+    recall = tp / total_pos
     steps = np.diff(recall, prepend=0.0) * (tp / kept)
     # cumsum adds strictly left to right, as a loop over the steps would.
     return float(np.cumsum(steps)[-1])
@@ -144,7 +139,15 @@ def evaluate_masked(sim_values, cls_values, gt: GroundTruthMatrix) -> MetricsRep
     scores, labels = masked_pairs(sim_values, gt)
     preds, _ = masked_pairs(cls_values, gt)
     report = binary_metrics(preds.astype(np.int8), labels)
-    return replace(report, average_precision=average_precision(scores, labels))
+    ap = average_precision(scores, labels)
+    return MetricsReport(
+        accuracy=report.accuracy,
+        precision=report.precision,
+        recall=report.recall,
+        f1=report.f1,
+        n_evaluated=report.n_evaluated,
+        average_precision=ap,
+    )
 
 
 def consensus_score(records, threshold: float = 0.5) -> dict[tuple[str, str], ConsensusEntry]:

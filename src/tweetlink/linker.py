@@ -161,20 +161,13 @@ def calibrate_threshold(sim: SimilarityMatrix, gt: GroundTruthMatrix) -> tuple[f
     threshold. One sort of the labeled cells gives every candidate's counts,
     so the scan costs O(n log n) in the number of labeled cells.
     """
-    threshold, f1, _sweep = _calibrate_masked(*evalx.masked_pairs(sim.values, gt))
-    return threshold, f1
-
-
-def _calibrate_masked(scores, labels) -> tuple[float, float, tuple]:
-    """calibrate_threshold on flattened labeled cells; also returns the
-    evalx._ranked_sweep it scanned, so AP can reuse the one sort."""
+    scores, labels = evalx.masked_pairs(sim.values, gt)
     if scores.size == 0:
         raise NoLabeledCellsError("calibration needs at least one labeled cell")
     if not (labels == 1).any():
         raise NoPositivesError("calibration needs at least one positive cell")
 
-    sweep = evalx._ranked_sweep(scores, labels)
-    ranked, tp_ge, kept_ge = sweep
+    ranked, tp_ge, kept_ge = evalx._ranked_sweep(scores, labels)
     distinct, tp_ge, kept_ge = ranked[::-1], tp_ge[::-1], kept_ge[::-1]
     candidates = np.concatenate(
         [
@@ -196,4 +189,4 @@ def _calibrate_masked(scores, labels) -> tuple[float, float, tuple]:
         recall = tp / total_pos
         f1 = np.where(precision + recall > 0, 2 * precision * recall / (precision + recall), 0.0)
     best = int(np.argmax(f1))  # the first maximum: ties go to the smallest threshold
-    return float(candidates[best]), float(f1[best]), sweep
+    return float(candidates[best]), float(f1[best])

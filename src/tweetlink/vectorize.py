@@ -7,12 +7,13 @@ transformed into one sparse row matrix (CSR arrays), since a document holds
 a handful of the vocabulary's terms.
 
 LDA is fitted with collapsed Gibbs sampling, which keeps runs deterministic
-per seed and needs nothing beyond integer count tables. The default sampler
-steps every document's token j at once (AD-LDA with one document per worker;
-Newman, Asuncion, Smyth & Welling, JMLR 2009); the sequential sampler updates
-the counts after every token. Inference folds new documents in against
-frozen topic-word distributions, batched across documents the same way: each
-row equals the per-document fold-in bit for bit.
+per seed and needs nothing beyond integer count tables. Every document is
+sampled token by token, and all documents take their token j in one step:
+each draws against the counts as of the step's start without its own token,
+AD-LDA's update (Newman, Asuncion, Smyth & Welling, JMLR 2009) with one
+document per worker and the counts merged after every step. Inference folds
+new documents in against frozen topic-word distributions, batched across
+documents the same way: each row equals the per-document fold-in bit for bit.
 """
 
 from __future__ import annotations
@@ -78,7 +79,6 @@ class LdaModel:
     # Joint log p(words, assignments) from the final Gibbs counts; a training
     # diagnostic that grows as sampling settles.
     log_likelihood: float = float("nan")
-    sampler: str = "documents"  # one of LDA_SAMPLERS
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,10 +138,6 @@ def tfidf_transform_batch(model: TfidfModel, docs: list[TokenSeq]) -> CsrRows:
 
 # --- LDA ------------------------------------------------------------------
 
-# "documents": all documents step token position j together (the default);
-# "sequential": one token at a time, the counts updated after each.
-LDA_SAMPLERS = ("documents", "sequential")
-
 
 def _doc_word_ids(docs: list[TokenSeq], vocab: Vocabulary) -> list[np.ndarray]:
     return [
@@ -196,22 +192,20 @@ def lda_fit(
     beta: float = 0.01,
     iters: int = 100,
     seed: int = 0,
-    sampler: str = "documents",
 ) -> LdaModel:
     """Collapsed Gibbs sampling over token-topic assignments.
 
     Defaults follow the common heuristic alpha = 50 / n_topics, beta = 0.01.
-    `sampler` is one of LDA_SAMPLERS; both draw the same generator stream and
-    agree bit for bit on a one-document corpus. phi is read off the final
-    count tables with beta smoothing, so every entry is strictly positive and
-    each row sums to one.
+    All documents step their token j together (see _DocumentGibbs), drawing
+    the generator stream of a token-by-token sweep, so on a one-document
+    corpus it is that sweep bit for bit. phi is read off the
+    final count tables with beta smoothing, so every entry is strictly
+    positive and each row sums to one.
     """
     if n_topics < 1:
         raise DegenerateKError("n_topics must be >= 1")
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    if sampler not in LDA_SAMPLERS:
-        raise ConfigInvalidError(f"lda sampler must be one of {LDA_SAMPLERS}, got {sampler!r}")
     if alpha is not None:
         _check_prior("alpha", alpha)
     _check_prior("beta", beta)
@@ -225,96 +219,37 @@ def lda_fit(
     word_ids = [[vocab.index[t] for t in doc] for doc in nonempty]
     beta_sum = vocab.size * beta
     rng = np.random.default_rng(seed)
-    if sampler == "sequential":
-        n_kw, n_k, n_dk = _sequential_gibbs(word_ids, n_topics, vocab.size, alpha, beta, iters, rng)
-    else:
-        gibbs = _DocumentGibbs(word_ids, n_topics, vocab.size, alpha, beta, rng)
-        for _ in range(iters):
-            gibbs.sweep(rng.random(len(gibbs.words)))
-        n_kw, n_k, n_dk = gibbs.counts()
+    gibbs = _DocumentGibbs(word_ids, n_topics, vocab.size, alpha, beta, rng)
+    for _ in range(iters):
+        gibbs.sweep(rng.random(len(gibbs.words)))
+    n_kw, n_k, n_dk = gibbs.counts()
 
     phi = (n_kw + beta) / (n_k + beta_sum)[:, None]
     doc_lens = np.array([len(w) for w in word_ids], dtype=np.int64)
     ll = _gibbs_counts_ll(n_kw, n_k, n_dk, doc_lens, alpha, beta)
     return LdaModel(
         n_topics=n_topics, alpha=alpha, beta=beta, phi=phi, vocab=vocab, seed=seed,
-        log_likelihood=ll, sampler=sampler,
+        log_likelihood=ll,
     )
 
 
-def _sequential_gibbs(word_ids, n_topics, vocab_size, alpha, beta, iters, rng):
-    """Token-by-token sweeps; returns the (n_kw, n_k, n_dk) int64 count tables."""
-    n_docs = len(word_ids)
-    n_tokens = sum(len(words) for words in word_ids)
-
-    # Integer counts live in Python lists (cheap scalar updates); the float
-    # factors (count + prior) of the sampling weight are cached per topic and
-    # rewritten from the integer count after every change, never nudged by
-    # +-1, so each one rounds exactly as (count + prior) does.
-    n_dk = [[0] * n_topics for _ in range(n_docs)]
-    n_wk = [[0] * n_topics for _ in range(vocab_size)]  # word-major
-    n_k = [0] * n_topics
-    assignments = []
-    for d, words in enumerate(word_ids):
-        z = rng.integers(0, n_topics, size=len(words)).tolist()
-        assignments.append(z)
-        for w, k in zip(words, z):
-            n_dk[d][k] += 1
-            n_wk[w][k] += 1
-            n_k[k] += 1
-
-    beta_sum = vocab_size * beta
-    doc_f = np.array(n_dk, dtype=np.float64) + alpha
-    word_f = np.array(n_wk, dtype=np.float64) + beta
-    topic_f = np.array(n_k, dtype=np.float64) + beta_sum
-    p, cum = np.empty(n_topics), np.empty(n_topics)
-    multiply, divide, accumulate = np.multiply, np.divide, np.add.accumulate
-    for _ in range(iters):
-        # One uniform per token in sweep order: the same stream as one
-        # rng.random() call per token.
-        uniforms = iter(rng.random(n_tokens).tolist())
-        for d, words in enumerate(word_ids):
-            z = assignments[d]
-            d_counts, d_f = n_dk[d], doc_f[d]
-            for j, w in enumerate(words):
-                k = z[j]
-                w_counts, w_f = n_wk[w], word_f[w]
-                d_counts[k] -= 1
-                d_f[k] = d_counts[k] + alpha
-                w_counts[k] -= 1
-                w_f[k] = w_counts[k] + beta
-                n_k[k] -= 1
-                topic_f[k] = n_k[k] + beta_sum
-                # p = (n_dk + alpha) * (n_kw + beta) / (n_k + beta_sum), cumulated.
-                multiply(d_f, w_f, out=p)
-                divide(p, topic_f, out=p)
-                accumulate(p, out=cum)
-                k = int(cum.searchsorted(next(uniforms) * cum[-1]))
-                z[j] = k
-                d_counts[k] += 1
-                d_f[k] = d_counts[k] + alpha
-                w_counts[k] += 1
-                w_f[k] = w_counts[k] + beta
-                n_k[k] += 1
-                topic_f[k] = n_k[k] + beta_sum
-
-    # Topic-major and C-contiguous: gammaln(...).sum() adds pairwise in memory
-    # order, and a transposed view would round the log-likelihood differently.
-    n_kw = np.ascontiguousarray(np.array(n_wk, dtype=np.int64).T)
-    return n_kw, np.array(n_k, dtype=np.int64), np.array(n_dk, dtype=np.int64)
+# Steps with at most this many active documents draw row by row: a row costs
+# about 10 us, the block step a fixed 30-50 us (numpy 2, 2-core VM). Without
+# it a long document's tail would cost a block step per token.
+_ROW_STEP_MAX = 3
 
 
 class _DocumentGibbs:
-    """Document-parallel collapsed Gibbs state (AD-LDA, one document per worker).
+    """Document-parallel collapsed Gibbs state.
 
-    Each document is still sampled token by token in order, but all documents
-    take their token j in one step of the position-major layout: the step
-    removes the active documents' old assignments from every count table,
-    draws each new topic from one (active, n_topics) block of weights, and
-    adds the new assignments back. Within a step the documents see each
-    other's word and topic counts as of the step's start. Counts are floats
-    holding whole numbers, so count + prior rounds as it does from an integer
-    count: on one document every draw equals the sequential sweep's.
+    Each document is sampled token by token in order, and all documents take
+    their token j in one step of the position-major layout. Within a step
+    every document draws against the counts as of the step's start with only
+    its own old assignment taken out, as an AD-LDA worker does; the step's
+    changes are merged into the count tables before the next step. Counts
+    are floats holding whole numbers, so count + prior rounds as it does from
+    an integer count: on one document every draw equals the token-by-token
+    sweep's.
     """
 
     def __init__(self, word_ids, n_topics, vocab_size, alpha, beta, rng):
@@ -346,29 +281,63 @@ class _DocumentGibbs:
         words, z, u = self.words, self.z, self._u
         u[self.slot, 0] = uniforms
         dk, wk, n_k = self.n_dk.reshape(-1), self.n_wk.reshape(-1), self.n_k
-        row_base, word_base = self._row_base, self._word_base
+        row_base, word_base, rows = self._row_base, self._word_base, np.arange(len(self.n_dk))
         accumulate, reduce, bincount = np.add.accumulate, np.add.reduce, np.bincount
         subtract_at, add_at = np.subtract.at, np.add.at
         for lo, a in zip(self.starts.tolist(), self.active.tolist()):
+            if a <= _ROW_STEP_MAX:
+                self._row_step(lo, a)
+                continue
             hi = lo + a
-            old = z[lo:hi]
-            # One token per active document: the n_dk cells are distinct, the
-            # n_wk cells may repeat, hence ufunc.at there.
+            old, mine = z[lo:hi].copy(), rows[:a]
+            # Each document's own token out of the step-start counts: its n_dk
+            # row is its own, its n_wk and n_k rows are copies.
             dk[row_base[:a] + old] -= 1
-            subtract_at(wk, word_base[lo:hi] + old, 1)
-            n_k -= bincount(old, minlength=n_topics)
-            p = (self.n_dk[:a] + alpha) * (self.n_wk[words[lo:hi]] + beta) / (n_k + beta_sum)
+            word_k = self.n_wk[words[lo:hi]]
+            word_k[mine, old] -= 1
+            topic_k = np.repeat(n_k[None], a, axis=0)
+            topic_k[mine, old] -= 1
+            p = (self.n_dk[:a] + alpha) * (word_k + beta) / (topic_k + beta_sum)
             cum = accumulate(p, axis=1)
             # Counting cum < target is searchsorted(cum, target, side="left").
             new = reduce(cum < u[lo:hi] * cum[:, -1:], axis=1)
             z[lo:hi] = new
             dk[row_base[:a] + new] += 1
+            # Several documents may share a word, hence ufunc.at for n_wk.
+            subtract_at(wk, word_base[lo:hi] + old, 1)
             add_at(wk, word_base[lo:hi] + new, 1)
-            n_k += bincount(new, minlength=n_topics)
+            n_k += bincount(new, minlength=n_topics) - bincount(old, minlength=n_topics)
+
+    def _row_step(self, lo: int, a: int) -> None:
+        """The step of sweep() drawn one row at a time, for a step with few
+        active documents, as in a long document's tail. Same counts and float
+        operations as the block step, so the same draws."""
+        n_dk, n_wk, n_k = self.n_dk, self.n_wk, self.n_k
+        alpha, beta, beta_sum = self.alpha, self.beta, self.beta_sum
+        hi = lo + a
+        words, old, targets = self.words[lo:hi].tolist(), self.z[lo:hi].tolist(), self._u[lo:hi, 0]
+        new = []
+        for r, (w, k) in enumerate(zip(words, old)):
+            # Own token out for this draw only: the others still see it.
+            n_dk[r, k] -= 1
+            n_wk[w, k] -= 1
+            n_k[k] -= 1
+            cum = np.add.accumulate((n_dk[r] + alpha) * (n_wk[w] + beta) / (n_k + beta_sum))
+            new.append(int(cum.searchsorted(targets[r] * cum[-1])))
+            n_wk[w, k] += 1
+            n_k[k] += 1
+        for r, (w, k, k_new) in enumerate(zip(words, old, new)):
+            n_dk[r, k_new] += 1
+            n_wk[w, k] -= 1
+            n_wk[w, k_new] += 1
+            n_k[k] -= 1
+            n_k[k_new] += 1
+        self.z[lo:hi] = new
 
     def counts(self):
-        """(n_kw, n_k, n_dk) as int64, n_kw topic-major and n_dk in document order,
-        laid out as the sequential sampler returns them."""
+        """(n_kw, n_k, n_dk) as int64, n_dk in document order. n_kw is topic-major
+        and C-contiguous: gammaln(...).sum() adds pairwise in memory order, and
+        a transposed view would round the log-likelihood differently."""
         n_kw = np.ascontiguousarray(self.n_wk.T.astype(np.int64))
         return n_kw, self.n_k.astype(np.int64), self.n_dk[self.rank].astype(np.int64)
 
@@ -486,8 +455,6 @@ def load_tfidf(path) -> TfidfModel:
 
 
 def save_lda(model: LdaModel, path) -> None:
-    """Write the model as JSON. A file without a "sampler" key was fitted by the
-    sequential sampler, as every file written before the key existed was."""
     payload = {
         "format": "lda",
         "version": 1,
@@ -499,8 +466,6 @@ def save_lda(model: LdaModel, path) -> None:
         "vocab": model.vocab.terms(),
         "phi": [[float(v) for v in row] for row in model.phi],
     }
-    if model.sampler != "sequential":
-        payload["sampler"] = model.sampler
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True)
         fh.write("\n")
@@ -514,11 +479,6 @@ def load_lda(path) -> LdaModel:
     beta = float(payload["beta"])
     _check_prior("alpha", alpha)
     _check_prior("beta", beta)
-    sampler = payload.get("sampler", "sequential")
-    if sampler not in LDA_SAMPLERS:
-        raise ConfigInvalidError(
-            f"{path}: lda sampler must be one of {LDA_SAMPLERS}, got {sampler!r}"
-        )
     try:
         phi = np.asarray(payload["phi"], dtype=np.float64)
     except (TypeError, ValueError):
@@ -537,7 +497,6 @@ def load_lda(path) -> LdaModel:
         vocab=vocab,
         seed=int(payload["seed"]),
         log_likelihood=float(payload["log_likelihood"]),
-        sampler=sampler,
     )
 
 

@@ -222,8 +222,8 @@ def random_tree(rng, n_nodes, base_time=1000):
 def lda_fit_reference(docs, n_topics, alpha=None, beta=0.01, iters=100, seed=0):
     """Collapsed Gibbs LDA with one numpy draw and cumsum per token.
 
-    Returns (phi, log_likelihood). The fast sampler must reproduce this
-    generator stream and every rounding step exactly.
+    Returns (phi, log_likelihood). On a one-document corpus lda_fit must
+    reproduce this generator stream and every rounding step exactly.
     """
     nonempty = [doc for doc in docs if doc]
     if alpha is None:
@@ -265,6 +265,70 @@ def lda_fit_reference(docs, n_topics, alpha=None, beta=0.01, iters=100, seed=0):
                 n_kw[k_new, w] += 1
                 n_k[k_new] += 1
 
+    return _lda_phi_and_ll(n_dk, n_kw, n_k, word_ids, alpha, beta)
+
+
+def lda_fit_steps_reference(docs, n_topics, alpha=None, beta=0.01, iters=100, seed=0):
+    """Document-parallel collapsed Gibbs LDA, one document and one token at a time.
+
+    Every document steps its token j together with the others: each draws
+    against the counts as of the step's start minus its own old assignment,
+    with its own uniform (one rng.random(n_tokens) per sweep, in document
+    order); then every token moves to its drawn topic. Same generator stream
+    as lda_fit_reference. Returns (phi, log_likelihood).
+    """
+    nonempty = [doc for doc in docs if doc]
+    if alpha is None:
+        alpha = 50.0 / n_topics
+    index = {term: i for i, term in enumerate(sorted({t for doc in nonempty for t in doc}))}
+    word_ids = [np.array([index[t] for t in doc], dtype=np.int64) for doc in nonempty]
+    vocab_size = len(index)
+    n_docs = len(word_ids)
+
+    rng = np.random.default_rng(seed)
+    n_dk = np.zeros((n_docs, n_topics), dtype=np.int64)
+    n_kw = np.zeros((n_topics, vocab_size), dtype=np.int64)
+    n_k = np.zeros(n_topics, dtype=np.int64)
+    assignments = [rng.integers(0, n_topics, size=len(words)) for words in word_ids]
+    for d, words in enumerate(word_ids):
+        for w, k in zip(words, assignments[d]):
+            n_dk[d, k] += 1
+            n_kw[k, w] += 1
+            n_k[k] += 1
+
+    beta_sum = vocab_size * beta
+    first = np.cumsum([0] + [len(words) for words in word_ids])  # first[d]: d's first uniform
+    for _ in range(iters):
+        uniforms = rng.random(first[-1])
+        for j in range(max(len(words) for words in word_ids)):
+            active = [d for d in range(n_docs) if j < len(word_ids[d])]
+            drawn = []
+            for d in active:
+                w, k = word_ids[d][j], assignments[d][j]
+                row, word, topic = n_dk[d].copy(), n_kw[:, w].copy(), n_k.copy()
+                row[k] -= 1
+                word[k] -= 1
+                topic[k] -= 1
+                p = (row + alpha) * (word + beta) / (topic + beta_sum)
+                cum = np.cumsum(p)
+                drawn.append(int(np.searchsorted(cum, uniforms[first[d] + j] * cum[-1])))
+            for d, k_new in zip(active, drawn):
+                w, k = word_ids[d][j], assignments[d][j]
+                n_dk[d, k] -= 1
+                n_kw[k, w] -= 1
+                n_k[k] -= 1
+                assignments[d][j] = k_new
+                n_dk[d, k_new] += 1
+                n_kw[k_new, w] += 1
+                n_k[k_new] += 1
+
+    return _lda_phi_and_ll(n_dk, n_kw, n_k, word_ids, alpha, beta)
+
+
+def _lda_phi_and_ll(n_dk, n_kw, n_k, word_ids, alpha, beta):
+    n_docs, n_topics = n_dk.shape
+    vocab_size = n_kw.shape[1]
+    beta_sum = vocab_size * beta
     phi = (n_kw + beta) / (n_k + beta_sum)[:, None]
     doc_lens = np.array([len(w) for w in word_ids], dtype=np.int64)
     ll = n_topics * (gammaln(vocab_size * beta) - vocab_size * gammaln(beta))

@@ -87,13 +87,6 @@ class TestExitCodes:
         cfg_path = make_config({"model": "lda", "lda": {"iters": 2, **prior}})
         assert cli.main(["--config", str(cfg_path), "eval"]) == 2
 
-    def test_bad_lda_sampler_exit_2(self, small_corpus, make_config, capsys):
-        with pytest.raises(ConfigInvalidError):
-            RunConfig.from_dict({"documents": "d", "pairs": "p", "lda": {"sampler": "bogus"}})
-        cfg_path = make_config({"model": "lda", "lda": {"iters": 2, "sampler": "bogus"}})
-        assert cli.main(["--config", str(cfg_path), "eval"]) == 2
-        assert "bogus" in capsys.readouterr().err
-
     def test_degenerate_labels_exit_1(self, tmp_path, capsys):
         docs, pairs = corpus.synth_fixture(seed=1, n_topics=1, n_articles=2,
                                            tweets_per_article=2, vocab_per_topic=10)
@@ -163,30 +156,6 @@ class TestRunPipeline:
         cli.main(["--config", str(cfg_path), "--out-dir", str(tmp_path / "r2"), "eval"])
         for name in ("similarity.csv", "report.json"):
             assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
-
-    @pytest.mark.parametrize("threshold", [None, 0.25])
-    def test_one_sort_gives_the_separate_metrics(
-        self, small_corpus, make_config, tmp_path, monkeypatch, threshold
-    ):
-        sweeps = []
-        ranked_sweep = evalx._ranked_sweep
-
-        def counting(*args):
-            sweeps.append(args)
-            return ranked_sweep(*args)
-
-        monkeypatch.setattr(evalx, "_ranked_sweep", counting)
-        cfg = RunConfig.from_file(make_config({"threshold": threshold}))
-        sim, report = cli.run_pipeline(cfg)
-        assert len(sweeps) == 1
-        gt = corpus.build_ground_truth(small_corpus["pairs"], sim.tweet_ids, sim.article_ids)
-        if threshold is None:
-            threshold = linker.calibrate_threshold(sim, gt)[0]
-        expected = evalx.evaluate_masked(sim.values, linker.classify(sim, threshold).values, gt)
-        assert report == expected
-        stored = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert stored["threshold"] == threshold
-        assert "n_train_eval_overlap" not in stored
 
     def test_transductive_dual_eval_is_flagged(self, small_corpus, make_config, tmp_path, capsys):
         """Without train_pairs the encoder trains on the very match pairs eval scores."""

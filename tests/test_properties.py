@@ -1,6 +1,7 @@
 """Property tests: the one-sort calibration and AP sweep, the one-product
 scoring kernel, the batch TF-IDF transform, batched encoding, the LDA
-samplers and batched fold-in, the sparse-row
+sampler (against document-parallel and one-document token-by-token oracles)
+and batched fold-in, the sparse-row
 dual-encoder training loop (against dense and per-step-gather oracles), text
 cleaning, and the JSONL reader, pair table loader and ground-truth builder
 against the oracles they replace."""
@@ -8,6 +9,7 @@ against the oracles they replace."""
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -22,6 +24,7 @@ from reference import (
     clean_reference,
     iter_jsonl_reference,
     lda_fit_reference,
+    lda_fit_steps_reference,
     lda_infer_reference,
     load_pairs_reference,
     masked_flatten_reference,
@@ -293,22 +296,28 @@ def lda_cases(draw):
     }
 
 
+# Draw every step in blocks, every step row by row, or the default mix.
+row_step_limits = st.sampled_from([0, vectorize._ROW_STEP_MAX, 10**9])
+
+
 @settings(max_examples=100, deadline=None)
-@given(lda_cases())
-def test_lda_fit_matches_reference(case):
-    model = vectorize.lda_fit(**case, sampler="sequential")
-    phi, log_likelihood = lda_fit_reference(**case)
+@given(lda_cases(), row_step_limits)
+def test_lda_fit_matches_reference(case, row_step_max):
+    with mock.patch.object(vectorize, "_ROW_STEP_MAX", row_step_max):
+        model = vectorize.lda_fit(**case)
+    phi, log_likelihood = lda_fit_steps_reference(**case)
     assert np.array_equal(model.phi, phi)
     assert model.log_likelihood == log_likelihood
 
 
 @settings(max_examples=100, deadline=None)
-@given(lda_cases())
-def test_lda_documents_sampler_on_one_document_matches_reference(case):
-    """With one nonempty document the parallel steps are the sequential sweep."""
+@given(lda_cases(), row_step_limits)
+def test_lda_fit_on_one_document_matches_sequential_reference(case, row_step_max):
+    """With one nonempty document the parallel steps are the token-by-token sweep."""
     first = next(i for i, doc in enumerate(case["docs"]) if doc)
     case["docs"] = [doc if i == first else [] for i, doc in enumerate(case["docs"])]
-    model = vectorize.lda_fit(**case, sampler="documents")
+    with mock.patch.object(vectorize, "_ROW_STEP_MAX", row_step_max):
+        model = vectorize.lda_fit(**case)
     phi, log_likelihood = lda_fit_reference(**case)
     assert np.array_equal(model.phi, phi)
     assert model.log_likelihood == log_likelihood

@@ -117,11 +117,9 @@ class TestLda:
 
     def test_deterministic(self):
         docs = _fixture_tokens()
-        for sampler in vectorize.LDA_SAMPLERS:
-            a = vectorize.lda_fit(docs, n_topics=3, iters=15, seed=9, sampler=sampler)
-            b = vectorize.lda_fit(docs, n_topics=3, iters=15, seed=9, sampler=sampler)
-            np.testing.assert_array_equal(a.phi, b.phi)
-            assert a.log_likelihood == b.log_likelihood
+        a = vectorize.lda_fit(docs, n_topics=3, iters=15, seed=9)
+        b = vectorize.lda_fit(docs, n_topics=3, iters=15, seed=9)
+        np.testing.assert_array_equal(a.phi, b.phi)
         ta = vectorize.lda_infer(a, docs[0], iters=10, seed=1)
         tb = vectorize.lda_infer(b, docs[0], iters=10, seed=1)
         np.testing.assert_array_equal(ta, tb)
@@ -163,15 +161,6 @@ class TestLda:
             vectorize.lda_fit([[]], n_topics=2)
         with pytest.raises(ValueError):
             vectorize.lda_fit([["a"]], n_topics=1, iters=0)
-        with pytest.raises(ConfigInvalidError):
-            vectorize.lda_fit([["a"]], n_topics=1, sampler="bogus")
-
-    def test_default_sampler_is_documents(self):
-        docs = _fixture_tokens()
-        model = vectorize.lda_fit(docs, n_topics=3, iters=5, seed=4)
-        parallel = vectorize.lda_fit(docs, n_topics=3, iters=5, seed=4, sampler="documents")
-        assert model.sampler == "documents"
-        np.testing.assert_array_equal(model.phi, parallel.phi)
 
     @pytest.mark.parametrize(
         "prior",
@@ -201,34 +190,15 @@ class TestLda:
         assert vectorize.lda_infer_batch(model, [], iters=7, seed=2).shape == (0, 3)
 
     def test_save_load_roundtrip(self, tmp_path):
-        for sampler in vectorize.LDA_SAMPLERS:
-            model = vectorize.lda_fit(
-                [["a", "b"], ["c", "d"]], n_topics=2, iters=5, seed=3, sampler=sampler
-            )
-            path = tmp_path / "lda.json"
-            vectorize.save_lda(model, path)
-            loaded = vectorize.load_lda(path)
-            np.testing.assert_array_equal(loaded.phi, model.phi)
-            assert loaded.vocab.index == model.vocab.index
-            assert (loaded.n_topics, loaded.alpha, loaded.beta, loaded.seed, loaded.sampler) == (
-                model.n_topics, model.alpha, model.beta, model.seed, sampler,
-            )
-
-    def test_file_without_sampler_loads_as_sequential(self, tmp_path):
-        """Sequential models are written without the key, as before it existed."""
-        model = vectorize.lda_fit([["a", "b"], ["c"]], n_topics=2, iters=2, seed=3)
+        model = vectorize.lda_fit([["a", "b"], ["c", "d"]], n_topics=2, iters=5, seed=3)
         path = tmp_path / "lda.json"
         vectorize.save_lda(model, path)
-        payload = json.loads(path.read_text())
-        assert payload["sampler"] == "documents"
-        del payload["sampler"]
-        path.write_text(json.dumps(payload))
         loaded = vectorize.load_lda(path)
-        assert loaded.sampler == "sequential"
         np.testing.assert_array_equal(loaded.phi, model.phi)
-        sequential = vectorize.lda_fit([["a"]], n_topics=1, iters=1, sampler="sequential")
-        vectorize.save_lda(sequential, path)
-        assert "sampler" not in json.loads(path.read_text())
+        assert loaded.vocab.index == model.vocab.index
+        assert (loaded.n_topics, loaded.alpha, loaded.beta, loaded.seed) == (
+            model.n_topics, model.alpha, model.beta, model.seed,
+        )
 
     @pytest.mark.parametrize(
         "edit",
@@ -243,7 +213,6 @@ class TestLda:
             {"phi": [[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]]},
             {"phi": [[1.0], [1.0]]},
             {"phi": [[0.5, 0.5], [1.0]]},
-            {"sampler": "bogus"},
         ],
     )
     def test_load_rejects_bad_model(self, tmp_path, edit):
