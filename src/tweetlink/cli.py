@@ -429,9 +429,14 @@ def run_pipeline(run: _Run | RunConfig) -> tuple[SimilarityMatrix, evalx.Metrics
         contrast.save_encoder(encoder, out / "encoder.json", cfg.train)
         summary["n_train_eval_overlap"] = overlap
         if overlap:
+            hint = (
+                "they are still labeled cells of pairs; unlabel them there"
+                if cfg.train_pairs
+                else "set train_pairs"
+            )
             print(
                 f"warning: {overlap} evaluated match pairs were also trained on; "
-                "set train_pairs to evaluate on unseen pairs",
+                f"{hint} to evaluate on unseen pairs",
                 file=sys.stderr,
             )
     _write_json(out / "report.json", summary, exact=True)

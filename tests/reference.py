@@ -634,6 +634,31 @@ def train_stepwise_reference(positives, tweet_features, article_features, cfg, s
     return wt_t.T, b_t, wt_a.T, b_a, trace
 
 
+def save_encoder_v1_reference(model, path, train_config=None):
+    """The version-1 encoder writer: every array as nested JSON float lists.
+
+    Kept so tests can write the files that earlier releases wrote and check
+    that contrast.load_encoder still reads them bit for bit.
+    """
+    def amap(m):
+        return {"weight": m.weight.tolist(), "bias": m.bias.tolist()}
+
+    payload = {
+        "format": "dual_encoder",
+        "version": 1,
+        "nonlinearity": model.nonlinearity,
+        "joint_dim": model.joint_dim,
+        "tweet_map": amap(model.tweet_map),
+        "article_map": amap(model.article_map),
+    }
+    if train_config is not None:
+        payload["train_config"] = {
+            k: getattr(train_config, k) for k in train_config.__dataclass_fields__
+        }
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
+
+
 def _is_emoji(ch):
     cp = ord(ch)
     return any(lo <= cp <= hi for lo, hi in _EMOJI_RANGES)

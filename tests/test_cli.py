@@ -166,6 +166,7 @@ class TestRunPipeline:
         assert report["n_train_eval_overlap"] == n_matches > 0
         warnings = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
         assert len(warnings) == 1 and str(n_matches) in warnings[0]
+        assert "set train_pairs" in warnings[0]
 
         # Training on every second match: only those are counted.
         matches = [p for p in small_corpus["pairs"] if p.label == "match"]
@@ -174,6 +175,11 @@ class TestRunPipeline:
         assert cli.main(["--config", str(cfg_path), "eval"]) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["n_train_eval_overlap"] == len(matches[::2])
+        # train_pairs is already set: the hint names the labeled cells instead.
+        warnings = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
+        assert len(warnings) == 1 and str(len(matches[::2])) in warnings[0]
+        assert "set train_pairs" not in warnings[0]
+        assert "still labeled cells of pairs" in warnings[0]
 
 
 
@@ -236,7 +242,13 @@ class TestSubcommands:
             "train": {"epochs": 3, "joint_dim": 8, "seed": 7},
         }, name="dual.json")
         assert cli.main(["--config", str(cfg_path), "train"]) == 0
-        assert (tmp_path / "out" / "encoder.json").exists()
+        loaded = contrast.load_encoder(tmp_path / "out" / "encoder.json")
+        trained = cli._Run(RunConfig.from_file(cfg_path)).vectors[2]
+        assert loaded.nonlinearity == trained.nonlinearity
+        for side in ("tweet_map", "article_map"):
+            for name in ("weight", "bias"):
+                have, want = (getattr(getattr(e, side), name) for e in (loaded, trained))
+                assert (have.shape, have.tobytes()) == (want.shape, want.tobytes())
 
     def test_score_and_calibrate(self, small_corpus, make_config, tmp_path):
         cfg_path = make_config()

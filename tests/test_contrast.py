@@ -1,15 +1,20 @@
+import base64
+import json
+
 import numpy as np
 import pytest
 
-from reference import fd_gradient
+from reference import fd_gradient, save_encoder_v1_reference
 from tweetlink import contrast
 from tweetlink.contrast import TrainConfig
 from tweetlink.errors import (
+    ConfigInvalidError,
     DimMismatchError,
     EmptyChunkListError,
     EmptyInputError,
     MissingEmbeddingError,
     NoNegativesAvailableError,
+    NonFiniteLossError,
 )
 
 
@@ -317,3 +322,57 @@ class TestPersistence:
         contrast.save_encoder(enc, p1)
         contrast.save_encoder(enc, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @staticmethod
+    def _write(path, version, edit):
+        """Write a 1-wide two-input encoder in `version`, then apply `edit` to its JSON."""
+        enc = contrast.DualEncoder(
+            tweet_map=contrast.AffineMap(np.array([[0.5, -1.0]]), np.array([0.25])),
+            article_map=contrast.AffineMap(np.array([[2.0, 0.0]]), np.array([-0.5])),
+        )
+        write = contrast.save_encoder if version == 2 else save_encoder_v1_reference
+        write(enc, path)
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+
+    @pytest.mark.parametrize("version, edit", [
+        (1, lambda p: p.pop("article_map")),
+        (1, lambda p: p["tweet_map"].update(weight=[[1.0, 2.0], [3.0]])),
+        (1, lambda p: p.update(nonlinearity="relu")),
+        (1, lambda p: p.update(joint_dim=5)),
+        (2, lambda p: p.update(joint_dim=5)),
+        (2, lambda p: p["tweet_map"]["weight"].update(
+            data="!" + p["tweet_map"]["weight"]["data"])),
+        (2, lambda p: p["tweet_map"]["weight"].update(data="AAAAAAAAAA=")),
+        (2, lambda p: p["tweet_map"]["weight"].update(dtype="<f4")),
+        (2, lambda p: p["tweet_map"]["weight"].update(shape=[1, 3])),
+        (2, lambda p: p["tweet_map"]["bias"].update(shape=[2])),
+        (2, lambda p: p.update(version=3)),
+    ], ids=[
+        "v1-missing-map", "v1-ragged-weight", "v1-unknown-nonlinearity", "v1-joint-dim",
+        "v2-joint-dim", "v2-junk-in-base64", "v2-bad-padding", "v2-dtype", "v2-shape",
+        "v2-bias-shape", "unknown-version",
+    ])
+    def test_malformed_file_is_a_config_error(self, tmp_path, version, edit):
+        path = tmp_path / "encoder.json"
+        self._write(path, version, edit)
+        with pytest.raises(ConfigInvalidError, match="encoder.json"):
+            contrast.load_encoder(path)
+
+    def test_invalid_json_is_a_config_error(self, tmp_path):
+        path = tmp_path / "encoder.json"
+        path.write_text('{"format": "dual_encoder", "version": 2,')
+        with pytest.raises(ConfigInvalidError, match="encoder.json"):
+            contrast.load_encoder(path)
+
+    @pytest.mark.parametrize("version, weight", [
+        (1, [[float("nan"), 0.0]]),
+        (2, {"dtype": "<f8", "shape": [1, 2],
+             "data": base64.b64encode(np.array([np.inf, 0.0]).tobytes()).decode()}),
+    ], ids=["v1", "v2"])
+    def test_non_finite_weights_are_rejected(self, tmp_path, version, weight):
+        path = tmp_path / "encoder.json"
+        self._write(path, version, lambda p: p["article_map"].update(weight=weight))
+        with pytest.raises(NonFiniteLossError):
+            contrast.load_encoder(path)

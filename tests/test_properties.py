@@ -28,6 +28,7 @@ from reference import (
     lda_infer_reference,
     load_pairs_reference,
     masked_flatten_reference,
+    save_encoder_v1_reference,
     score_matrix_reference,
     tfidf_reference,
     tfidf_transform_reference,
@@ -462,6 +463,47 @@ def test_batch_loss_kernel_matches_linalg_norm_kernel(seed, rows, dim, margin):
         batch_loss_and_grads_reference(e_t, e_a, y, margin),
     ):
         assert np.array_equal(got, want)
+
+
+# Signed zeros, subnormals and values near the float64 limits, which a
+# lossy float text or byte encoding would change.
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                1.7976931348623157e308, 0.1, -1 / 3]
+
+
+@st.composite
+def encoders(draw):
+    d, in_t, in_a = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    value = st.one_of(
+        st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+    )
+
+    def array(*shape):
+        return np.array(draw(st.lists(value, min_size=int(np.prod(shape)),
+                                      max_size=int(np.prod(shape))))).reshape(shape)
+
+    return contrast.DualEncoder(
+        tweet_map=contrast.AffineMap(array(d, in_t), array(d)),
+        article_map=contrast.AffineMap(array(d, in_a), array(d)),
+        nonlinearity=draw(st.sampled_from(["none", "tanh"])),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(encoders())
+def test_encoder_files_of_both_versions_load_bit_for_bit(encoder):
+    with tempfile.TemporaryDirectory() as tmp:
+        v2, v1 = Path(tmp) / "v2.json", Path(tmp) / "v1.json"
+        contrast.save_encoder(encoder, v2, contrast.TrainConfig())
+        save_encoder_v1_reference(encoder, v1, contrast.TrainConfig())
+        loaded = [contrast.load_encoder(v2), contrast.load_encoder(v1)]
+    for got in loaded:
+        assert got.nonlinearity == encoder.nonlinearity
+        for side in ("tweet_map", "article_map"):
+            for name in ("weight", "bias"):
+                want = getattr(getattr(encoder, side), name)
+                have = getattr(getattr(got, side), name)
+                assert have.shape == want.shape and have.tobytes() == want.tobytes()
 
 
 # --- JSONL reading and the ground truth -----------------------------------------
