@@ -254,7 +254,9 @@ def build_vectors(
     model=dual this trains the encoder on `train_positives` over the
     selected feature space and returns it with the encoded rows (dense);
     otherwise the tfidf (CSR) or lda (dense) rows are the final
-    representation and the encoder slot is None.
+    representation and the encoder slot is None. An lda row of a document
+    the fit sampled is its topic proportions from the fitted chain; only the
+    other documents are folded in (see _featurizer).
     """
     trunc = cfg.chunking.truncate_limit
     if cfg.model != "dual":
@@ -309,11 +311,16 @@ def _dense(rows) -> np.ndarray:
     return rows.toarray() if isinstance(rows, CsrRows) else rows
 
 
+def _fit_docs(cfg: RunConfig, tokens, tweet_ids, article_ids) -> list[tuple[str, list[str]]]:
+    """(doc_id, tokens) of the given tweets (truncated) and articles, as a fit sees them."""
+    trunc = cfg.chunking.truncate_limit
+    docs = [(i, textprep.truncate(tokens[i], trunc)) for i in tweet_ids]
+    return docs + [(i, tokens[i]) for i in article_ids]
+
+
 def _fit(cfg: RunConfig, kind: str, tokens, tweet_ids, article_ids):
     """Fit a tfidf or lda model on the given tweets (truncated) and articles."""
-    trunc = cfg.chunking.truncate_limit
-    docs = [textprep.truncate(tokens[i], trunc) for i in tweet_ids]
-    docs += [tokens[i] for i in article_ids]
+    docs = [toks for _id, toks in _fit_docs(cfg, tokens, tweet_ids, article_ids)]
     if kind == "lda":
         return vectorize.lda_fit(
             docs, n_topics=cfg.lda.n_topics, alpha=cfg.lda.alpha, beta=cfg.lda.beta,
@@ -326,7 +333,10 @@ def _featurizer(cfg: RunConfig, kind: str, tokens, fit_tweet_ids, fit_article_id
     """Feature space `kind` fitted on the fit side; returns [(doc_id, tokens)] -> row matrix.
 
     The rows follow the given list: CSR for tfidf, dense for lda and
-    external. tfidf and lda transform the whole list with one batched call.
+    external. tfidf transforms the whole list with one batched call. lda
+    takes the fit's theta row for a document the fit sampled (same id, same
+    tokens) and folds the rest in with one batched call of infer_iters
+    sweeps.
     """
     if kind == "external":
         table = vectorize.load_embeddings(cfg.embeddings)
@@ -334,11 +344,28 @@ def _featurizer(cfg: RunConfig, kind: str, tokens, fit_tweet_ids, fit_article_id
             [table.lookup(doc_id) for doc_id, _toks in docs], dtype=np.float64
         ).reshape(len(docs), table.dim)
     model = _fit(cfg, kind, tokens, fit_tweet_ids, fit_article_ids)
-    if kind == "lda":
-        return lambda docs: vectorize.lda_infer_batch(
-            model, [toks for _id, toks in docs], iters=cfg.lda.infer_iters, seed=cfg.seed
-        )
-    return lambda docs: vectorize.tfidf_transform_batch(model, [toks for _id, toks in docs])
+    if kind == "tfidf":
+        return lambda docs: vectorize.tfidf_transform_batch(model, [toks for _id, toks in docs])
+
+    fit_docs = _fit_docs(cfg, tokens, fit_tweet_ids, fit_article_ids)
+    fitted = {doc_id: (toks, row) for row, (doc_id, toks) in enumerate(fit_docs)}
+
+    def featurize(docs):
+        rows = np.empty((len(docs), model.n_topics))
+        held_out = []
+        for i, (doc_id, toks) in enumerate(docs):
+            fit_toks, row = fitted.get(doc_id, (None, None))
+            if fit_toks == toks:
+                rows[i] = model.theta[row]
+            else:
+                held_out.append(i)
+        if held_out:
+            rows[held_out] = vectorize.lda_infer_batch(
+                model, [docs[i][1] for i in held_out], iters=cfg.lda.infer_iters, seed=cfg.seed
+            )
+        return rows
+
+    return featurize
 
 
 class _Run:

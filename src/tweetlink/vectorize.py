@@ -11,8 +11,11 @@ per seed and needs nothing beyond integer count tables. Every document is
 sampled token by token, and all documents take their token j in one step:
 each draws against the counts as of the step's start without its own token,
 AD-LDA's update (Newman, Asuncion, Smyth & Welling, JMLR 2009) with one
-document per worker and the counts merged after every step. Inference folds
-new documents in against frozen topic-word distributions, batched across
+document per worker and the counts merged after every step. A fitted
+document's topic proportions are read from the chain's final counts,
+theta_d = (n_dk + alpha) / (n_d + K alpha) (Griffiths & Steyvers, PNAS 2004),
+and kept on the model. Documents outside the fit are folded in against
+frozen topic-word distributions (Wallach et al., ICML 2009), batched across
 documents the same way: each row equals the per-document fold-in bit for bit.
 """
 
@@ -79,6 +82,9 @@ class LdaModel:
     # Joint log p(words, assignments) from the final Gibbs counts; a training
     # diagnostic that grows as sampling settles.
     log_likelihood: float = float("nan")
+    # (n_docs, n_topics) topic proportions of the documents lda_fit sampled,
+    # in input order; None for a model loaded from a file, which omits them.
+    theta: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,7 +206,9 @@ def lda_fit(
     the generator stream of a token-by-token sweep, so on a one-document
     corpus it is that sweep bit for bit. phi is read off the
     final count tables with beta smoothing, so every entry is strictly
-    positive and each row sums to one.
+    positive and each row sums to one. theta holds one row per input document:
+    (n_dk + alpha) / (n_d + n_topics * alpha) from the same counts, and the
+    uniform row that lda_infer_batch gives an empty document.
     """
     if n_topics < 1:
         raise DegenerateKError("n_topics must be >= 1")
@@ -227,9 +235,13 @@ def lda_fit(
     phi = (n_kw + beta) / (n_k + beta_sum)[:, None]
     doc_lens = np.array([len(w) for w in word_ids], dtype=np.int64)
     ll = _gibbs_counts_ll(n_kw, n_k, n_dk, doc_lens, alpha, beta)
+    theta = np.full((len(docs), n_topics), 1.0 / n_topics)
+    theta[[d for d, doc in enumerate(docs) if doc]] = (
+        (n_dk + alpha) / (doc_lens + n_topics * alpha)[:, None]
+    )
     return LdaModel(
         n_topics=n_topics, alpha=alpha, beta=beta, phi=phi, vocab=vocab, seed=seed,
-        log_likelihood=ll,
+        log_likelihood=ll, theta=theta,
     )
 
 

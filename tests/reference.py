@@ -275,7 +275,8 @@ def lda_fit_steps_reference(docs, n_topics, alpha=None, beta=0.01, iters=100, se
     against the counts as of the step's start minus its own old assignment,
     with its own uniform (one rng.random(n_tokens) per sweep, in document
     order); then every token moves to its drawn topic. Same generator stream
-    as lda_fit_reference. Returns (phi, log_likelihood).
+    as lda_fit_reference. Returns (phi, log_likelihood, n_dk), n_dk holding
+    the final topic counts of the nonempty documents in their given order.
     """
     nonempty = [doc for doc in docs if doc]
     if alpha is None:
@@ -322,7 +323,7 @@ def lda_fit_steps_reference(docs, n_topics, alpha=None, beta=0.01, iters=100, se
                 n_kw[k_new, w] += 1
                 n_k[k_new] += 1
 
-    return _lda_phi_and_ll(n_dk, n_kw, n_k, word_ids, alpha, beta)
+    return (*_lda_phi_and_ll(n_dk, n_kw, n_k, word_ids, alpha, beta), n_dk)
 
 
 def _lda_phi_and_ll(n_dk, n_kw, n_k, word_ids, alpha, beta):

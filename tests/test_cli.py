@@ -437,6 +437,92 @@ class TestSweepHyperparams:
             cli.sweep_hyperparams(cfg, [{"cleaning.min_word_len": 7}], split)
 
 
+def _record_calls(monkeypatch, module, name):
+    """Replace module.name with a pass-through that records (args, result) per call."""
+    calls = []
+    original = getattr(module, name)
+
+    def record(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(module, name, record)
+    return calls
+
+
+def _fold_in_every_document(cfg, kind, tokens, fit_tweet_ids, fit_article_ids):
+    """An lda featurizer that folds every document in, including those the fit sampled."""
+    assert kind == "lda"
+    model = cli._fit(cfg, kind, tokens, fit_tweet_ids, fit_article_ids)
+    return lambda docs: vectorize.lda_infer_batch(
+        model, [toks for _id, toks in docs], iters=cfg.lda.infer_iters, seed=cfg.seed
+    )
+
+
+class TestLdaTopicVectors:
+    """Fitted documents take their lda rows from the chain; only others are folded in."""
+
+    LDA = {"n_topics": 3, "alpha": 0.5, "iters": 5, "infer_iters": 5}
+
+    def test_run_takes_every_row_from_the_fit(self, small_corpus, make_config, monkeypatch):
+        cfg = RunConfig.from_file(make_config({"model": "lda", "lda": self.LDA}))
+        fits = _record_calls(monkeypatch, vectorize, "lda_fit")
+        folds = _record_calls(monkeypatch, vectorize, "lda_infer_batch")
+        run = cli._Run(cfg)
+        tweet_rows, article_rows, encoder = run.vectors
+        assert encoder is None and len(fits) == 1 and folds == []
+        theta = fits[0][1].theta
+        n_tweets = len(run.tweet_ids)
+        assert theta.shape == (n_tweets + len(run.article_ids), self.LDA["n_topics"])
+        np.testing.assert_array_equal(tweet_rows, theta[:n_tweets])
+        np.testing.assert_array_equal(article_rows, theta[n_tweets:])
+
+    def test_sweep_hp_folds_in_the_validation_side_as_before(
+        self, small_corpus, make_config, tmp_path, monkeypatch
+    ):
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps([{"lda.n_topics": 2}, {"lda.n_topics": 3, "lda.iters": 3}]))
+        outputs = {}
+        for name in ("fitted", "fold_in"):
+            with monkeypatch.context() as patch:
+                if name == "fold_in":
+                    patch.setattr(cli, "_featurizer", _fold_in_every_document)
+                folds = _record_calls(patch, vectorize, "lda_infer_batch")
+                cfg_path = make_config(
+                    {"model": "lda", "lda": self.LDA, "out_dir": str(tmp_path / name)}
+                )
+                assert cli.main(["--config", str(cfg_path), "sweep-hp", "--grid", str(grid_path)]) == 0
+            outputs[name] = (tmp_path / name / "sweep_hp.json").read_bytes()
+            if name == "fitted":
+                split = json.loads(outputs[name])["split"]
+                val_t, val_a = split["val_tweets"], split["val_articles"]
+                # Per grid point one call per validation side, and nothing else.
+                assert [len(args[1]) for args, _ in folds] == [len(val_t), len(val_a)] * 2
+        assert outputs["fitted"] == outputs["fold_in"]
+
+    @pytest.mark.parametrize("strategy", ["mean_chunks", "truncate"])
+    def test_dual_folds_in_article_pieces_only(
+        self, small_corpus, make_config, monkeypatch, strategy
+    ):
+        cfg = RunConfig.from_file(make_config({
+            "model": "dual", "features": "lda", "strategy": strategy, "lda": self.LDA,
+            "chunking": {"content_len": 6, "truncate_limit": 20},
+            "train": {"epochs": 1, "joint_dim": 4, "seed": 7},
+        }))
+        folds = _record_calls(monkeypatch, vectorize, "lda_infer_batch")
+        run = cli._Run(cfg)
+        run.vectors
+        tokens = run.tokens
+        # A piece equal to the whole article is the fitted document itself.
+        expected = [
+            piece for doc_id in run.article_ids
+            for piece in cli._article_pieces(cfg, tokens[doc_id]) if piece != tokens[doc_id]
+        ]
+        assert expected
+        assert [args[1] for args, _ in folds] == [expected]
+
+
 class TestEmitReport:
     def test_deterministic_bytes(self, tmp_path):
         data = {"b": 0.123456789, "a": [1, 2.0]}

@@ -1,7 +1,7 @@
 """Property tests: the one-sort calibration and AP sweep, the one-product
 scoring kernel, the batch TF-IDF transform, batched encoding, the LDA
-sampler (against document-parallel and one-document token-by-token oracles)
-and batched fold-in, the sparse-row
+sampler (against document-parallel and one-document token-by-token oracles),
+its topic proportions and batched fold-in, the sparse-row
 dual-encoder training loop (against dense and per-step-gather oracles), text
 cleaning, and the JSONL reader, pair table loader and ground-truth builder
 against the oracles they replace."""
@@ -12,6 +12,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+from numpy.testing import assert_array_equal
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -306,9 +307,69 @@ row_step_limits = st.sampled_from([0, vectorize._ROW_STEP_MAX, 10**9])
 def test_lda_fit_matches_reference(case, row_step_max):
     with mock.patch.object(vectorize, "_ROW_STEP_MAX", row_step_max):
         model = vectorize.lda_fit(**case)
-    phi, log_likelihood = lda_fit_steps_reference(**case)
+    phi, log_likelihood, _n_dk = lda_fit_steps_reference(**case)
     assert np.array_equal(model.phi, phi)
     assert model.log_likelihood == log_likelihood
+
+
+def _theta_from_counts(docs, n_dk, alpha):
+    """(n_dk + alpha) / (n_d + K alpha) per nonempty document, uniform rows for empty ones."""
+    n_topics = n_dk.shape[1]
+    theta = np.full((len(docs), n_topics), 1.0 / n_topics)
+    nonempty = [d for d, doc in enumerate(docs) if doc]
+    theta[nonempty] = (n_dk + alpha) / (n_dk.sum(axis=1) + n_topics * alpha)[:, None]
+    return theta
+
+
+@settings(max_examples=100, deadline=None)
+@given(lda_cases(), st.lists(st.integers(0, 9), min_size=1, max_size=3))
+def test_lda_fit_theta_is_the_final_counts_of_the_chain(case, empty_at):
+    """theta row d is document d's topic share in the oracle's final counts."""
+    for at in empty_at:
+        case["docs"].insert(min(at, len(case["docs"])), [])
+    model = vectorize.lda_fit(**case)
+    _phi, _ll, n_dk = lda_fit_steps_reference(**case)
+    assert_array_equal(model.theta, _theta_from_counts(case["docs"], n_dk, model.alpha))
+    assert np.allclose(model.theta.sum(axis=1), 1.0)
+    uniform = vectorize.lda_infer_batch(model, [[]])[0]
+    for row, doc in zip(model.theta, case["docs"]):
+        if not doc:
+            assert_array_equal(row, uniform)
+
+
+@st.composite
+def long_document_cases(draw):
+    """lda_cases plus one document holding at least 80% of the tokens, and
+    at least four other nonempty documents, so a sweep has block steps (more
+    than _ROW_STEP_MAX documents active) and row steps (the long tail)."""
+    case = draw(lda_cases())
+    vocab = sorted({t for doc in case["docs"] for t in doc})
+    short_doc = st.lists(st.sampled_from(vocab), min_size=1, max_size=12)
+    docs = case["docs"] + draw(st.lists(short_doc, min_size=4, max_size=4))
+    n_short = sum(map(len, docs))
+    long_doc = draw(st.lists(st.sampled_from(vocab), min_size=4 * n_short, max_size=4 * n_short + 20))
+    docs.insert(draw(st.integers(0, len(docs))), long_doc)
+    return {**case, "docs": docs}
+
+
+@settings(max_examples=30, deadline=None)
+@given(long_document_cases())
+def test_lda_fit_with_one_long_document_matches_reference(case):
+    lens = [len(doc) for doc in case["docs"] if doc]
+    assert max(lens) >= 0.8 * sum(lens)
+    active = vectorize._position_major(lens)[2]
+    n_row_steps = int((active <= vectorize._ROW_STEP_MAX).sum())
+    assert 0 < n_row_steps < len(active)  # both kinds of step occur
+    row_step = vectorize._DocumentGibbs._row_step
+    with mock.patch.object(
+        vectorize._DocumentGibbs, "_row_step", autospec=True, side_effect=row_step
+    ) as spy:
+        model = vectorize.lda_fit(**case)
+    assert spy.call_count == case["iters"] * n_row_steps
+    phi, log_likelihood, n_dk = lda_fit_steps_reference(**case)
+    assert np.array_equal(model.phi, phi)
+    assert model.log_likelihood == log_likelihood
+    assert_array_equal(model.theta, _theta_from_counts(case["docs"], n_dk, model.alpha))
 
 
 @settings(max_examples=100, deadline=None)
