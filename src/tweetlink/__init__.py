@@ -13,7 +13,6 @@ from .contrast import (
     AffineMap,
     DualEncoder,
     TrainConfig,
-    TrainingPair,
     cosine_embedding_loss,
     encode,
     encode_batch,

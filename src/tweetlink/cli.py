@@ -47,7 +47,6 @@ from .errors import (
 )
 from .matrices import (
     CSV_DECIMALS,
-    CsrRows,
     GroundTruthMatrix,
     SimilarityMatrix,
     read_similarity_csv,
@@ -253,10 +252,12 @@ def build_vectors(
     Row i of each matrix belongs to the i-th output id of its side. For
     model=dual this trains the encoder on `train_positives` over the
     selected feature space and returns it with the encoded rows (dense);
-    otherwise the tfidf (CSR) or lda (dense) rows are the final
-    representation and the encoder slot is None. An lda row of a document
-    the fit sampled is its topic proportions from the fitted chain; only the
-    other documents are folded in (see _featurizer).
+    training and encoding take the featurized row matrices as they are (CSR
+    for tfidf, dense for lda and external). Otherwise the tfidf (CSR) or lda
+    (dense) rows are the final representation and the encoder slot is None.
+    An lda row of a document the fit sampled is its topic proportions from
+    the fitted chain; only the other documents are folded in (see
+    _featurizer).
     """
     trunc = cfg.chunking.truncate_limit
     if cfg.model != "dual":
@@ -277,38 +278,36 @@ def build_vectors(
         raise ConfigInvalidError("model=dual needs match-labeled training pairs")
 
     # One featurize call per side over the training and output documents, so
-    # each is featurized once; training and encoding take dense rows.
+    # each is featurized once. The fit articles come first, so their pieces
+    # are the first rows of piece_x.
     tweet_ids = list(dict.fromkeys([*sorted({t for t, _ in train_positives}), *out_tweet_ids]))
     article_ids = list(dict.fromkeys([*fit_article_ids, *out_article_ids]))
-    tweet_x = _dense(featurize([(i, textprep.truncate(doc_tokens(i), trunc)) for i in tweet_ids]))
+    tweet_x = featurize([(i, textprep.truncate(doc_tokens(i), trunc)) for i in tweet_ids])
     pieces = [[None] if external else _article_pieces(cfg, doc_tokens(i)) for i in article_ids]
-    piece_x = _dense(featurize([(i, p) for i, ps in zip(article_ids, pieces) for p in ps]))
-    tweet_row = {doc_id: r for r, doc_id in enumerate(tweet_ids)}
-    piece_rows, pos = {}, 0  # article id -> slice of its piece rows
-    for doc_id, ps in zip(article_ids, pieces):
-        piece_rows[doc_id] = slice(pos, pos + len(ps))
-        pos += len(ps)
+    piece_x = featurize([(i, p) for i, ps in zip(article_ids, pieces) for p in ps])
+    counts = np.array([len(ps) for ps in pieces])
 
-    # Training draws its negatives from these keys, in this order.
-    fit_feats = {i: piece_x[piece_rows[i]] for i in fit_article_ids}
+    # Training draws its negatives from the fit articles, in this order.
+    n_fit = len(set(fit_article_ids))
     encoder, _trace = contrast.train(
-        train_positives, dict(zip(tweet_ids, tweet_x)), fit_feats, cfg.train, cfg.strategy
+        train_positives, tweet_x, piece_x, cfg.train, cfg.strategy,
+        tweet_ids, article_ids[:n_fit], counts[:n_fit],
     )
 
-    out_tweets = tweet_x[[tweet_row[i] for i in out_tweet_ids]]
-    out_pieces = [piece_rows[i] for i in out_article_ids]
     if cfg.strategy == "mean_chunks":
-        rows = [r for s in out_pieces for r in range(s.start, s.stop)]
-        counts = [s.stop - s.start for s in out_pieces]
+        article_vecs = contrast.encode_batch(encoder, "article", piece_x, counts)
     else:
         # truncate: the single piece; augment: the header piece.
-        rows, counts = [s.start for s in out_pieces], None
-    tweet_vecs = contrast.encode_batch(encoder, "tweet", out_tweets)
-    return tweet_vecs, contrast.encode_batch(encoder, "article", piece_x[rows], counts), encoder
-
-
-def _dense(rows) -> np.ndarray:
-    return rows.toarray() if isinstance(rows, CsrRows) else rows
+        headers = np.cumsum(counts) - counts
+        article_vecs = contrast.encode_batch(encoder, "article", piece_x)[headers]
+    tweet_vecs = contrast.encode_batch(encoder, "tweet", tweet_x)
+    tweet_row = {doc_id: r for r, doc_id in enumerate(tweet_ids)}
+    article_row = {doc_id: r for r, doc_id in enumerate(article_ids)}
+    return (
+        tweet_vecs[[tweet_row[i] for i in out_tweet_ids]],
+        article_vecs[[article_row[i] for i in out_article_ids]],
+        encoder,
+    )
 
 
 def _fit_docs(cfg: RunConfig, tokens, tweet_ids, article_ids) -> list[tuple[str, list[str]]]:

@@ -13,13 +13,16 @@ handled by one of three strategies: plain truncation, mean over uniform
 sentinel-wrapped chunks, or a header+parts split where every piece becomes
 an extra positive example.
 
-Training packs each distinct tweet row and article piece row once as a
-sparse row; examples are indices into those rows. Each mini-batch step
-works on a dense block over only the feature columns nonzero in its batch,
-so the forward pass, the backward pass and the weight update cost time in
-proportion to the batch's nonzeros, not to the vocabulary; the other
-columns have a zero gradient. Only the momentum velocity update stays
-dense, because every column with a nonzero velocity moves on every step.
+Training reads the tweet rows and the article piece rows as CSR matrices:
+the featurizer's sparse rows as they are, dense rows through one nonzero
+scan, and an id -> vector mapping stacked into rows first. Examples are
+row indices: a tweet row, a run of piece rows and a label (see
+build_training_pairs). Each mini-batch step works on a dense block over
+only the feature columns nonzero in its batch, so the forward pass, the
+backward pass and the weight update cost time in proportion to the
+batch's nonzeros, not to the vocabulary; the other columns have a zero
+gradient. Only the momentum velocity update stays dense, because every
+column with a nonzero velocity moves on every step.
 
 The blocks are planned once per epoch: after the epoch's shuffle, one
 vectorized pass per side finds every batch's sorted distinct columns and
@@ -45,8 +48,8 @@ from __future__ import annotations
 import binascii
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -59,6 +62,7 @@ from .errors import (
     NoNegativesAvailableError,
     NonFiniteLossError,
 )
+from .matrices import CsrRows
 
 STRATEGIES = ("truncate", "mean_chunks", "augment")
 SIDES = ("tweet", "article")
@@ -93,17 +97,6 @@ class TrainConfig:
             raise ValueError("momentum must lie in [0, 1)")
         if self.joint_dim < 1:
             raise ValueError("joint_dim must be >= 1")
-
-
-@dataclass(frozen=True)
-class TrainingPair:
-    x_tweet: np.ndarray = field(repr=False)
-    x_article: np.ndarray = field(repr=False)  # (in_dim,) or (n_pieces, in_dim)
-    y: int
-
-    def __post_init__(self):
-        if self.y not in (1, -1):
-            raise ValueError("pair label must be +1 or -1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,147 +205,91 @@ def sample_negatives(positives, articles, ratio: float, seed: int) -> list[tuple
 # --- training -----------------------------------------------------------------
 
 
-def _as_pieces(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 1:
-        return arr[None, :]
-    if arr.ndim == 2:
-        if arr.shape[0] == 0:
-            raise EmptyChunkListError("article has no feature pieces")
-        return arr
-    raise DimMismatchError(f"article features must be 1-D or 2-D, got shape {arr.shape}")
-
-
-def _article_pieces(article_features, article_id: str) -> np.ndarray:
-    try:
-        raw = article_features[article_id]
-    except KeyError:
-        raise MissingEmbeddingError(article_id) from None
-    if isinstance(raw, (list, tuple)) and raw and np.ndim(raw[0]) == 1:
-        return np.stack([np.asarray(p, dtype=np.float64) for p in raw])
-    return _as_pieces(raw)
-
-
 def build_training_pairs(
     positives,
-    tweet_features,
-    article_features,
+    tweet_ids,
+    article_ids,
+    piece_counts,
     cfg: TrainConfig,
     strategy: str = "truncate",
-) -> list[TrainingPair]:
-    """Resolve id pairs into labeled feature pairs, including sampled negatives.
+) -> np.ndarray:
+    """Resolve id pairs into training examples, including sampled negatives.
 
-    Under the augment strategy each positive article piece (header, then each
-    part) becomes its own positive pair, and negatives are represented by
-    their header piece. Under mean_chunks the article keeps all its chunk
-    vectors and the encoder averages their projections.
+    Tweet tweet_ids[i] has row i; article article_ids[j] has the next
+    piece_counts[j] piece rows, after those of article j - 1. Returns one
+    row per example: (tweet row, first piece row, piece count, label +1/-1).
+    Under the augment strategy each piece of a positive article (header,
+    then each part) is its own positive example, and a negative is its
+    article's header piece. Under mean_chunks an example holds all of its
+    article's pieces, and the encoder averages their projections. Negatives
+    come from sample_negatives over article_ids, in that order.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     positives = list(positives)
     if not positives:
         raise EmptyInputError("training needs at least one positive pair")
+    tweet_row = {doc_id: r for r, doc_id in enumerate(tweet_ids)}
+    firsts = np.cumsum(piece_counts) - piece_counts
+    pieces = {doc_id: (int(f), int(n)) for doc_id, f, n in zip(article_ids, firsts, piece_counts)}
 
-    # One array per tweet and per article piece, shared by every pair that
-    # uses it, so _pack can convert each distinct row once.
-    tweet_rows: dict[str, np.ndarray] = {}
-    stacked: dict[str, tuple[np.ndarray, list[np.ndarray]]] = {}
+    def lookup(index, doc_id):
+        try:
+            return index[doc_id]
+        except KeyError:
+            raise MissingEmbeddingError(doc_id) from None
 
-    def tweet_vec(tweet_id: str) -> np.ndarray:
-        if tweet_id not in tweet_rows:
-            try:
-                tweet_rows[tweet_id] = np.asarray(tweet_features[tweet_id], dtype=np.float64)
-            except KeyError:
-                raise MissingEmbeddingError(tweet_id) from None
-        return tweet_rows[tweet_id]
-
-    def article_pieces(article_id: str) -> tuple[np.ndarray, list[np.ndarray]]:
-        """The article's stacked pieces and one view per piece row."""
-        if article_id not in stacked:
-            pieces = _article_pieces(article_features, article_id)
-            stacked[article_id] = pieces, list(pieces)
-        return stacked[article_id]
-
-    pairs: list[TrainingPair] = []
+    examples: list[tuple[int, int, int, int]] = []
     expanded: list[tuple[str, str]] = []
     for tweet_id, article_id in positives:
-        x_t = tweet_vec(tweet_id)
-        pieces, rows = article_pieces(article_id)
+        t = lookup(tweet_row, tweet_id)
+        first, n = lookup(pieces, article_id)
         if strategy == "augment":
-            for piece in rows:
-                pairs.append(TrainingPair(x_t, piece, 1))
-                expanded.append((tweet_id, article_id))
-        elif strategy == "mean_chunks":
-            pairs.append(TrainingPair(x_t, pieces, 1))
-            expanded.append((tweet_id, article_id))
-        else:
-            if len(rows) != 1:
-                raise DimMismatchError(
-                    f"article {article_id!r} has {len(rows)} pieces under 'truncate'"
-                )
-            pairs.append(TrainingPair(x_t, rows[0], 1))
-            expanded.append((tweet_id, article_id))
+            examples += [(t, first + k, 1, 1) for k in range(n)]
+            expanded += [(tweet_id, article_id)] * n
+            continue
+        if strategy == "truncate" and n != 1:
+            raise DimMismatchError(f"article {article_id!r} has {n} pieces under 'truncate'")
+        examples.append((t, first, n, 1))
+        expanded.append((tweet_id, article_id))
 
-    article_ids = list(article_features.keys())
     for tweet_id, article_id in sample_negatives(expanded, article_ids, cfg.neg_ratio, cfg.seed):
-        pieces, rows = article_pieces(article_id)
-        x_a = pieces if strategy == "mean_chunks" else rows[0]
-        pairs.append(TrainingPair(tweet_vec(tweet_id), x_a, -1))
-    return pairs
+        first, n = pieces[article_id]
+        examples.append((tweet_row[tweet_id], first, n if strategy == "mean_chunks" else 1, -1))
+    return np.array(examples, dtype=np.int64)
 
 
-def _csr(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR arrays (indptr, indices, data) holding the nonzeros of 1-D rows."""
-    cols = [np.flatnonzero(r) for r in rows]
-    indptr = np.zeros(len(cols) + 1, dtype=np.int64)
-    np.cumsum([len(c) for c in cols], out=indptr[1:])
-    indices = np.concatenate(cols)
-    data = np.concatenate([r[c] for r, c in zip(rows, cols)])
-    return indptr, indices, data
-
-
-class _Packed(NamedTuple):
-    """Training examples as indices into sparse rows packed once each."""
-
-    dim_t: int
-    dim_a: int
-    x_t: tuple  # tweet CSR (indptr, indices, data)
-    x_a: tuple  # article piece CSR
-    t_row: np.ndarray  # per example: its tweet row,
-    first_piece: np.ndarray  # its first piece row (its pieces are contiguous),
-    counts: np.ndarray  # its number of pieces
-    y: np.ndarray  # and its label
-
-
-def _pack(pairs: list[TrainingPair]) -> _Packed:
-    """Pack each distinct row once as a sparse row; pairs become row indices.
-
-    Rows are told apart by array identity, so pairs that share an array (as
-    build_training_pairs makes them) share its packed rows. Equal rows in
-    distinct arrays are packed twice, which costs time but changes nothing.
-    """
-    in_t = {p.x_tweet.shape[-1] for p in pairs}
-    in_a = {p.x_article.shape[-1] for p in pairs}
-    if len(in_t) != 1 or len(in_a) != 1:
-        raise DimMismatchError("inconsistent feature dimensions across training pairs")
-    t_index: dict[int, int] = {}
-    a_index: dict[int, tuple[int, int]] = {}
-    t_rows: list[np.ndarray] = []
-    a_rows: list[np.ndarray] = []
-    index = []
-    for p in pairs:
-        if id(p.x_tweet) not in t_index:
-            t_index[id(p.x_tweet)] = len(t_rows)
-            t_rows.append(p.x_tweet)
-        if id(p.x_article) not in a_index:
-            pieces = np.atleast_2d(p.x_article)
-            a_index[id(p.x_article)] = len(a_rows), len(pieces)
-            a_rows.extend(pieces)
-        index.append((t_index[id(p.x_tweet)], *a_index[id(p.x_article)]))
-    t_row, first_piece, counts = np.array(index, dtype=np.int64).T.copy()
-    y = np.array([float(p.y) for p in pairs])
-    x_t, x_a = _csr(t_rows), _csr(a_rows)
-    return _Packed(in_t.pop(), in_a.pop(), x_t, x_a, t_row, first_piece, counts, y)
+def _feature_rows(features, ids, counts, side: str):
+    """(CSR rows, ids, rows per id) of one side's training features; see train."""
+    if isinstance(features, Mapping):
+        ids = list(features)
+        try:
+            blocks = [np.atleast_2d(np.asarray(features[i], dtype=np.float64)) for i in ids]
+            features = np.concatenate(blocks) if blocks else np.zeros((0, 0))
+        except ValueError as exc:
+            raise DimMismatchError(f"{side} features do not stack into rows: {exc}") from None
+        counts = [len(block) for block in blocks]
+        if side == "tweet" and len(features) != len(ids):
+            raise DimMismatchError("every tweet needs exactly one feature vector")
+    elif ids is None:
+        raise TypeError(f"{side} rows given as a matrix need their ids")
+    ids = list(ids)
+    counts = np.ones(len(ids), dtype=np.int64) if counts is None else np.asarray(counts, np.int64)
+    if not isinstance(features, CsrRows):
+        rows = np.asarray(features, dtype=np.float64)
+        if rows.ndim != 2:
+            raise DimMismatchError(f"{side} rows have shape {rows.shape}, expected a 2-D matrix")
+        flat = np.flatnonzero(rows)
+        row_of, cols = np.divmod(flat, rows.shape[1])
+        indptr = np.searchsorted(row_of, np.arange(len(rows) + 1))
+        features = CsrRows(indptr, cols, rows.ravel()[flat], rows.shape[1])
+    if (counts < 1).any():
+        raise EmptyChunkListError(f"every {side} needs at least one feature row")
+    if counts.shape != (len(ids),) or counts.sum() > features.shape[0]:
+        raise DimMismatchError(
+            f"{len(ids)} {side} ids with {counts.sum()} rows for a matrix of shape {features.shape}"
+        )
+    return features, ids, counts
 
 
 def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -362,7 +299,7 @@ def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
 
 
 class _EpochGather:
-    """Every batch's rows of one CSR matrix as dense blocks over the batch's columns.
+    """Every batch's rows of a CsrRows matrix as dense blocks over the batch's columns.
 
     `rows` lists the CSR rows of all batches back to back, and `batch[r]` is
     the batch of rows[r] (non-decreasing). One np.unique over the keys
@@ -371,13 +308,13 @@ class _EpochGather:
     batch. The plan keeps only the values and their int32 positions.
     """
 
-    def __init__(self, csr, rows: np.ndarray, batch: np.ndarray, n_batches: int, in_dim: int):
-        indptr, indices, data = csr
-        starts = indptr[rows]
-        lens = indptr[rows + 1] - starts
+    def __init__(self, csr: CsrRows, rows: np.ndarray, batch: np.ndarray, n_batches: int):
+        in_dim = csr.n_cols
+        starts = csr.indptr[rows]
+        lens = csr.indptr[rows + 1] - starts
         pos = _ranges(starts, lens)
-        self.values = data[pos]
-        key = indices[pos]
+        self.values = csr.data[pos]
+        key = csr.indices[pos].astype(np.int64, copy=False)
         del pos
         nz_batch = np.repeat(batch, lens)
         # int64 keys: n_batches * in_dim may pass 2**31.
@@ -410,24 +347,22 @@ class _EpochGather:
         return self.cols[c0:c1], block.reshape(shape)
 
 
-def _epoch_batches(packed: _Packed, order: np.ndarray, bs: int):
+def _epoch_batches(x_t: CsrRows, x_a: CsrRows, examples: np.ndarray, order: np.ndarray, bs: int):
     """Yield each batch of one epoch: (u_t, bx_t, u_a, bx_a, pool, counts, y).
 
-    Batch k holds the examples order[k * bs : (k + 1) * bs]; pool[i, r] = 1
-    where piece row r of bx_a belongs to example i. Both sides' gathers are
-    planned for the whole epoch up front and freed when it ends.
+    Batch k holds the examples (rows of build_training_pairs' result)
+    order[k * bs : (k + 1) * bs]; pool[i, r] = 1 where piece row r of bx_a
+    belongs to example i. Both sides' gathers are planned for the whole
+    epoch up front and freed when it ends.
     """
     n = len(order)
     n_batches = -(-n // bs)
     example_batch = np.arange(n) // bs
-    counts, y = packed.counts[order], packed.y[order]
-    gather_t = _EpochGather(packed.x_t, packed.t_row[order], example_batch, n_batches, packed.dim_t)
+    t_row, first_piece, counts, labels = examples[order].T
+    y = labels.astype(np.float64)
+    gather_t = _EpochGather(x_t, t_row, example_batch, n_batches)
     gather_a = _EpochGather(
-        packed.x_a,
-        _ranges(packed.first_piece[order], counts),
-        np.repeat(example_batch, counts),
-        n_batches,
-        packed.dim_a,
+        x_a, _ranges(first_piece, counts), np.repeat(example_batch, counts), n_batches
     )
     # The example each piece row belongs to, counted within its batch.
     piece_example = np.repeat(np.arange(n) % bs, counts)
@@ -477,8 +412,19 @@ def train(
     article_features,
     cfg: TrainConfig,
     strategy: str = "truncate",
+    tweet_ids=None,
+    article_ids=None,
+    piece_counts=None,
 ) -> tuple[DualEncoder, list[float]]:
     """Fit the dual encoder by mini-batch gradient descent on sampled pairs.
+
+    Each side is a mapping id -> features, read in key order, or a row
+    matrix (CsrRows or dense 2-D) with its ids, as in linker.score_matrix.
+    In a mapping a tweet maps to one vector, and an article to one vector
+    or to its pieces (a 2-D array or a list of vectors). In an article
+    matrix, article_ids[j] owns the next piece_counts[j] rows (default: one
+    each); rows past them are not used. Negatives are drawn from the
+    articles in that order; see build_training_pairs.
 
     Both maps start from seeded uniform(-s, s) with s = 1/sqrt(in_dim), so
     epochs=0 returns the reproducible initialization untouched. The returned
@@ -486,14 +432,17 @@ def train(
     that epoch's forward passes (pre-update), which for full-batch descent
     is the exact objective sequence.
     """
-    pairs = build_training_pairs(positives, tweet_features, article_features, cfg, strategy)
-    packed = _pack(pairs)
-    n_examples = len(pairs)
+    x_t, tweet_ids, _ = _feature_rows(tweet_features, tweet_ids, None, "tweet")
+    x_a, article_ids, piece_counts = _feature_rows(
+        article_features, article_ids, piece_counts, "article"
+    )
+    examples = build_training_pairs(positives, tweet_ids, article_ids, piece_counts, cfg, strategy)
+    n_examples = len(examples)
 
     rng = np.random.default_rng(cfg.seed)
     # Transposed (in_dim, joint_dim) weights: a batch's columns are contiguous rows.
-    wt_t, b_t = _init_map(rng, packed.dim_t, cfg.joint_dim)
-    wt_a, b_a = _init_map(rng, packed.dim_a, cfg.joint_dim)
+    wt_t, b_t = _init_map(rng, x_t.n_cols, cfg.joint_dim)
+    wt_a, b_a = _init_map(rng, x_a.n_cols, cfg.joint_dim)
     tanh = cfg.nonlinearity == "tanh"
 
     if cfg.momentum > 0:
@@ -502,7 +451,7 @@ def train(
     for _ in range(cfg.epochs):
         order = rng.permutation(n_examples)
         loss_sum = 0.0
-        batches = _epoch_batches(packed, order, cfg.batch_size)
+        batches = _epoch_batches(x_t, x_a, examples, order, cfg.batch_size)
         for u_t, bx_t, u_a, bx_a, pool, bcounts, by in batches:
             b = len(by)
             # The batch's weight rows; without momentum they are updated here
@@ -565,23 +514,19 @@ def encode(model: DualEncoder, side: str, features, strategy: str = "truncate") 
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    if strategy == "mean_chunks":
-        if isinstance(features, (list, tuple)):
-            if not features:
-                raise EmptyChunkListError("mean_chunks needs at least one chunk")
-            pieces = np.stack([np.asarray(p, dtype=np.float64) for p in features])
-        else:
-            pieces = _as_pieces(features)
-    else:
-        vec = np.asarray(features, dtype=np.float64)
-        if vec.ndim != 1:
+    pieces = np.asarray(features, dtype=np.float64)
+    if strategy != "mean_chunks":
+        if pieces.ndim != 1:
             raise DimMismatchError(f"strategy {strategy!r} expects a single feature vector")
-        pieces = vec[None, :]
+    elif pieces.shape[:1] == (0,):
+        raise EmptyChunkListError("mean_chunks needs at least one chunk")
+    pieces = np.atleast_2d(pieces)
     return encode_batch(model, side, pieces, [len(pieces)])[0]
 
 
 def encode_batch(model: DualEncoder, side: str, rows, counts=None) -> np.ndarray:
-    """Project feature rows with one batched product; one output row per document.
+    """Project feature rows (dense or CsrRows) with one batched product; one
+    output row per document.
 
     Document i owns the next counts[i] rows and gets the mean of their
     projections; counts=None gives every row its own document. Each row is
@@ -592,7 +537,7 @@ def encode_batch(model: DualEncoder, side: str, rows, counts=None) -> np.ndarray
     if side not in SIDES:
         raise ValueError(f"unknown side {side!r}; expected one of {SIDES}")
     amap = model.tweet_map if side == "tweet" else model.article_map
-    rows = np.asarray(rows, dtype=np.float64)
+    rows = rows.toarray() if isinstance(rows, CsrRows) else np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != amap.in_dim:
         raise DimMismatchError(
             f"{side} features have shape {rows.shape}, expected (rows, {amap.in_dim})"

@@ -427,6 +427,8 @@ def load_embeddings(path) -> EmbeddingTable:
             raise MalformedLineError(str(path), line_no, str(exc)) from exc
         if vec.ndim != 1:
             raise MalformedLineError(str(path), line_no, "vector must be a flat list")
+        if not len(vec):
+            raise MalformedLineError(str(path), line_no, "vector is empty")
         # JSON decoding accepts the NaN and Infinity literals.
         if not np.isfinite(vec).all():
             raise MalformedLineError(str(path), line_no, "vector holds NaN or Infinity")

@@ -7,14 +7,17 @@ math only, so a bug in the package cannot hide in its own oracle.
 import json
 import math
 from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammaln
 
+from tweetlink.contrast import STRATEGIES, sample_negatives
 from tweetlink.corpus import LinkedPair
 from tweetlink.errors import (
     ConflictingLabelError,
     DimMismatchError,
+    EmptyChunkListError,
     EmptyInputError,
     MalformedLineError,
     MissingEmbeddingError,
@@ -361,6 +364,105 @@ def lda_infer_reference(phi, vocab_index, alpha, doc, iters=50, seed=0):
     return (counts + alpha) / (len(words) + n_topics * alpha)
 
 
+@dataclass(frozen=True)
+class TrainingPair:
+    x_tweet: np.ndarray = field(repr=False)
+    x_article: np.ndarray = field(repr=False)  # (in_dim,) or (n_pieces, in_dim)
+    y: int
+
+    def __post_init__(self):
+        if self.y not in (1, -1):
+            raise ValueError("pair label must be +1 or -1")
+
+
+def _as_pieces(x) -> np.ndarray:
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim == 1:
+        return arr[None, :]
+    if arr.ndim == 2:
+        if arr.shape[0] == 0:
+            raise EmptyChunkListError("article has no feature pieces")
+        return arr
+    raise DimMismatchError(f"article features must be 1-D or 2-D, got shape {arr.shape}")
+
+
+def _article_pieces(article_features, article_id: str) -> np.ndarray:
+    try:
+        raw = article_features[article_id]
+    except KeyError:
+        raise MissingEmbeddingError(article_id) from None
+    if isinstance(raw, (list, tuple)) and raw and np.ndim(raw[0]) == 1:
+        return np.stack([np.asarray(p, dtype=np.float64) for p in raw])
+    return _as_pieces(raw)
+
+
+def build_training_pairs_reference(
+    positives,
+    tweet_features,
+    article_features,
+    cfg,
+    strategy: str = "truncate",
+) -> list[TrainingPair]:
+    """Resolve id pairs into labeled feature pairs, including sampled negatives.
+
+    Under the augment strategy each positive article piece (header, then each
+    part) becomes its own positive pair, and negatives are represented by
+    their header piece. Under mean_chunks the article keeps all its chunk
+    vectors and the encoder averages their projections.
+    """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    positives = list(positives)
+    if not positives:
+        raise EmptyInputError("training needs at least one positive pair")
+
+    # One array per tweet and per article piece, shared by every pair that uses it.
+    tweet_rows: dict[str, np.ndarray] = {}
+    stacked: dict[str, tuple[np.ndarray, list[np.ndarray]]] = {}
+
+    def tweet_vec(tweet_id: str) -> np.ndarray:
+        if tweet_id not in tweet_rows:
+            try:
+                tweet_rows[tweet_id] = np.asarray(tweet_features[tweet_id], dtype=np.float64)
+            except KeyError:
+                raise MissingEmbeddingError(tweet_id) from None
+        return tweet_rows[tweet_id]
+
+    def article_pieces(article_id: str) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The article's stacked pieces and one view per piece row."""
+        if article_id not in stacked:
+            pieces = _article_pieces(article_features, article_id)
+            stacked[article_id] = pieces, list(pieces)
+        return stacked[article_id]
+
+    pairs: list[TrainingPair] = []
+    expanded: list[tuple[str, str]] = []
+    for tweet_id, article_id in positives:
+        x_t = tweet_vec(tweet_id)
+        pieces, rows = article_pieces(article_id)
+        if strategy == "augment":
+            for piece in rows:
+                pairs.append(TrainingPair(x_t, piece, 1))
+                expanded.append((tweet_id, article_id))
+        elif strategy == "mean_chunks":
+            pairs.append(TrainingPair(x_t, pieces, 1))
+            expanded.append((tweet_id, article_id))
+        else:
+            if len(rows) != 1:
+                raise DimMismatchError(
+                    f"article {article_id!r} has {len(rows)} pieces under 'truncate'"
+                )
+            pairs.append(TrainingPair(x_t, rows[0], 1))
+            expanded.append((tweet_id, article_id))
+
+    article_ids = list(article_features.keys())
+    for tweet_id, article_id in sample_negatives(expanded, article_ids, cfg.neg_ratio, cfg.seed):
+        pieces, rows = article_pieces(article_id)
+        x_a = pieces if strategy == "mean_chunks" else rows[0]
+        pairs.append(TrainingPair(tweet_vec(tweet_id), x_a, -1))
+    return pairs
+
+
 def _pack_dense(pairs):
     """Stack pairs into padded arrays: (X_t, X_a, piece mask, labels)."""
     in_t = {p.x_tweet.shape[-1] for p in pairs}
@@ -414,7 +516,7 @@ def train_reference(positives, tweet_features, article_features, cfg, strategy="
     """
     from tweetlink import contrast
 
-    pairs = contrast.build_training_pairs(
+    pairs = build_training_pairs_reference(
         positives, tweet_features, article_features, cfg, strategy
     )
     x_t, x_a, mask, y = _pack_dense(pairs)
@@ -572,7 +674,7 @@ def train_stepwise_reference(positives, tweet_features, article_features, cfg, s
     """
     from tweetlink import contrast
 
-    pairs = contrast.build_training_pairs(
+    pairs = build_training_pairs_reference(
         positives, tweet_features, article_features, cfg, strategy
     )
     pieces = [np.atleast_2d(p.x_article) for p in pairs]

@@ -11,7 +11,7 @@ import pytest
 from tweetlink import cli, contrast, corpus, evalx, linker, textprep, vectorize
 from tweetlink.cli import RunConfig
 from tweetlink.errors import ConfigInvalidError, EmptyCorpusError, EmptyGridError
-from tweetlink.matrices import SimilarityMatrix
+from tweetlink.matrices import CsrRows, SimilarityMatrix
 
 
 class TestRunConfig:
@@ -132,6 +132,16 @@ class TestExitCodes:
         )
         assert proc.returncode == 2, proc.stderr
         assert "embeddings.jsonl:" in proc.stderr
+
+    def test_zero_width_embeddings_exit_2(self, small_corpus, make_config, tmp_path, capsys):
+        emb = tmp_path / "embeddings.jsonl"
+        emb.write_text("".join(f'{{"id": "{d.id}", "vector": []}}\n' for d in small_corpus["docs"]))
+        cfg_path = make_config({
+            "model": "dual", "features": "external", "embeddings": str(emb),
+            "train": {"epochs": 2, "joint_dim": 4, "seed": 7},
+        })
+        assert cli.main(["--config", str(cfg_path), "eval"]) == 2
+        assert "embeddings.jsonl:1:" in capsys.readouterr().err
 
 
 class TestRunPipeline:
@@ -697,3 +707,40 @@ def test_dual_rows_match_per_document_encoding(small_corpus, make_config, strate
         assert np.array_equal(row, contrast.encode(encoder, "article", features, strategy))
     if strategy != "truncate":
         assert max(n_pieces) > 1
+
+
+@pytest.mark.parametrize("features", ["tfidf", "lda"])
+@pytest.mark.parametrize("strategy", ["truncate", "mean_chunks", "augment"])
+def test_dual_training_reads_the_featurized_rows_exactly(
+    small_corpus, make_config, monkeypatch, features, strategy
+):
+    """The trainer takes the featurized row matrices as they are; dense id -> vector
+    dicts of the same rows give the same weights, biases and loss trace bit for bit."""
+    cfg = RunConfig.from_file(make_config({
+        "model": "dual", "features": features, "strategy": strategy,
+        "lda": TestLdaTopicVectors.LDA,
+        "chunking": {"content_len": 6, "header_len": 5, "part_len": 4, "truncate_limit": 20},
+        "train": {"epochs": 3, "joint_dim": 5, "seed": 7, "batch_size": 8},
+    }))
+    calls = _record_calls(monkeypatch, contrast, "train")
+    encoder = cli._Run(cfg).vectors[2]
+    [(args, (trained, trace))] = calls
+    positives, tweet_x, piece_x, train_cfg, _strategy, tweet_ids, article_ids, counts = args
+    assert trained is encoder
+    assert isinstance(tweet_x, CsrRows) == isinstance(piece_x, CsrRows) == (features == "tfidf")
+
+    def dense(rows):
+        return rows.toarray() if isinstance(rows, CsrRows) else rows
+
+    firsts = np.cumsum(counts) - counts
+    tweets = dict(zip(tweet_ids, dense(tweet_x)))
+    articles = {a: dense(piece_x)[f : f + n] for a, f, n in zip(article_ids, firsts, counts)}
+    want, want_trace = contrast.train(positives, tweets, articles, train_cfg, strategy)
+    assert trace == want_trace
+    for got, ref in (
+        (encoder.tweet_map.weight, want.tweet_map.weight),
+        (encoder.tweet_map.bias, want.tweet_map.bias),
+        (encoder.article_map.weight, want.article_map.weight),
+        (encoder.article_map.bias, want.article_map.bias),
+    ):
+        assert np.array_equal(got, ref)

@@ -220,30 +220,64 @@ class TestTrain:
 
 class TestAugmentExpansion:
     def test_positive_pair_count_matches_split_arithmetic(self):
-        rng = np.random.default_rng(5)
         header_len, part_len = 4, 3
+        cfg = TrainConfig(seed=0, neg_ratio=1.0)
         for n_tokens in (2, 4, 5, 10, 17):
             n_pieces = 1 + max(0, -(-(n_tokens - header_len) // part_len))
-            tf = {"t0": rng.normal(size=4)}
-            af = {
-                "long": [rng.normal(size=3) for _ in range(n_pieces)],
-                "other": [rng.normal(size=3)],
-            }
-            cfg = TrainConfig(seed=0, neg_ratio=1.0)
-            pairs = contrast.build_training_pairs([("t0", "long")], tf, af, cfg, "augment")
-            positives = [p for p in pairs if p.y == 1]
+            examples = contrast.build_training_pairs(
+                [("t0", "long")], ["t0"], ["long", "other"], [n_pieces, 1], cfg, "augment"
+            )
+            positives = examples[examples[:, 3] == 1]
             assert len(positives) == n_pieces
+            # One example per piece row, each holding that piece alone.
+            assert positives[:, 1].tolist() == list(range(n_pieces))
+            assert (positives[:, 2] == 1).all()
 
     def test_negatives_use_header_piece(self):
-        rng = np.random.default_rng(6)
-        header = rng.normal(size=3)
-        tf = {"t0": rng.normal(size=4)}
-        af = {"pos": [rng.normal(size=3)], "neg": [header, rng.normal(size=3)]}
         cfg = TrainConfig(seed=0, neg_ratio=1.0)
-        pairs = contrast.build_training_pairs([("t0", "pos")], tf, af, cfg, "augment")
-        negatives = [p for p in pairs if p.y == -1]
-        assert len(negatives) == 1
-        np.testing.assert_array_equal(negatives[0].x_article, header)
+        # "pos" owns piece row 0; "neg" owns rows 1 (its header) and 2.
+        examples = contrast.build_training_pairs(
+            [("t0", "pos")], ["t0"], ["pos", "neg"], [1, 2], cfg, "augment"
+        )
+        negatives = examples[examples[:, 3] == -1]
+        assert negatives.tolist() == [[0, 1, 1, -1]]  # tweet row, header row, one piece
+
+
+class TestTrainFromRowMatrices:
+    def test_matrix_input_matches_mapping_input(self):
+        rng = np.random.default_rng(8)
+        tf = {f"t{i}": rng.normal(size=4) * (rng.random(4) < 0.5) for i in range(5)}
+        af = {f"a{i}": rng.normal(size=(int(rng.integers(1, 4)), 3)) for i in range(4)}
+        positives = [(f"t{i}", f"a{i % 4}") for i in range(5)]
+        cfg = TrainConfig(epochs=3, seed=1, joint_dim=3, batch_size=2)
+        counts = [len(p) for p in af.values()]
+        pieces = np.concatenate(list(af.values()) + [np.ones((2, 3))])  # unused trailing rows
+        want, want_trace = contrast.train(positives, tf, af, cfg, "mean_chunks")
+        got, trace = contrast.train(
+            positives, np.stack(list(tf.values())), pieces, cfg, "mean_chunks",
+            list(tf), list(af), counts,
+        )
+        assert trace == want_trace
+        np.testing.assert_array_equal(got.tweet_map.weight, want.tweet_map.weight)
+        np.testing.assert_array_equal(got.article_map.weight, want.article_map.weight)
+
+    def test_matrix_input_is_checked(self):
+        positives = [("t0", "a0")]
+        tweets, articles = np.ones((1, 2)), np.ones((3, 2))
+        with pytest.raises(TypeError):
+            contrast.train(positives, tweets, articles, TrainConfig(), "truncate", ["t0"])
+        for counts, error in (([2, 2], DimMismatchError), ([1], DimMismatchError),
+                              ([0, 3], EmptyChunkListError)):
+            with pytest.raises(error):
+                contrast.train(
+                    positives, tweets, articles, TrainConfig(), "mean_chunks",
+                    ["t0"], ["a0", "a1"], counts,
+                )
+        with pytest.raises(DimMismatchError):
+            contrast.train(positives, {"t0": np.ones((2, 2))}, {"a0": np.ones(2)}, TrainConfig())
+        mixed_widths = {"a0": np.ones(2), "a1": np.ones(3)}
+        with pytest.raises(DimMismatchError):
+            contrast.train(positives, {"t0": np.ones(2)}, mixed_widths, TrainConfig())
 
 
 class TestEncode:

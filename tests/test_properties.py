@@ -2,7 +2,8 @@
 scoring kernel, the batch TF-IDF transform, batched encoding, the LDA
 sampler (against document-parallel and one-document token-by-token oracles),
 its topic proportions and batched fold-in, the sparse-row
-dual-encoder training loop (against dense and per-step-gather oracles), text
+dual-encoder training loop (against dense and per-step-gather oracles) and
+its row-index examples (against the per-pair vector builder), text
 cleaning, and the JSONL reader, pair table loader and ground-truth builder
 against the oracles they replace."""
 
@@ -21,6 +22,7 @@ from reference import (
     ap_reference,
     batch_loss_and_grads_reference,
     build_ground_truth_reference,
+    build_training_pairs_reference,
     calibrate_reference,
     clean_reference,
     iter_jsonl_reference,
@@ -483,6 +485,23 @@ def training_cases(draw):
         joint_dim=draw(st.integers(1, 6)),
     )
     return positives, tweets, articles, cfg, strategy
+
+
+@settings(max_examples=300, deadline=None)
+@given(training_cases())
+def test_resolved_examples_match_reference_pairs(case):
+    positives, tweets, articles, cfg, strategy = case
+    tweet_x, tweet_ids, _ = contrast._feature_rows(tweets, None, None, "tweet")
+    piece_x, article_ids, counts = contrast._feature_rows(articles, None, None, "article")
+    tweet_rows, piece_rows = tweet_x.toarray(), piece_x.toarray()
+    examples = contrast.build_training_pairs(positives, tweet_ids, article_ids, counts, cfg, strategy)
+    pairs = build_training_pairs_reference(*case)
+    assert len(examples) == len(pairs)
+    for (t_row, first, n, y), pair in zip(examples.tolist(), pairs):
+        assert_array_equal(tweet_rows[t_row], pair.x_tweet, strict=True)
+        pieces = pair.x_article if strategy == "mean_chunks" else pair.x_article[None]
+        assert_array_equal(piece_rows[first : first + n], pieces, strict=True)
+        assert y == pair.y
 
 
 @settings(max_examples=300, deadline=None)

@@ -254,6 +254,12 @@ class TestEmbeddings:
         with pytest.raises(MalformedLineError):
             vectorize.load_embeddings(path)
 
+    def test_empty_vector_rejected(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        path.write_text('{"id": "t1", "vector": []}\n{"id": "t2", "vector": []}\n')
+        with pytest.raises(MalformedLineError, match=":1:.*empty"):
+            vectorize.load_embeddings(path)
+
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_rejected(self, tmp_path, literal):
         path = tmp_path / "emb.jsonl"
