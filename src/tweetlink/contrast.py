@@ -48,6 +48,7 @@ from __future__ import annotations
 import binascii
 import json
 import math
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -283,6 +284,8 @@ def _feature_rows(features, ids, counts, side: str):
         row_of, cols = np.divmod(flat, rows.shape[1])
         indptr = np.searchsorted(row_of, np.arange(len(rows) + 1))
         features = CsrRows(indptr, cols, rows.ravel()[flat], rows.shape[1])
+    if features.shape[1] == 0:
+        raise DimMismatchError(f"{side} rows have no feature columns")
     if (counts < 1).any():
         raise EmptyChunkListError(f"every {side} needs at least one feature row")
     if counts.shape != (len(ids),) or counts.sum() > features.shape[0]:
@@ -584,9 +587,18 @@ def save_encoder(model: DualEncoder, path, train_config: TrainConfig | None = No
         payload["train_config"] = {
             k: getattr(train_config, k) for k in train_config.__dataclass_fields__
         }
+    # json.dumps would scan each base64 string for characters to escape, and
+    # base64 holds none: each goes in by plain quoting in place of its index.
+    blobs = []
+    for amap in (payload["tweet_map"], payload["article_map"]):
+        for array in amap.values():
+            blobs.append(array["data"])
+            array["data"] = len(blobs) - 1
     # json.dumps takes the C encoder; json.dump always runs the pure-Python one.
+    text = json.dumps(payload, sort_keys=True)
+    text = re.sub(r'"data": (\d+)', lambda m: f'"data": "{blobs[int(m[1])]}"', text)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True) + "\n")
+        fh.write(text + "\n")
 
 
 def load_encoder(path) -> DualEncoder:

@@ -245,10 +245,24 @@ def lda_fit(
     )
 
 
+def _draw(cum: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Per row of cum, the first index whose cum is >= target[row, 0].
+
+    This counts the row's cells below its target, searchsorted(side="left"),
+    as long as every row is nondecreasing and its target is at most its last
+    cell, as a cumulative sum of positive weights times a uniform in [0, 1)
+    is. argmax stops at the first True, where summing the comparison would
+    cast every cell to an integer first.
+    """
+    return (cum >= target).argmax(axis=1)
+
+
 # Steps with at most this many active documents draw row by row: a row costs
-# about 10 us, the block step a fixed 30-50 us (numpy 2, 2-core VM). Without
-# it a long document's tail would cost a block step per token.
-_ROW_STEP_MAX = 3
+# about 8-17 us and a block step a fixed 22-40 us (numpy 2.4, 2-core VM). In
+# interleaved trials two rows beat the block step 67 times in 75, and the
+# block step beat three rows 54 times in 75. Without it a long document's
+# tail would cost a block step per token.
+_ROW_STEP_MAX = 2
 
 
 class _DocumentGibbs:
@@ -280,8 +294,8 @@ class _DocumentGibbs:
         doc[self.slot] = np.repeat(self.rank, lens)
         self.n_dk = np.zeros((len(lens), n_topics))  # rows by rank
         self.n_wk = np.zeros((vocab_size, n_topics))  # word-major
-        np.add.at(self.n_dk, (doc, self.z), 1)
-        np.add.at(self.n_wk, (self.words, self.z), 1)
+        np.add.at(self.n_dk, (doc, self.z), 1.0)
+        np.add.at(self.n_wk, (self.words, self.z), 1.0)
         self.n_k = np.bincount(self.z, minlength=n_topics).astype(np.float64)
         self._row_base = np.arange(0, self.n_dk.size, n_topics)  # n_dk[r, k] is at r * K + k
         self._word_base = self.words * n_topics  # n_wk[w, k] is at w * K + k
@@ -293,32 +307,33 @@ class _DocumentGibbs:
         words, z, u = self.words, self.z, self._u
         u[self.slot, 0] = uniforms
         dk, wk, n_k = self.n_dk.reshape(-1), self.n_wk.reshape(-1), self.n_k
-        row_base, word_base, rows = self._row_base, self._word_base, np.arange(len(self.n_dk))
-        accumulate, reduce, bincount = np.add.accumulate, np.add.reduce, np.bincount
-        subtract_at, add_at = np.subtract.at, np.add.at
+        row_base, word_base = self._row_base, self._word_base
+        # ufunc.at with a float operand: an integer one takes numpy off its fast path.
+        subtract_at, add_at, bincount = np.subtract.at, np.add.at, np.bincount
         for lo, a in zip(self.starts.tolist(), self.active.tolist()):
             if a <= _ROW_STEP_MAX:
                 self._row_step(lo, a)
                 continue
             hi = lo + a
-            old, mine = z[lo:hi].copy(), rows[:a]
+            old = z[lo:hi]  # a view, so z[lo:hi] is written last
             # Each document's own token out of the step-start counts: its n_dk
-            # row is its own, its n_wk and n_k rows are copies.
-            dk[row_base[:a] + old] -= 1
-            word_k = self.n_wk[words[lo:hi]]
-            word_k[mine, old] -= 1
-            topic_k = np.repeat(n_k[None], a, axis=0)
-            topic_k[mine, old] -= 1
+            # row is its own, its n_wk and n_k rows are copies. Rank r's cell
+            # of topic k is at r * K + k in all three (a, K) tables.
+            own = row_base[:a] + old
+            dk[own] -= 1.0
+            word_k = self.n_wk.take(words[lo:hi], axis=0)
+            word_k.reshape(-1)[own] -= 1.0
+            topic_k = n_k[None].repeat(a, axis=0)
+            topic_k.reshape(-1)[own] -= 1.0
             p = (self.n_dk[:a] + alpha) * (word_k + beta) / (topic_k + beta_sum)
-            cum = accumulate(p, axis=1)
-            # Counting cum < target is searchsorted(cum, target, side="left").
-            new = reduce(cum < u[lo:hi] * cum[:, -1:], axis=1)
-            z[lo:hi] = new
-            dk[row_base[:a] + new] += 1
+            cum = np.add.accumulate(p, axis=1)
+            new = _draw(cum, u[lo:hi] * cum[:, -1:])
+            dk[row_base[:a] + new] += 1.0
             # Several documents may share a word, hence ufunc.at for n_wk.
-            subtract_at(wk, word_base[lo:hi] + old, 1)
-            add_at(wk, word_base[lo:hi] + new, 1)
+            subtract_at(wk, word_base[lo:hi] + old, 1.0)
+            add_at(wk, word_base[lo:hi] + new, 1.0)
             n_k += bincount(new, minlength=n_topics) - bincount(old, minlength=n_topics)
+            z[lo:hi] = new
 
     def _row_step(self, lo: int, a: int) -> None:
         """The step of sweep() drawn one row at a time, for a step with few
@@ -392,9 +407,8 @@ def lda_infer_batch(
     row_base = np.arange(0, counts.size, n_topics)
     cell = np.empty_like(flat)  # each token's topic as its counts cell
     cell[slot] = np.repeat(row_base[rank], lens) + z0
-    np.add.at(cells, cell, 1)
+    np.add.at(cells, cell, 1.0)
     u = np.empty((len(slot), 1))
-    accumulate, reduce = np.add.accumulate, np.add.reduce
     for _ in range(iters):
         # One sweep of uniforms per document, drawn as the lone fold-in would.
         u[slot, 0] = np.concatenate([rng.random(n) for rng, n in zip(rngs, lens)])
@@ -403,9 +417,8 @@ def lda_infer_batch(
         for lo, a in zip(starts.tolist(), active.tolist()):
             hi = lo + a
             cells[cell[lo:hi]] -= 1
-            cum = accumulate((counts[:a] + alpha) * phi_t[flat[lo:hi]], axis=1)
-            # Counting cum < target is searchsorted(cum, target, side="left").
-            new = row_base[:a] + reduce(cum < u[lo:hi] * cum[:, -1:], axis=1)
+            cum = np.add.accumulate((counts[:a] + alpha) * phi_t.take(flat[lo:hi], axis=0), axis=1)
+            new = row_base[:a] + _draw(cum, u[lo:hi] * cum[:, -1:])
             cell[lo:hi] = new
             cells[new] += 1
     theta[known] = (counts[rank] + alpha) / (np.array(lens) + n_topics * alpha)[:, None]

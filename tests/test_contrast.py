@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import json
 
 import numpy as np
@@ -279,6 +280,16 @@ class TestTrainFromRowMatrices:
         with pytest.raises(DimMismatchError):
             contrast.train(positives, {"t0": np.ones(2)}, mixed_widths, TrainConfig())
 
+    def test_zero_width_features_rejected(self):
+        cfg = TrainConfig(epochs=1)
+        with pytest.raises(DimMismatchError, match="no feature columns"):
+            contrast.train([("t", "a")], {"t": []}, {"a": [], "b": []}, cfg)
+        with pytest.raises(DimMismatchError, match="no feature columns"):
+            contrast.train(
+                [("t", "a")], np.zeros((1, 0)), np.zeros((2, 0)), cfg, "truncate",
+                ["t"], ["a", "b"],
+            )
+
 
 class TestEncode:
     def _encoder(self, d=3, in_t=4, in_a=5, nonlinearity="none"):
@@ -356,6 +367,35 @@ class TestPersistence:
         contrast.save_encoder(enc, p1)
         contrast.save_encoder(enc, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("train_config", [None, TrainConfig(epochs=2, lr=0.25, joint_dim=4)])
+    def test_bytes_are_the_json_dumps_of_the_payload(self, tmp_path, train_config):
+        rng = np.random.default_rng(3)
+        enc = contrast.DualEncoder(
+            tweet_map=contrast.AffineMap(rng.normal(size=(4, 300)), rng.normal(size=4)),
+            article_map=contrast.AffineMap(rng.normal(size=(4, 120)), rng.normal(size=4)),
+            nonlinearity="tanh",
+        )
+
+        def array(a):
+            data = base64.b64encode(a.astype("<f8").tobytes()).decode("ascii")
+            return {"dtype": "<f8", "shape": list(a.shape), "data": data}
+
+        payload = {
+            "format": "dual_encoder",
+            "version": 2,
+            "nonlinearity": "tanh",
+            "joint_dim": 4,
+            "tweet_map": {"weight": array(enc.tweet_map.weight), "bias": array(enc.tweet_map.bias)},
+            "article_map": {
+                "weight": array(enc.article_map.weight), "bias": array(enc.article_map.bias)
+            },
+        }
+        if train_config is not None:
+            payload["train_config"] = dataclasses.asdict(train_config)
+        path = tmp_path / "encoder.json"
+        contrast.save_encoder(enc, path, train_config)
+        assert path.read_bytes() == (json.dumps(payload, sort_keys=True) + "\n").encode("ascii")
 
     @staticmethod
     def _write(path, version, edit):

@@ -1,7 +1,7 @@
 """Property tests: the one-sort calibration and AP sweep, the one-product
 scoring kernel, the batch TF-IDF transform, batched encoding, the LDA
 sampler (against document-parallel and one-document token-by-token oracles),
-its topic proportions and batched fold-in, the sparse-row
+its draw helper, its topic proportions and batched fold-in, the sparse-row
 dual-encoder training loop (against dense and per-step-gather oracles) and
 its row-index examples (against the per-pair vector builder), text
 cleaning, and the JSONL reader, pair table loader and ground-truth builder
@@ -435,6 +435,33 @@ def test_lda_infer_batch_rows_match_reference(case, data):
     for row, doc in zip(theta, queries):
         expected = lda_infer_reference(model.phi, model.vocab.index, model.alpha, doc, iters, seed)
         assert np.array_equal(row, expected)
+
+
+@st.composite
+def draw_cases(draw):
+    """Nondecreasing rows with repeated values, and per row a target at most
+    its last value: one of its cells, its last value, or a share of it."""
+    n_topics = draw(st.integers(1, 25))
+    step = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 10.0))
+    rows = draw(st.lists(st.lists(step, min_size=n_topics, max_size=n_topics), min_size=1, max_size=6))
+    cum = np.cumsum(rows, axis=1)
+    targets = [
+        draw(st.one_of(
+            st.sampled_from(row.tolist()),
+            st.just(row[-1]),
+            st.floats(0.0, 1.0).map(lambda u: u * row[-1]),
+        ))
+        for row in cum
+    ]
+    return cum, np.array(targets)[:, None]
+
+
+@settings(max_examples=200, deadline=None)
+@given(draw_cases())
+def test_draw_is_searchsorted_left(case):
+    cum, targets = case
+    expected = [np.searchsorted(row, target, side="left") for row, target in zip(cum, targets[:, 0])]
+    assert_array_equal(vectorize._draw(cum, targets), expected)
 
 
 @st.composite
