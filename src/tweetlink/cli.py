@@ -9,7 +9,7 @@ Each stage is computed on first use and kept for the rest of the command:
 
     corpus           documents and pairs, keyword-filtered     ingest, cascades
     tokens           cleaned and lemmatized tokens per doc      prep, fit
-    train_positives  match pairs of train_pairs, else of pairs
+    train_positives  match pairs of train_pairs, else of pairs  (model=dual only)
     vectors          tfidf/lda vectors, or dual-encoder outputs train
     similarity       tweets x articles cosine matrix            score, sweep-size
     ground_truth     corpus labels of the similarity's cells    calibrate, eval
@@ -220,9 +220,9 @@ def _prepare_tokens(cfg: RunConfig, tweets, articles) -> dict[str, list[str]]:
 
 
 def _article_pieces(cfg: RunConfig, tokens: list[str]) -> list[list[str]]:
-    """Token pieces per long-text strategy; an emptied-out article yields one empty piece."""
-    if not tokens:
-        return [[]]
+    """Token pieces of an article: itself, unless the dual encoder reads it by cfg.strategy."""
+    if cfg.model != "dual" or not tokens:
+        return [tokens]
     if cfg.strategy == "mean_chunks":
         return textprep.chunk(tokens, cfg.chunking)
     if cfg.strategy == "augment":
@@ -249,57 +249,46 @@ def build_vectors(
 ):
     """(tweet rows, article rows, encoder) for the output ids, fitted on the fit side only.
 
-    Row i of each matrix belongs to the i-th output id of its side. For
-    model=dual this trains the encoder on `train_positives` over the
-    selected feature space and returns it with the encoded rows (dense);
-    training and encoding take the featurized row matrices as they are (CSR
-    for tfidf, dense for lda and external). Otherwise the tfidf (CSR) or lda
-    (dense) rows are the final representation and the encoder slot is None.
-    An lda row of a document the fit sampled is its topic proportions from
-    the fitted chain; only the other documents are folded in (see
-    _featurizer).
+    Row i of each matrix belongs to the i-th output id of its side; an id
+    without tokens raises UnknownIdError. Every model featurizes tweets
+    (truncated) and article pieces (_article_pieces) in one call per side
+    (_featurizer). model=dual also featurizes the training tweets and fit
+    articles, trains the encoder on `train_positives` over those rows and
+    outputs projections: the mean of an article's pieces' under mean_chunks,
+    else its first piece's. Other models output the rows.
     """
-    trunc = cfg.chunking.truncate_limit
-    if cfg.model != "dual":
-        featurize = _featurizer(cfg, cfg.model, tokens, fit_tweet_ids, fit_article_ids)
-        tweet_docs = [(i, textprep.truncate(tokens[i], trunc)) for i in out_tweet_ids]
-        article_docs = [(i, tokens[i]) for i in out_article_ids]
-        return featurize(tweet_docs), featurize(article_docs), None
-
-    # model == "dual": build base features, train, then encode.
-    def doc_tokens(doc_id):
+    dual = cfg.model == "dual"
+    tweet_ids, article_ids = list(out_tweet_ids), list(out_article_ids)
+    if dual:
+        if not train_positives:
+            raise ConfigInvalidError("model=dual needs match-labeled training pairs")
+        # The fit articles come first, so their pieces are the first rows of piece_x.
+        tweet_ids = list(dict.fromkeys([*sorted({t for t, _ in train_positives}), *tweet_ids]))
+        article_ids = list(dict.fromkeys([*fit_article_ids, *article_ids]))
+    for doc_id in (*fit_tweet_ids, *fit_article_ids, *tweet_ids, *article_ids):
         if doc_id not in tokens:
             raise UnknownIdError(doc_id)
-        return tokens[doc_id]
+    pieces = [_article_pieces(cfg, tokens[i]) for i in article_ids]
 
-    featurize = _featurizer(cfg, cfg.features, tokens, fit_tweet_ids, fit_article_ids)
-    external = cfg.features == "external"
-    if not train_positives:
-        raise ConfigInvalidError("model=dual needs match-labeled training pairs")
-
-    # One featurize call per side over the training and output documents, so
-    # each is featurized once. The fit articles come first, so their pieces
-    # are the first rows of piece_x.
-    tweet_ids = list(dict.fromkeys([*sorted({t for t, _ in train_positives}), *out_tweet_ids]))
-    article_ids = list(dict.fromkeys([*fit_article_ids, *out_article_ids]))
-    tweet_x = featurize([(i, textprep.truncate(doc_tokens(i), trunc)) for i in tweet_ids])
-    pieces = [[None] if external else _article_pieces(cfg, doc_tokens(i)) for i in article_ids]
+    kind = cfg.features if dual else cfg.model
+    featurize = _featurizer(cfg, kind, tokens, fit_tweet_ids, fit_article_ids)
+    trunc = cfg.chunking.truncate_limit
+    tweet_x = featurize([(i, textprep.truncate(tokens[i], trunc)) for i in tweet_ids])
     piece_x = featurize([(i, p) for i, ps in zip(article_ids, pieces) for p in ps])
-    counts = np.array([len(ps) for ps in pieces])
+    if not dual:
+        return tweet_x, piece_x, None
 
     # Training draws its negatives from the fit articles, in this order.
+    counts = np.array([len(ps) for ps in pieces])
     n_fit = len(set(fit_article_ids))
     encoder, _trace = contrast.train(
         train_positives, tweet_x, piece_x, cfg.train, cfg.strategy,
         tweet_ids, article_ids[:n_fit], counts[:n_fit],
     )
-
     if cfg.strategy == "mean_chunks":
         article_vecs = contrast.encode_batch(encoder, "article", piece_x, counts)
-    else:
-        # truncate: the single piece; augment: the header piece.
-        headers = np.cumsum(counts) - counts
-        article_vecs = contrast.encode_batch(encoder, "article", piece_x)[headers]
+    else:  # truncate: the single piece; augment: the header piece
+        article_vecs = contrast.encode_batch(encoder, "article", piece_x)[np.cumsum(counts) - counts]
     tweet_vecs = contrast.encode_batch(encoder, "tweet", tweet_x)
     tweet_row = {doc_id: r for r, doc_id in enumerate(tweet_ids)}
     article_row = {doc_id: r for r, doc_id in enumerate(article_ids)}
@@ -310,22 +299,25 @@ def build_vectors(
     )
 
 
-def _fit_docs(cfg: RunConfig, tokens, tweet_ids, article_ids) -> list[tuple[str, list[str]]]:
-    """(doc_id, tokens) of the given tweets (truncated) and articles, as a fit sees them."""
+def _fit_with_docs(cfg: RunConfig, kind: str, tokens, tweet_ids, article_ids):
+    """(model, [(doc_id, tokens)] it was fitted on): _fit, and the documents it saw."""
     trunc = cfg.chunking.truncate_limit
     docs = [(i, textprep.truncate(tokens[i], trunc)) for i in tweet_ids]
-    return docs + [(i, tokens[i]) for i in article_ids]
+    docs += [(i, tokens[i]) for i in article_ids]
+    token_lists = [toks for _id, toks in docs]
+    if kind == "lda":
+        model = vectorize.lda_fit(
+            token_lists, n_topics=cfg.lda.n_topics, alpha=cfg.lda.alpha, beta=cfg.lda.beta,
+            iters=cfg.lda.iters, seed=cfg.seed,
+        )
+    else:
+        model = vectorize.tfidf_fit(token_lists)
+    return model, docs
 
 
 def _fit(cfg: RunConfig, kind: str, tokens, tweet_ids, article_ids):
     """Fit a tfidf or lda model on the given tweets (truncated) and articles."""
-    docs = [toks for _id, toks in _fit_docs(cfg, tokens, tweet_ids, article_ids)]
-    if kind == "lda":
-        return vectorize.lda_fit(
-            docs, n_topics=cfg.lda.n_topics, alpha=cfg.lda.alpha, beta=cfg.lda.beta,
-            iters=cfg.lda.iters, seed=cfg.seed,
-        )
-    return vectorize.tfidf_fit(docs)
+    return _fit_with_docs(cfg, kind, tokens, tweet_ids, article_ids)[0]
 
 
 def _featurizer(cfg: RunConfig, kind: str, tokens, fit_tweet_ids, fit_article_ids):
@@ -342,11 +334,10 @@ def _featurizer(cfg: RunConfig, kind: str, tokens, fit_tweet_ids, fit_article_id
         return lambda docs: np.array(
             [table.lookup(doc_id) for doc_id, _toks in docs], dtype=np.float64
         ).reshape(len(docs), table.dim)
-    model = _fit(cfg, kind, tokens, fit_tweet_ids, fit_article_ids)
+    model, fit_docs = _fit_with_docs(cfg, kind, tokens, fit_tweet_ids, fit_article_ids)
     if kind == "tfidf":
         return lambda docs: vectorize.tfidf_transform_batch(model, [toks for _id, toks in docs])
 
-    fit_docs = _fit_docs(cfg, tokens, fit_tweet_ids, fit_article_ids)
     fitted = {doc_id: (toks, row) for row, (doc_id, toks) in enumerate(fit_docs)}
 
     def featurize(docs):
@@ -406,7 +397,8 @@ class _Run:
     def vectors(self):
         """(tweet rows, article rows, dual encoder or None), fitted on every document."""
         ids = (self.tweet_ids, self.article_ids)
-        return build_vectors(self.cfg, self.tokens, *ids, *ids, self.train_positives)
+        positives = self.train_positives if self.cfg.model == "dual" else None
+        return build_vectors(self.cfg, self.tokens, *ids, *ids, positives)
 
     @cached_property
     def similarity(self) -> SimilarityMatrix:
@@ -543,20 +535,18 @@ def sweep_hyperparams(run: _Run | RunConfig, grid, split, budget: int | None = N
         grid = [grid[i] for i in keep]
 
     tweets, articles, pairs = run.corpus
-    train_a_set, train_t_set = set(train_a), set(train_t)
-    train_positives = [
-        (t, a) for t, a in run.train_positives if t in train_t_set and a in train_a_set
-    ]
+    derived_cfgs = [cfg.with_overrides(point) for point in grid]
+    train_positives = None
+    if any(derived.model == "dual" for derived in derived_cfgs):
+        train_t_set, train_a_set = set(train_t), set(train_a)
+        train_positives = [
+            (t, a) for t, a in run.train_positives if t in train_t_set and a in train_a_set
+        ]
     gt = corpus.build_ground_truth(pairs.select(set(val_t), set(val_a)), val_t, val_a)
-    # Leakage guard: no evaluated cell may appear among the training pairs.
-    eval_cells = {(t, a) for t in val_t for a in val_a}
-    if eval_cells & set(train_positives):
-        raise ConfigInvalidError("split leaks training pairs into the validation cells")
 
     rows = []
     best = None
-    for point in grid:
-        derived = cfg.with_overrides(point)
+    for point, derived in zip(grid, derived_cfgs):
         tokens = _prepare_tokens(derived, tweets, articles)
         tweet_rows, article_rows, _enc = build_vectors(
             derived, tokens, train_t, train_a, val_t, val_a, train_positives

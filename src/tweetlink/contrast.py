@@ -587,18 +587,18 @@ def save_encoder(model: DualEncoder, path, train_config: TrainConfig | None = No
         payload["train_config"] = {
             k: getattr(train_config, k) for k in train_config.__dataclass_fields__
         }
-    # json.dumps would scan each base64 string for characters to escape, and
-    # base64 holds none: each goes in by plain quoting in place of its index.
+    # json.dumps would scan each base64 string for characters to escape, and base64 holds
+    # none. Each is written in quotes where its index stands, so no whole-file copy is built.
     blobs = []
     for amap in (payload["tweet_map"], payload["article_map"]):
         for array in amap.values():
             blobs.append(array["data"])
             array["data"] = len(blobs) - 1
     # json.dumps takes the C encoder; json.dump always runs the pure-Python one.
-    text = json.dumps(payload, sort_keys=True)
-    text = re.sub(r'"data": (\d+)', lambda m: f'"data": "{blobs[int(m[1])]}"', text)
+    parts = re.split(r'(?<="data": )(\d+)', json.dumps(payload, sort_keys=True) + "\n")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        for i, part in enumerate(parts):
+            fh.writelines(('"', blobs[int(part)], '"') if i % 2 else (part,))
 
 
 def load_encoder(path) -> DualEncoder:

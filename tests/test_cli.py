@@ -10,7 +10,7 @@ import pytest
 
 from tweetlink import cli, contrast, corpus, evalx, linker, textprep, vectorize
 from tweetlink.cli import RunConfig
-from tweetlink.errors import ConfigInvalidError, EmptyCorpusError, EmptyGridError
+from tweetlink.errors import ConfigInvalidError, EmptyCorpusError, EmptyGridError, UnknownIdError
 from tweetlink.matrices import CsrRows, SimilarityMatrix
 
 
@@ -744,3 +744,82 @@ def test_dual_training_reads_the_featurized_rows_exactly(
         (encoder.article_map.bias, want.article_map.bias),
     ):
         assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("model", ["tfidf", "lda"])
+def test_non_dual_run_does_not_read_train_pairs(small_corpus, make_config, tmp_path, model):
+    """Only the dual encoder trains, so a missing train_pairs file changes nothing."""
+    extra = {"model": model, "lda": TestLdaTopicVectors.LDA}
+    outputs = {}
+    for name, train_pairs in (("plain", {}), ("missing", {"train_pairs": str(tmp_path / "nope")})):
+        cfg_path = make_config({**extra, **train_pairs}, name=f"{name}.json")
+        out = tmp_path / name
+        for command in (["eval"], ["score"], ["sweep-size", "--sizes", "1,2"]):
+            assert cli.main(["--config", str(cfg_path), "--out-dir", str(out), *command]) == 0
+        outputs[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert sorted(outputs["plain"]) == ["report.json", "similarity.csv", "sweep_size.csv"]
+    assert outputs["missing"] == outputs["plain"]
+
+
+@pytest.mark.parametrize("model", ["tfidf", "lda", "dual"])
+def test_unknown_output_id_raises_unknown_id_error(small_corpus, make_config, model):
+    cfg = RunConfig.from_file(make_config({
+        "model": model, "lda": TestLdaTopicVectors.LDA,
+        "train": {"epochs": 1, "joint_dim": 4, "seed": 7},
+    }))
+    tweets, articles, pairs = cli._load_corpus(cfg)
+    split = cli.split_by_article([d.id for d in articles], cli._match_pairs(pairs), 3)
+    split["val_tweets"].append("no-such-tweet")
+    with pytest.raises(UnknownIdError) as info:
+        cli.sweep_hyperparams(cfg, [{}], split)
+    assert info.value.doc_id == "no-such-tweet"
+
+
+@pytest.mark.parametrize("summary_articles", [True, False])
+def test_tfidf_rows_are_the_plain_featurizer_rows(small_corpus, make_config, summary_articles):
+    """model=tfidf outputs tfidf_transform_batch of the truncated tweets and whole articles,
+    with the model fitted on the same documents."""
+    cfg = RunConfig.from_file(make_config({
+        "summary_articles": summary_articles, "chunking": {"content_len": 6, "truncate_limit": 4},
+    }))
+    run = cli._Run(cfg)
+    tweet_rows, article_rows, encoder = run.vectors
+    tokens = run.tokens
+    tweet_docs = [textprep.truncate(tokens[i], 4) for i in run.tweet_ids]
+    article_docs = [tokens[i] for i in run.article_ids]
+    assert any(len(tokens[i]) > 4 for i in run.tweet_ids)
+    assert any(len(doc) > 6 for doc in article_docs)
+    model = vectorize.tfidf_fit(tweet_docs + article_docs)
+    assert encoder is None
+    for got, docs in ((tweet_rows, tweet_docs), (article_rows, article_docs)):
+        want = vectorize.tfidf_transform_batch(model, docs)
+        assert isinstance(got, CsrRows) and got.n_cols == want.n_cols
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), strict=True)
+
+
+def test_external_features_take_one_piece_per_article(small_corpus, make_config, tmp_path, monkeypatch):
+    """Embeddings carry no token structure: every article is one row, even one cleaning empties."""
+    empty = corpus.Document(id="empty-article", kind=corpus.KIND_ARTICLE, text="a b c", created_at=0)
+    docs = [*small_corpus["docs"], empty]
+    corpus.write_documents(docs, small_corpus["documents"])
+    rng = np.random.default_rng(3)
+    emb = tmp_path / "embeddings.jsonl"
+    emb.write_text("".join(
+        json.dumps({"id": d.id, "vector": rng.normal(size=4).tolist()}) + "\n" for d in docs
+    ))
+    cfg = RunConfig.from_file(make_config({
+        "model": "dual", "features": "external", "embeddings": str(emb),
+        "chunking": {"content_len": 6, "truncate_limit": 4},
+        "train": {"epochs": 1, "joint_dim": 4, "seed": 7},
+    }))
+    calls = _record_calls(monkeypatch, contrast, "train")
+    run = cli._Run(cfg)
+    _tweet_rows, article_rows, _encoder = run.vectors
+    assert run.tokens["empty-article"] == []
+    [(args, _result)] = calls
+    _positives, _tweet_x, piece_x, _cfg, _strategy, _tweet_ids, article_ids, counts = args
+    assert article_ids == run.article_ids and "empty-article" in article_ids
+    assert counts.tolist() == [1] * len(article_ids)
+    assert piece_x.shape == (len(article_ids), 4)
+    assert len(article_rows) == len(article_ids)

@@ -2,8 +2,9 @@
 scoring kernel, the batch TF-IDF transform, batched encoding, the LDA
 sampler (against document-parallel and one-document token-by-token oracles),
 its draw helper, its topic proportions and batched fold-in, the sparse-row
-dual-encoder training loop (against dense and per-step-gather oracles) and
-its row-index examples (against the per-pair vector builder), text
+dual-encoder training loop (against dense and per-step-gather oracles), its
+epoch gather plan (against the per-batch gather) and its row-index
+examples (against the per-pair vector builder), text
 cleaning, and the JSONL reader, pair table loader and ground-truth builder
 against the oracles they replace."""
 
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from reference import (
     _csr_rows,
+    _gather_rows,
     ap_reference,
     batch_loss_and_grads_reference,
     build_ground_truth_reference,
@@ -556,6 +558,46 @@ def test_train_matches_stepwise_reference_exactly(case):
     assert np.array_equal(encoder.article_map.weight, w_a)
     assert np.array_equal(encoder.article_map.bias, b_a)
     assert trace == ref_trace
+
+
+@st.composite
+def epoch_gather_cases(draw):
+    """(CsrRows, batches): sparse rows with 0-4 nonzeros each, some all-zero, and
+    1-5 nonempty batches of row indices (repeats allowed), one of them possibly
+    holding only all-zero rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_rows, n_cols = draw(st.integers(1, 12)), draw(st.integers(1, 40))
+    cols = [
+        np.sort(rng.choice(n_cols, size=min(int(rng.integers(0, 5)), n_cols), replace=False))
+        for _ in range(n_rows)
+    ]
+    zero_rows = [r for r, c in enumerate(cols) if not len(c)]
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum([len(c) for c in cols], out=indptr[1:])
+    indices = np.concatenate(cols).astype(np.int64)
+    csr = CsrRows(indptr, indices, rng.random(len(indices)) + 0.1, n_cols)
+    batches = [
+        rng.integers(0, n_rows, size=int(rng.integers(1, 7))) for _ in range(draw(st.integers(1, 5)))
+    ]
+    if zero_rows and draw(st.booleans()):
+        k = draw(st.integers(0, len(batches) - 1))
+        batches[k] = rng.choice(zero_rows, size=int(rng.integers(1, 4)))
+    return csr, batches
+
+
+@settings(max_examples=300, deadline=None)
+@given(epoch_gather_cases())
+def test_epoch_gather_matches_per_batch_gather(case):
+    csr, batches = case
+    rows = np.concatenate(batches)
+    batch = np.repeat(np.arange(len(batches)), [len(b) for b in batches])
+    gather = contrast._EpochGather(csr, rows, batch, len(batches))
+    for k, batch_rows in enumerate(batches):
+        u, block = gather(k)
+        want_u, want_block = _gather_rows((csr.indptr, csr.indices, csr.data), batch_rows)
+        assert u.shape == want_u.shape and block.shape == want_block.shape
+        assert_array_equal(u, want_u)
+        assert_array_equal(block, want_block, strict=True)
 
 
 @settings(max_examples=200, deadline=None)
