@@ -26,8 +26,9 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -66,6 +67,11 @@ class LdaParams:
     beta: float = 0.01
     iters: int = 100
     infer_iters: int = 50
+
+    def __post_init__(self):
+        for name in ("n_topics", "iters", "infer_iters"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -106,6 +112,12 @@ class RunConfig:
             raise ConfigInvalidError(
                 f"aggregation must be one of {cascade_mod.AGGREGATIONS}, got {self.aggregation!r}"
             )
+        if self.seed < 0:
+            raise ConfigInvalidError(f"seed must be >= 0, got {self.seed}")
+        if self.max_summary_chars < 1:
+            raise ConfigInvalidError(
+                f"max_summary_chars must be >= 1, got {self.max_summary_chars}"
+            )
         if self.features == "external":
             if not self.embeddings:
                 raise ConfigInvalidError("features=external requires an embeddings path")
@@ -124,16 +136,24 @@ class RunConfig:
             "train": contrast.TrainConfig,
         }
         kwargs = {}
+        for name, section_cls in sections.items():
+            if name not in data:
+                continue
+            values = data.pop(name)
+            if not isinstance(values, dict):
+                raise ConfigInvalidError(f"config section {name!r} must be an object")
+            _check_types(section_cls, values, f"{name}.")
+            try:
+                kwargs[name] = section_cls(**values)
+            except (TypeError, ValueError) as exc:
+                raise ConfigInvalidError(f"invalid {name} config: {exc}") from exc
+        unknown = set(data) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ConfigInvalidError(f"unknown config keys: {sorted(unknown)}")
+        if "documents" not in data or "pairs" not in data:
+            raise ConfigInvalidError("config must set 'documents' and 'pairs' paths")
+        _check_types(cls, data)
         try:
-            for name, section_cls in sections.items():
-                if name in data:
-                    kwargs[name] = section_cls(**data.pop(name))
-            known = set(cls.__dataclass_fields__)
-            unknown = set(data) - known
-            if unknown:
-                raise ConfigInvalidError(f"unknown config keys: {sorted(unknown)}")
-            if "documents" not in data or "pairs" not in data:
-                raise ConfigInvalidError("config must set 'documents' and 'pairs' paths")
             return cls(**data, **kwargs)
         except (TypeError, ValueError) as exc:
             raise ConfigInvalidError(f"invalid config: {exc}") from exc
@@ -145,7 +165,7 @@ class RunConfig:
                 raw = json.load(fh)
         except OSError as exc:
             raise ConfigInvalidError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on a non-UTF-8 byte
             raise ConfigInvalidError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigInvalidError(f"config {path} must hold a JSON object")
@@ -177,11 +197,33 @@ class RunConfig:
         return RunConfig.from_dict(data)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    n: int
-    ap: float
-    n_cascades: int
+def _check_types(cls, values: dict, prefix: str = "") -> None:
+    """Reject a config value whose JSON type does not fit its field, naming its key.
+
+    An int field takes an integer (not a bool), a float field a finite
+    number, a bool field true or false and a str field a string; a field
+    typed `... | None` also takes null.
+    """
+    for f in fields(cls):
+        if f.name not in values:
+            continue
+        value = values[f.name]
+        kind, _, optional = f.type.partition(" | ")
+        if value is None and optional == "None":
+            continue
+        if kind == "int":
+            ok, want = type(value) is int, "an integer"
+        elif kind == "float":
+            ok = type(value) is int or (type(value) is float and math.isfinite(value))
+            want = "a finite number"
+        elif kind == "bool":
+            ok, want = type(value) is bool, "true or false"
+        elif kind == "str":
+            ok, want = type(value) is str, "a string"
+        else:
+            continue
+        if not ok:
+            raise ConfigInvalidError(f"{prefix}{f.name} must be {want}, got {value!r}")
 
 
 # --- stages --------------------------------------------------------------------
@@ -560,34 +602,36 @@ def sweep_hyperparams(run: _Run | RunConfig, grid, split, budget: int | None = N
     return best[0], best[1], rows
 
 
-def sweep_size(run: _Run | RunConfig, sizes, cascades, gt: GroundTruthMatrix) -> list[SweepRow]:
+def sweep_size(run: _Run | RunConfig, sizes) -> list[dict]:
     """Masked AP of cascade-level scores as a function of the cut size.
 
-    Takes the run's similarity (every tweet scored once), then for each n
-    aggregates the rows of the n oldest members per cascade with
-    cfg.aggregation. `gt` holds one row per cascade over the run's articles.
+    Cascades are built from the run's tweets and scored against one ground
+    truth row per cascade root over the run's articles. Every tweet is scored
+    once (the run's similarity); for each n, a cascade's row aggregates the
+    rows of its n oldest members with cfg.aggregation. Members are kept in
+    (created_at, depth, id) order, so those are the first n.
     """
     sizes = list(sizes)
     if not sizes or any(n < 1 for n in sizes) or sizes != sorted(set(sizes)):
         raise ConfigInvalidError("sizes must be strictly increasing integers >= 1")
     run = _as_run(run)
+    tweets, _articles, pairs = run.corpus
+    cascades = cascade_mod.build_cascades(tweets)
     sim = run.similarity
-    if tuple(gt.article_ids) != sim.article_ids:
-        raise ConfigInvalidError("sweep ground truth must cover the run's articles in order")
-    row_of = {tid: sim.values[i] for i, tid in enumerate(sim.tweet_ids)}
-    aggregation = run.cfg.aggregation
+    roots = [c.root_id for c in cascades]
+    gt = corpus.build_ground_truth(pairs.select(tweet_ids=set(roots)), roots, sim.article_ids)
+    row_of = {tweet_id: i for i, tweet_id in enumerate(sim.tweet_ids)}
+    member_rows = [[row_of[t] for t in c.member_ids] for c in cascades]
 
     n_evaluated = int((np.abs(gt.values).sum(axis=1) > 0).sum())
     rows = []
     for n in sizes:
-        agg_rows = []
-        for c in cascades:
-            members = cascade_mod.cut(c, n).member_ids
-            agg_rows.append(cascade_mod.aggregate([row_of[t] for t in members], aggregation))
-        values = np.clip(np.asarray(agg_rows), -1.0, 1.0)
-        scores, labels = evalx.masked_pairs(values, gt)
-        ap = evalx.average_precision(scores, labels)
-        rows.append(SweepRow(n=n, ap=ap, n_cascades=n_evaluated))
+        values = np.clip(
+            [cascade_mod.aggregate(sim.values[m[:n]], run.cfg.aggregation) for m in member_rows],
+            -1.0, 1.0,
+        )
+        ap = evalx.average_precision(*evalx.masked_pairs(values, gt))
+        rows.append({"n": n, "ap": ap, "n_cascades": n_evaluated})
     return rows
 
 
@@ -713,23 +757,14 @@ def _cmd_sweep_size(run: _Run, args) -> None:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError:
         raise ConfigInvalidError(f"--sizes must list integers, got {args.sizes!r}") from None
-    tweets, _articles, pairs = run.corpus
-    cascades = cascade_mod.build_cascades(tweets)
-    root_ids = [c.root_id for c in cascades]
-    gt = corpus.build_ground_truth(pairs.select(tweet_ids=set(root_ids)), root_ids, run.article_ids)
-    rows = sweep_size(run, sizes, cascades, gt)
-    emit_report(
-        [{"n": r.n, "ap": r.ap, "n_cascades": r.n_cascades} for r in rows],
-        "csv",
-        _out_dir(run.cfg) / "sweep_size.csv",
-    )
+    emit_report(sweep_size(run, sizes), "csv", _out_dir(run.cfg) / "sweep_size.csv")
 
 
 def _cmd_sweep_hp(run: _Run, args) -> None:
     try:
         with open(args.grid, encoding="utf-8") as fh:
             grid = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigInvalidError(f"cannot read grid {args.grid}: {exc}") from exc
     if not isinstance(grid, list) or not all(isinstance(p, dict) for p in grid):
         raise ConfigInvalidError("grid file must hold a JSON list of override objects")
@@ -747,7 +782,7 @@ def _cmd_report(run: _Run | None, args) -> None:
     try:
         with open(args.input, encoding="utf-8") as fh:
             results = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigInvalidError(f"cannot read results {args.input}: {exc}") from exc
     out_dir = Path(run.cfg.out_dir) if run else Path(args.out_dir or "out")
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -98,6 +98,8 @@ class TrainConfig:
             raise ValueError("momentum must lie in [0, 1)")
         if self.joint_dim < 1:
             raise ValueError("joint_dim must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,6 +20,7 @@ from .errors import (
     MalformedLineError,
     MissingFieldError,
     UnknownIdError,
+    open_utf8,
 )
 from .matrices import GroundTruthMatrix
 
@@ -153,9 +154,10 @@ def _iter_jsonl(path):
 
     A line holding a value from its first character, then only JSON
     whitespace, costs one scanner call. Any other line goes to json.loads
-    itself, so it is accepted, rejected and its error worded alike.
+    itself, so it is accepted, rejected and its error worded alike. A byte
+    that is not UTF-8 raises MalformedLineError naming its line (open_utf8).
     """
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             try:
                 obj, end = _scan_once(line, 0)
@@ -263,7 +265,7 @@ def load_annotations(path) -> list[AnnotationRecord]:
 
 
 def load_keywords(path) -> KeywordList:
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         entries = tuple(line.strip() for line in fh if line.strip())
     return KeywordList(entries)
 

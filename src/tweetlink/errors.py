@@ -1,6 +1,9 @@
-"""Exception hierarchy shared by all tweetlink modules."""
+"""Exception hierarchy shared by all tweetlink modules, and the text-file
+opener that turns a byte that is not UTF-8 into one of them."""
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 
 class TweetLinkError(Exception):
@@ -15,6 +18,26 @@ class MalformedLineError(TweetLinkError):
         super().__init__(f"{path}:{line_no}: {reason}")
         self.path = path
         self.line_no = line_no
+
+
+@contextmanager
+def open_utf8(path, **kwargs):
+    """open(path) for reading UTF-8 text. A byte that is not UTF-8 raises
+    MalformedLineError naming its line; only then is the file read again, as
+    bytes, to find that line."""
+    try:
+        with open(path, encoding="utf-8", **kwargs) as fh:
+            yield fh
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line_no = data.count(b"\n", 0, exc.start) + 1
+            reason = f"byte 0x{data[exc.start]:02x} is not UTF-8"
+            raise MalformedLineError(str(path), line_no, reason) from None
+        raise  # the file changed between the two reads
 
 
 class MissingFieldError(TweetLinkError):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MalformedLineError, NonFiniteValueError, ShapeMismatchError
+from .errors import MalformedLineError, NonFiniteValueError, ShapeMismatchError, open_utf8
 
 RANGE_TOL = 1e-9
 
@@ -149,7 +149,7 @@ def write_matrix_csv(matrix, path) -> None:
 
 def read_similarity_csv(path) -> SimilarityMatrix:
     """Read a write_matrix_csv export; a bad row raises MalformedLineError."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

@@ -12,7 +12,7 @@ import re
 import unicodedata
 from dataclasses import dataclass
 
-from .errors import EmptyInputError, MalformedLineError
+from .errors import EmptyInputError, MalformedLineError, open_utf8
 
 TokenSeq = list[str]
 LemmaMap = dict[str, str]
@@ -157,7 +157,7 @@ def tokenize_lemmatize(text: str, lemmas: LemmaMap | None = None) -> TokenSeq:
 def load_lemmas(path) -> LemmaMap:
     """Read a token<TAB>lemma table."""
     table: LemmaMap = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:

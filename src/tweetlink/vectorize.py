@@ -152,17 +152,20 @@ def _doc_word_ids(docs: list[TokenSeq], vocab: Vocabulary) -> list[np.ndarray]:
     ]
 
 
-def _gibbs_counts_ll(n_kw, n_k, n_dk, doc_lens, alpha, beta):
-    # Imported here: scipy costs more to import than anything else the CLI loads.
-    from scipy.special import gammaln
+def _log_rising(counts: np.ndarray, c: float) -> float:
+    """Sum over the cells of ln Gamma(n + c) - ln Gamma(c) = sum_{i<n} ln(c + i),
+    where ln(c + i) counts once per cell holding more than i."""
+    hist = np.bincount(counts.reshape(-1))
+    above = counts.size - np.cumsum(hist)[:-1]
+    return float(above @ np.log(c + np.arange(len(above))))
 
+
+def _gibbs_counts_ll(n_kw, n_k, n_dk, doc_lens, alpha, beta):
+    """Collapsed-Gibbs log p(words, assignments) of integer count tables: its
+    Gamma ratios as _log_rising sums, where the ln Gamma(prior) terms cancel."""
     n_topics, vocab_size = n_kw.shape
-    n_docs = len(doc_lens)
-    ll = n_topics * (gammaln(vocab_size * beta) - vocab_size * gammaln(beta))
-    ll += gammaln(n_kw + beta).sum() - gammaln(n_k + vocab_size * beta).sum()
-    ll += n_docs * (gammaln(n_topics * alpha) - n_topics * gammaln(alpha))
-    ll += gammaln(n_dk + alpha).sum() - gammaln(doc_lens + n_topics * alpha).sum()
-    return float(ll)
+    ll = _log_rising(n_kw, beta) - _log_rising(n_k, vocab_size * beta)
+    return ll + _log_rising(n_dk, alpha) - _log_rising(doc_lens, n_topics * alpha)
 
 
 def _check_prior(name: str, prior: float) -> None:
@@ -362,11 +365,9 @@ class _DocumentGibbs:
         self.z[lo:hi] = new
 
     def counts(self):
-        """(n_kw, n_k, n_dk) as int64, n_dk in document order. n_kw is topic-major
-        and C-contiguous: gammaln(...).sum() adds pairwise in memory order, and
-        a transposed view would round the log-likelihood differently."""
-        n_kw = np.ascontiguousarray(self.n_wk.T.astype(np.int64))
-        return n_kw, self.n_k.astype(np.int64), self.n_dk[self.rank].astype(np.int64)
+        """(n_kw, n_k, n_dk) as int64, n_kw topic-major, n_dk in document order."""
+        n_dk = self.n_dk[self.rank]
+        return self.n_wk.T.astype(np.int64), self.n_k.astype(np.int64), n_dk.astype(np.int64)
 
 
 def lda_infer(model: LdaModel, doc: TokenSeq, iters: int = 50, seed: int = 0) -> np.ndarray:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
+from tweetlink.cascade import aggregate, cut
 from tweetlink.contrast import STRATEGIES, sample_negatives
 from tweetlink.corpus import LinkedPair
 from tweetlink.errors import (
@@ -24,6 +25,7 @@ from tweetlink.errors import (
     MissingFieldError,
     UnknownIdError,
 )
+from tweetlink.evalx import average_precision, masked_pairs
 from tweetlink.matrices import GroundTruthMatrix
 from tweetlink.textprep import (
     _ALIAS_RE,
@@ -222,10 +224,28 @@ def random_tree(rng, n_nodes, base_time=1000):
     return rows
 
 
-def lda_fit_reference(docs, n_topics, alpha=None, beta=0.01, iters=100, seed=0):
+def sweep_size_reference(sim, sizes, cascades, gt, aggregation):
+    """sweep-size's rows, cutting a Cascade per size: for each n, every
+    cascade cut to its n oldest members, their similarity rows aggregated,
+    and the masked AP of those rows against `gt` (one row per cascade)."""
+    row_of = {tweet_id: sim.values[i] for i, tweet_id in enumerate(sim.tweet_ids)}
+    n_evaluated = int((np.abs(gt.values).sum(axis=1) > 0).sum())
+    rows = []
+    for n in sizes:
+        agg_rows = [
+            aggregate([row_of[t] for t in cut(c, n).member_ids], aggregation) for c in cascades
+        ]
+        values = np.clip(np.asarray(agg_rows), -1.0, 1.0)
+        scores, labels = masked_pairs(values, gt)
+        rows.append({"n": n, "ap": average_precision(scores, labels), "n_cascades": n_evaluated})
+    return rows
+
+
+def lda_fit_reference(docs, n_topics, alpha=None, beta=0.01, iters=100, seed=0, counts=False):
     """Collapsed Gibbs LDA with one numpy draw and cumsum per token.
 
-    Returns (phi, log_likelihood). On a one-document corpus lda_fit must
+    Returns (phi, log_likelihood), with `counts` also the final count tables
+    (n_kw, n_k, n_dk, doc_lens). On a one-document corpus lda_fit must
     reproduce this generator stream and every rounding step exactly.
     """
     nonempty = [doc for doc in docs if doc]
@@ -268,10 +288,13 @@ def lda_fit_reference(docs, n_topics, alpha=None, beta=0.01, iters=100, seed=0):
                 n_kw[k_new, w] += 1
                 n_k[k_new] += 1
 
-    return _lda_phi_and_ll(n_dk, n_kw, n_k, word_ids, alpha, beta)
+    phi, ll = _lda_phi_and_ll(n_dk, n_kw, n_k, word_ids, alpha, beta)
+    return (phi, ll, _count_tables(n_kw, n_k, n_dk)) if counts else (phi, ll)
 
 
-def lda_fit_steps_reference(docs, n_topics, alpha=None, beta=0.01, iters=100, seed=0):
+def lda_fit_steps_reference(
+    docs, n_topics, alpha=None, beta=0.01, iters=100, seed=0, counts=False
+):
     """Document-parallel collapsed Gibbs LDA, one document and one token at a time.
 
     Every document steps its token j together with the others: each draws
@@ -279,7 +302,8 @@ def lda_fit_steps_reference(docs, n_topics, alpha=None, beta=0.01, iters=100, se
     with its own uniform (one rng.random(n_tokens) per sweep, in document
     order); then every token moves to its drawn topic. Same generator stream
     as lda_fit_reference. Returns (phi, log_likelihood, n_dk), n_dk holding
-    the final topic counts of the nonempty documents in their given order.
+    the final topic counts of the nonempty documents in their given order;
+    with `counts` also the final count tables (n_kw, n_k, n_dk, doc_lens).
     """
     nonempty = [doc for doc in docs if doc]
     if alpha is None:
@@ -326,20 +350,32 @@ def lda_fit_steps_reference(docs, n_topics, alpha=None, beta=0.01, iters=100, se
                 n_kw[k_new, w] += 1
                 n_k[k_new] += 1
 
-    return (*_lda_phi_and_ll(n_dk, n_kw, n_k, word_ids, alpha, beta), n_dk)
+    phi, ll = _lda_phi_and_ll(n_dk, n_kw, n_k, word_ids, alpha, beta)
+    return (phi, ll, n_dk, _count_tables(n_kw, n_k, n_dk)) if counts else (phi, ll, n_dk)
+
+
+def _count_tables(n_kw, n_k, n_dk):
+    """The chain's final counts as vectorize._gibbs_counts_ll takes them."""
+    return n_kw, n_k, n_dk, n_dk.sum(axis=1)
 
 
 def _lda_phi_and_ll(n_dk, n_kw, n_k, word_ids, alpha, beta):
-    n_docs, n_topics = n_dk.shape
-    vocab_size = n_kw.shape[1]
-    beta_sum = vocab_size * beta
+    beta_sum = n_kw.shape[1] * beta
     phi = (n_kw + beta) / (n_k + beta_sum)[:, None]
     doc_lens = np.array([len(w) for w in word_ids], dtype=np.int64)
+    return phi, gammaln_ll_reference(n_kw, n_k, n_dk, doc_lens, alpha, beta)
+
+
+def gammaln_ll_reference(n_kw, n_k, n_dk, doc_lens, alpha, beta):
+    """Collapsed-Gibbs log p(words, assignments) as the sum of its ln Gamma terms
+    (Griffiths & Steyvers, PNAS 2004)."""
+    n_topics, vocab_size = n_kw.shape
+    n_docs = len(doc_lens)
     ll = n_topics * (gammaln(vocab_size * beta) - vocab_size * gammaln(beta))
     ll += gammaln(n_kw + beta).sum() - gammaln(n_k + vocab_size * beta).sum()
     ll += n_docs * (gammaln(n_topics * alpha) - n_topics * gammaln(alpha))
     ll += gammaln(n_dk + alpha).sum() - gammaln(doc_lens + n_topics * alpha).sum()
-    return phi, float(ll)
+    return float(ll)
 
 
 def lda_infer_reference(phi, vocab_index, alpha, doc, iters=50, seed=0):

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reference import sweep_size_reference
 from tweetlink import cli, contrast, corpus, evalx, linker, textprep, vectorize
 from tweetlink.cli import RunConfig
 from tweetlink.errors import ConfigInvalidError, EmptyCorpusError, EmptyGridError, UnknownIdError
@@ -317,7 +318,7 @@ class TestSweepSize:
         gt = corpus.build_ground_truth(
             [p for p in pairs if p.tweet_id in set(root_ids)], root_ids, article_ids
         )
-        rows = cli.sweep_size(cfg, [1], cascades, gt)
+        rows = cli.sweep_size(cfg, [1])
 
         # Independent root-only evaluation: score roots directly.
         from tweetlink import evalx, linker, textprep, vectorize
@@ -329,12 +330,12 @@ class TestSweepSize:
         )
         sim = linker.score_matrix(tv, av, root_ids, article_ids)
         scores, labels = evalx.masked_pairs(sim.values, gt)
-        assert rows[0].ap == pytest.approx(evalx.average_precision(scores, labels), abs=1e-12)
+        assert rows[0]["ap"] == pytest.approx(evalx.average_precision(scores, labels), abs=1e-12)
 
     def test_unsorted_sizes_rejected(self, small_corpus, make_config):
         cfg = RunConfig.from_file(make_config())
         with pytest.raises(ConfigInvalidError):
-            cli.sweep_size(cfg, [3, 1], [], None)
+            cli.sweep_size(cfg, [3, 1])
 
 
 class TestSweepHyperparams:
@@ -644,19 +645,22 @@ def test_dual_featurizes_each_document_once(small_corpus, make_config, monkeypat
     assert len(rows) == len(small_corpus["docs"])  # 24 tweets + 8 single-piece articles
 
 
-def test_sweep_size_needs_the_runs_article_columns(small_corpus, make_config):
-    cfg = RunConfig.from_file(make_config())
-    tweets, articles, pairs = cli._load_corpus(cfg)
+@pytest.mark.parametrize("aggregation", cli.cascade_mod.AGGREGATIONS)
+def test_sweep_size_matches_a_cascade_cut_per_size(small_corpus, make_config, aggregation):
+    """Each cut aggregates a prefix of its cascade's member rows: the same
+    rows, bit for bit, as cutting a Cascade to its n oldest members."""
+    run = cli._Run(RunConfig.from_file(make_config({"aggregation": aggregation})))
+    sizes = [1, 2, 3, 99]
+    tweets, _articles, pairs = run.corpus
     cascades = cli.cascade_mod.build_cascades(tweets)
     root_ids = [c.root_id for c in cascades]
-    reversed_articles = [d.id for d in articles][::-1]
-    gt = corpus.build_ground_truth(pairs.select(set(root_ids)), root_ids, reversed_articles)
-    with pytest.raises(ConfigInvalidError):
-        cli.sweep_size(cfg, [1], cascades, gt)
+    gt = corpus.build_ground_truth(pairs.select(set(root_ids)), root_ids, run.article_ids)
+    expected = sweep_size_reference(run.similarity, sizes, cascades, gt, aggregation)
+    assert cli.sweep_size(run, sizes) == expected
 
 
 def test_import_loads_no_scipy():
-    """scipy is imported only where LDA computes its log-likelihood, not at startup."""
+    """Importing the CLI loads no scipy: numpy is the only runtime dependency."""
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = "import sys, tweetlink.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
@@ -823,3 +827,108 @@ def test_external_features_take_one_piece_per_article(small_corpus, make_config,
     assert counts.tolist() == [1] * len(article_ids)
     assert piece_x.shape == (len(article_ids), 4)
     assert len(article_rows) == len(article_ids)
+
+
+def test_lda_commands_run_without_scipy(small_corpus, make_config, tmp_path):
+    """With scipy unimportable, LDA fit, eval, sweep-size and sweep-hp all succeed."""
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{"lda.n_topics": 2}, {"lda.n_topics": 3}]))
+    cfg_path = str(make_config({"model": "lda", "lda": {"n_topics": 2, "iters": 5}}))
+    commands = [
+        ["fit", "--model", "lda"], ["eval"], ["sweep-size", "--sizes", "1,2"],
+        ["sweep-hp", "--grid", str(grid)],
+    ]
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from tweetlink import cli\n"
+        f"print([cli.main(['--config', {cfg_path!r}, *c]) for c in {commands!r}])"
+    )
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0, 0]", proc.stderr
+    out = tmp_path / "out"
+    for name in ("model_lda.json", "report.json", "sweep_size.csv", "sweep_hp.json"):
+        assert (out / name).is_file()
+
+
+@pytest.mark.parametrize(
+    "extra, flags, key",
+    [
+        pytest.param({"lda": {"iters": 0}}, [], "iters", id="lda.iters=0"),
+        pytest.param({"lda": {"n_topics": 0}}, [], "n_topics", id="lda.n_topics=0"),
+        pytest.param({"lda": {"n_topics": "3"}}, [], "lda.n_topics", id="lda.n_topics=str"),
+        pytest.param({"lda": {"infer_iters": 0}}, [], "infer_iters", id="lda.infer_iters=0"),
+        pytest.param({"train": {"epochs": 1.5}}, [], "train.epochs", id="train.epochs=1.5"),
+        pytest.param({"train": {"joint_dim": True}}, [], "train.joint_dim", id="train.joint_dim=true"),
+        pytest.param({"train": {"batch_size": 2.5}}, [], "train.batch_size", id="train.batch_size=2.5"),
+        pytest.param({"train": {"seed": -1}}, [], "seed", id="train.seed=-1"),
+        pytest.param({"chunking": {"content_len": 2.5}}, [], "chunking.content_len",
+                     id="chunking.content_len=2.5"),
+        pytest.param({"seed": 1.5}, [], "seed", id="seed=1.5"),
+        pytest.param({"seed": -1}, [], "seed", id="seed=-1"),
+        pytest.param({}, ["--seed", "-1"], "seed", id="--seed=-1"),
+        pytest.param({"threshold": float("nan")}, [], "threshold", id="threshold=NaN"),
+        pytest.param({"threshold": float("inf")}, [], "threshold", id="threshold=Infinity"),
+        pytest.param({"max_summary_chars": 0}, [], "max_summary_chars", id="max_summary_chars=0"),
+    ],
+)
+def test_bad_config_value_exit_2(small_corpus, make_config, extra, flags, key, capsys):
+    """A value of the wrong type or out of range is a config error naming its key."""
+    cfg_path = make_config({"model": "lda", **extra})
+    assert cli.main(["--config", str(cfg_path), *flags, "eval"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err and "Traceback" not in err
+
+
+# Input kinds read line by line; the others are one JSON document each.
+_LINE_INPUTS = ("documents", "pairs", "train_pairs", "annotations", "embeddings", "lemmas",
+                "keywords", "matrix")
+
+
+@pytest.mark.parametrize("kind", [*_LINE_INPUTS, "config", "grid", "report"])
+def test_non_utf8_input_exit_2(small_corpus, make_config, tmp_path, kind, capsys):
+    """A byte that is not UTF-8 is an input error naming the file, and its line
+    for a file read line by line."""
+    bad = tmp_path / f"bad-{kind}"
+    extra, command, config = {}, ["ingest"], None
+    if kind in ("documents", "pairs", "train_pairs"):
+        source = small_corpus["documents" if kind == "documents" else "pairs_path"]
+        lines = source.read_text().splitlines()
+        extra = {kind: str(bad)}
+        if kind == "train_pairs":
+            extra["model"], command = "dual", ["train"]
+    elif kind == "annotations":
+        record = {"tweet_id": "t", "article_id": "a", "annotator_id": "x", "verdict": "match"}
+        lines, extra = [json.dumps(record)] * 2, {"annotations": str(bad)}
+    elif kind == "embeddings":
+        lines = [json.dumps({"id": d.id, "vector": [1.0, 0.5]}) for d in small_corpus["docs"]]
+        extra = {"model": "dual", "features": "external", "embeddings": str(bad)}
+        command = ["train"]
+    elif kind == "lemmas":
+        lines, extra, command = ["runs\trun", "ran\trun"], {"lemmas": str(bad)}, ["prep"]
+    elif kind == "keywords":
+        lines, extra = ["aaa", "bbb"], {"keywords": str(bad)}
+    elif kind == "matrix":
+        assert cli.main(["--config", str(make_config()), "score"]) == 0
+        lines = (tmp_path / "out" / "similarity.csv").read_text().splitlines()
+        command = ["calibrate", "--matrix", str(bad)]
+    elif kind == "config":
+        lines, config = make_config().read_text().splitlines(), bad
+    elif kind == "grid":
+        lines, command = ["[", "{}", "]"], ["sweep-hp", "--grid", str(bad)]
+    else:
+        lines, command = ["[", '{"n": 1}', "]"], ["report", "--input", str(bad)]
+    encoded = [line.encode() for line in lines]
+    encoded[1] = b"\xff" + encoded[1]
+    bad.write_bytes(b"\n".join(encoded) + b"\n")
+
+    config = config or make_config(extra)
+    assert cli.main(["--config", str(config), *command]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    if kind in _LINE_INPUTS:
+        assert f"{bad}:2: byte 0xff is not UTF-8" in err

@@ -1,8 +1,9 @@
 """Property tests: the one-sort calibration and AP sweep, the one-product
 scoring kernel, the batch TF-IDF transform, batched encoding, the LDA
 sampler (against document-parallel and one-document token-by-token oracles),
-its draw helper, its topic proportions and batched fold-in, the sparse-row
-dual-encoder training loop (against dense and per-step-gather oracles), its
+its log-likelihood (against the gammaln formula), its draw helper, its
+topic proportions and batched fold-in, the sparse-row dual-encoder training
+loop (against dense and per-step-gather oracles), its
 epoch gather plan (against the per-batch gather) and its row-index
 examples (against the per-pair vector builder), text
 cleaning, and the JSONL reader, pair table loader and ground-truth builder
@@ -27,6 +28,7 @@ from reference import (
     build_training_pairs_reference,
     calibrate_reference,
     clean_reference,
+    gammaln_ll_reference,
     iter_jsonl_reference,
     lda_fit_reference,
     lda_fit_steps_reference,
@@ -302,6 +304,36 @@ def lda_cases(draw):
     }
 
 
+def _assert_log_likelihood(model, counts, log_likelihood):
+    """The model's LL is _gibbs_counts_ll of the oracle chain's final counts,
+    bit for bit, and agrees with the oracle's gammaln formula."""
+    assert model.log_likelihood == vectorize._gibbs_counts_ll(*counts, model.alpha, model.beta)
+    assert abs(model.log_likelihood - log_likelihood) <= 1e-12 * max(1.0, abs(log_likelihood))
+
+
+@st.composite
+def count_tables(draw):
+    """Random topic-word and document-topic count tables, with their margins."""
+    n_topics, vocab_size, n_docs = (draw(st.integers(1, 12)) for _ in range(3))
+    high = draw(st.integers(0, 200))
+
+    def table(shape):
+        flat = draw(st.lists(st.integers(0, high), min_size=shape[0] * shape[1],
+                             max_size=shape[0] * shape[1]))
+        return np.array(flat, dtype=np.int64).reshape(shape)
+
+    n_kw, n_dk = table((n_topics, vocab_size)), table((n_docs, n_topics))
+    return n_kw, n_kw.sum(axis=1), n_dk, n_dk.sum(axis=1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(count_tables(), st.floats(0.001, 50.0), st.floats(0.0001, 5.0))
+def test_gibbs_counts_ll_matches_the_gammaln_formula(counts, alpha, beta):
+    got = vectorize._gibbs_counts_ll(*counts, alpha, beta)
+    expected = gammaln_ll_reference(*counts, alpha, beta)
+    assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
 # Draw every step in blocks, every step row by row, or the default mix.
 row_step_limits = st.sampled_from([0, vectorize._ROW_STEP_MAX, 10**9])
 
@@ -311,9 +343,9 @@ row_step_limits = st.sampled_from([0, vectorize._ROW_STEP_MAX, 10**9])
 def test_lda_fit_matches_reference(case, row_step_max):
     with mock.patch.object(vectorize, "_ROW_STEP_MAX", row_step_max):
         model = vectorize.lda_fit(**case)
-    phi, log_likelihood, _n_dk = lda_fit_steps_reference(**case)
+    phi, log_likelihood, _n_dk, counts = lda_fit_steps_reference(**case, counts=True)
     assert np.array_equal(model.phi, phi)
-    assert model.log_likelihood == log_likelihood
+    _assert_log_likelihood(model, counts, log_likelihood)
 
 
 def _theta_from_counts(docs, n_dk, alpha):
@@ -370,9 +402,9 @@ def test_lda_fit_with_one_long_document_matches_reference(case):
     ) as spy:
         model = vectorize.lda_fit(**case)
     assert spy.call_count == case["iters"] * n_row_steps
-    phi, log_likelihood, n_dk = lda_fit_steps_reference(**case)
+    phi, log_likelihood, n_dk, counts = lda_fit_steps_reference(**case, counts=True)
     assert np.array_equal(model.phi, phi)
-    assert model.log_likelihood == log_likelihood
+    _assert_log_likelihood(model, counts, log_likelihood)
     assert_array_equal(model.theta, _theta_from_counts(case["docs"], n_dk, model.alpha))
 
 
@@ -384,9 +416,9 @@ def test_lda_fit_on_one_document_matches_sequential_reference(case, row_step_max
     case["docs"] = [doc if i == first else [] for i, doc in enumerate(case["docs"])]
     with mock.patch.object(vectorize, "_ROW_STEP_MAX", row_step_max):
         model = vectorize.lda_fit(**case)
-    phi, log_likelihood = lda_fit_reference(**case)
+    phi, log_likelihood, counts = lda_fit_reference(**case, counts=True)
     assert np.array_equal(model.phi, phi)
-    assert model.log_likelihood == log_likelihood
+    _assert_log_likelihood(model, counts, log_likelihood)
 
 
 @settings(max_examples=100, deadline=None)
