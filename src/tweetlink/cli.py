@@ -274,10 +274,8 @@ def _article_pieces(cfg: RunConfig, tokens: list[str]) -> list[list[str]]:
 
 
 def _match_pairs(pairs: corpus.PairTable) -> list[tuple[str, str]]:
-    return [
-        (t, a) for t, a, label in zip(pairs.tweet_ids, pairs.article_ids, pairs.labels)
-        if label == "match"
-    ]
+    matches = pairs.select(labels={"match"})
+    return list(zip(matches.tweet_ids, matches.article_ids))
 
 
 def build_vectors(
@@ -697,7 +695,7 @@ def _cmd_ingest(run: _Run, args) -> None:
         "n_tweets": len(tweets),
         "n_articles": len(articles),
         "n_pairs": len(pairs),
-        "pair_labels": {label: pairs.labels.count(label) for label in corpus.PAIR_LABELS},
+        "pair_labels": {label: len(pairs.select(labels={label})) for label in corpus.PAIR_LABELS},
     }
     if run.cfg.annotations:
         summary["n_annotations"] = len(corpus.load_annotations(run.cfg.annotations))

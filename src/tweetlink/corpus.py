@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -72,29 +72,56 @@ class LinkedPair:
 # Each valid label mapped to itself: one lookup validates a label and swaps
 # it for the shared constant.
 _LABELS = {label: label for label in PAIR_LABELS}
-_LABEL_VALUES = {"match": 1, "no_match": -1, "unknown": 0}
+# A row's label is held as its value: 1 match, -1 no_match, 0 unknown. The
+# label of value v is _LABEL_BY_VALUE[v] (-1 indexes the last entry). The
+# labels' first letters differ, and translate to the values as int8 bytes.
+_LABEL_BY_VALUE = ("unknown", "match", "no_match")
+_LETTER_VALUES = bytes.maketrans(b"umn", b"\x00\x01\xff")
 
 
-@dataclass(frozen=True)
 class PairTable:
-    """Linked pairs as parallel columns in file order.
+    """Linked pairs as coded columns in file order.
 
-    Row i is (tweet_ids[i], article_ids[i], labels[i]). Iterating yields the
-    rows as LinkedPair, so a table stands in for a list of pairs.
+    Each distinct tweet id and article id is kept once, in order of first
+    appearance (`distinct_tweet_ids`, `distinct_article_ids`; a table made by
+    `select` keeps its source's). Row i is the int32 codes `tweet_codes[i]`
+    and `article_codes[i]`, which index those tuples, and the int8 value of
+    its label, `label_values[i]` (1 match, -1 no_match, 0 unknown).
+    `tweet_ids`, `article_ids` and `labels` decode the columns as tuples,
+    indexing gives row i as a LinkedPair, and iterating yields every row as
+    one, so a table stands in for a list of pairs.
     """
 
-    tweet_ids: tuple[str, ...]
-    article_ids: tuple[str, ...]
-    labels: tuple[str, ...]
+    __slots__ = (
+        "distinct_tweet_ids", "distinct_article_ids", "tweet_codes", "article_codes",
+        "label_values",
+    )
 
-    def __post_init__(self):
-        for name in ("tweet_ids", "article_ids", "labels"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        if not len(self.tweet_ids) == len(self.article_ids) == len(self.labels):
+    def __init__(self, tweet_ids, article_ids, labels):
+        tweet_ids, article_ids, labels = list(tweet_ids), list(article_ids), list(labels)
+        if not len(tweet_ids) == len(article_ids) == len(labels):
             raise ValueError("pair columns must have equal lengths")
-        unknown = set(self.labels).difference(PAIR_LABELS)
+        unknown = set(labels).difference(PAIR_LABELS)
         if unknown:
             raise ValueError(f"unknown pair labels {sorted(map(repr, unknown))}")
+        columns = _PairColumns()
+        columns.append(tweet_ids, article_ids, "".join([label[0] for label in labels]))
+        self._assign(*columns.coded())
+
+    @classmethod
+    def _of(cls, *coded) -> "PairTable":
+        """A table of already coded columns, in _assign's order."""
+        table = object.__new__(cls)
+        table._assign(*coded)
+        return table
+
+    def _assign(self, distinct_tweet_ids, distinct_article_ids, tweet_codes, article_codes,
+                label_values) -> None:
+        self.distinct_tweet_ids = distinct_tweet_ids
+        self.distinct_article_ids = distinct_article_ids
+        self.tweet_codes = tweet_codes
+        self.article_codes = article_codes
+        self.label_values = label_values
 
     @classmethod
     def from_pairs(cls, pairs) -> "PairTable":
@@ -103,21 +130,83 @@ class PairTable:
             [p.tweet_id for p in pairs], [p.article_id for p in pairs], [p.label for p in pairs]
         )
 
+    @property
+    def tweet_ids(self) -> tuple[str, ...]:
+        return _decode(self.distinct_tweet_ids, self.tweet_codes)
+
+    @property
+    def article_ids(self) -> tuple[str, ...]:
+        return _decode(self.distinct_article_ids, self.article_codes)
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return _decode(_LABEL_BY_VALUE, self.label_values)
+
     def __len__(self) -> int:
-        return len(self.labels)
+        return len(self.label_values)
+
+    def __getitem__(self, i: int) -> LinkedPair:
+        return LinkedPair(
+            self.distinct_tweet_ids[self.tweet_codes[i]],
+            self.distinct_article_ids[self.article_codes[i]],
+            _LABEL_BY_VALUE[self.label_values[i]],
+        )
 
     def __iter__(self):
         return map(LinkedPair, self.tweet_ids, self.article_ids, self.labels)
 
-    def select(self, tweet_ids=None, article_ids=None) -> "PairTable":
-        """The rows whose tweet id is in `tweet_ids` and article id in
-        `article_ids`, in order; None admits every id."""
-        keep = [
-            (tweet_ids is None or t in tweet_ids) and (article_ids is None or a in article_ids)
-            for t, a in zip(self.tweet_ids, self.article_ids)
-        ]
-        columns = (self.tweet_ids, self.article_ids, self.labels)
-        return PairTable(*(compress(col, keep) for col in columns))
+    def select(self, tweet_ids=None, article_ids=None, labels=None) -> "PairTable":
+        """The rows whose tweet id is in `tweet_ids`, article id in
+        `article_ids` and label in `labels`, in order; None admits every value.
+
+        Each distinct value is tested once; the rows then index those tests.
+        """
+        keep = np.ones(len(self), dtype=bool)
+        for wanted, values, codes in (
+            (tweet_ids, self.distinct_tweet_ids, self.tweet_codes),
+            (article_ids, self.distinct_article_ids, self.article_codes),
+            (labels, _LABEL_BY_VALUE, self.label_values),
+        ):
+            if wanted is not None:
+                keep &= np.array([v in wanted for v in values], dtype=bool)[codes]
+        return PairTable._of(
+            self.distinct_tweet_ids, self.distinct_article_ids,
+            self.tweet_codes[keep], self.article_codes[keep], self.label_values[keep],
+        )
+
+
+def _decode(values: tuple, codes: np.ndarray) -> tuple:
+    return tuple(map(values.__getitem__, codes.tolist()))
+
+
+class _PairColumns:
+    """Pair columns coded as they are appended, a block at a time: each id
+    gets the next code on its first appearance, each label its value."""
+
+    def __init__(self):
+        self.tweet_index: dict[str, int] = {}
+        self.article_index: dict[str, int] = {}
+        self.blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def append(self, tweet_ids: list, article_ids: list, letters: str) -> None:
+        """Append rows given as id lists and their labels' first letters."""
+        self.blocks.append((
+            _codes(self.tweet_index, tweet_ids),
+            _codes(self.article_index, article_ids),
+            np.frombuffer(letters.encode("ascii").translate(_LETTER_VALUES), np.int8),
+        ))
+
+    def coded(self) -> tuple:
+        """The arguments of PairTable._of."""
+        empty = (np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0, np.int8))
+        columns = (np.concatenate(column) for column in zip(empty, *self.blocks))
+        return (tuple(self.tweet_index), tuple(self.article_index), *columns)
+
+
+def _codes(index: dict, ids: list) -> np.ndarray:
+    for key in dict.fromkeys(ids):
+        index.setdefault(key, len(index))
+    return np.fromiter(map(index.__getitem__, ids), np.int32, len(ids))
 
 
 @dataclass(frozen=True)
@@ -215,13 +304,57 @@ def load_documents(path, kind: str | None = None) -> list[Document]:
     return docs
 
 
+# One pairs.jsonl line exactly as write_pairs writes it, capturing the ids
+# and the label's first letter. An id holding no double quote, backslash or
+# control character is a JSON string as it stands, so json.loads would
+# decode it to itself.
+_PAIR_LINE = (
+    r'^\{"tweet_id": "([^"\\\x00-\x1f]*)", "article_id": "([^"\\\x00-\x1f]*)", '
+    r'"label": "([mnu])(?:(?<=m)atch|(?<=n)o_match|(?<=u)nknown)"\}\n'
+)
+_PAIR_BLOCK_CHARS = 1 << 16
+
+
 def load_pair_table(path) -> PairTable:
     """Read pairs.jsonl into a PairTable, building no per-pair objects.
 
-    A line missing a field raises MissingFieldError (tweet_id, article_id,
-    label checked in that order); a label outside PAIR_LABELS raises
-    MalformedLineError with the file and line.
+    A file written by write_pairs is parsed a block of lines at a time
+    (_load_canonical_pairs); any other file line by line, with the same
+    result. A line missing a field raises MissingFieldError (tweet_id,
+    article_id, label checked in that order); a label outside PAIR_LABELS
+    raises MalformedLineError with the file and line.
     """
+    table = _load_canonical_pairs(path)
+    return table if table is not None else _load_pairs_by_line(path)
+
+
+def _load_canonical_pairs(path) -> PairTable | None:
+    """The table of a file whose every line matches _PAIR_LINE, else None.
+
+    The file is read in blocks of about _PAIR_BLOCK_CHARS that end at a
+    newline, and a block is accepted when one findall matches as many lines
+    as it has newlines. Any other block, a byte that is not UTF-8 or a
+    missing final newline gives None, so the line parser reports the error.
+    """
+    pair_line = re.compile(_PAIR_LINE, re.MULTILINE)  # compiled once, then cached by re
+    columns = _PairColumns()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            while block := fh.read(_PAIR_BLOCK_CHARS):
+                block += fh.readline()
+                rows = pair_line.findall(block)
+                if not block.endswith("\n") or len(rows) != block.count("\n"):
+                    return None
+                columns.append(
+                    [row[0] for row in rows], [row[1] for row in rows],
+                    "".join([row[2] for row in rows]),
+                )
+    except UnicodeDecodeError:
+        return None
+    return PairTable._of(*columns.coded())
+
+
+def _load_pairs_by_line(path) -> PairTable:
     tweet_ids, article_ids, labels = [], [], []
     for line_no, obj in _iter_jsonl(path):
         try:
@@ -341,12 +474,13 @@ def build_ground_truth(pairs, tweet_ids, article_ids) -> GroundTruthMatrix:
     table = pairs if isinstance(pairs, PairTable) else PairTable.from_pairs(pairs)
     t_index = {tid: i for i, tid in enumerate(tweet_ids)}
     a_index = {aid: j for j, aid in enumerate(article_ids)}
-    n = len(table)
-    rows = np.fromiter(map(t_index.get, table.tweet_ids, repeat(-1)), np.int64, n)
-    cols = np.fromiter(map(a_index.get, table.article_ids, repeat(-1)), np.int64, n)
-    codes = np.fromiter(map(_LABEL_VALUES.__getitem__, table.labels), np.int8, n)
+    # Each distinct id is looked up once (-1: unknown); the codes index the lookups.
+    rows = _lookup(t_index, table.distinct_tweet_ids)[table.tweet_codes]
+    cols = _lookup(a_index, table.distinct_article_ids)[table.article_codes]
+    codes = table.label_values
 
     unknown = np.flatnonzero((rows < 0) | (cols < 0))
+    n = len(table)
     n_known = int(unknown[0]) if len(unknown) else n
     rows, cols, codes = rows[:n_known], cols[:n_known], codes[:n_known]
     _, first, inverse = np.unique(
@@ -354,16 +488,19 @@ def build_ground_truth(pairs, tweet_ids, article_ids) -> GroundTruthMatrix:
     )
     conflicts = np.flatnonzero(codes != codes[first][inverse])
     if len(conflicts):
-        k = int(conflicts[0])
-        raise ConflictingLabelError(table.tweet_ids[k], table.article_ids[k])
+        pair = table[int(conflicts[0])]
+        raise ConflictingLabelError(pair.tweet_id, pair.article_id)
     if n_known < n:
-        k = n_known
-        bad = table.tweet_ids[k] if table.tweet_ids[k] not in t_index else table.article_ids[k]
-        raise UnknownIdError(bad)
+        pair = table[n_known]
+        raise UnknownIdError(pair.tweet_id if pair.tweet_id not in t_index else pair.article_id)
 
     values = np.zeros((len(tweet_ids), len(article_ids)), dtype=np.int8)
     values[rows, cols] = codes
     return GroundTruthMatrix(tuple(tweet_ids), tuple(article_ids), values)
+
+
+def _lookup(index: dict, ids) -> np.ndarray:
+    return np.fromiter(map(index.get, ids, repeat(-1)), np.int64, len(ids))
 
 
 def _letters(n: int, width: int) -> str:

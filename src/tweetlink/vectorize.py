@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -473,13 +474,20 @@ def save_tfidf(model: TfidfModel, path) -> None:
 
 
 def load_tfidf(path) -> TfidfModel:
+    """Read a save_tfidf file. A file that is not a version-1 tfidf model,
+    lacks a key, or whose idf is not one finite value per vocabulary term
+    raises ConfigInvalidError naming `path`."""
     payload = _load_model_payload(path, "tfidf")
-    vocab = Vocabulary({term: i for i, term in enumerate(payload["vocab"])})
-    return TfidfModel(
-        vocab=vocab,
-        idf=np.asarray(payload["idf"], dtype=np.float64),
-        n_docs=int(payload["n_docs"]),
-    )
+    with _model_fields(path, "tfidf"):
+        vocab = _vocabulary(payload["vocab"])
+        idf = np.asarray(payload["idf"], dtype=np.float64)
+        n_docs = int(payload["n_docs"])
+    if idf.shape != (vocab.size,) or not np.isfinite(idf).all():
+        raise ConfigInvalidError(
+            f"{path}: tfidf idf must hold one finite value per vocabulary term "
+            f"({vocab.size}), got shape {idf.shape}"
+        )
+    return TfidfModel(vocab=vocab, idf=idf, n_docs=n_docs)
 
 
 def save_lda(model: LdaModel, path) -> None:
@@ -500,17 +508,21 @@ def save_lda(model: LdaModel, path) -> None:
 
 
 def load_lda(path) -> LdaModel:
+    """Read a save_lda file. A file that is not a version-1 lda model, lacks
+    a key, has a prior that is not finite and > 0, or a phi that is not a
+    finite non-negative (n_topics, vocabulary) table raises
+    ConfigInvalidError naming `path`."""
     payload = _load_model_payload(path, "lda")
-    vocab = Vocabulary({term: i for i, term in enumerate(payload["vocab"])})
-    n_topics = int(payload["n_topics"])
-    alpha = float(payload["alpha"])
-    beta = float(payload["beta"])
+    with _model_fields(path, "lda"):
+        vocab = _vocabulary(payload["vocab"])
+        n_topics = int(payload["n_topics"])
+        alpha = float(payload["alpha"])
+        beta = float(payload["beta"])
+        seed = int(payload["seed"])
+        log_likelihood = float(payload["log_likelihood"])
+        phi = np.asarray(payload["phi"], dtype=np.float64)
     _check_prior("alpha", alpha)
     _check_prior("beta", beta)
-    try:
-        phi = np.asarray(payload["phi"], dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ConfigInvalidError(f"{path}: lda phi is not a numeric table") from None
     if phi.shape != (n_topics, vocab.size):
         raise ConfigInvalidError(
             f"{path}: lda phi has shape {phi.shape}, expected {(n_topics, vocab.size)}"
@@ -523,16 +535,44 @@ def load_lda(path) -> LdaModel:
         beta=beta,
         phi=phi,
         vocab=vocab,
-        seed=int(payload["seed"]),
-        log_likelihood=float(payload["log_likelihood"]),
+        seed=seed,
+        log_likelihood=log_likelihood,
     )
 
 
 def _load_model_payload(path, expected_format: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != expected_format or payload.get("version") != 1:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise ConfigInvalidError(f"{path}: not valid JSON: {exc}") from None
+    if not (
+        isinstance(payload, dict)
+        and payload.get("format") == expected_format
+        and payload.get("version") == 1
+    ):
         raise ConfigInvalidError(
             f"{path}: expected a version-1 {expected_format!r} model file"
         )
     return payload
+
+
+@contextmanager
+def _model_fields(path, expected_format: str):
+    """Reading a model payload's fields: a missing key or a value of the
+    wrong kind raises ConfigInvalidError naming `path`."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigInvalidError(f"{path}: {expected_format} model file lacks key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalidError(f"{path}: malformed {expected_format} model file: {exc}") from None
+
+
+def _vocabulary(terms) -> Vocabulary:
+    if not (isinstance(terms, list) and all(isinstance(term, str) for term in terms)):
+        raise ValueError("vocab is not a list of strings")
+    vocab = Vocabulary({term: i for i, term in enumerate(terms)})
+    if vocab.size != len(terms):
+        raise ValueError("vocab repeats a term")
+    return vocab

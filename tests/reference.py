@@ -378,6 +378,21 @@ def gammaln_ll_reference(n_kw, n_k, n_dk, doc_lens, alpha, beta):
     return float(ll)
 
 
+def gammaln_ll_rounding(n_kw, n_k, n_dk, doc_lens, alpha, beta, ulps=4):
+    """A bound on gammaln_ll_reference's own rounding error: `ulps` units in
+    the last place of the sum of its terms' magnitudes. The terms nearly
+    cancel where the counts are small against the priors, so its result can
+    sit this far from a formula that never forms them (all-zero counts give
+    exactly 0 there, but about 1e-12 here)."""
+    n_topics, vocab_size = n_kw.shape
+    n_docs = len(doc_lens)
+    magnitude = n_topics * (abs(gammaln(vocab_size * beta)) + vocab_size * abs(gammaln(beta)))
+    magnitude += abs(gammaln(n_kw + beta)).sum() + abs(gammaln(n_k + vocab_size * beta)).sum()
+    magnitude += n_docs * (abs(gammaln(n_topics * alpha)) + n_topics * abs(gammaln(alpha)))
+    magnitude += abs(gammaln(n_dk + alpha)).sum() + abs(gammaln(doc_lens + n_topics * alpha)).sum()
+    return ulps * np.finfo(np.float64).eps * float(magnitude)
+
+
 def lda_infer_reference(phi, vocab_index, alpha, doc, iters=50, seed=0):
     """Fold one document in against frozen phi with its own seeded generator."""
     n_topics = phi.shape[0]
@@ -634,6 +649,16 @@ def load_pairs_reference(path):
         except ValueError as exc:
             raise MalformedLineError(str(path), line_no, str(exc)) from exc
     return pairs
+
+
+def select_reference(pairs, tweet_ids=None, article_ids=None, labels=None):
+    """The pairs PairTable.select keeps, tested one pair at a time on its strings."""
+    return [
+        p for p in pairs
+        if (tweet_ids is None or p.tweet_id in tweet_ids)
+        and (article_ids is None or p.article_id in article_ids)
+        and (labels is None or p.label in labels)
+    ]
 
 
 def build_ground_truth_reference(pairs, tweet_ids, article_ids):

@@ -261,6 +261,17 @@ class TestOtherLoaders:
         with pytest.raises(MalformedLineError):
             corpus.load_pairs(path)
 
+    def test_pair_table_decodes_on_access(self):
+        labels = ("match", "no_match", "unknown")
+        table = corpus.PairTable(("t2", "t1", "t2"), ("a1", "a1", "a2"), labels)
+        assert table.distinct_tweet_ids == ("t2", "t1")
+        assert table.tweet_codes.tolist() == [0, 1, 0]
+        assert table.label_values.tolist() == [1, -1, 0]
+        assert table.labels == labels
+        assert table[1] == corpus.LinkedPair("t1", "a1", "no_match")
+        assert list(table.select(labels={"no_match", "unknown"})) == [table[1], table[2]]
+
+
     def test_annotations_duplicate(self, tmp_path):
         path = tmp_path / "ann.jsonl"
         rec = {"tweet_id": "t", "article_id": "a", "annotator_id": "u1", "verdict": "match"}
@@ -272,3 +283,83 @@ class TestOtherLoaders:
         path = tmp_path / "kw.txt"
         path.write_text("putin\n#ukraine\n\nwar\n")
         assert corpus.load_keywords(path).entries == ("putin", "#ukraine", "war")
+
+
+def _synth_pairs():
+    """432 pairs: 36 tweets by 12 articles."""
+    return corpus.synth_fixture(2, 2, 12, 3, 5)[1]
+
+
+class TestPairTableLoader:
+    """load_pair_table parses write_pairs files in blocks and any other file
+    line by line, with one outcome either way."""
+
+    def test_write_pairs_file_over_many_blocks(self, tmp_path, monkeypatch):
+        path = tmp_path / "p.jsonl"
+        pairs = _synth_pairs()
+        corpus.write_pairs(pairs, path)
+        monkeypatch.setattr(corpus, "_PAIR_BLOCK_CHARS", 200)  # 3 or 4 lines a block
+        assert list(corpus._load_canonical_pairs(path)) == pairs
+        assert list(corpus.load_pair_table(path)) == pairs
+
+    @pytest.mark.parametrize(
+        "tweet_id", ['say "hi"', "back\\slash", "tab\there", "nul\x00", "caf\u00e9", "\u2028"]
+    )
+    def test_escaped_ids_take_the_line_parser(self, tmp_path, tweet_id):
+        path = tmp_path / "p.jsonl"
+        pairs = [corpus.LinkedPair("t1", "a1", "match"), corpus.LinkedPair(tweet_id, "a1", "unknown")]
+        corpus.write_pairs(pairs, path)
+        assert corpus._load_canonical_pairs(path) is None
+        assert list(corpus.load_pair_table(path)) == pairs
+
+    def test_raw_non_ascii_ids_parse_in_bulk(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        pairs = [corpus.LinkedPair("caf\u00e9", "\u65b0\u805e", "no_match")]
+        path.write_text(
+            json.dumps({"tweet_id": "caf\u00e9", "article_id": "\u65b0\u805e", "label": "no_match"},
+                       ensure_ascii=False) + "\n",
+            encoding="utf-8",
+        )
+        assert list(corpus._load_canonical_pairs(path)) == pairs
+        assert list(corpus.load_pair_table(path)) == pairs
+
+    @pytest.mark.parametrize(
+        "text, bulk",
+        [
+            ("{0}\r\n{1}\r\n", True),  # read with universal newlines
+            ("{0}\n{1}", False),  # no final newline
+            ("{0}\n\n  \n{1}\n", False),  # blank lines
+            ('{0}\n{{"label": "match", "article_id": "a2", "tweet_id": "t2"}}\n', False),
+            ('{0}\n{{"tweet_id":"t2","article_id":"a2","label":"match"}}\n', False),
+        ],
+    )
+    def test_other_line_forms(self, tmp_path, text, bulk):
+        path = tmp_path / "p.jsonl"
+        rows = [corpus.LinkedPair("t1", "a1", "match"), corpus.LinkedPair("t2", "a2", "match")]
+        lines = [json.dumps({"tweet_id": p.tweet_id, "article_id": p.article_id, "label": p.label})
+                 for p in rows]
+        path.write_text(text.format(*lines), encoding="utf-8", newline="")
+        assert (corpus._load_canonical_pairs(path) is not None) == bulk
+        assert list(corpus.load_pair_table(path)) == rows
+
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            ('{"tweet_id": "t", "article_id": "a", "label": "maybe"}', MalformedLineError,
+             "unknown pair label 'maybe'"),
+            ('{"tweet_id": "t", "label": "match"}', MissingFieldError, "'article_id'"),
+            ('{"tweet_id": "t", "article_id": "a", "label": "match"', MalformedLineError,
+             "Expecting ',' delimiter"),
+        ],
+    )
+    def test_bad_line_deep_in_a_write_pairs_file(self, tmp_path, monkeypatch, bad, error, message):
+        path = tmp_path / "p.jsonl"
+        pairs = _synth_pairs()
+        corpus.write_pairs(pairs, path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines.insert(300, bad + "\n")
+        path.write_text("".join(lines))
+        monkeypatch.setattr(corpus, "_PAIR_BLOCK_CHARS", 1000)
+        with pytest.raises(error, match=message) as info:
+            corpus.load_pair_table(path)
+        assert info.value.line_no == 301

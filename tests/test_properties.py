@@ -11,6 +11,7 @@ against the oracles they replace."""
 
 import json
 import tempfile
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -29,6 +30,7 @@ from reference import (
     calibrate_reference,
     clean_reference,
     gammaln_ll_reference,
+    gammaln_ll_rounding,
     iter_jsonl_reference,
     lda_fit_reference,
     lda_fit_steps_reference,
@@ -37,12 +39,13 @@ from reference import (
     masked_flatten_reference,
     save_encoder_v1_reference,
     score_matrix_reference,
+    select_reference,
     tfidf_reference,
     tfidf_transform_reference,
     train_reference,
     train_stepwise_reference,
 )
-from tweetlink import contrast, corpus, evalx, linker, textprep, vectorize
+from tweetlink import cli, contrast, corpus, evalx, linker, textprep, vectorize
 from tweetlink.errors import (
     DimMismatchError,
     EmptyInputError,
@@ -304,11 +307,17 @@ def lda_cases(draw):
     }
 
 
+def _ll_tolerance(expected, counts, alpha, beta):
+    """1e-12 relative, plus the gammaln oracle's own rounding of its terms."""
+    return 1e-12 * max(1.0, abs(expected)) + gammaln_ll_rounding(*counts, alpha, beta)
+
+
 def _assert_log_likelihood(model, counts, log_likelihood):
     """The model's LL is _gibbs_counts_ll of the oracle chain's final counts,
     bit for bit, and agrees with the oracle's gammaln formula."""
     assert model.log_likelihood == vectorize._gibbs_counts_ll(*counts, model.alpha, model.beta)
-    assert abs(model.log_likelihood - log_likelihood) <= 1e-12 * max(1.0, abs(log_likelihood))
+    tolerance = _ll_tolerance(log_likelihood, counts, model.alpha, model.beta)
+    assert abs(model.log_likelihood - log_likelihood) <= tolerance
 
 
 @st.composite
@@ -326,12 +335,20 @@ def count_tables(draw):
     return n_kw, n_kw.sum(axis=1), n_dk, n_dk.sum(axis=1)
 
 
+def _zero_counts(n_topics, vocab_size, n_docs):
+    n_kw, n_dk = np.zeros((n_topics, vocab_size), np.int64), np.zeros((n_docs, n_topics), np.int64)
+    return n_kw, n_kw.sum(axis=1), n_dk, n_dk.sum(axis=1)
+
+
 @settings(max_examples=300, deadline=None)
 @given(count_tables(), st.floats(0.001, 50.0), st.floats(0.0001, 5.0))
+# _gibbs_counts_ll gives exactly 0.0; the oracle's ln Gamma terms of about
+# 1,300 cancel to 1.8e-12, beyond 1e-12 relative of a result below 1.
+@example(_zero_counts(6, 1, 5), 47.0, 1.0)
 def test_gibbs_counts_ll_matches_the_gammaln_formula(counts, alpha, beta):
     got = vectorize._gibbs_counts_ll(*counts, alpha, beta)
     expected = gammaln_ll_reference(*counts, alpha, beta)
-    assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
+    assert abs(got - expected) <= _ll_tolerance(expected, counts, alpha, beta)
 
 
 # Draw every step in blocks, every step row by row, or the default mix.
@@ -789,23 +806,120 @@ def pair_lines(draw):
     return json.dumps(dict(draw(st.permutations(items))))
 
 
+# Ids as write_pairs may meet them: plain, or holding a character json.dumps
+# escapes (quote, backslash, control, non-ASCII), or one it writes as is.
+write_pairs_ids = st.one_of(
+    st.sampled_from(["t1", "t2", "a1", "", "x y"]),
+    st.text(st.sampled_from('ab"\\\x00\x1f\x7f\xe9\u2028 {}:,'), max_size=3),
+)
+
+
+@st.composite
+def write_pairs_lines(draw):
+    """A line in write_pairs' form, non-ASCII escaped or not, at times padded."""
+    obj = {
+        "tweet_id": draw(write_pairs_ids),
+        "article_id": draw(write_pairs_ids),
+        "label": draw(st.sampled_from(corpus.PAIR_LABELS)),
+    }
+    line = json.dumps(obj, ensure_ascii=draw(st.booleans()))
+    if draw(st.integers(0, 9)) == 0:
+        line = draw(st.sampled_from(PADS)) + line + draw(st.sampled_from(PADS))
+    return line
+
+
+@st.composite
+def pairs_files(draw):
+    """Text of a pairs file: write_pairs lines, any pair lines, or both mixed
+    with blank ones, ended by a drawn line end, with or without a final one."""
+    line = draw(st.sampled_from([
+        write_pairs_lines(), pair_lines(),
+        st.one_of(write_pairs_lines(), pair_lines(), st.sampled_from(PADS)),
+    ]))
+    lines = draw(st.lists(line, max_size=12))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join(lines)
+    return text + end if lines and draw(st.booleans()) else text
+
+
 _PAIR = '{"tweet_id": "t1", "article_id": "a1", "label": "match"}'
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(pair_lines(), min_size=1, max_size=8))
-@example([_PAIR, '{"tweet_id": "t1", "label": "match"}'])
-@example([_PAIR, '{"article_id": "a1"}'])
-@example(["", _PAIR, '["t1", "a1", "match"]'])
-@example([_PAIR, _PAIR, '{"tweet_id": "t1", "article_id": "a1", "label": "maybe"}'])
-@example([_PAIR, '{"tweet_id": 5, "article_id": null, "label": []}'])
-@example(['{"tweet_id": "t1", "article_id": "a1", "label": {}}'])
-def test_load_pair_table_matches_per_pair_loader(lines):
+@settings(max_examples=400, deadline=None)
+@given(pairs_files(), st.integers(1, 200))
+@example("\n".join([_PAIR, '{"tweet_id": "t1", "label": "match"}']), 200)
+@example("\n".join([_PAIR, '{"article_id": "a1"}']), 200)
+@example("\n".join(["", _PAIR, '["t1", "a1", "match"]']), 200)
+@example("\n".join([_PAIR, _PAIR, '{"tweet_id": "t1", "article_id": "a1", "label": "maybe"}']), 1)
+@example("\n".join([_PAIR, '{"tweet_id": 5, "article_id": null, "label": []}']), 200)
+@example('{"tweet_id": "t1", "article_id": "a1", "label": {}}', 200)
+@example(_PAIR + "\n" + _PAIR, 1)  # no final newline
+@example(_PAIR + "\n\n" + _PAIR + "\n", 1)  # a blank line
+@example("\ufeff" + _PAIR + "\n", 200)  # a BOM before the brace
+@example(_PAIR + " \n", 200)  # a space before the newline
+@example(_PAIR + "\r\n" + _PAIR.replace("t1", "t\\u00e9") + "\r\n", 1)
+@example(_PAIR + "\n" + _PAIR.replace('"match"', '"maybe"') + "\n", 60)
+@example(_PAIR.replace("t1", "t\x01") + "\n", 200)  # raw control characters
+@example(_PAIR.replace("a1", "a\t") + "\n", 200)
+def test_load_pair_table_matches_per_pair_loader(text, block_chars):
+    """Any file, in blocks of any size: the outcome of the per-line oracle,
+    whichever path parses it."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = _write(tmp, lines)
+        path = Path(tmp) / "pairs.jsonl"
+        path.write_text(text, encoding="utf-8", newline="")
         want = _outcome(load_pairs_reference, path)
-        assert _outcome(corpus.load_pair_table, path) == want
-        assert _outcome(corpus.load_pairs, path) == want
+        with mock.patch.object(corpus, "_PAIR_BLOCK_CHARS", block_chars):
+            assert _outcome(corpus.load_pair_table, path) == want
+            assert _outcome(corpus.load_pairs, path) == want
+            bulk = corpus._load_canonical_pairs(path)
+        if bulk is not None:
+            assert repr(list(bulk)) == want
+
+
+@st.composite
+def pair_lists(draw):
+    """LinkedPairs over few ids, so ids and cells repeat; "t?" is in no id list."""
+    return draw(st.lists(
+        st.builds(
+            corpus.LinkedPair,
+            st.sampled_from(["t0", "t1", "t2", "t?"]),
+            st.sampled_from(["a0", "a1", "a2"]),
+            st.sampled_from(corpus.PAIR_LABELS),
+        ),
+        max_size=12,
+    ))
+
+
+def _subsets(values):
+    return st.none() | st.sets(st.sampled_from(values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pair_lists(), _subsets(["t0", "t1", "t?", "t9"]), _subsets(["a0", "a2"]),
+    _subsets(list(corpus.PAIR_LABELS)),
+)
+def test_pair_table_queries_match_the_string_rows(pairs, tweet_ids, article_ids, labels):
+    """select, the match pairs, the label counts and the ground truth of a
+    coded table (selected rows keep their source's distinct ids) equal those
+    of the same rows as strings."""
+    got = corpus.PairTable.from_pairs(pairs).select(tweet_ids, article_ids, labels)
+    want = select_reference(pairs, tweet_ids, article_ids, labels)
+    assert list(got) == want
+    assert (got.tweet_ids, got.article_ids, got.labels) == (
+        tuple(p.tweet_id for p in want), tuple(p.article_id for p in want),
+        tuple(p.label for p in want),
+    )
+    assert [got[i] for i in range(len(got))] == want
+    assert cli._match_pairs(got) == [(p.tweet_id, p.article_id) for p in want if p.label == "match"]
+    counts = Counter(p.label for p in want)
+    assert {label: len(got.select(labels={label})) for label in corpus.PAIR_LABELS} == {
+        label: counts[label] for label in corpus.PAIR_LABELS
+    }
+    ids = (["t0", "t1", "t2"], ["a0", "a1", "a2"])
+    assert _ground_truth_outcome(got, *ids, corpus.build_ground_truth) == (
+        _ground_truth_outcome(want, *ids, build_ground_truth_reference)
+    )
 
 
 @st.composite

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -223,6 +224,77 @@ class TestLda:
         path.write_text(json.dumps({**payload, **edit}))
         with pytest.raises(ConfigInvalidError):
             vectorize.load_lda(path)
+
+
+def _saved_models(tmp_path):
+    """{format: (path of a saved model, its loader)} for tfidf and lda."""
+    tfidf_path, lda_path = tmp_path / "tfidf.json", tmp_path / "lda.json"
+    vectorize.save_tfidf(vectorize.tfidf_fit([["a", "b"], ["a", "c"]]), tfidf_path)
+    vectorize.save_lda(
+        vectorize.lda_fit([["a", "b"], ["a"]], n_topics=2, iters=2, seed=3), lda_path
+    )
+    return {"tfidf": (tfidf_path, vectorize.load_tfidf), "lda": (lda_path, vectorize.load_lda)}
+
+
+def _edited(path, edit):
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+
+
+class TestModelFileErrors:
+    """Every malformed model file raises ConfigInvalidError naming the file."""
+
+    @pytest.mark.parametrize("fmt", ["tfidf", "lda"])
+    @pytest.mark.parametrize("text", ["{", "[]", '"tfidf"', "null", ""])
+    def test_not_a_json_object(self, tmp_path, fmt, text):
+        path, load = _saved_models(tmp_path)[fmt]
+        path.write_text(text)
+        with pytest.raises(ConfigInvalidError, match=re.escape(str(path))):
+            load(path)
+
+    @pytest.mark.parametrize("fmt", ["tfidf", "lda"])
+    def test_not_utf8(self, tmp_path, fmt):
+        path, load = _saved_models(tmp_path)[fmt]
+        path.write_bytes(b'{"format": "\xff"}')
+        with pytest.raises(ConfigInvalidError, match=re.escape(str(path))):
+            load(path)
+
+    @pytest.mark.parametrize(
+        "fmt, key",
+        [("tfidf", "idf"), ("tfidf", "vocab"), ("tfidf", "n_docs"), ("lda", "phi"),
+         ("lda", "seed"), ("lda", "vocab"), ("lda", "log_likelihood")],
+    )
+    def test_missing_key(self, tmp_path, fmt, key):
+        path, load = _saved_models(tmp_path)[fmt]
+        _edited(path, lambda payload: payload.pop(key))
+        with pytest.raises(ConfigInvalidError, match=f"{re.escape(str(path))}.*lacks key '{key}'"):
+            load(path)
+
+    @pytest.mark.parametrize(
+        "fmt, edit",
+        [
+            ("tfidf", {"idf": [1.0, 2.0]}),  # shorter than the 3-term vocabulary
+            ("tfidf", {"idf": [1.0, 2.0, 3.0, 4.0]}),
+            ("tfidf", {"idf": [1.0, math.nan, 1.0]}),
+            ("tfidf", {"idf": [1.0, math.inf, 1.0]}),
+            ("tfidf", {"idf": [[1.0], [2.0], [3.0]]}),
+            ("tfidf", {"idf": ["x", 1.0, 1.0]}),
+            ("tfidf", {"idf": None}),
+            ("tfidf", {"n_docs": None}),
+            ("tfidf", {"vocab": ["a", "a", "b"]}),
+            ("tfidf", {"vocab": "abc"}),
+            ("lda", {"vocab": [1, 2]}),
+            ("lda", {"seed": "x"}),
+            ("lda", {"n_topics": None}),
+            ("lda", {"log_likelihood": []}),
+        ],
+    )
+    def test_malformed_field(self, tmp_path, fmt, edit):
+        path, load = _saved_models(tmp_path)[fmt]
+        _edited(path, lambda payload: payload.update(edit))
+        with pytest.raises(ConfigInvalidError, match=re.escape(str(path))):
+            load(path)
 
 
 class TestEmbeddings:
