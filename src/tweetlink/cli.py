@@ -26,9 +26,8 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -45,6 +44,8 @@ from .errors import (
     MissingFieldError,
     TweetLinkError,
     UnknownIdError,
+    check_types,
+    read_json,
 )
 from .matrices import (
     CSV_DECIMALS,
@@ -142,7 +143,7 @@ class RunConfig:
             values = data.pop(name)
             if not isinstance(values, dict):
                 raise ConfigInvalidError(f"config section {name!r} must be an object")
-            _check_types(section_cls, values, f"{name}.")
+            check_types(section_cls, values, f"{name}.")
             try:
                 kwargs[name] = section_cls(**values)
             except (TypeError, ValueError) as exc:
@@ -152,7 +153,7 @@ class RunConfig:
             raise ConfigInvalidError(f"unknown config keys: {sorted(unknown)}")
         if "documents" not in data or "pairs" not in data:
             raise ConfigInvalidError("config must set 'documents' and 'pairs' paths")
-        _check_types(cls, data)
+        check_types(cls, data)
         try:
             return cls(**data, **kwargs)
         except (TypeError, ValueError) as exc:
@@ -160,16 +161,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise ConfigInvalidError(f"cannot read config {path}: {exc}") from exc
-        except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on a non-UTF-8 byte
-            raise ConfigInvalidError(f"config {path} is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigInvalidError(f"config {path} must hold a JSON object")
-        return cls.from_dict(raw)
+        return cls.from_dict(read_json(path, "config", dict))
 
     def to_dict(self) -> dict:
         out = {}
@@ -195,35 +187,6 @@ class RunConfig:
                 raise ConfigInvalidError(f"unknown config key in override {key!r}")
             target[parts[-1]] = value
         return RunConfig.from_dict(data)
-
-
-def _check_types(cls, values: dict, prefix: str = "") -> None:
-    """Reject a config value whose JSON type does not fit its field, naming its key.
-
-    An int field takes an integer (not a bool), a float field a finite
-    number, a bool field true or false and a str field a string; a field
-    typed `... | None` also takes null.
-    """
-    for f in fields(cls):
-        if f.name not in values:
-            continue
-        value = values[f.name]
-        kind, _, optional = f.type.partition(" | ")
-        if value is None and optional == "None":
-            continue
-        if kind == "int":
-            ok, want = type(value) is int, "an integer"
-        elif kind == "float":
-            ok = type(value) is int or (type(value) is float and math.isfinite(value))
-            want = "a finite number"
-        elif kind == "bool":
-            ok, want = type(value) is bool, "true or false"
-        elif kind == "str":
-            ok, want = type(value) is str, "a string"
-        else:
-            continue
-        if not ok:
-            raise ConfigInvalidError(f"{prefix}{f.name} must be {want}, got {value!r}")
 
 
 # --- stages --------------------------------------------------------------------
@@ -340,7 +303,8 @@ def build_vectors(
 
 
 def _fit_with_docs(cfg: RunConfig, kind: str, tokens, tweet_ids, article_ids):
-    """(model, [(doc_id, tokens)] it was fitted on): _fit, and the documents it saw."""
+    """(model, [(doc_id, tokens)] it was fitted on): a tfidf or lda model fitted
+    on the given tweets (truncated) and articles, and the documents it saw."""
     trunc = cfg.chunking.truncate_limit
     docs = [(i, textprep.truncate(tokens[i], trunc)) for i in tweet_ids]
     docs += [(i, tokens[i]) for i in article_ids]
@@ -353,11 +317,6 @@ def _fit_with_docs(cfg: RunConfig, kind: str, tokens, tweet_ids, article_ids):
     else:
         model = vectorize.tfidf_fit(token_lists)
     return model, docs
-
-
-def _fit(cfg: RunConfig, kind: str, tokens, tweet_ids, article_ids):
-    """Fit a tfidf or lda model on the given tweets (truncated) and articles."""
-    return _fit_with_docs(cfg, kind, tokens, tweet_ids, article_ids)[0]
 
 
 def _featurizer(cfg: RunConfig, kind: str, tokens, fit_tweet_ids, fit_article_ids):
@@ -513,7 +472,12 @@ def _train_eval_overlap(train_positives, gt: GroundTruthMatrix) -> int:
 
 def split_by_article(article_ids, match_pairs, seed: int, val_fraction: float = 0.5):
     """Disjoint train/val split: articles split at random, tweets follow a
-    randomly chosen home article among their matches."""
+    randomly chosen home article among their matches. val_fraction must lie
+    strictly between 0 and 1."""
+    if not 0.0 < val_fraction < 1.0:  # also false for NaN
+        raise ConfigInvalidError(
+            f"val_fraction must lie strictly between 0 and 1, got {val_fraction!r}"
+        )
     rng = np.random.default_rng(seed)
     articles = sorted(article_ids)
     order = rng.permutation(len(articles))
@@ -546,14 +510,16 @@ def sweep_hyperparams(run: _Run | RunConfig, grid, split, budget: int | None = N
     Each point's tokens are prepared from its derived config, over the
     corpus the run loaded once; a point that overrides one of CORPUS_KEYS
     raises ConfigInvalidError. Ties go to the earliest grid point. With a
-    budget, a seeded random subset of the grid is visited instead (order
-    preserved).
+    budget (>= 1), a seeded random subset of the grid is visited instead
+    (order preserved).
     """
     run = _as_run(run)
     cfg = run.cfg
     grid = list(grid)
     if not grid:
         raise EmptyGridError("hyperparameter grid is empty")
+    if budget is not None and budget < 1:
+        raise ConfigInvalidError(f"budget must be >= 1, got {budget}")
     for point in grid:
         corpus_keys = sorted(CORPUS_KEYS.intersection(point))
         if corpus_keys:
@@ -714,7 +680,7 @@ def _cmd_fit(run: _Run, args) -> None:
     kind = args.model or run.cfg.model
     if kind not in ("tfidf", "lda"):
         raise ConfigInvalidError("fit supports model tfidf or lda")
-    model = _fit(run.cfg, kind, run.tokens, run.tweet_ids, run.article_ids)
+    model, _docs = _fit_with_docs(run.cfg, kind, run.tokens, run.tweet_ids, run.article_ids)
     save = vectorize.save_lda if kind == "lda" else vectorize.save_tfidf
     save(model, _out_dir(run.cfg) / f"model_{kind}.json")
 
@@ -759,13 +725,9 @@ def _cmd_sweep_size(run: _Run, args) -> None:
 
 
 def _cmd_sweep_hp(run: _Run, args) -> None:
-    try:
-        with open(args.grid, encoding="utf-8") as fh:
-            grid = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ConfigInvalidError(f"cannot read grid {args.grid}: {exc}") from exc
-    if not isinstance(grid, list) or not all(isinstance(p, dict) for p in grid):
-        raise ConfigInvalidError("grid file must hold a JSON list of override objects")
+    grid = read_json(args.grid, "grid", list)
+    if not all(isinstance(p, dict) for p in grid):
+        raise ConfigInvalidError(f"grid {args.grid} must hold a JSON list of override objects")
     split = split_by_article(
         run.article_ids, _match_pairs(run.corpus[2]), run.cfg.seed, args.val_fraction
     )
@@ -777,11 +739,7 @@ def _cmd_sweep_hp(run: _Run, args) -> None:
 
 
 def _cmd_report(run: _Run | None, args) -> None:
-    try:
-        with open(args.input, encoding="utf-8") as fh:
-            results = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ConfigInvalidError(f"cannot read results {args.input}: {exc}") from exc
+    results = read_json(args.input, "results", (dict, list))
     out_dir = Path(run.cfg.out_dir) if run else Path(args.out_dir or "out")
     out_dir.mkdir(parents=True, exist_ok=True)
     emit_report(results, args.format, out_dir / f"report.{args.format}")

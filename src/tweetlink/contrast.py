@@ -39,8 +39,9 @@ save_encoder writes encoder.json version 2, which stores each weight and
 bias array as base64 of its float64 bytes (layout in save_encoder). One
 string per array instead of a float repr per weight makes the save a few
 milliseconds and halves the file; the bytes stay deterministic and the
-weights load back bit for bit. load_encoder still reads version 1, which
-held each array as nested JSON float lists.
+weights load back bit for bit. load_encoder reads version 2 only: no
+command has ever read an encoder file, so version-1 files (nested JSON
+float lists) are rejected.
 """
 
 from __future__ import annotations
@@ -55,13 +56,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    ConfigInvalidError,
     DimMismatchError,
     EmptyChunkListError,
     EmptyInputError,
     MissingEmbeddingError,
     NoNegativesAvailableError,
     NonFiniteLossError,
+    check_types,
+    read_model,
 )
 from .matrices import CsrRows
 
@@ -573,8 +575,6 @@ def save_encoder(model: DualEncoder, path, train_config: TrainConfig | None = No
     "data": base64 of its C-order little-endian float64 bytes}, so the
     weights load back bit for bit. `format`, `version`, `nonlinearity`,
     `joint_dim` and the optional `train_config` provenance are plain JSON.
-    load_encoder also reads version 1, which held the arrays as nested lists
-    of floats.
     """
     payload = {
         "format": "dual_encoder",
@@ -604,39 +604,29 @@ def save_encoder(model: DualEncoder, path, train_config: TrainConfig | None = No
 
 
 def load_encoder(path) -> DualEncoder:
-    """Read an encoder file of version 2 or 1.
+    """Read a save_encoder file.
 
-    A file that is not valid JSON, lacks a key, holds arrays that do not
-    decode to the shapes they declare, or whose joint_dim disagrees with its
-    maps raises ConfigInvalidError naming `path`. Non-finite weights raise
-    NonFiniteLossError.
+    A file that is not a version-2 dual_encoder file (errors.read_model),
+    lacks a key, holds a value of the wrong type, holds arrays that do not
+    decode to the shapes they declare, or whose joint_dim is not the maps'
+    output width raises ConfigInvalidError naming `path`. Non-finite weights
+    raise NonFiniteLossError.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-        raise ConfigInvalidError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(payload, dict) or payload.get("format") != "dual_encoder":
-        raise ConfigInvalidError(f"{path}: not a dual_encoder file")
-    version = payload.get("version")
-    if version not in (1, 2):
-        raise ConfigInvalidError(f"{path}: unsupported dual_encoder version {version!r}")
-    read = _array_from_v2 if version == 2 else _array_from_v1
-    try:
+    with read_model(path, "dual_encoder", 2) as payload:
+        check_types(DualEncoder, payload, f"{path}: ")
         maps = [
-            AffineMap(weight=read(payload[key]["weight"]), bias=read(payload[key]["bias"]))
+            AffineMap(
+                weight=_array_from_payload(payload[key]["weight"]),
+                bias=_array_from_payload(payload[key]["bias"]),
+            )
             for key in ("tweet_map", "article_map")
         ]
         model = DualEncoder(*maps, nonlinearity=payload["nonlinearity"])
-    except KeyError as exc:
-        raise ConfigInvalidError(f"{path}: missing key {exc}") from None
-    except (TypeError, ValueError, DimMismatchError) as exc:
-        raise ConfigInvalidError(f"{path}: malformed dual_encoder file: {exc}") from None
-    if payload.get("joint_dim") != model.joint_dim:
-        raise ConfigInvalidError(
-            f"{path}: joint_dim {payload.get('joint_dim')!r} disagrees with "
-            f"the maps' output width {model.joint_dim}"
-        )
+        joint_dim = payload["joint_dim"]
+        if type(joint_dim) is not int or joint_dim != model.joint_dim:
+            raise ValueError(
+                f"joint_dim {joint_dim!r} is not the maps' output width {model.joint_dim}"
+            )
     return model
 
 
@@ -653,7 +643,7 @@ def _array_payload(a: np.ndarray) -> dict:
     }
 
 
-def _array_from_v2(obj: dict) -> np.ndarray:
+def _array_from_payload(obj: dict) -> np.ndarray:
     if obj["dtype"] != _DTYPE:
         raise ValueError(f"dtype {obj['dtype']!r} is not {_DTYPE!r}")
     shape = obj["shape"]
@@ -671,6 +661,3 @@ def _array_from_v2(obj: dict) -> np.ndarray:
         raise ValueError(f"{len(raw)} data bytes do not fill shape {shape}")
     return np.frombuffer(raw, dtype=_DTYPE).astype(np.float64).reshape(shape)
 
-
-def _array_from_v1(obj: list) -> np.ndarray:
-    return np.asarray(obj, dtype=np.float64)

@@ -10,7 +10,7 @@ as 0, matching how an all-negative classifier is conventionally reported.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -139,15 +139,7 @@ def evaluate_masked(sim_values, cls_values, gt: GroundTruthMatrix) -> MetricsRep
     scores, labels = masked_pairs(sim_values, gt)
     preds, _ = masked_pairs(cls_values, gt)
     report = binary_metrics(preds.astype(np.int8), labels)
-    ap = average_precision(scores, labels)
-    return MetricsReport(
-        accuracy=report.accuracy,
-        precision=report.precision,
-        recall=report.recall,
-        f1=report.f1,
-        n_evaluated=report.n_evaluated,
-        average_precision=ap,
-    )
+    return replace(report, average_precision=average_precision(scores, labels))
 
 
 def consensus_score(records, threshold: float = 0.5) -> dict[tuple[str, str], ConsensusEntry]:

@@ -95,10 +95,6 @@ class GroundTruthMatrix:
             raise ValueError("ground-truth values must be 1, -1 or 0")
         object.__setattr__(self, "values", vals)
 
-    @property
-    def n_labeled(self) -> int:
-        return int(np.count_nonzero(self.values))
-
 
 def _check_similarities(values: np.ndarray) -> None:
     # NaN fails no range comparison, so finiteness is checked on its own.

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -38,6 +37,8 @@ from .errors import (
     EmptyCorpusError,
     MalformedLineError,
     MissingEmbeddingError,
+    check_types,
+    read_model,
 )
 from .matrices import CsrRows
 from .textprep import TokenSeq
@@ -474,20 +475,20 @@ def save_tfidf(model: TfidfModel, path) -> None:
 
 
 def load_tfidf(path) -> TfidfModel:
-    """Read a save_tfidf file. A file that is not a version-1 tfidf model,
-    lacks a key, or whose idf is not one finite value per vocabulary term
-    raises ConfigInvalidError naming `path`."""
-    payload = _load_model_payload(path, "tfidf")
-    with _model_fields(path, "tfidf"):
+    """Read a save_tfidf file. A file that is not a version-1 tfidf model
+    (errors.read_model), lacks a key, holds a value of the wrong type, or
+    whose idf is not one finite number >= 1 per vocabulary term raises
+    ConfigInvalidError naming `path`. ln((1+N)/(1+df)) + 1 is never below 1."""
+    with read_model(path, "tfidf", 1) as payload:
+        check_types(TfidfModel, payload, f"{path}: ")
         vocab = _vocabulary(payload["vocab"])
-        idf = np.asarray(payload["idf"], dtype=np.float64)
-        n_docs = int(payload["n_docs"])
-    if idf.shape != (vocab.size,) or not np.isfinite(idf).all():
-        raise ConfigInvalidError(
-            f"{path}: tfidf idf must hold one finite value per vocabulary term "
-            f"({vocab.size}), got shape {idf.shape}"
-        )
-    return TfidfModel(vocab=vocab, idf=idf, n_docs=n_docs)
+        idf = _number_array(payload["idf"], 1)
+        if idf.shape != (vocab.size,) or not (np.isfinite(idf).all() and (idf >= 1).all()):
+            raise ValueError(
+                f"idf must hold one finite value >= 1 per vocabulary term ({vocab.size}), "
+                f"got shape {idf.shape}"
+            )
+        return TfidfModel(vocab=vocab, idf=idf, n_docs=payload["n_docs"])
 
 
 def save_lda(model: LdaModel, path) -> None:
@@ -508,65 +509,44 @@ def save_lda(model: LdaModel, path) -> None:
 
 
 def load_lda(path) -> LdaModel:
-    """Read a save_lda file. A file that is not a version-1 lda model, lacks
-    a key, has a prior that is not finite and > 0, or a phi that is not a
-    finite non-negative (n_topics, vocabulary) table raises
-    ConfigInvalidError naming `path`."""
-    payload = _load_model_payload(path, "lda")
-    with _model_fields(path, "lda"):
+    """Read a save_lda file. A file that is not a version-1 lda model
+    (errors.read_model), lacks a key, holds a value of the wrong type, has a
+    prior that is not > 0, or a phi that is not a finite non-negative
+    (n_topics, vocabulary) table raises ConfigInvalidError naming `path`."""
+    with read_model(path, "lda", 1) as payload:
+        check_types(LdaModel, payload, f"{path}: ")
         vocab = _vocabulary(payload["vocab"])
-        n_topics = int(payload["n_topics"])
-        alpha = float(payload["alpha"])
-        beta = float(payload["beta"])
-        seed = int(payload["seed"])
-        log_likelihood = float(payload["log_likelihood"])
-        phi = np.asarray(payload["phi"], dtype=np.float64)
-    _check_prior("alpha", alpha)
-    _check_prior("beta", beta)
-    if phi.shape != (n_topics, vocab.size):
-        raise ConfigInvalidError(
-            f"{path}: lda phi has shape {phi.shape}, expected {(n_topics, vocab.size)}"
+        n_topics, alpha, beta = payload["n_topics"], payload["alpha"], payload["beta"]
+        if not (alpha > 0 and beta > 0):
+            raise ValueError(f"priors must be > 0, got alpha {alpha!r} and beta {beta!r}")
+        phi = _number_array(payload["phi"], 2)
+        if phi.shape != (n_topics, vocab.size):
+            raise ValueError(f"phi has shape {phi.shape}, expected {(n_topics, vocab.size)}")
+        if not (np.isfinite(phi).all() and (phi >= 0).all()):
+            raise ValueError("phi must be finite and non-negative")
+        return LdaModel(
+            n_topics=n_topics,
+            alpha=alpha,
+            beta=beta,
+            phi=phi,
+            vocab=vocab,
+            seed=payload["seed"],
+            log_likelihood=payload["log_likelihood"],
         )
-    if not (np.isfinite(phi).all() and (phi >= 0).all()):
-        raise ConfigInvalidError(f"{path}: lda phi must be finite and non-negative")
-    return LdaModel(
-        n_topics=n_topics,
-        alpha=alpha,
-        beta=beta,
-        phi=phi,
-        vocab=vocab,
-        seed=seed,
-        log_likelihood=log_likelihood,
-    )
 
 
-def _load_model_payload(path, expected_format: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-        raise ConfigInvalidError(f"{path}: not valid JSON: {exc}") from None
-    if not (
-        isinstance(payload, dict)
-        and payload.get("format") == expected_format
-        and payload.get("version") == 1
-    ):
-        raise ConfigInvalidError(
-            f"{path}: expected a version-1 {expected_format!r} model file"
-        )
-    return payload
-
-
-@contextmanager
-def _model_fields(path, expected_format: str):
-    """Reading a model payload's fields: a missing key or a value of the
-    wrong kind raises ConfigInvalidError naming `path`."""
-    try:
-        yield
-    except KeyError as exc:
-        raise ConfigInvalidError(f"{path}: {expected_format} model file lacks key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalidError(f"{path}: malformed {expected_format} model file: {exc}") from None
+def _number_array(value, ndim: int) -> np.ndarray:
+    """A JSON list of numbers (ndim 1), or a list of such lists (ndim 2), as
+    float64; anything else, a string, true, false or null in it included,
+    raises ValueError."""
+    items = [value]
+    for _ in range(ndim):
+        if not all(type(item) is list for item in items):
+            raise ValueError(f"expected {ndim} levels of lists of numbers")
+        items = list(chain.from_iterable(items))
+    if not {type(item) for item in items} <= {int, float}:
+        raise ValueError("an array element is not a number")
+    return np.array(value, dtype=np.float64)
 
 
 def _vocabulary(terms) -> Vocabulary:

@@ -802,7 +802,7 @@ def save_encoder_v1_reference(model, path, train_config=None):
     """The version-1 encoder writer: every array as nested JSON float lists.
 
     Kept so tests can write the files that earlier releases wrote and check
-    that contrast.load_encoder still reads them bit for bit.
+    that contrast.load_encoder rejects them.
     """
     def amap(m):
         return {"weight": m.weight.tolist(), "bias": m.bias.tolist()}

@@ -465,7 +465,7 @@ def _record_calls(monkeypatch, module, name):
 def _fold_in_every_document(cfg, kind, tokens, fit_tweet_ids, fit_article_ids):
     """An lda featurizer that folds every document in, including those the fit sampled."""
     assert kind == "lda"
-    model = cli._fit(cfg, kind, tokens, fit_tweet_ids, fit_article_ids)
+    model = cli._fit_with_docs(cfg, kind, tokens, fit_tweet_ids, fit_article_ids)[0]
     return lambda docs: vectorize.lda_infer_batch(
         model, [toks for _id, toks in docs], iters=cfg.lda.infer_iters, seed=cfg.seed
     )
@@ -688,6 +688,21 @@ def test_sweep_hp_rejects_corpus_overrides(small_corpus, make_config, tmp_path, 
     assert not (tmp_path / "out" / "sweep_hp.json").exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--budget", "0"), ("--budget", "-1"), ("--val-fraction", "nan"), ("--val-fraction", "inf"),
+    ("--val-fraction", "0"), ("--val-fraction", "-1"), ("--val-fraction", "1"),
+])
+def test_sweep_hp_rejects_out_of_range_flags(small_corpus, make_config, tmp_path, flag, value,
+                                              capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text("[{}]")
+    code = cli.main(["--config", str(make_config()), "sweep-hp", "--grid", str(grid), flag, value])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and flag[2:].replace("-", "_") in err
+    assert not (tmp_path / "out" / "sweep_hp.json").exists()
+
+
 @pytest.mark.parametrize("strategy", ["truncate", "mean_chunks", "augment"])
 def test_dual_rows_match_per_document_encoding(small_corpus, make_config, strategy):
     """build_vectors encodes each side in one batch; each row is the document's own encode()."""
@@ -699,7 +714,7 @@ def test_dual_rows_match_per_document_encoding(small_corpus, make_config, strate
     run = cli._Run(cfg)
     tweet_rows, article_rows, encoder = run.vectors
     tokens, trunc = run.tokens, cfg.chunking.truncate_limit
-    model = cli._fit(cfg, "tfidf", tokens, run.tweet_ids, run.article_ids)
+    model = cli._fit_with_docs(cfg, "tfidf", tokens, run.tweet_ids, run.article_ids)[0]
     for row, doc_id in zip(tweet_rows, run.tweet_ids):
         feats = vectorize.tfidf_transform(model, textprep.truncate(tokens[doc_id], trunc))
         assert np.array_equal(row, contrast.encode(encoder, "tweet", feats))
@@ -932,3 +947,38 @@ def test_non_utf8_input_exit_2(small_corpus, make_config, tmp_path, kind, capsys
     assert str(bad) in err
     if kind in _LINE_INPUTS:
         assert f"{bad}:2: byte 0xff is not UTF-8" in err
+
+
+_MODEL_LOADERS = {
+    "tfidf": vectorize.load_tfidf, "lda": vectorize.load_lda, "encoder": contrast.load_encoder,
+}
+
+
+@pytest.mark.parametrize("content", ["missing", "invalid JSON", "non-UTF-8", "wrong kind"])
+@pytest.mark.parametrize("reader", ["config", "grid", "report", *_MODEL_LOADERS])
+def test_json_document_errors_name_the_file(small_corpus, make_config, tmp_path, reader, content,
+                                            capsys):
+    """Every JSON document input is read by one reader: a file that is missing,
+    is not JSON, is not UTF-8 or holds the wrong kind of top-level value is a
+    ConfigInvalidError naming it, exit code 2 through the CLI."""
+    path = tmp_path / f"bad-{reader}.json"
+    wrong_kind = {"grid": b"{}", "report": b"3"}.get(reader, b"[]")
+    data = {"missing": None, "invalid JSON": b'{"a": ', "non-UTF-8": b'{"a": "\xff"}',
+            "wrong kind": wrong_kind}[content]
+    if data is not None:
+        path.write_bytes(data)
+    if reader in _MODEL_LOADERS:
+        with pytest.raises(ConfigInvalidError) as info:
+            _MODEL_LOADERS[reader](path)
+        assert str(path) in str(info.value)
+        return
+    config, command = make_config(), ["ingest"]
+    if reader == "config":
+        config = path
+    elif reader == "grid":
+        command = ["sweep-hp", "--grid", str(path)]
+    else:
+        command = ["report", "--input", str(path)]
+    assert cli.main(["--config", str(config), *command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err

@@ -398,40 +398,45 @@ class TestPersistence:
         assert path.read_bytes() == (json.dumps(payload, sort_keys=True) + "\n").encode("ascii")
 
     @staticmethod
-    def _write(path, version, edit):
-        """Write a 1-wide two-input encoder in `version`, then apply `edit` to its JSON."""
+    def _write(path, edit, write=contrast.save_encoder):
+        """Write a 1-wide two-input encoder with `write`, then apply `edit` to its JSON."""
         enc = contrast.DualEncoder(
             tweet_map=contrast.AffineMap(np.array([[0.5, -1.0]]), np.array([0.25])),
             article_map=contrast.AffineMap(np.array([[2.0, 0.0]]), np.array([-0.5])),
         )
-        write = contrast.save_encoder if version == 2 else save_encoder_v1_reference
         write(enc, path)
         payload = json.loads(path.read_text())
         edit(payload)
         path.write_text(json.dumps(payload))
 
-    @pytest.mark.parametrize("version, edit", [
-        (1, lambda p: p.pop("article_map")),
-        (1, lambda p: p["tweet_map"].update(weight=[[1.0, 2.0], [3.0]])),
-        (1, lambda p: p.update(nonlinearity="relu")),
-        (1, lambda p: p.update(joint_dim=5)),
-        (2, lambda p: p.update(joint_dim=5)),
-        (2, lambda p: p["tweet_map"]["weight"].update(
-            data="!" + p["tweet_map"]["weight"]["data"])),
-        (2, lambda p: p["tweet_map"]["weight"].update(data="AAAAAAAAAA=")),
-        (2, lambda p: p["tweet_map"]["weight"].update(dtype="<f4")),
-        (2, lambda p: p["tweet_map"]["weight"].update(shape=[1, 3])),
-        (2, lambda p: p["tweet_map"]["bias"].update(shape=[2])),
-        (2, lambda p: p.update(version=3)),
+    @pytest.mark.parametrize("edit", [
+        lambda p: p.pop("article_map"),
+        lambda p: p.update(nonlinearity="relu"),
+        lambda p: p.update(joint_dim=5),
+        lambda p: p["tweet_map"]["weight"].update(data="!" + p["tweet_map"]["weight"]["data"]),
+        lambda p: p["tweet_map"]["weight"].update(data="AAAAAAAAAA="),
+        lambda p: p["tweet_map"]["weight"].update(dtype="<f4"),
+        lambda p: p["tweet_map"]["weight"].update(shape=[1, 3]),
+        lambda p: p["tweet_map"]["bias"].update(shape=[2]),
+        lambda p: p.update(version=3),
+        lambda p: p.update(joint_dim=1.0),
+        lambda p: p.update(version=2.0),
     ], ids=[
-        "v1-missing-map", "v1-ragged-weight", "v1-unknown-nonlinearity", "v1-joint-dim",
-        "v2-joint-dim", "v2-junk-in-base64", "v2-bad-padding", "v2-dtype", "v2-shape",
-        "v2-bias-shape", "unknown-version",
+        "v2-missing-map", "v2-unknown-nonlinearity", "v2-joint-dim", "v2-junk-in-base64",
+        "v2-bad-padding", "v2-dtype", "v2-shape", "v2-bias-shape", "unknown-version",
+        "v2-float-joint-dim", "v2-float-version",
     ])
-    def test_malformed_file_is_a_config_error(self, tmp_path, version, edit):
+    def test_malformed_file_is_a_config_error(self, tmp_path, edit):
         path = tmp_path / "encoder.json"
-        self._write(path, version, edit)
+        self._write(path, edit)
         with pytest.raises(ConfigInvalidError, match="encoder.json"):
+            contrast.load_encoder(path)
+
+    def test_version_1_file_is_a_config_error(self, tmp_path):
+        """Version 1 held each array as nested float lists; it is no longer read."""
+        path = tmp_path / "encoder.json"
+        self._write(path, lambda p: None, save_encoder_v1_reference)
+        with pytest.raises(ConfigInvalidError, match="encoder.json.*version 1"):
             contrast.load_encoder(path)
 
     def test_invalid_json_is_a_config_error(self, tmp_path):
@@ -440,13 +445,14 @@ class TestPersistence:
         with pytest.raises(ConfigInvalidError, match="encoder.json"):
             contrast.load_encoder(path)
 
-    @pytest.mark.parametrize("version, weight", [
-        (1, [[float("nan"), 0.0]]),
-        (2, {"dtype": "<f8", "shape": [1, 2],
-             "data": base64.b64encode(np.array([np.inf, 0.0]).tobytes()).decode()}),
-    ], ids=["v1", "v2"])
-    def test_non_finite_weights_are_rejected(self, tmp_path, version, weight):
+    @pytest.mark.parametrize("key, values, shape", [
+        ("weight", [np.inf, 0.0], [1, 2]),
+        ("bias", [np.nan], [1]),
+    ], ids=["v2", "v2-nan-bias"])
+    def test_non_finite_weights_are_rejected(self, tmp_path, key, values, shape):
+        data = base64.b64encode(np.array(values).tobytes()).decode()
+        array = {"dtype": "<f8", "shape": shape, "data": data}
         path = tmp_path / "encoder.json"
-        self._write(path, version, lambda p: p["article_map"].update(weight=weight))
+        self._write(path, lambda p: p["article_map"].update({key: array}))
         with pytest.raises(NonFiniteLossError):
             contrast.load_encoder(path)

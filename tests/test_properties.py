@@ -37,7 +37,6 @@ from reference import (
     lda_infer_reference,
     load_pairs_reference,
     masked_flatten_reference,
-    save_encoder_v1_reference,
     score_matrix_reference,
     select_reference,
     tfidf_reference,
@@ -689,19 +688,17 @@ def encoders(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(encoders())
-def test_encoder_files_of_both_versions_load_bit_for_bit(encoder):
+def test_encoder_files_load_bit_for_bit(encoder):
     with tempfile.TemporaryDirectory() as tmp:
-        v2, v1 = Path(tmp) / "v2.json", Path(tmp) / "v1.json"
-        contrast.save_encoder(encoder, v2, contrast.TrainConfig())
-        save_encoder_v1_reference(encoder, v1, contrast.TrainConfig())
-        loaded = [contrast.load_encoder(v2), contrast.load_encoder(v1)]
-    for got in loaded:
-        assert got.nonlinearity == encoder.nonlinearity
-        for side in ("tweet_map", "article_map"):
-            for name in ("weight", "bias"):
-                want = getattr(getattr(encoder, side), name)
-                have = getattr(getattr(got, side), name)
-                assert have.shape == want.shape and have.tobytes() == want.tobytes()
+        path = Path(tmp) / "encoder.json"
+        contrast.save_encoder(encoder, path, contrast.TrainConfig())
+        got = contrast.load_encoder(path)
+    assert got.nonlinearity == encoder.nonlinearity
+    for side in ("tweet_map", "article_map"):
+        for name in ("weight", "bias"):
+            want = getattr(getattr(encoder, side), name)
+            have = getattr(getattr(got, side), name)
+            assert have.shape == want.shape and have.tobytes() == want.tobytes()
 
 
 # --- JSONL reading and the ground truth -----------------------------------------

@@ -288,6 +288,24 @@ class TestModelFileErrors:
             ("lda", {"seed": "x"}),
             ("lda", {"n_topics": None}),
             ("lda", {"log_likelihood": []}),
+            # Each of these loaded by a cast or a silent conversion: a field or
+            # array element of the wrong JSON type, or an idf below its floor of 1.
+            ("tfidf", {"n_docs": "7"}),
+            ("tfidf", {"n_docs": 2.5}),
+            ("tfidf", {"idf": ["1", "2", "3"]}),
+            ("tfidf", {"idf": [True, 1.0, 1.0]}),
+            ("tfidf", {"idf": [-5.0, 1.0, 1.0]}),
+            ("tfidf", {"idf": [0.5, 1.0, 1.0]}),
+            ("tfidf", {"version": 1.0}),
+            ("tfidf", {"version": True}),
+            ("lda", {"seed": 3.9}),
+            ("lda", {"n_topics": 2.0}),
+            ("lda", {"alpha": "0.5"}),
+            ("lda", {"beta": True}),
+            ("lda", {"log_likelihood": "-3.5"}),
+            ("lda", {"phi": [["0.5", "0.5"], ["0.5", "0.5"]]}),
+            # An integer too large for a float raised a bare OverflowError.
+            ("tfidf", {"idf": [10**400, 1.0, 1.0]}),
         ],
     )
     def test_malformed_field(self, tmp_path, fmt, edit):
