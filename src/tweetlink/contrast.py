@@ -24,6 +24,13 @@ batch's nonzeros, not to the vocabulary; the other columns have a zero
 gradient. Only the momentum velocity update stays dense, because every
 column with a nonzero velocity moves on every step.
 
+Under mean_chunks an affine encoder (nonlinearity "none") trains on one
+row per article, the mean of its piece rows, built once before the first
+epoch: an affine map commutes with the mean, and so does its gradient.
+The tanh encoder projects every piece row and averages the projections.
+When every example has one row (truncate, augment, or pooled mean_chunks),
+a step builds no pooling matrix.
+
 The blocks are planned once per epoch: after the epoch's shuffle, one
 vectorized pass per side finds every batch's sorted distinct columns and
 each nonzero's place in its batch's block, so a step only slices the plan
@@ -354,13 +361,37 @@ class _EpochGather:
         return self.cols[c0:c1], block.reshape(shape)
 
 
+def _mean_rows(csr: CsrRows, counts: np.ndarray) -> CsrRows:
+    """One row per group, where group j is the next counts[j] rows of csr:
+    their sum in row order divided by counts[j].
+
+    One np.unique over the keys group * n_cols + column finds each group's
+    columns, and np.bincount, which adds its weights in input order, adds a
+    column's entries in row order. A row thus equals the dense sum of its
+    group's rows over the count bit for bit; a sum that cancels to 0 keeps
+    no entry, as a dense row's zeros keep none.
+    """
+    n_rows = int(counts.sum())
+    lo, hi = csr.indptr[0], csr.indptr[n_rows]
+    group = np.repeat(np.arange(len(counts)), counts)
+    key = np.repeat(group, np.diff(csr.indptr[: n_rows + 1])) * np.int64(csr.n_cols)
+    key += csr.indices[lo:hi]
+    keys, slot = np.unique(key, return_inverse=True)
+    sums = np.bincount(slot, weights=csr.data[lo:hi], minlength=len(keys))
+    nonzero = sums != 0
+    row, col = np.divmod(keys[nonzero], csr.n_cols)
+    indptr = np.searchsorted(row, np.arange(len(counts) + 1))
+    return CsrRows(indptr, col, sums[nonzero] / counts[row], csr.n_cols)
+
+
 def _epoch_batches(x_t: CsrRows, x_a: CsrRows, examples: np.ndarray, order: np.ndarray, bs: int):
     """Yield each batch of one epoch: (u_t, bx_t, u_a, bx_a, pool, counts, y).
 
     Batch k holds the examples (rows of build_training_pairs' result)
     order[k * bs : (k + 1) * bs]; pool[i, r] = 1 where piece row r of bx_a
-    belongs to example i. Both sides' gathers are planned for the whole
-    epoch up front and freed when it ends.
+    belongs to example i. When every example has one piece row, pool and
+    counts are None and row i of bx_a is example i's. Both sides' gathers
+    are planned for the whole epoch up front and freed when it ends.
     """
     n = len(order)
     n_batches = -(-n // bs)
@@ -371,16 +402,20 @@ def _epoch_batches(x_t: CsrRows, x_a: CsrRows, examples: np.ndarray, order: np.n
     gather_a = _EpochGather(
         x_a, _ranges(first_piece, counts), np.repeat(example_batch, counts), n_batches
     )
+    pooling = (counts > 1).any()
     # The example each piece row belongs to, counted within its batch.
     piece_example = np.repeat(np.arange(n) % bs, counts)
     piece_bounds = gather_a.row_bounds
+    pool = bcounts = None
     for k, start in enumerate(range(0, n, bs)):
         stop = min(start + bs, n)
         u_a, bx_a = gather_a(k)
-        n_rows = bx_a.shape[0]
-        pool = np.zeros((stop - start, n_rows))
-        pool[piece_example[piece_bounds[k] : piece_bounds[k + 1]], np.arange(n_rows)] = 1.0
-        yield *gather_t(k), u_a, bx_a, pool, counts[start:stop, None], y[start:stop]
+        if pooling:
+            n_rows = bx_a.shape[0]
+            pool = np.zeros((stop - start, n_rows))
+            pool[piece_example[piece_bounds[k] : piece_bounds[k + 1]], np.arange(n_rows)] = 1.0
+            bcounts = counts[start:stop, None]
+        yield *gather_t(k), u_a, bx_a, pool, bcounts, y[start:stop]
 
 
 def _init_map(rng: np.random.Generator, in_dim: int, out_dim: int):
@@ -438,6 +473,13 @@ def train(
     trace holds, per epoch, the mean loss over all examples as seen during
     that epoch's forward passes (pre-update), which for full-batch descent
     is the exact objective sequence.
+
+    Under mean_chunks with nonlinearity "none", every article trains on one
+    row, the mean of its piece rows (their sum in piece order over the
+    count): the affine map of the mean is the mean of the pieces' affine
+    maps, up to rounding, and so is the gradient. With tanh, each step
+    projects every piece row and averages the projections, as encode_batch
+    does.
     """
     x_t, tweet_ids, _ = _feature_rows(tweet_features, tweet_ids, None, "tweet")
     x_a, article_ids, piece_counts = _feature_rows(
@@ -445,12 +487,19 @@ def train(
     )
     examples = build_training_pairs(positives, tweet_ids, article_ids, piece_counts, cfg, strategy)
     n_examples = len(examples)
+    tanh = cfg.nonlinearity == "tanh"
+    if not tanh and (examples[:, 2] > 1).any():
+        # mean_chunks under an affine map: mean(x_i W + b) = (mean x_i) W + b,
+        # and the gradient sum x_i^T (d / n) is (mean x_i)^T d, so each article
+        # trains on one row, the mean of its piece rows.
+        x_a = _mean_rows(x_a, piece_counts)
+        examples[:, 1] = np.searchsorted(np.cumsum(piece_counts) - piece_counts, examples[:, 1])
+        examples[:, 2] = 1
 
     rng = np.random.default_rng(cfg.seed)
     # Transposed (in_dim, joint_dim) weights: a batch's columns are contiguous rows.
     wt_t, b_t = _init_map(rng, x_t.n_cols, cfg.joint_dim)
     wt_a, b_a = _init_map(rng, x_a.n_cols, cfg.joint_dim)
-    tanh = cfg.nonlinearity == "tanh"
 
     if cfg.momentum > 0:
         vel = [np.zeros_like(wt_t), np.zeros_like(b_t), np.zeros_like(wt_a), np.zeros_like(b_a)]
@@ -471,7 +520,7 @@ def train(
             if tanh:
                 e_t = np.tanh(e_t)
                 h = np.tanh(h)
-            e_a = (pool @ h) / bcounts
+            e_a = h if pool is None else (pool @ h) / bcounts
             losses, d_et, d_ea = _batch_loss_and_grads(e_t, e_a, by, cfg.margin)
             batch_loss = float(losses.sum())
             if not math.isfinite(batch_loss):
@@ -479,7 +528,7 @@ def train(
             loss_sum += batch_loss
 
             d_pre_t = d_et * (1.0 - e_t**2) if tanh else d_et
-            d_h = pool.T @ (d_ea / bcounts)
+            d_h = d_ea if pool is None else pool.T @ (d_ea / bcounts)
             d_pre_a = d_h * (1.0 - h**2) if tanh else d_h
 
             # Steps lr * (gradient / b), each rounded as written.

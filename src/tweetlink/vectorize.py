@@ -512,7 +512,8 @@ def load_lda(path) -> LdaModel:
     """Read a save_lda file. A file that is not a version-1 lda model
     (errors.read_model), lacks a key, holds a value of the wrong type, has a
     prior that is not > 0, or a phi that is not a finite non-negative
-    (n_topics, vocabulary) table raises ConfigInvalidError naming `path`."""
+    (n_topics, vocabulary) table whose rows sum to 1 raises
+    ConfigInvalidError naming `path`."""
     with read_model(path, "lda", 1) as payload:
         check_types(LdaModel, payload, f"{path}: ")
         vocab = _vocabulary(payload["vocab"])
@@ -524,6 +525,12 @@ def load_lda(path) -> LdaModel:
             raise ValueError(f"phi has shape {phi.shape}, expected {(n_topics, vocab.size)}")
         if not (np.isfinite(phi).all() and (phi >= 0).all()):
             raise ValueError("phi must be finite and non-negative")
+        # lda_fit's rows (n_kw + beta) / (n_k + V beta) sum to 1 within a few
+        # roundings per entry; 4 V ulps of 1 bound them with room to spare.
+        off = np.abs(phi.sum(axis=1) - 1.0)
+        if (off > 4 * vocab.size * np.finfo(np.float64).eps).any():
+            row = int(off.argmax())
+            raise ValueError(f"phi rows must sum to 1; row {row} is off by {off[row]:.3g}")
         return LdaModel(
             n_topics=n_topics,
             alpha=alpha,

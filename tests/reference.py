@@ -725,13 +725,25 @@ def batch_loss_and_grads_reference(e_t, e_a, y, margin):
     return losses, sign[:, None] * dc_det, sign[:, None] * dc_dea
 
 
+def mean_rows_reference(rows):
+    """The mean of an article's piece rows: their sum in piece order, divided by
+    their count."""
+    total = rows[0]
+    for row in rows[1:]:
+        total = total + row
+    return total / len(rows)
+
+
 def train_stepwise_reference(positives, tweet_features, article_features, cfg, strategy="truncate"):
     """Sparse-row dual-encoder training that gathers each batch on its own.
 
     Every pair's rows are packed separately, and every step finds its
-    batch's distinct columns with its own np.unique. contrast.train must
-    reproduce its weights, biases and trace bit for bit. Returns
-    (w_t, b_t, w_a, b_a, trace) with weights shaped (joint_dim, in_dim).
+    batch's distinct columns with its own np.unique. Under an affine
+    encoder, a pair with several pieces trains on their mean row
+    (mean_rows_reference) instead; tanh pairs keep their pieces.
+    contrast.train must reproduce its weights, biases and trace bit for
+    bit. Returns (w_t, b_t, w_a, b_a, trace) with weights shaped
+    (joint_dim, in_dim).
     """
     from tweetlink import contrast
 
@@ -739,6 +751,8 @@ def train_stepwise_reference(positives, tweet_features, article_features, cfg, s
         positives, tweet_features, article_features, cfg, strategy
     )
     pieces = [np.atleast_2d(p.x_article) for p in pairs]
+    if cfg.nonlinearity == "none" and any(len(rows) > 1 for rows in pieces):
+        pieces = [mean_rows_reference(rows)[None] for rows in pieces]
     x_t = _csr_rows([p.x_tweet for p in pairs])
     x_a = _csr_rows([row for piece_rows in pieces for row in piece_rows])
     counts = np.array([len(piece_rows) for piece_rows in pieces], dtype=np.int64)

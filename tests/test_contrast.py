@@ -210,6 +210,25 @@ class TestTrain:
         enc, trace = contrast.train(positives, tf, af, cfg, strategy="mean_chunks")
         assert len(trace) == 5
 
+    @pytest.mark.parametrize("counts, pooled", [([1, 1, 1], False), ([1, 2, 1], True)])
+    def test_epoch_batches_pool_only_multi_row_examples(self, counts, pooled):
+        rng = np.random.default_rng(1)
+        x_t = contrast._feature_rows(rng.random((3, 4)), list("xyz"), None, "tweet")[0]
+        x_a = contrast._feature_rows(rng.random((4, 5)), list("abcd"), None, "article")[0]
+        first = np.cumsum(counts) - counts
+        examples = np.column_stack([[0, 1, 2], first, counts, [1, -1, 1]])
+        batches = list(contrast._epoch_batches(x_t, x_a, examples, np.array([2, 0, 1]), 2))
+        assert len(batches) == 2
+        for _, _, _, bx_a, pool, bcounts, _ in batches:
+            if pooled:
+                assert pool.shape == (len(bcounts), len(bx_a))
+            else:
+                assert pool is None and bcounts is None
+        if not pooled:
+            # Row i of bx_a is example i's article row, over the batch's columns.
+            u_a, bx_a = batches[0][2:4]
+            np.testing.assert_array_equal(bx_a, x_a.toarray()[[2, 0]][:, u_a])
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(lr=0.0)

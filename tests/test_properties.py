@@ -4,7 +4,8 @@ sampler (against document-parallel and one-document token-by-token oracles),
 its log-likelihood (against the gammaln formula), its draw helper, its
 topic proportions and batched fold-in, the sparse-row dual-encoder training
 loop (against dense and per-step-gather oracles), its
-epoch gather plan (against the per-batch gather) and its row-index
+epoch gather plan (against the per-batch gather), its pooled article rows
+(against the dense mean) and its row-index
 examples (against the per-pair vector builder), text
 cleaning, and the JSONL reader, pair table loader and ground-truth builder
 against the oracles they replace."""
@@ -37,6 +38,7 @@ from reference import (
     lda_infer_reference,
     load_pairs_reference,
     masked_flatten_reference,
+    mean_rows_reference,
     score_matrix_reference,
     select_reference,
     tfidf_reference,
@@ -581,8 +583,25 @@ def test_resolved_examples_match_reference_pairs(case):
         assert y == pair.y
 
 
+def _multi_piece_case(momentum):
+    """mean_chunks under the affine encoder; every article has 2-4 pieces over
+    5 columns, so its pieces share columns and it trains on their mean row."""
+    rng = np.random.default_rng(5)
+    tweets = {f"t{i}": rng.random(6) for i in range(5)}
+    articles = {
+        f"a{j}": rng.random((2 + j % 3, 5)) * (rng.random((2 + j % 3, 5)) < 0.6) for j in range(4)
+    }
+    positives = [(f"t{i}", f"a{i % 4}") for i in range(5)]
+    cfg = contrast.TrainConfig(
+        lr=0.5, epochs=4, batch_size=3, seed=2, momentum=momentum, joint_dim=3
+    )
+    return positives, tweets, articles, cfg, "mean_chunks"
+
+
 @settings(max_examples=300, deadline=None)
 @given(training_cases())
+@example(_multi_piece_case(momentum=0.0))
+@example(_multi_piece_case(momentum=0.9))
 def test_train_matches_dense_reference(case):
     encoder, trace = contrast.train(*case)
     w_t, b_t, w_a, b_a, ref_trace = train_reference(*case)
@@ -598,6 +617,8 @@ def test_train_matches_dense_reference(case):
 
 @settings(max_examples=300, deadline=None)
 @given(training_cases())
+@example(_multi_piece_case(momentum=0.0))
+@example(_multi_piece_case(momentum=0.9))
 def test_train_matches_stepwise_reference_exactly(case):
     encoder, trace = contrast.train(*case)
     w_t, b_t, w_a, b_a, ref_trace = train_stepwise_reference(*case)
@@ -646,6 +667,44 @@ def test_epoch_gather_matches_per_batch_gather(case):
         assert u.shape == want_u.shape and block.shape == want_block.shape
         assert_array_equal(u, want_u)
         assert_array_equal(block, want_block, strict=True)
+
+
+@st.composite
+def grouped_rows(draw):
+    """(CsrRows, counts): groups of 1-4 sparse rows, row j of the result
+    pooling the next counts[j] rows. Few columns make a group's rows share
+    columns; some rows are all zero, some entries are +-0.5 and can cancel,
+    and trailing rows may belong to no group."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = np.array(draw(st.lists(st.integers(1, 4), min_size=1, max_size=6)))
+    n_rows = int(counts.sum()) + draw(st.integers(0, 2))
+    n_cols = draw(st.integers(1, 8))
+    cols = [
+        np.sort(rng.choice(n_cols, size=min(int(rng.integers(0, 5)), n_cols), replace=False))
+        for _ in range(n_rows)
+    ]
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum([len(c) for c in cols], out=indptr[1:])
+    indices = np.concatenate(cols).astype(np.int64)
+    values = np.where(rng.random(len(indices)) < 0.3, 0.5, rng.normal(size=len(indices)))
+    values *= rng.choice([-1.0, 1.0], size=len(indices))
+    return CsrRows(indptr, indices, values, n_cols), counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(grouped_rows())
+def test_mean_rows_match_the_dense_mean_of_each_group(case):
+    csr, counts = case
+    pooled = contrast._mean_rows(csr, counts)
+    dense = csr.toarray()
+    firsts = np.cumsum(counts) - counts
+    want = np.array([mean_rows_reference(dense[f : f + n]) for f, n in zip(firsts, counts)])
+    assert pooled.shape == want.shape
+    assert_array_equal(pooled.toarray(), want, strict=True)
+    # Rows in canonical form: increasing columns and no stored zero.
+    assert (pooled.data != 0).all()
+    for r in range(len(counts)):
+        assert (np.diff(pooled.indices[pooled.indptr[r] : pooled.indptr[r + 1]]) > 0).all()
 
 
 @settings(max_examples=200, deadline=None)

@@ -201,6 +201,17 @@ class TestLda:
             model.n_topics, model.alpha, model.beta, model.seed,
         )
 
+    @pytest.mark.parametrize("beta", [1e-8, 0.01, 5.0])
+    @pytest.mark.parametrize("vocab_size", [1, 7, 900])
+    def test_fitted_phi_rows_pass_the_sum_check(self, tmp_path, beta, vocab_size):
+        rng = np.random.default_rng(vocab_size)
+        docs = [[f"w{i}" for i in rng.integers(0, vocab_size, size=12)] for _ in range(80)]
+        docs.append([f"w{i}" for i in range(vocab_size)])
+        model = vectorize.lda_fit(docs, n_topics=5, beta=beta, iters=3, seed=1)
+        path = tmp_path / "lda.json"
+        vectorize.save_lda(model, path)
+        np.testing.assert_array_equal(vectorize.load_lda(path).phi, model.phi)
+
     @pytest.mark.parametrize(
         "edit",
         [
@@ -306,6 +317,12 @@ class TestModelFileErrors:
             ("lda", {"phi": [["0.5", "0.5"], ["0.5", "0.5"]]}),
             # An integer too large for a float raised a bare OverflowError.
             ("tfidf", {"idf": [10**400, 1.0, 1.0]}),
+            # phi rows that are not distributions over the vocabulary loaded,
+            # and lda_infer_batch returned a theta from them.
+            ("lda", {"phi": [[0.0, 0.0], [0.0, 0.0]]}),
+            ("lda", {"phi": [[5.0, 7.0], [0.0, 3.0]]}),
+            ("lda", {"phi": [[0.5, 0.5], [0.5, 0.4999]]}),
+            ("lda", {"phi": [[0.5, 0.5], [0.5, 0.5 + 1e-12]]}),
         ],
     )
     def test_malformed_field(self, tmp_path, fmt, edit):
