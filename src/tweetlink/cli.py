@@ -73,6 +73,10 @@ class LdaParams:
         for name in ("n_topics", "iters", "infer_iters"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("alpha", "beta"):
+            prior = getattr(self, name)
+            if prior is not None and not prior > 0:
+                raise ValueError(f"{name} must be > 0, got {prior!r}")
 
 
 @dataclass(frozen=True)
@@ -118,6 +122,12 @@ class RunConfig:
         if self.max_summary_chars < 1:
             raise ConfigInvalidError(
                 f"max_summary_chars must be >= 1, got {self.max_summary_chars}"
+            )
+        if self.model != "dual" and (self.features, self.strategy) != ("tfidf", "truncate"):
+            raise ConfigInvalidError(
+                f"features and strategy choose the dual encoder's input; model {self.model!r} "
+                f"reads neither, so they must keep their defaults (got features="
+                f"{self.features!r}, strategy={self.strategy!r})"
             )
         if self.features == "external":
             if not self.embeddings:

@@ -6,6 +6,7 @@ strings because real tweet ids overflow 64-bit integers in some exports.
 
 from __future__ import annotations
 
+import io
 import json
 import re
 from dataclasses import dataclass
@@ -69,9 +70,6 @@ class LinkedPair:
             raise ValueError(f"unknown pair label {self.label!r}")
 
 
-# Each valid label mapped to itself: one lookup validates a label and swaps
-# it for the shared constant.
-_LABELS = {label: label for label in PAIR_LABELS}
 # A row's label is held as its value: 1 match, -1 no_match, 0 unknown. The
 # label of value v is _LABEL_BY_VALUE[v] (-1 indexes the last entry). The
 # labels' first letters differ, and translate to the values as int8 bytes.
@@ -239,29 +237,36 @@ _JSON_WS = " \t\n\r"
 
 
 def _iter_jsonl(path):
-    """(line number, object) for each non-blank line, parsed exactly as json.loads.
+    """(line number, object) for each non-blank line of the file (_parse_jsonl).
+    A byte that is not UTF-8 raises MalformedLineError naming its line (open_utf8).
+    """
+    with open_utf8(path) as fh:
+        yield from _parse_jsonl(path, fh, 1)
+
+
+def _parse_jsonl(path, lines, start: int):
+    """(line number, object) for each non-blank line of `lines`, numbered from
+    `start` and parsed exactly as json.loads; errors name `path` and the line.
 
     A line holding a value from its first character, then only JSON
     whitespace, costs one scanner call. Any other line goes to json.loads
-    itself, so it is accepted, rejected and its error worded alike. A byte
-    that is not UTF-8 raises MalformedLineError naming its line (open_utf8).
+    itself, so it is accepted, rejected and its error worded alike.
     """
-    with open_utf8(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
+    for line_no, line in enumerate(lines, start):
+        try:
+            obj, end = _scan_once(line, 0)
+        except (StopIteration, ValueError):
+            end = None
+        if end is None or line[end:].strip(_JSON_WS):
+            if not line.strip():
+                continue
             try:
-                obj, end = _scan_once(line, 0)
-            except (StopIteration, ValueError):
-                end = None
-            if end is None or line[end:].strip(_JSON_WS):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise MalformedLineError(str(path), line_no, str(exc)) from exc
-            if not isinstance(obj, dict):
-                raise MalformedLineError(str(path), line_no, "expected a JSON object")
-            yield line_no, obj
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedLineError(str(path), line_no, str(exc)) from exc
+        if not isinstance(obj, dict):
+            raise MalformedLineError(str(path), line_no, "expected a JSON object")
+        yield line_no, obj
 
 
 def _require(obj: dict, field: str, line_no: int):
@@ -318,57 +323,51 @@ _PAIR_BLOCK_CHARS = 1 << 16
 def load_pair_table(path) -> PairTable:
     """Read pairs.jsonl into a PairTable, building no per-pair objects.
 
-    A file written by write_pairs is parsed a block of lines at a time
-    (_load_canonical_pairs); any other file line by line, with the same
-    result. A line missing a field raises MissingFieldError (tweet_id,
-    article_id, label checked in that order); a label outside PAIR_LABELS
-    raises MalformedLineError with the file and line.
-    """
-    table = _load_canonical_pairs(path)
-    return table if table is not None else _load_pairs_by_line(path)
-
-
-def _load_canonical_pairs(path) -> PairTable | None:
-    """The table of a file whose every line matches _PAIR_LINE, else None.
-
-    The file is read in blocks of about _PAIR_BLOCK_CHARS that end at a
-    newline, and a block is accepted when one findall matches as many lines
-    as it has newlines. Any other block, a byte that is not UTF-8 or a
-    missing final newline gives None, so the line parser reports the error.
+    The file is read once, in blocks of about _PAIR_BLOCK_CHARS that end at
+    a newline, and each block is coded before the next is read. A block
+    whose every line is in write_pairs' form is parsed by one findall; any
+    other block line by line (_parse_jsonl), with the same result. A line
+    missing a field raises MissingFieldError (tweet_id, article_id, label
+    checked in that order); a label outside PAIR_LABELS raises
+    MalformedLineError with the file and line.
     """
     pair_line = re.compile(_PAIR_LINE, re.MULTILINE)  # compiled once, then cached by re
     columns = _PairColumns()
-    try:
-        with open(path, encoding="utf-8") as fh:
-            while block := fh.read(_PAIR_BLOCK_CHARS):
-                block += fh.readline()
-                rows = pair_line.findall(block)
-                if not block.endswith("\n") or len(rows) != block.count("\n"):
-                    return None
+    start = 1
+    with open_utf8(path) as fh:
+        while block := fh.read(_PAIR_BLOCK_CHARS):
+            block += fh.readline()
+            n_lines = block.count("\n")
+            # Matching the first line alone spares a findall over a block in another form.
+            rows = pair_line.findall(block) if pair_line.match(block) else ()
+            if len(rows) == n_lines and block.endswith("\n"):
                 columns.append(
                     [row[0] for row in rows], [row[1] for row in rows],
                     "".join([row[2] for row in rows]),
                 )
-    except UnicodeDecodeError:
-        return None
+            else:
+                columns.append(*_parse_pair_lines(path, block, start))
+            start += n_lines
     return PairTable._of(*columns.coded())
 
 
-def _load_pairs_by_line(path) -> PairTable:
-    tweet_ids, article_ids, labels = [], [], []
-    for line_no, obj in _iter_jsonl(path):
+def _parse_pair_lines(path, block: str, start: int) -> tuple[list, list, str]:
+    """The tweet ids, article ids and label letters of a block's lines,
+    parsed one by one and numbered from `start`."""
+    tweet_ids, article_ids, letters = [], [], []
+    # The block's lines end at "\n" only, as the file's do when iterated.
+    for line_no, obj in _parse_jsonl(path, io.StringIO(block), start):
         try:
             tweet_id, article_id, label = obj["tweet_id"], obj["article_id"], obj["label"]
         except KeyError:
             for name in ("tweet_id", "article_id", "label"):
                 _require(obj, name, line_no)
-        try:
-            labels.append(_LABELS[label])
-        except (KeyError, TypeError):  # TypeError: an unhashable label such as [] or {}
-            raise MalformedLineError(str(path), line_no, f"unknown pair label {label!r}") from None
+        if label not in PAIR_LABELS:
+            raise MalformedLineError(str(path), line_no, f"unknown pair label {label!r}")
         tweet_ids.append(str(tweet_id))
         article_ids.append(str(article_id))
-    return PairTable(tweet_ids, article_ids, labels)
+        letters.append(label[0])
+    return tweet_ids, article_ids, "".join(letters)
 
 
 def load_pairs(path) -> list[LinkedPair]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,23 +145,29 @@ def write_matrix_csv(matrix, path) -> None:
 
 
 def read_similarity_csv(path) -> SimilarityMatrix:
-    """Read a write_matrix_csv export; a bad row raises MalformedLineError."""
+    """Read a write_matrix_csv export; a bad row, or an id repeated in the
+    header or the first column, raises MalformedLineError naming its line."""
     with open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise MalformedLineError(str(path), 1, "missing header row")
         article_ids = tuple(header[1:])
-        tweet_ids = []
-        rows = []
+        repeated = [article_id for article_id, n in Counter(article_ids).items() if n > 1]
+        if repeated:
+            raise MalformedLineError(str(path), 1, f"repeated article id {repeated[0]!r}")
+        rows = {}  # tweet id -> its values, in file order
         for row in reader:
             try:
                 vals = np.array([float(v) for v in row[1:]], dtype=np.float64)
                 if vals.shape != (len(article_ids),):
                     raise ValueError(f"expected {len(article_ids)} values, got {vals.size}")
                 _check_similarities(vals)
+                if row[0] in rows:
+                    raise ValueError(f"repeated tweet id {row[0]!r}")
             except (ValueError, NonFiniteValueError) as exc:
                 raise MalformedLineError(str(path), reader.line_num, str(exc)) from None
-            tweet_ids.append(row[0])
-            rows.append(vals)
-    return SimilarityMatrix(tuple(tweet_ids), article_ids, np.array(rows, dtype=np.float64))
+            rows[row[0]] = vals
+    return SimilarityMatrix(
+        tuple(rows), article_ids, np.array(list(rows.values()), dtype=np.float64)
+    )

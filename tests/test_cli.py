@@ -57,6 +57,27 @@ class TestRunConfig:
                                  "strategy": "mean_chunks"})
 
 
+    @pytest.mark.parametrize("model", ["tfidf", "lda"])
+    @pytest.mark.parametrize(
+        "extra",
+        [{"features": "external", "embeddings": "e.jsonl"}, {"features": "lda"},
+         {"strategy": "mean_chunks"}, {"strategy": "augment"}],
+    )
+    def test_features_and_strategy_need_the_dual_model(self, model, extra):
+        with pytest.raises(ConfigInvalidError, match="features and strategy"):
+            RunConfig.from_dict({"documents": "d", "pairs": "p", "model": model, **extra})
+        RunConfig.from_dict({"documents": "d", "pairs": "p", "model": "dual", **extra})
+
+    @pytest.mark.parametrize(
+        "prior", [{"alpha": 0.0}, {"alpha": -1.0}, {"beta": 0.0}, {"beta": -1e-9}]
+    )
+    def test_lda_priors_must_be_positive(self, prior):
+        (name, _value), = prior.items()
+        with pytest.raises(ConfigInvalidError, match=f"{name} must be > 0"):
+            RunConfig.from_dict({"documents": "d", "pairs": "p", "lda": prior})
+        RunConfig.from_dict({"documents": "d", "pairs": "p", "lda": {"alpha": None, "beta": 1e-9}})
+
+
 class TestExitCodes:
     def test_eval_success(self, small_corpus, make_config, capsys):
         cfg_path = make_config()
@@ -108,6 +129,30 @@ class TestExitCodes:
         cfg_path = make_config()
         assert cli.main(["--config", str(cfg_path), "calibrate", "--matrix", str(matrix)]) == 2
         assert "bad.csv:2:" in capsys.readouterr().err
+
+    def test_repeated_matrix_row_exit_2(self, small_corpus, make_config, tmp_path, capsys):
+        cfg_path = make_config()
+        assert cli.main(["--config", str(cfg_path), "score"]) == 0
+        lines = (tmp_path / "out" / "similarity.csv").read_text().splitlines(keepends=True)
+        tweet_id = lines[1].split(",")[0]
+        n_articles = len(lines[0].split(",")) - 1
+        matrix = tmp_path / "repeated.csv"
+        matrix.write_text("".join(lines) + tweet_id + ",0.999000" * n_articles + "\n")
+        assert cli.main(["--config", str(cfg_path), "calibrate", "--matrix", str(matrix)]) == 2
+        err = capsys.readouterr().err
+        assert f"repeated.csv:{len(lines) + 1}: repeated tweet id {tweet_id!r}" in err
+        assert not (tmp_path / "out" / "threshold.json").exists()
+
+    def test_non_dual_model_with_dual_inputs_exit_2(self, small_corpus, make_config, tmp_path,
+                                                    capsys):
+        # features and strategy choose the dual encoder's input; a tfidf run
+        # must not silently ignore them.
+        cfg_path = make_config({
+            "model": "tfidf", "features": "external", "embeddings": str(tmp_path / "none.jsonl"),
+        })
+        assert cli.main(["--config", str(cfg_path), "eval"]) == 2
+        assert "features and strategy" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
 
     def test_nan_embeddings_exit_2(self, small_corpus, make_config, tmp_path):
         # The NaN tweet is left out of training, so only scoring would see it.
@@ -232,6 +277,58 @@ class TestSubcommands:
         assert summary["n_tweets"] == 24
         assert summary["n_articles"] == 8
         assert summary["pair_labels"]["match"] + summary["pair_labels"]["no_match"] == 192
+
+    def test_ingest_with_keywords_and_annotations(self, small_corpus, make_config, tmp_path):
+        keywords = tmp_path / "keywords.txt"
+        keywords.write_text("aaaaai\naabaaf\n")
+        annotations = tmp_path / "annotations.jsonl"
+        records = [
+            {"tweet_id": p.tweet_id, "article_id": p.article_id, "annotator_id": annotator,
+             "verdict": "skip"}
+            for p in small_corpus["pairs"][:2] for annotator in ("u1", "u2")
+        ]
+        annotations.write_text("".join(json.dumps(r) + "\n" for r in records))
+        cfg_path = make_config({"keywords": str(keywords), "annotations": str(annotations)})
+        assert cli.main(["--config", str(cfg_path), "ingest"]) == 0
+        summary = json.loads((tmp_path / "out" / "ingest.json").read_text())
+
+        kept = {d.id: d.kind for d in small_corpus["docs"]
+                if {"aaaaai", "aabaaf"} & set(d.text.split())}
+        pairs = [p for p in small_corpus["pairs"] if p.tweet_id in kept and p.article_id in kept]
+        kinds = list(kept.values())
+        assert 0 < kinds.count("tweet") < 24 and 0 < kinds.count("article") < 8
+        assert summary["n_tweets"] == kinds.count("tweet")
+        assert summary["n_articles"] == kinds.count("article")
+        assert summary["n_pairs"] == len(pairs)
+        assert summary["pair_labels"] == {
+            label: sum(p.label == label for p in pairs) for label in corpus.PAIR_LABELS
+        }
+        assert summary["pair_labels"]["match"] and summary["pair_labels"]["no_match"]
+        assert summary["n_annotations"] == 4
+
+    def test_eval_on_keyword_filtered_corpus(self, small_corpus, make_config, tmp_path):
+        """A keywords file gives the artifacts of the same run on the kept
+        documents and the pairs between them."""
+        keywords = tmp_path / "keywords.txt"
+        keywords.write_text("aaaaai\naabaaf\n")
+        filtered = make_config({"keywords": str(keywords), "out_dir": str(tmp_path / "filtered")},
+                               name="filtered.json")
+        docs = [d for d in small_corpus["docs"] if {"aaaaai", "aabaaf"} & set(d.text.split())]
+        ids = {d.id for d in docs}
+        corpus.write_documents(docs, tmp_path / "kept_documents.jsonl")
+        corpus.write_pairs(
+            [p for p in small_corpus["pairs"] if p.tweet_id in ids and p.article_id in ids],
+            tmp_path / "kept_pairs.jsonl",
+        )
+        kept = make_config({"documents": str(tmp_path / "kept_documents.jsonl"),
+                            "pairs": str(tmp_path / "kept_pairs.jsonl"),
+                            "out_dir": str(tmp_path / "kept")}, name="kept.json")
+        assert cli.main(["--config", str(filtered), "eval"]) == 0
+        assert cli.main(["--config", str(kept), "eval"]) == 0
+        report = json.loads((tmp_path / "filtered" / "report.json").read_text())
+        assert report["n_tweets"] + report["n_articles"] == len(docs) < 32
+        for name in ("report.json", "similarity.csv"):
+            assert (tmp_path / "filtered" / name).read_bytes() == (tmp_path / "kept" / name).read_bytes()
 
     def test_prep(self, small_corpus, make_config, tmp_path):
         assert cli.main(["--config", str(make_config()), "prep"]) == 0
@@ -842,6 +939,35 @@ def test_external_features_take_one_piece_per_article(small_corpus, make_config,
     assert counts.tolist() == [1] * len(article_ids)
     assert piece_x.shape == (len(article_ids), 4)
     assert len(article_rows) == len(article_ids)
+
+
+def test_sweep_hp_bad_lda_prior_fails_before_any_point(small_corpus, make_config, tmp_path,
+                                                      monkeypatch, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{"lda.n_topics": 3}, {"lda.n_topics": 5}, {"lda.beta": -1.0}]))
+    fits = _record_calls(monkeypatch, vectorize, "lda_fit")
+    cfg_path = make_config({"model": "lda", "lda": {"iters": 2}})
+    assert cli.main(["--config", str(cfg_path), "sweep-hp", "--grid", str(grid)]) == 2
+    assert "beta must be > 0" in capsys.readouterr().err
+    assert fits == []
+    assert not (tmp_path / "out" / "sweep_hp.json").exists()
+
+
+def test_sweep_hp_point_leaving_the_dual_model_resets_its_inputs(
+    small_corpus, make_config, tmp_path, monkeypatch, capsys
+):
+    cfg_path = make_config({
+        "model": "dual", "strategy": "mean_chunks", "train": {"epochs": 1, "joint_dim": 4},
+    })
+    builds = _record_calls(monkeypatch, cli, "build_vectors")
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{"train.epochs": 2}, {"model": "tfidf"}]))
+    assert cli.main(["--config", str(cfg_path), "sweep-hp", "--grid", str(grid)]) == 2
+    assert "features and strategy" in capsys.readouterr().err
+    assert builds == []
+    grid.write_text(json.dumps([{"train.epochs": 2}, {"model": "tfidf", "strategy": "truncate"}]))
+    assert cli.main(["--config", str(cfg_path), "sweep-hp", "--grid", str(grid)]) == 0
+    assert [args[0].model for args, _ in builds] == ["dual", "tfidf"]
 
 
 def test_lda_commands_run_without_scipy(small_corpus, make_config, tmp_path):

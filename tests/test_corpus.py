@@ -290,29 +290,58 @@ def _synth_pairs():
     return corpus.synth_fixture(2, 2, 12, 3, 5)[1]
 
 
-class TestPairTableLoader:
-    """load_pair_table parses write_pairs files in blocks and any other file
-    line by line, with one outcome either way."""
+@pytest.fixture
+def line_parsed_blocks(monkeypatch):
+    """The first line number of each block load_pair_table parses line by line."""
+    starts = []
+    parse = corpus._parse_jsonl
 
-    def test_write_pairs_file_over_many_blocks(self, tmp_path, monkeypatch):
+    def spy(path, lines, start):
+        starts.append(start)
+        return parse(path, lines, start)
+
+    monkeypatch.setattr(corpus, "_parse_jsonl", spy)
+    return starts
+
+
+class TestPairTableLoader:
+    """load_pair_table codes a block of write_pairs lines from one findall and
+    parses any other block line by line, with one outcome either way."""
+
+    def test_write_pairs_file_over_many_blocks(self, tmp_path, monkeypatch, line_parsed_blocks):
         path = tmp_path / "p.jsonl"
         pairs = _synth_pairs()
         corpus.write_pairs(pairs, path)
         monkeypatch.setattr(corpus, "_PAIR_BLOCK_CHARS", 200)  # 3 or 4 lines a block
-        assert list(corpus._load_canonical_pairs(path)) == pairs
         assert list(corpus.load_pair_table(path)) == pairs
+        assert line_parsed_blocks == []
+
+    def test_one_odd_line_sends_only_its_block_to_the_line_parser(
+        self, tmp_path, monkeypatch, line_parsed_blocks
+    ):
+        path = tmp_path / "p.jsonl"
+        pairs = _synth_pairs()
+        corpus.write_pairs(pairs, path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[299] = lines[299].replace('", "', '",  "', 1)  # line 300 re-spaced
+        path.write_text("".join(lines))
+        monkeypatch.setattr(corpus, "_PAIR_BLOCK_CHARS", 1000)
+        assert list(corpus.load_pair_table(path)) == pairs
+        # Only the odd line's block, about 14 lines of 70-odd characters, is parsed by line.
+        [block_start] = line_parsed_blocks
+        assert 300 - 15 < block_start <= 300
 
     @pytest.mark.parametrize(
         "tweet_id", ['say "hi"', "back\\slash", "tab\there", "nul\x00", "caf\u00e9", "\u2028"]
     )
-    def test_escaped_ids_take_the_line_parser(self, tmp_path, tweet_id):
+    def test_escaped_ids_take_the_line_parser(self, tmp_path, tweet_id, line_parsed_blocks):
         path = tmp_path / "p.jsonl"
         pairs = [corpus.LinkedPair("t1", "a1", "match"), corpus.LinkedPair(tweet_id, "a1", "unknown")]
         corpus.write_pairs(pairs, path)
-        assert corpus._load_canonical_pairs(path) is None
         assert list(corpus.load_pair_table(path)) == pairs
+        assert line_parsed_blocks == [1]
 
-    def test_raw_non_ascii_ids_parse_in_bulk(self, tmp_path):
+    def test_raw_non_ascii_ids_parse_in_bulk(self, tmp_path, line_parsed_blocks):
         path = tmp_path / "p.jsonl"
         pairs = [corpus.LinkedPair("caf\u00e9", "\u65b0\u805e", "no_match")]
         path.write_text(
@@ -320,8 +349,8 @@ class TestPairTableLoader:
                        ensure_ascii=False) + "\n",
             encoding="utf-8",
         )
-        assert list(corpus._load_canonical_pairs(path)) == pairs
         assert list(corpus.load_pair_table(path)) == pairs
+        assert line_parsed_blocks == []
 
     @pytest.mark.parametrize(
         "text, bulk",
@@ -333,14 +362,14 @@ class TestPairTableLoader:
             ('{0}\n{{"tweet_id":"t2","article_id":"a2","label":"match"}}\n', False),
         ],
     )
-    def test_other_line_forms(self, tmp_path, text, bulk):
+    def test_other_line_forms(self, tmp_path, text, bulk, line_parsed_blocks):
         path = tmp_path / "p.jsonl"
         rows = [corpus.LinkedPair("t1", "a1", "match"), corpus.LinkedPair("t2", "a2", "match")]
         lines = [json.dumps({"tweet_id": p.tweet_id, "article_id": p.article_id, "label": p.label})
                  for p in rows]
         path.write_text(text.format(*lines), encoding="utf-8", newline="")
-        assert (corpus._load_canonical_pairs(path) is not None) == bulk
         assert list(corpus.load_pair_table(path)) == rows
+        assert line_parsed_blocks == ([] if bulk else [1])
 
     @pytest.mark.parametrize(
         "bad, error, message",

@@ -51,6 +51,20 @@ class TestReadSimilarityCsv:
         with pytest.raises(MalformedLineError, match=":3:"):
             read_similarity_csv(path)
 
+    @pytest.mark.parametrize(
+        "text, line_no, reason",
+        [
+            ("tweet_id,a1,a2\nt1,0.5,0.1\nt2,0.2,0.3\nt1,0.9,0.9\n", 4, "repeated tweet id 't1'"),
+            ("tweet_id,a1,a2,a1\nt1,0.5,0.1,0.2\n", 1, "repeated article id 'a1'"),
+        ],
+    )
+    def test_repeated_id_names_its_line(self, tmp_path, text, line_no, reason):
+        path = tmp_path / "sim.csv"
+        path.write_text(text)
+        with pytest.raises(MalformedLineError, match=f":{line_no}: {reason}") as info:
+            read_similarity_csv(path)
+        assert info.value.line_no == line_no
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "sim.csv"
         path.write_text("")

@@ -927,9 +927,6 @@ def test_load_pair_table_matches_per_pair_loader(text, block_chars):
         with mock.patch.object(corpus, "_PAIR_BLOCK_CHARS", block_chars):
             assert _outcome(corpus.load_pair_table, path) == want
             assert _outcome(corpus.load_pairs, path) == want
-            bulk = corpus._load_canonical_pairs(path)
-        if bulk is not None:
-            assert repr(list(bulk)) == want
 
 
 @st.composite
