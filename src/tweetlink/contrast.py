@@ -17,12 +17,11 @@ Training reads the tweet rows and the article piece rows as CSR matrices:
 the featurizer's sparse rows as they are, dense rows through one nonzero
 scan, and an id -> vector mapping stacked into rows first. Examples are
 row indices: a tweet row, a run of piece rows and a label (see
-build_training_pairs). Each mini-batch step works on a dense block over
+build_training_pairs). Each mini-batch step works on dense blocks over
 only the feature columns nonzero in its batch, so the forward pass, the
 backward pass and the weight update cost time in proportion to the
-batch's nonzeros, not to the vocabulary; the other columns have a zero
-gradient. Only the momentum velocity update stays dense, because every
-column with a nonzero velocity moves on every step.
+batch's nonzeros, not to the vocabulary. Only the momentum velocity
+update stays dense, because every column with a nonzero velocity moves.
 
 Under mean_chunks an affine encoder (nonlinearity "none") trains on one
 row per article, the mean of its piece rows, built once before the first
@@ -31,13 +30,15 @@ The tanh encoder projects every piece row and averages the projections.
 When every example has one row (truncate, augment, or pooled mean_chunks),
 a step builds no pooling matrix.
 
-The blocks are planned once per epoch: after the epoch's shuffle, one
-vectorized pass per side finds every batch's sorted distinct columns and
-each nonzero's place in its batch's block, so a step only slices the plan
-and scatters its block. The plan holds one epoch of int32 positions and
-values and is freed when the epoch ends. The arithmetic and its order are
-those of gathering each batch on its own, so the weights come out the same
-bit for bit.
+Both towers take each step together. Their transposed weights are stacked
+in one table, tweet rows first, and a batch's columns are its tweet
+columns, then its article columns offset by the tweet width, so one take
+gathers both towers' rows. After each epoch's shuffle, one vectorized
+pass over both towers plans every batch's columns and each nonzero's
+place in its batch's buffer, so a step scatters one buffer, runs the loss
+once on the stacked embeddings and writes one step array. Every float
+operation keeps its operands and order, so the weights equal those of
+stepping each tower and each batch on its own, bit for bit.
 
 Encoding projects all of a side's documents with one batched product
 (encode_batch), averaging a document's piece rows under mean_chunks.
@@ -159,12 +160,12 @@ def _one_row(e1, e2, y: int, margin: float):
         raise DimMismatchError(f"embedding shapes disagree: {e1.shape} vs {e2.shape}")
     if y not in (1, -1):
         raise ValueError("y must be +1 or -1")
-    return _batch_loss_and_grads(e1[None], e2[None], np.array([float(y)]), margin)
+    return _loss_and_grads(np.stack((e1, e2))[:, None], np.array([float(y)]), margin)
 
 
 def cosine_embedding_loss(e1, e2, y: int, margin: float = 0.0) -> float:
     """Contrastive cosine loss; zero-norm inputs use the cosine=0 convention."""
-    losses, _, _ = _one_row(e1, e2, y, margin)
+    losses, _ = _one_row(e1, e2, y, margin)
     return float(losses[0])
 
 
@@ -175,8 +176,8 @@ def loss_gradient(e1, e2, y: int, margin: float = 0.0) -> tuple[np.ndarray, np.n
     for y = -1) both gradients are zero; the same convention applies to
     zero-norm inputs, where the cosine is pinned to 0.
     """
-    _, d_e1, d_e2 = _one_row(e1, e2, y, margin)
-    return d_e1[0], d_e2[0]
+    _, grads = _one_row(e1, e2, y, margin)
+    return grads[0, 0], grads[1, 0]
 
 
 # --- negative sampling --------------------------------------------------------
@@ -312,53 +313,55 @@ def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1]) + np.repeat(starts - ends + lens, lens)
 
 
-class _EpochGather:
-    """Every batch's rows of a CsrRows matrix as dense blocks over the batch's columns.
+def _epoch_blocks(x_t: CsrRows, x_a: CsrRows, rows_t, batch_t, rows_a, batch_a, n_batches):
+    """Yield (u, bx_t, bx_a) for each batch: u holds its sorted distinct stacked
+    columns, bx_t[r, j] is its r-th tweet row's value in column u[j], and
+    bx_a[r, j] its r-th article row's value in column u[bx_t.shape[1] + j].
 
-    `rows` lists the CSR rows of all batches back to back, and `batch[r]` is
-    the batch of rows[r] (non-decreasing). One np.unique over the keys
-    batch * in_dim + column sorts every batch's distinct columns at once and
-    places each nonzero in its batch's block, instead of one np.unique per
-    batch. The plan keeps only the values and their int32 positions.
+    rows_t and rows_a list the tweet and article CSR rows of all batches back
+    to back, and batch_t and batch_a give each row's batch (non-decreasing).
+    The plan merges each batch's tweet rows, then its article rows, into one
+    CSR over the stacked columns. One np.unique over the keys batch * width +
+    column sorts every batch's columns at once and places each nonzero in its
+    batch's buffer: the tweet block, then the article block. The plan keeps
+    only the values and their int32 positions.
     """
-
-    def __init__(self, csr: CsrRows, rows: np.ndarray, batch: np.ndarray, n_batches: int):
-        in_dim = csr.n_cols
-        starts = csr.indptr[rows]
-        lens = csr.indptr[rows + 1] - starts
-        pos = _ranges(starts, lens)
-        self.values = csr.data[pos]
-        key = csr.indices[pos].astype(np.int64, copy=False)
-        del pos
-        nz_batch = np.repeat(batch, lens)
-        # int64 keys: n_batches * in_dim may pass 2**31.
-        key += nz_batch * np.int64(in_dim)
-        keys, local_col = np.unique(key, return_inverse=True)
-        del key
-        ends = np.arange(n_batches + 1)
-        row_bounds = np.searchsorted(batch, ends)
-        col_bounds = np.searchsorted(keys, ends * np.int64(in_dim))
-        local_col -= col_bounds[nz_batch]
-        # Position in the batch's flattened (rows, columns) block.
-        local_row = np.arange(len(rows)) - row_bounds[batch]
-        local_col += np.repeat(local_row, lens) * np.diff(col_bounds)[nz_batch]
-        # int32 unless a batch's block has 2**31 cells, which no memory holds anyway.
-        self.flat = local_col.astype(np.int32 if local_col.max(initial=0) < 2**31 else np.int64)
-        del local_col
-        self.cols = (keys % in_dim).astype(np.int32)
-        self.row_bounds = row_bounds.tolist()
-        self.col_bounds = col_bounds.tolist()
-        self.nz_bounds = np.searchsorted(nz_batch, ends).tolist()
-
-    def __call__(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(u, block) for batch k: u holds its sorted distinct columns, and
-        block[r, j] is its r-th row's value in column u[j]."""
-        c0, c1 = self.col_bounds[k], self.col_bounds[k + 1]
-        z0, z1 = self.nz_bounds[k], self.nz_bounds[k + 1]
-        shape = (self.row_bounds[k + 1] - self.row_bounds[k], c1 - c0)
-        block = np.zeros(shape[0] * shape[1])
-        block[self.flat[z0:z1]] = self.values[z0:z1]
-        return self.cols[c0:c1], block.reshape(shape)
+    in_t, width = x_t.n_cols, np.int64(x_t.n_cols + x_a.n_cols)
+    seg = np.concatenate((2 * batch_t, 2 * batch_a + 1))
+    merge = np.argsort(seg, kind="stable")
+    seg, rows = seg[merge], np.concatenate((rows_t, rows_a + len(x_t.indptr)))[merge]
+    indptr = np.concatenate((x_t.indptr, x_a.indptr + len(x_t.data)))
+    lens = indptr[rows + 1] - indptr[rows]
+    pos = _ranges(indptr[rows], lens)
+    values = np.concatenate((x_t.data, x_a.data))[pos]
+    # int32 keys unless n_batches * width passes 2**31.
+    key_type = np.int32 if n_batches * width < 2**31 else np.int64
+    key = np.concatenate((x_t.indices, x_a.indices + in_t)).astype(key_type)[pos]
+    del pos
+    key += np.repeat((seg // 2 * width).astype(key_type), lens)
+    keys, local_col = np.unique(key, return_inverse=True)
+    del key
+    edges = np.arange(2 * n_batches + 1)
+    col_bounds = np.searchsorted(keys, edges // 2 * width + edges % 2 * in_t)
+    cols = (keys % width).astype(np.int32)
+    del keys
+    row_bounds = np.searchsorted(seg, edges)
+    # In its batch's buffer, a row's cells start where the previous row's cells end.
+    row_width = np.diff(col_bounds)[seg]
+    row_end = np.cumsum(row_width)
+    batch_start = np.concatenate(([0], row_end))[row_bounds[::2]]
+    local_col -= np.repeat(col_bounds[seg] + batch_start[seg // 2] - row_end + row_width, lens)
+    # int32 unless a batch's buffer has 2**31 cells, which no memory holds anyway.
+    flat = local_col.astype(np.int32 if local_col.max(initial=0) < 2**31 else np.int64)
+    del local_col
+    nz_bounds = np.concatenate(([0], np.cumsum(lens)))[row_bounds[::2]].tolist()
+    row_bounds, col_bounds = row_bounds.tolist(), col_bounds.tolist()
+    for k in range(n_batches):
+        (r0, r1, r2), (c0, c1, c2) = row_bounds[2 * k : 2 * k + 3], col_bounds[2 * k : 2 * k + 3]
+        z0, z1, mid = nz_bounds[k], nz_bounds[k + 1], (r1 - r0) * (c1 - c0)
+        buf = np.zeros(mid + (r2 - r1) * (c2 - c1))
+        buf[flat[z0:z1]] = values[z0:z1]
+        yield cols[c0:c2], buf[:mid].reshape(r1 - r0, c1 - c0), buf[mid:].reshape(r2 - r1, c2 - c1)
 
 
 def _mean_rows(csr: CsrRows, counts: np.ndarray) -> CsrRows:
@@ -385,67 +388,61 @@ def _mean_rows(csr: CsrRows, counts: np.ndarray) -> CsrRows:
 
 
 def _epoch_batches(x_t: CsrRows, x_a: CsrRows, examples: np.ndarray, order: np.ndarray, bs: int):
-    """Yield each batch of one epoch: (u_t, bx_t, u_a, bx_a, pool, counts, y).
+    """Yield each batch of one epoch: (u, bx_t, bx_a, pool, counts, y).
 
     Batch k holds the examples (rows of build_training_pairs' result)
-    order[k * bs : (k + 1) * bs]; pool[i, r] = 1 where piece row r of bx_a
-    belongs to example i. When every example has one piece row, pool and
-    counts are None and row i of bx_a is example i's. Both sides' gathers
-    are planned for the whole epoch up front and freed when it ends.
+    order[k * bs : (k + 1) * bs], and u, bx_t and bx_a are its _epoch_blocks
+    blocks; pool[i, r] = 1 where piece row r of bx_a belongs to example i.
+    When every example has one piece row, pool and counts are None and row
+    i of bx_a is example i's. The plan covers the whole epoch and is freed
+    when it ends.
     """
     n = len(order)
-    n_batches = -(-n // bs)
     example_batch = np.arange(n) // bs
     t_row, first_piece, counts, labels = examples[order].T
     y = labels.astype(np.float64)
-    gather_t = _EpochGather(x_t, t_row, example_batch, n_batches)
-    gather_a = _EpochGather(
-        x_a, _ranges(first_piece, counts), np.repeat(example_batch, counts), n_batches
-    )
+    pieces, piece_batch = _ranges(first_piece, counts), np.repeat(example_batch, counts)
+    blocks = _epoch_blocks(x_t, x_a, t_row, example_batch, pieces, piece_batch, -(-n // bs))
     pooling = (counts > 1).any()
     # The example each piece row belongs to, counted within its batch.
     piece_example = np.repeat(np.arange(n) % bs, counts)
-    piece_bounds = gather_a.row_bounds
-    pool = bcounts = None
-    for k, start in enumerate(range(0, n, bs)):
-        stop = min(start + bs, n)
-        u_a, bx_a = gather_a(k)
+    pool, bcounts, p = None, None, 0
+    for start, (u, bx_t, bx_a) in zip(range(0, n, bs), blocks):
         if pooling:
-            n_rows = bx_a.shape[0]
-            pool = np.zeros((stop - start, n_rows))
-            pool[piece_example[piece_bounds[k] : piece_bounds[k + 1]], np.arange(n_rows)] = 1.0
-            bcounts = counts[start:stop, None]
-        yield *gather_t(k), u_a, bx_a, pool, bcounts, y[start:stop]
+            n_rows = len(bx_a)
+            pool = np.zeros((len(bx_t), n_rows))
+            pool[piece_example[p : p + n_rows], np.arange(n_rows)] = 1.0
+            p += n_rows
+            bcounts = counts[start : start + bs, None]
+        yield u, bx_t, bx_a, pool, bcounts, y[start : start + bs]
 
 
-def _init_map(rng: np.random.Generator, in_dim: int, out_dim: int):
-    """Seeded uniform(-s, s) weights, transposed to (in_dim, out_dim), and bias."""
-    scale = 1.0 / math.sqrt(in_dim)
-    weight = rng.uniform(-scale, scale, size=(out_dim, in_dim))
-    bias = rng.uniform(-scale, scale, size=out_dim)
-    return weight.T.copy(), bias
+def _loss_and_grads(e, y, margin):
+    """Loss per pair and its gradient w.r.t. the stacked embeddings e.
 
-
-def _batch_loss_and_grads(e_t, e_a, y, margin):
-    """Vectorized loss row-per-pair and gradients w.r.t. both embedding batches."""
+    e[0] holds the b tweet embeddings and e[1] their articles', (2, b, d);
+    the gradient has the same layout. A pair with a zero-norm side has
+    cosine 0 and a zero gradient.
+    """
     # np.linalg.norm's own arithmetic for real rows, without its wrapper.
-    n1 = np.sqrt(np.add.reduce(e_t * e_t, axis=1))
-    n2 = np.sqrt(np.add.reduce(e_a * e_a, axis=1))
-    ok = (n1 > 0) & (n2 > 0)
-    safe1 = np.where(ok, n1, 1.0)
-    safe2 = np.where(ok, n2, 1.0)
-    denom = safe1 * safe2
-    cos = np.where(ok, (e_t * e_a).sum(axis=1) / denom, 0.0)
+    norms = np.sqrt(np.add.reduce(e * e, axis=2))
+    ok = (norms > 0).all(axis=0)
+    masked = not ok.all()  # the masks change nothing when every norm is positive
+    norms = np.where(ok, norms, 1.0) if masked else norms
+    denom = norms[0] * norms[1]
+    cos = np.add.reduce(e[0] * e[1], axis=1) / denom
+    cos = np.where(ok, cos, 0.0) if masked else cos
     cos = np.minimum(np.maximum(cos, -1.0), 1.0)  # np.clip, without its wrapper
 
     positive = y > 0
     losses = np.where(positive, 1.0 - cos, np.maximum(0.0, cos - margin))
     # Gradient sign: -dcos for positives, +dcos for active negatives, 0 elsewhere.
-    sign = (np.where(positive, -1.0, np.where(cos > margin, 1.0, 0.0)) * ok)[:, None]
-    denom = denom[:, None]
-    dc_det = e_a / denom - (cos / safe1**2)[:, None] * e_t
-    dc_dea = e_t / denom - (cos / safe2**2)[:, None] * e_a
-    return losses, sign * dc_det, sign * dc_dea
+    sign = np.where(positive, -1.0, np.where(cos > margin, 1.0, 0.0))
+    if masked:
+        sign *= ok
+    # dcos/de_t = e_a / (|e_t| |e_a|) - cos / |e_t|^2 * e_t, and the same with the sides swapped.
+    dcos = e[::-1] / denom[:, None] - (cos / norms**2)[:, :, None] * e
+    return losses, sign[:, None] * dcos
 
 
 def train(
@@ -497,66 +494,69 @@ def train(
         examples[:, 2] = 1
 
     rng = np.random.default_rng(cfg.seed)
-    # Transposed (in_dim, joint_dim) weights: a batch's columns are contiguous rows.
-    wt_t, b_t = _init_map(rng, x_t.n_cols, cfg.joint_dim)
-    wt_a, b_a = _init_map(rng, x_a.n_cols, cfg.joint_dim)
+    # Both maps' transposed (in_dim, joint_dim) weights in one table, tweet rows
+    # first, so a batch's stacked columns u are its rows; the biases in another.
+    in_t, d = x_t.n_cols, cfg.joint_dim
+    table, biases = np.empty((in_t + x_a.n_cols, d)), np.empty((2, d))
+    weights = np.split(table, [in_t])  # views of each tower's rows
+    for weight, bias in zip(weights, biases):
+        scale = 1.0 / math.sqrt(len(weight))
+        weight[...] = rng.uniform(-scale, scale, size=(d, len(weight))).T
+        bias[...] = rng.uniform(-scale, scale, size=d)
 
     if cfg.momentum > 0:
-        vel = [np.zeros_like(wt_t), np.zeros_like(b_t), np.zeros_like(wt_a), np.zeros_like(b_a)]
+        vel_w, vel_b = np.zeros_like(table), np.zeros_like(biases)
     trace: list[float] = []
     for _ in range(cfg.epochs):
         order = rng.permutation(n_examples)
         loss_sum = 0.0
         batches = _epoch_batches(x_t, x_a, examples, order, cfg.batch_size)
-        for u_t, bx_t, u_a, bx_a, pool, bcounts, by in batches:
-            b = len(by)
+        for u, bx_t, bx_a, pool, bcounts, by in batches:
+            b, n_t = len(by), bx_t.shape[1]
             # The batch's weight rows; without momentum they are updated here
             # and written back, so they are gathered once per step.
-            w_t = wt_t.take(u_t, axis=0)
-            w_a = wt_a.take(u_a, axis=0)
-
-            e_t = bx_t @ w_t + b_t
-            h = bx_a @ w_a + b_a  # (piece rows, d)
+            w = table.take(u, axis=0)
+            h = np.empty((b + len(bx_a), d))  # tweet rows, then article piece rows
+            np.matmul(bx_t, w[:n_t], out=h[:b])
+            np.matmul(bx_a, w[n_t:], out=h[b:])
+            h += np.repeat(biases, (b, len(bx_a)), axis=0)
             if tanh:
-                e_t = np.tanh(e_t)
-                h = np.tanh(h)
-            e_a = h if pool is None else (pool @ h) / bcounts
-            losses, d_et, d_ea = _batch_loss_and_grads(e_t, e_a, by, cfg.margin)
+                np.tanh(h, out=h)
+            e = h.reshape(2, b, d) if pool is None else np.stack((h[:b], pool @ h[b:] / bcounts))
+            losses, d_e = _loss_and_grads(e, by, cfg.margin)
             batch_loss = float(losses.sum())
             if not math.isfinite(batch_loss):
                 raise NonFiniteLossError("training loss diverged")
             loss_sum += batch_loss
 
-            d_pre_t = d_et * (1.0 - e_t**2) if tanh else d_et
-            d_h = d_ea if pool is None else pool.T @ (d_ea / bcounts)
-            d_pre_a = d_h * (1.0 - h**2) if tanh else d_h
-
-            # Steps lr * (gradient / b), each rounded as written.
-            steps = [bx_t.T @ d_pre_t, d_pre_t.sum(axis=0), bx_a.T @ d_pre_a, d_pre_a.sum(axis=0)]
-            for step in steps:
-                step /= b
-                step *= cfg.lr
+            d_h = d_e.reshape(-1, d)
+            if pool is not None:
+                d_h = np.concatenate((d_e[0], pool.T @ (d_e[1] / bcounts)))
+            d_pre = d_h * (1.0 - h**2) if tanh else d_h
+            # Steps lr * (gradient / b), each rounded as written: the weight
+            # rows u, then the two biases.
+            step = np.empty((len(u) + 2, d))
+            np.matmul(bx_t.T, d_pre[:b], out=step[:n_t])
+            np.matmul(bx_a.T, d_pre[b:], out=step[n_t:-2])
+            np.add.reduce(d_pre[:b], axis=0, out=step[-2])
+            np.add.reduce(d_pre[b:], axis=0, out=step[-1])
+            step /= b
+            step *= cfg.lr
             if cfg.momentum > 0:
-                touched = [u_t, slice(None), u_a, slice(None)]
-                for v, param, step, at in zip(vel, (wt_t, b_t, wt_a, b_a), steps, touched):
-                    v *= cfg.momentum
-                    v[at] -= step
-                    param += v
+                vel_w *= cfg.momentum
+                vel_w[u] -= step[:-2]
+                table += vel_w
+                vel_b *= cfg.momentum
+                vel_b -= step[-2:]
+                biases += vel_b
             else:
-                w_t -= steps[0]
-                wt_t[u_t] = w_t
-                b_t -= steps[1]
-                w_a -= steps[2]
-                wt_a[u_a] = w_a
-                b_a -= steps[3]
+                w -= step[:-2]
+                table[u] = w
+                biases -= step[-2:]
         trace.append(loss_sum / n_examples)
 
-    encoder = DualEncoder(
-        tweet_map=AffineMap(weight=np.ascontiguousarray(wt_t.T), bias=b_t),
-        article_map=AffineMap(weight=np.ascontiguousarray(wt_a.T), bias=b_a),
-        nonlinearity=cfg.nonlinearity,
-    )
-    return encoder, trace
+    maps = [AffineMap(np.ascontiguousarray(w.T), bias) for w, bias in zip(weights, biases)]
+    return DualEncoder(*maps, nonlinearity=cfg.nonlinearity), trace
 
 
 # --- encoding ------------------------------------------------------------------
@@ -639,17 +639,22 @@ def save_encoder(model: DualEncoder, path, train_config: TrainConfig | None = No
             k: getattr(train_config, k) for k in train_config.__dataclass_fields__
         }
     # json.dumps would scan each base64 string for characters to escape, and base64 holds
-    # none. Each is written in quotes where its index stands, so no whole-file copy is built.
-    blobs = []
+    # none. Each array's base64 bytes are written in quotes where its index stands, one
+    # array at a time, so neither a whole-file copy nor every array's text is held at once.
+    arrays = []
     for amap in (payload["tweet_map"], payload["article_map"]):
         for array in amap.values():
-            blobs.append(array["data"])
-            array["data"] = len(blobs) - 1
+            arrays.append(array["data"])
+            array["data"] = len(arrays) - 1
     # json.dumps takes the C encoder; json.dump always runs the pure-Python one.
     parts = re.split(r'(?<="data": )(\d+)', json.dumps(payload, sort_keys=True) + "\n")
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         for i, part in enumerate(parts):
-            fh.writelines(('"', blobs[int(part)], '"') if i % 2 else (part,))
+            if i % 2:
+                raw = np.ascontiguousarray(arrays[int(part)], dtype=_DTYPE).tobytes()
+                fh.writelines((b'"', binascii.b2a_base64(raw, newline=False), b'"'))
+            else:
+                fh.write(part.encode("ascii"))  # json.dumps escapes every non-ASCII character
 
 
 def load_encoder(path) -> DualEncoder:
@@ -680,15 +685,10 @@ def load_encoder(path) -> DualEncoder:
 
 
 def _map_payload(amap: AffineMap) -> dict:
-    return {"weight": _array_payload(amap.weight), "bias": _array_payload(amap.bias)}
-
-
-def _array_payload(a: np.ndarray) -> dict:
-    raw = np.ascontiguousarray(a, dtype=_DTYPE).tobytes()
+    """The map's arrays as save_encoder lays them out; "data" holds the array itself."""
     return {
-        "dtype": _DTYPE,
-        "shape": list(a.shape),
-        "data": binascii.b2a_base64(raw, newline=False).decode("ascii"),
+        key: {"dtype": _DTYPE, "shape": list(a.shape), "data": a}
+        for key, a in (("weight", amap.weight), ("bias", amap.bias))
     }
 
 

@@ -162,6 +162,8 @@ def read_similarity_csv(path) -> SimilarityMatrix:
                 vals = np.array([float(v) for v in row[1:]], dtype=np.float64)
                 if vals.shape != (len(article_ids),):
                     raise ValueError(f"expected {len(article_ids)} values, got {vals.size}")
+                if not row:  # a blank line under a header without article columns
+                    raise ValueError("row has no tweet id")
                 _check_similarities(vals)
                 if row[0] in rows:
                     raise ValueError(f"repeated tweet id {row[0]!r}")

@@ -560,13 +560,12 @@ def _forward_dense(w_t, b_t, w_a, b_a, tanh, x_t, x_a, mask):
 def train_reference(positives, tweet_features, article_features, cfg, strategy="truncate"):
     """Dual-encoder training on padded dense arrays over the whole vocabulary.
 
-    The same pairs, initialization, generator stream, loss kernel and update
-    rule as contrast.train, with every step's forward pass, einsum backward
-    pass and update run over all feature columns. Returns
+    The same pairs, initialization, generator stream and update rule as
+    contrast.train, and the loss kernel batch_loss_and_grads_reference, with
+    every step's forward pass, einsum backward pass and update run over all
+    feature columns. Returns
     (w_t, b_t, w_a, b_a, trace) with weights shaped (joint_dim, in_dim).
     """
-    from tweetlink import contrast
-
     pairs = build_training_pairs_reference(
         positives, tweet_features, article_features, cfg, strategy
     )
@@ -588,7 +587,7 @@ def train_reference(positives, tweet_features, article_features, cfg, strategy="
             idx = order[start : start + cfg.batch_size]
             bx_t, bx_a, bmask, by = x_t[idx], x_a[idx], mask[idx], y[idx]
             e_t, e_a, h, counts = _forward_dense(w_t, b_t, w_a, b_a, tanh, bx_t, bx_a, bmask)
-            losses, d_et, d_ea = contrast._batch_loss_and_grads(e_t, e_a, by, cfg.margin)
+            losses, d_et, d_ea = batch_loss_and_grads_reference(e_t, e_a, by, cfg.margin)
             loss_sum += float(losses.sum())
 
             d_pre_t = d_et * (1.0 - e_t**2) if tanh else d_et
@@ -745,8 +744,6 @@ def train_stepwise_reference(positives, tweet_features, article_features, cfg, s
     bit. Returns (w_t, b_t, w_a, b_a, trace) with weights shaped
     (joint_dim, in_dim).
     """
-    from tweetlink import contrast
-
     pairs = build_training_pairs_reference(
         positives, tweet_features, article_features, cfg, strategy
     )

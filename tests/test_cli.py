@@ -130,6 +130,13 @@ class TestExitCodes:
         assert cli.main(["--config", str(cfg_path), "calibrate", "--matrix", str(matrix)]) == 2
         assert "bad.csv:2:" in capsys.readouterr().err
 
+    def test_blank_matrix_row_exit_2(self, small_corpus, make_config, tmp_path, capsys):
+        matrix = tmp_path / "blank.csv"
+        matrix.write_bytes(b"tweet_id\r\n\r\n")
+        cfg_path = make_config()
+        assert cli.main(["--config", str(cfg_path), "calibrate", "--matrix", str(matrix)]) == 2
+        assert "blank.csv:2: row has no tweet id" in capsys.readouterr().err
+
     def test_repeated_matrix_row_exit_2(self, small_corpus, make_config, tmp_path, capsys):
         cfg_path = make_config()
         assert cli.main(["--config", str(cfg_path), "score"]) == 0

@@ -219,14 +219,17 @@ class TestTrain:
         examples = np.column_stack([[0, 1, 2], first, counts, [1, -1, 1]])
         batches = list(contrast._epoch_batches(x_t, x_a, examples, np.array([2, 0, 1]), 2))
         assert len(batches) == 2
-        for _, _, _, bx_a, pool, bcounts, _ in batches:
+        for _, _, bx_a, pool, bcounts, _ in batches:
             if pooled:
                 assert pool.shape == (len(bcounts), len(bx_a))
             else:
                 assert pool is None and bcounts is None
         if not pooled:
-            # Row i of bx_a is example i's article row, over the batch's columns.
-            u_a, bx_a = batches[0][2:4]
+            # Row i of bx_t (bx_a) is example i's tweet (article) row, over the
+            # batch's tweet (article) columns; article columns follow the tweet ones.
+            u, bx_t, bx_a = batches[0][:3]
+            u_t, u_a = u[: bx_t.shape[1]], u[bx_t.shape[1] :] - x_t.n_cols
+            np.testing.assert_array_equal(bx_t, x_t.toarray()[[2, 0]][:, u_t])
             np.testing.assert_array_equal(bx_a, x_a.toarray()[[2, 0]][:, u_a])
 
     def test_config_validation(self):

@@ -65,6 +65,13 @@ class TestReadSimilarityCsv:
             read_similarity_csv(path)
         assert info.value.line_no == line_no
 
+    def test_blank_row_without_article_columns_names_its_line(self, tmp_path):
+        path = tmp_path / "sim.csv"
+        path.write_bytes(b"tweet_id\r\n\r\n")
+        with pytest.raises(MalformedLineError, match=":2: row has no tweet id") as info:
+            read_similarity_csv(path)
+        assert info.value.line_no == 2
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "sim.csv"
         path.write_text("")

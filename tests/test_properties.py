@@ -516,6 +516,18 @@ def test_draw_is_searchsorted_left(case):
     assert_array_equal(vectorize._draw(cum, targets), expected)
 
 
+def _sparse_rows(rng, n_rows, n_cols):
+    """CsrRows with 0-4 nonzeros per row, so some rows are all zero."""
+    cols = [
+        np.sort(rng.choice(n_cols, size=min(int(rng.integers(0, 5)), n_cols), replace=False))
+        for _ in range(n_rows)
+    ]
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum([len(c) for c in cols], out=indptr[1:])
+    indices = np.concatenate(cols).astype(np.int64)
+    return CsrRows(indptr, indices, rng.random(len(indices)) + 0.1, n_cols)
+
+
 @st.composite
 def training_cases(draw):
     """Features, positives, strategy and config for one contrast.train call.
@@ -583,9 +595,10 @@ def test_resolved_examples_match_reference_pairs(case):
         assert y == pair.y
 
 
-def _multi_piece_case(momentum):
-    """mean_chunks under the affine encoder; every article has 2-4 pieces over
-    5 columns, so its pieces share columns and it trains on their mean row."""
+def _multi_piece_case(momentum, nonlinearity="none"):
+    """mean_chunks; tweets have 6 columns and every article 2-4 pieces over 5,
+    so its pieces share columns. The affine encoder trains on their mean row,
+    tanh on the pieces themselves."""
     rng = np.random.default_rng(5)
     tweets = {f"t{i}": rng.random(6) for i in range(5)}
     articles = {
@@ -593,9 +606,21 @@ def _multi_piece_case(momentum):
     }
     positives = [(f"t{i}", f"a{i % 4}") for i in range(5)]
     cfg = contrast.TrainConfig(
-        lr=0.5, epochs=4, batch_size=3, seed=2, momentum=momentum, joint_dim=3
+        lr=0.5, epochs=4, batch_size=3, seed=2, momentum=momentum, joint_dim=3,
+        nonlinearity=nonlinearity,
     )
     return positives, tweets, articles, cfg, "mean_chunks"
+
+
+def _two_width_case():
+    """Sparse tweet rows over 30 columns, three of them all zero, and article rows over 8."""
+    rng = np.random.default_rng(11)
+    x_t, x_a = _sparse_rows(rng, 7, 30).toarray(), _sparse_rows(rng, 4, 8).toarray()
+    tweets = {f"t{i}": row for i, row in enumerate(x_t)}
+    articles = {f"a{j}": row for j, row in enumerate(x_a)}
+    positives = [(f"t{i}", f"a{i % 4}") for i in range(7)]
+    cfg = contrast.TrainConfig(lr=0.5, epochs=3, batch_size=3, seed=4, joint_dim=4)
+    return positives, tweets, articles, cfg, "truncate"
 
 
 @settings(max_examples=300, deadline=None)
@@ -619,6 +644,8 @@ def test_train_matches_dense_reference(case):
 @given(training_cases())
 @example(_multi_piece_case(momentum=0.0))
 @example(_multi_piece_case(momentum=0.9))
+@example(_multi_piece_case(momentum=0.5, nonlinearity="tanh"))
+@example(_two_width_case())
 def test_train_matches_stepwise_reference_exactly(case):
     encoder, trace = contrast.train(*case)
     w_t, b_t, w_a, b_a, ref_trace = train_stepwise_reference(*case)
@@ -631,42 +658,55 @@ def test_train_matches_stepwise_reference_exactly(case):
 
 @st.composite
 def epoch_gather_cases(draw):
-    """(CsrRows, batches): sparse rows with 0-4 nonzeros each, some all-zero, and
-    1-5 nonempty batches of row indices (repeats allowed), one of them possibly
-    holding only all-zero rows."""
+    """[(tweet CsrRows, batches), (article CsrRows, batches)]: each tower's
+    sparse rows over its own width, and the rows of each of the same 1-5
+    batches (1-6 of them, repeats allowed). In one batch, a tower's rows may
+    all be zero, which gives that tower a zero-width block."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n_rows, n_cols = draw(st.integers(1, 12)), draw(st.integers(1, 40))
-    cols = [
-        np.sort(rng.choice(n_cols, size=min(int(rng.integers(0, 5)), n_cols), replace=False))
-        for _ in range(n_rows)
-    ]
-    zero_rows = [r for r, c in enumerate(cols) if not len(c)]
-    indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum([len(c) for c in cols], out=indptr[1:])
-    indices = np.concatenate(cols).astype(np.int64)
-    csr = CsrRows(indptr, indices, rng.random(len(indices)) + 0.1, n_cols)
-    batches = [
-        rng.integers(0, n_rows, size=int(rng.integers(1, 7))) for _ in range(draw(st.integers(1, 5)))
-    ]
-    if zero_rows and draw(st.booleans()):
-        k = draw(st.integers(0, len(batches) - 1))
-        batches[k] = rng.choice(zero_rows, size=int(rng.integers(1, 4)))
-    return csr, batches
+    n_batches = draw(st.integers(1, 5))
+    towers = []
+    for _ in range(2):
+        n_rows = draw(st.integers(1, 12))
+        csr = _sparse_rows(rng, n_rows, draw(st.integers(1, 40)))
+        zero_rows = np.flatnonzero(np.diff(csr.indptr) == 0)
+        batches = [rng.integers(0, n_rows, size=int(rng.integers(1, 7))) for _ in range(n_batches)]
+        if len(zero_rows) and draw(st.booleans()):
+            k = draw(st.integers(0, n_batches - 1))
+            batches[k] = rng.choice(zero_rows, size=int(rng.integers(1, 4)))
+        towers.append((csr, batches))
+    return towers
+
+
+def _zero_width_blocks_case():
+    """Tweet width 3 and article width 7. Batch 0's tweet rows are all zero,
+    and so are batch 1's article rows."""
+    x_t = CsrRows(np.array([0, 0, 2]), np.array([0, 2]), np.array([0.5, 1.5]), 3)
+    x_a = CsrRows(np.array([0, 3, 3]), np.array([1, 4, 6]), np.array([1.0, 2.0, 3.0]), 7)
+    return [(x_t, [np.array([0, 0]), np.array([1, 0])]), (x_a, [np.array([0]), np.array([1, 1])])]
 
 
 @settings(max_examples=300, deadline=None)
 @given(epoch_gather_cases())
+@example(_zero_width_blocks_case())
 def test_epoch_gather_matches_per_batch_gather(case):
-    csr, batches = case
-    rows = np.concatenate(batches)
-    batch = np.repeat(np.arange(len(batches)), [len(b) for b in batches])
-    gather = contrast._EpochGather(csr, rows, batch, len(batches))
-    for k, batch_rows in enumerate(batches):
-        u, block = gather(k)
-        want_u, want_block = _gather_rows((csr.indptr, csr.indices, csr.data), batch_rows)
-        assert u.shape == want_u.shape and block.shape == want_block.shape
-        assert_array_equal(u, want_u)
-        assert_array_equal(block, want_block, strict=True)
+    """Each tower's block of batch k is that tower's rows gathered on their own."""
+    (x_t, batches_t), (x_a, batches_a) = case
+    plan_args = []
+    for batches in (batches_t, batches_a):
+        sizes = [len(rows) for rows in batches]
+        plan_args += [np.concatenate(batches), np.repeat(np.arange(len(batches)), sizes)]
+    blocks = list(contrast._epoch_blocks(x_t, x_a, *plan_args, len(batches_t)))
+    assert len(blocks) == len(batches_t)
+    for (u, bx_t, bx_a), rows_t, rows_a in zip(blocks, batches_t, batches_a):
+        n_t = bx_t.shape[1]
+        for got_u, block, csr, rows in (
+            (u[:n_t], bx_t, x_t, rows_t),
+            (u[n_t:] - x_t.n_cols, bx_a, x_a, rows_a),
+        ):
+            want_u, want_block = _gather_rows((csr.indptr, csr.indices, csr.data), rows)
+            assert got_u.shape == want_u.shape and block.shape == want_block.shape
+            assert_array_equal(got_u, want_u)
+            assert_array_equal(block, want_block, strict=True)
 
 
 @st.composite
@@ -709,16 +749,18 @@ def test_mean_rows_match_the_dense_mean_of_each_group(case):
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 6), st.sampled_from([0.0, 0.3]))
+@example(6, 5, 4, 0.3)  # every norm positive: the kernel skips its masks
+@example(0, 5, 4, 0.3)  # some norm zero
 def test_batch_loss_kernel_matches_linalg_norm_kernel(seed, rows, dim, margin):
     rng = np.random.default_rng(seed)
     scale = rng.choice([0.0, 1e-3, 1.0, 1e3], size=(2, rows, 1))  # 0.0 makes all-zero rows
-    e_t, e_a = rng.normal(size=(2, rows, dim)) * scale
+    e = rng.normal(size=(2, rows, dim)) * scale
     y = rng.choice([-1.0, 1.0], size=rows)
-    for got, want in zip(
-        contrast._batch_loss_and_grads(e_t, e_a, y, margin),
-        batch_loss_and_grads_reference(e_t, e_a, y, margin),
-    ):
-        assert np.array_equal(got, want)
+    losses, grads = contrast._loss_and_grads(e, y, margin)
+    want_losses, want_t, want_a = batch_loss_and_grads_reference(e[0], e[1], y, margin)
+    assert np.array_equal(losses, want_losses)
+    assert np.array_equal(grads[0], want_t)
+    assert np.array_equal(grads[1], want_a)
 
 
 # Signed zeros, subnormals and values near the float64 limits, which a
