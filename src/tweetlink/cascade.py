@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CycleDetectedError, EmptyInputError, RaggedRowsError
+from .errors import ConfigInvalidError, CycleDetectedError, EmptyInputError, RaggedRowsError
 
 log = logging.getLogger(__name__)
 
@@ -102,7 +102,8 @@ def build_cascades(docs) -> list[Cascade]:
 
     Tweets whose parent is missing from the corpus are promoted to roots of
     their own (partial) cascades, with a logged warning. A parent loop among
-    the inputs raises CycleDetectedError.
+    the inputs raises CycleDetectedError, and a tweet created before its
+    parent ConfigInvalidError.
     """
     tweets = list(docs)
     for doc in tweets:
@@ -131,6 +132,8 @@ def build_cascades(docs) -> list[Cascade]:
             seen.add(tid)
             doc = by_id[tid]
             parent = doc.parent_id if tid != root_id else None
+            if parent is not None and doc.created_at < by_id[parent].created_at:
+                raise ConfigInvalidError(f"tweet {tid!r} was created before its parent {parent!r}")
             members.append(CascadeMember(tweet_id=tid, parent_id=parent, created_at=doc.created_at))
             stack.extend(children.get(tid, ()))
         cascades.append(Cascade(root_id=root_id, members=tuple(members)))

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import csv
 import json
 import sys
 from dataclasses import dataclass, field
@@ -610,32 +611,36 @@ def sweep_size(run: _Run | RunConfig, sizes) -> list[dict]:
 
 
 def emit_report(results, fmt: str, path) -> None:
-    """Write results as JSON or CSV with stable ordering and 6-decimal floats."""
+    """Write results as JSON or CSV with stable ordering and 6-decimal floats;
+    empty or non-finite results and CSV rows of unlike keys are rejected."""
     if results is None or (hasattr(results, "__len__") and len(results) == 0):
         raise ConfigInvalidError("refusing to emit an empty report")
+    try:
+        json.dumps(results, allow_nan=False)
+    except ValueError:
+        raise ConfigInvalidError("refusing to emit a report holding NaN or infinity") from None
     if fmt == "json":
         _write_json(path, results)
     elif fmt == "csv":
         rows = results if isinstance(results, list) else [results]
-        if not all(isinstance(r, dict) for r in rows):
-            raise ConfigInvalidError("csv reports need a list of flat objects")
+        if not all(isinstance(r, dict) and r.keys() == rows[0].keys() for r in rows):
+            raise ConfigInvalidError("csv reports need a list of flat objects with the same keys")
         for row in rows:
             for value in row.values():
                 if value is not None and not isinstance(value, (str, int, float, bool)):
                     raise ConfigInvalidError("csv reports need flat scalar values; use json")
-        keys = list(rows[0].keys())
-        lines = [",".join(keys)]
-        for row in rows:
-            lines.append(",".join(_csv_cell(row.get(k)) for k in keys))
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        keys = list(rows[0])
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(keys)
+            writer.writerows([_csv_cell(row[k]) for k in keys] for row in rows)
     else:
         raise ConfigInvalidError(f"unknown report format {fmt!r}")
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.6f}"
-    return "" if value is None else str(value)
+def _csv_cell(value):
+    """A float at 6 decimals; csv.writer writes None as an empty cell, str() of the rest."""
+    return f"{value:.6f}" if isinstance(value, float) else value
 
 
 def _round_floats(obj):

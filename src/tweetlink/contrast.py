@@ -43,23 +43,16 @@ stepping each tower and each batch on its own, bit for bit.
 Encoding projects all of a side's documents with one batched product
 (encode_batch), averaging a document's piece rows under mean_chunks.
 
-save_encoder writes encoder.json version 2, which stores each weight and
-bias array as base64 of its float64 bytes (layout in save_encoder). One
-string per array instead of a float repr per weight makes the save a few
-milliseconds and halves the file; the bytes stay deterministic and the
-weights load back bit for bit. load_encoder reads version 2 only: no
-command has ever read an encoder file, so version-1 files (nested JSON
-float lists) are rejected.
+save_encoder writes encoder.json version 2 (errors.write_model). load_encoder
+reads version 2 only: no command has ever read an encoder file, so version-1
+files (nested JSON float lists) are rejected.
 """
 
 from __future__ import annotations
 
-import binascii
-import json
 import math
-import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -70,8 +63,9 @@ from .errors import (
     MissingEmbeddingError,
     NoNegativesAvailableError,
     NonFiniteLossError,
-    check_types,
+    read_array,
     read_model,
+    write_model,
 )
 from .matrices import CsrRows
 
@@ -614,47 +608,24 @@ def encode_batch(model: DualEncoder, side: str, rows, counts=None) -> np.ndarray
 
 # --- persistence -----------------------------------------------------------------
 
-_DTYPE = "<f8"
-
 
 def save_encoder(model: DualEncoder, path, train_config: TrainConfig | None = None) -> None:
-    """Write `model` to `path` as a one-line, key-sorted version-2 JSON file.
-
-    Every weight and bias array is an object {"dtype": "<f8", "shape": [...],
-    "data": base64 of its C-order little-endian float64 bytes}, so the
-    weights load back bit for bit. `format`, `version`, `nonlinearity`,
-    `joint_dim` and the optional `train_config` provenance are plain JSON.
-    """
+    """Write `model` to `path` as a version-2 dual_encoder model file
+    (errors.write_model): each map's weight and bias are array objects, and
+    `nonlinearity`, `joint_dim` and the optional `train_config` provenance are
+    plain JSON."""
     payload = {
         "format": "dual_encoder",
         "version": 2,
         "nonlinearity": model.nonlinearity,
         "joint_dim": model.joint_dim,
-        "tweet_map": _map_payload(model.tweet_map),
-        "article_map": _map_payload(model.article_map),
+        "tweet_map": {"weight": model.tweet_map.weight, "bias": model.tweet_map.bias},
+        "article_map": {"weight": model.article_map.weight, "bias": model.article_map.bias},
     }
     if train_config is not None:
         # Provenance only; loading ignores it.
-        payload["train_config"] = {
-            k: getattr(train_config, k) for k in train_config.__dataclass_fields__
-        }
-    # json.dumps would scan each base64 string for characters to escape, and base64 holds
-    # none. Each array's base64 bytes are written in quotes where its index stands, one
-    # array at a time, so neither a whole-file copy nor every array's text is held at once.
-    arrays = []
-    for amap in (payload["tweet_map"], payload["article_map"]):
-        for array in amap.values():
-            arrays.append(array["data"])
-            array["data"] = len(arrays) - 1
-    # json.dumps takes the C encoder; json.dump always runs the pure-Python one.
-    parts = re.split(r'(?<="data": )(\d+)', json.dumps(payload, sort_keys=True) + "\n")
-    with open(path, "wb") as fh:
-        for i, part in enumerate(parts):
-            if i % 2:
-                raw = np.ascontiguousarray(arrays[int(part)], dtype=_DTYPE).tobytes()
-                fh.writelines((b'"', binascii.b2a_base64(raw, newline=False), b'"'))
-            else:
-                fh.write(part.encode("ascii"))  # json.dumps escapes every non-ASCII character
+        payload["train_config"] = asdict(train_config)
+    write_model(path, payload)
 
 
 def load_encoder(path) -> DualEncoder:
@@ -662,16 +633,15 @@ def load_encoder(path) -> DualEncoder:
 
     A file that is not a version-2 dual_encoder file (errors.read_model),
     lacks a key, holds a value of the wrong type, holds arrays that do not
-    decode to the shapes they declare, or whose joint_dim is not the maps'
-    output width raises ConfigInvalidError naming `path`. Non-finite weights
-    raise NonFiniteLossError.
+    decode to the shapes they declare (errors.read_array), or whose joint_dim
+    is not the maps' output width raises ConfigInvalidError naming `path`.
+    Non-finite weights raise NonFiniteLossError.
     """
-    with read_model(path, "dual_encoder", 2) as payload:
-        check_types(DualEncoder, payload, f"{path}: ")
+    with read_model(path, "dual_encoder", 2, DualEncoder) as payload:
         maps = [
             AffineMap(
-                weight=_array_from_payload(payload[key]["weight"]),
-                bias=_array_from_payload(payload[key]["bias"]),
+                weight=read_array(payload[key]["weight"]),
+                bias=read_array(payload[key]["bias"]),
             )
             for key in ("tweet_map", "article_map")
         ]
@@ -682,31 +652,3 @@ def load_encoder(path) -> DualEncoder:
                 f"joint_dim {joint_dim!r} is not the maps' output width {model.joint_dim}"
             )
     return model
-
-
-def _map_payload(amap: AffineMap) -> dict:
-    """The map's arrays as save_encoder lays them out; "data" holds the array itself."""
-    return {
-        key: {"dtype": _DTYPE, "shape": list(a.shape), "data": a}
-        for key, a in (("weight", amap.weight), ("bias", amap.bias))
-    }
-
-
-def _array_from_payload(obj: dict) -> np.ndarray:
-    if obj["dtype"] != _DTYPE:
-        raise ValueError(f"dtype {obj['dtype']!r} is not {_DTYPE!r}")
-    shape = obj["shape"]
-    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
-        raise ValueError(f"shape {shape!r} is not a list of sizes")
-    if not isinstance(obj["data"], str):
-        raise ValueError("data is not a base64 string")
-    data = obj["data"].encode("ascii")
-    raw = binascii.a2b_base64(data)
-    # a2b_base64 skips characters outside the alphabet; only the exact
-    # encoding of the decoded bytes is accepted.
-    if binascii.b2a_base64(raw, newline=False) != data:
-        raise ValueError("data is not canonical base64")
-    if len(raw) != 8 * math.prod(shape):
-        raise ValueError(f"{len(raw)} data bytes do not fill shape {shape}")
-    return np.frombuffer(raw, dtype=_DTYPE).astype(np.float64).reshape(shape)
-

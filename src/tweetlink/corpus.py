@@ -15,6 +15,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import (
+    ConfigInvalidError,
     ConflictingLabelError,
     DuplicateIdError,
     EmptyArticleError,
@@ -397,9 +398,16 @@ def load_annotations(path) -> list[AnnotationRecord]:
 
 
 def load_keywords(path) -> KeywordList:
+    """The stripped non-blank lines of a keywords file (KeywordList), with
+    errors that name the file and, for an entry not in lowercase, its line."""
     with open_utf8(path) as fh:
-        entries = tuple(line.strip() for line in fh if line.strip())
-    return KeywordList(entries)
+        lines = [line.strip() for line in fh]
+    for line_no, entry in enumerate(lines, 1):
+        if entry != entry.lower():
+            raise MalformedLineError(str(path), line_no, f"keyword {entry!r} is not lowercase")
+    if not any(lines):
+        raise ConfigInvalidError(f"keywords file {path} holds no keywords")
+    return KeywordList(tuple(filter(None, lines)))
 
 
 def write_documents(docs, path) -> None:

@@ -1,14 +1,19 @@
 """Exception hierarchy shared by all tweetlink modules, and the input readers
 that turn bad input into one of them: the text-file opener for a byte that
-is not UTF-8, the one JSON document reader, the model-file header check and
-the field-type check every config value and model-file scalar passes."""
+is not UTF-8, the one JSON document reader, the one model-file writer and
+reader (write_model, read_model, read_array) and the field-type check every
+config value and model-file scalar passes."""
 
 from __future__ import annotations
 
+import binascii
 import json
 import math
+import re
 from contextlib import contextmanager
 from dataclasses import fields
+
+import numpy as np
 
 
 class TweetLinkError(Exception):
@@ -201,12 +206,45 @@ def read_json(path, what: str, kind: type | tuple[type, ...]):
     return doc
 
 
+_DTYPE = "<f8"
+
+
+def write_model(path, payload: dict) -> None:
+    """Write `payload` to `path` as one key-sorted ASCII JSON line, each numpy
+    array in it, at any depth, as {"dtype": "<f8", "shape": [...], "data":
+    base64 of its C-order little-endian float64 bytes}. One string per array
+    instead of a float repr per value makes the save a few milliseconds and
+    halves the file; the arrays load back bit for bit (read_array)."""
+    arrays = []
+
+    def array_object(obj):
+        if not isinstance(obj, np.ndarray):
+            raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+        arrays.append(obj)
+        return {"dtype": _DTYPE, "shape": list(obj.shape), "data": len(arrays) - 1}
+
+    # json.dumps takes the C encoder, `default` included; json.dump always runs the
+    # pure-Python one. Each array's base64, which needs no escaping, is written in
+    # quotes where its index stands, one array at a time, so neither a whole-file
+    # copy nor every array's text is held at once.
+    text = json.dumps(payload, sort_keys=True, default=array_object) + "\n"
+    parts = re.split(r'(?<=\{"data": )(\d+)(?=, "dtype": ")', text)
+    with open(path, "wb") as fh:
+        for i, part in enumerate(parts):
+            if i % 2:
+                raw = np.ascontiguousarray(arrays[int(part)], dtype=_DTYPE).tobytes()
+                fh.writelines((b'"', binascii.b2a_base64(raw, newline=False), b'"'))
+            else:
+                fh.write(part.encode("ascii"))  # json.dumps escapes every non-ASCII character
+
+
 @contextmanager
-def read_model(path, fmt: str, version: int):
+def read_model(path, fmt: str, version: int, cls):
     """Yield the JSON object of a model file whose `format` is `fmt` and whose
-    `version` is the integer `version` (read_json). A missing key, or a value
-    of the wrong kind or shape, that the caller meets while building the model
-    inside the `with` block raises ConfigInvalidError naming `path`."""
+    `version` is the integer `version` (read_json) and whose values fit the
+    fields of dataclass `cls` (check_types). A missing key, or a value of the
+    wrong kind or shape, met while building the model in the `with` block
+    raises ConfigInvalidError naming `path`."""
     payload = read_json(path, f"{fmt} model file", dict)
     found_fmt, found_version = payload.get("format"), payload.get("version")
     if found_fmt != fmt or type(found_version) is not int or found_version != version:
@@ -214,12 +252,33 @@ def read_model(path, fmt: str, version: int):
             f"{path}: expected a version-{version} {fmt!r} model file, "
             f"got format {found_fmt!r} version {found_version!r}"
         )
+    check_types(cls, payload, f"{path}: ")
     try:
         yield payload
     except KeyError as exc:
         raise ConfigInvalidError(f"{path}: {fmt} model file lacks key {exc}") from None
     except (TypeError, ValueError, OverflowError, DimMismatchError) as exc:
         raise ConfigInvalidError(f"{path}: malformed {fmt} model file: {exc}") from None
+
+
+def read_array(obj) -> np.ndarray:
+    """The float64 array of a write_model array object; any other value raises
+    ValueError, TypeError or KeyError, for read_model to report. Callers check
+    the shape they need."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{type(obj).__name__} is not an array object")
+    if obj["dtype"] != _DTYPE:
+        raise ValueError(f"dtype {obj['dtype']!r} is not {_DTYPE!r}")
+    shape = obj["shape"]
+    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+        raise ValueError(f"shape {shape!r} is not a list of sizes")
+    raw = binascii.a2b_base64(obj["data"])  # TypeError unless an ASCII string
+    # a2b_base64 skips characters outside the alphabet; only the exact
+    # encoding of the decoded bytes is accepted.
+    if binascii.b2a_base64(raw, newline=False).decode("ascii") != obj["data"]:
+        raise ValueError("data is not canonical base64")
+    # Bytes that do not fill the shape raise ValueError in frombuffer or reshape.
+    return np.frombuffer(raw, dtype=_DTYPE).astype(np.float64).reshape(shape)
 
 
 def check_types(cls, values: dict, prefix: str = "") -> None:

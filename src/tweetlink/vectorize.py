@@ -17,11 +17,13 @@ theta_d = (n_dk + alpha) / (n_d + K alpha) (Griffiths & Steyvers, PNAS 2004),
 and kept on the model. Documents outside the fit are folded in against
 frozen topic-word distributions (Wallach et al., ICML 2009), batched across
 documents the same way: each row equals the per-document fold-in bit for bit.
+
+save_tfidf and save_lda write version-2 model files (errors.write_model):
+idf and phi are base64 float64 array objects and load back bit for bit.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import chain
@@ -37,8 +39,9 @@ from .errors import (
     EmptyCorpusError,
     MalformedLineError,
     MissingEmbeddingError,
-    check_types,
+    read_array,
     read_model,
+    write_model,
 )
 from .matrices import CsrRows
 from .textprep import TokenSeq
@@ -462,27 +465,23 @@ def load_embeddings(path) -> EmbeddingTable:
 
 
 def save_tfidf(model: TfidfModel, path) -> None:
-    payload = {
+    write_model(path, {
         "format": "tfidf",
-        "version": 1,
+        "version": 2,
         "n_docs": model.n_docs,
         "vocab": model.vocab.terms(),
-        "idf": [float(v) for v in model.idf],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+        "idf": model.idf,
+    })
 
 
 def load_tfidf(path) -> TfidfModel:
-    """Read a save_tfidf file. A file that is not a version-1 tfidf model
+    """Read a save_tfidf file. A file that is not a version-2 tfidf model
     (errors.read_model), lacks a key, holds a value of the wrong type, or
     whose idf is not one finite number >= 1 per vocabulary term raises
     ConfigInvalidError naming `path`. ln((1+N)/(1+df)) + 1 is never below 1."""
-    with read_model(path, "tfidf", 1) as payload:
-        check_types(TfidfModel, payload, f"{path}: ")
+    with read_model(path, "tfidf", 2, TfidfModel) as payload:
         vocab = _vocabulary(payload["vocab"])
-        idf = _number_array(payload["idf"], 1)
+        idf = read_array(payload["idf"])
         if idf.shape != (vocab.size,) or not (np.isfinite(idf).all() and (idf >= 1).all()):
             raise ValueError(
                 f"idf must hold one finite value >= 1 per vocabulary term ({vocab.size}), "
@@ -492,39 +491,36 @@ def load_tfidf(path) -> TfidfModel:
 
 
 def save_lda(model: LdaModel, path) -> None:
-    payload = {
+    write_model(path, {
         "format": "lda",
-        "version": 1,
+        "version": 2,
         "n_topics": model.n_topics,
         "alpha": model.alpha,
         "beta": model.beta,
         "seed": model.seed,
         "log_likelihood": model.log_likelihood,
         "vocab": model.vocab.terms(),
-        "phi": [[float(v) for v in row] for row in model.phi],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+        "phi": model.phi,
+    })
 
 
 def load_lda(path) -> LdaModel:
-    """Read a save_lda file. A file that is not a version-1 lda model
+    """Read a save_lda file. A file that is not a version-2 lda model
     (errors.read_model), lacks a key, holds a value of the wrong type, has a
     prior that is not > 0, or a phi that is not a finite non-negative
     (n_topics, vocabulary) table whose rows sum to 1 raises
     ConfigInvalidError naming `path`."""
-    with read_model(path, "lda", 1) as payload:
-        check_types(LdaModel, payload, f"{path}: ")
+    with read_model(path, "lda", 2, LdaModel) as payload:
         vocab = _vocabulary(payload["vocab"])
         n_topics, alpha, beta = payload["n_topics"], payload["alpha"], payload["beta"]
         if not (alpha > 0 and beta > 0):
             raise ValueError(f"priors must be > 0, got alpha {alpha!r} and beta {beta!r}")
-        phi = _number_array(payload["phi"], 2)
+        phi = read_array(payload["phi"])
         if phi.shape != (n_topics, vocab.size):
             raise ValueError(f"phi has shape {phi.shape}, expected {(n_topics, vocab.size)}")
-        if not (np.isfinite(phi).all() and (phi >= 0).all()):
-            raise ValueError("phi must be finite and non-negative")
+        # NaN fails phi >= 0 too, and an infinity puts its row's sum off 1.
+        if not (phi >= 0).all():
+            raise ValueError("phi must be non-negative")
         # lda_fit's rows (n_kw + beta) / (n_k + V beta) sum to 1 within a few
         # roundings per entry; 4 V ulps of 1 bound them with room to spare.
         off = np.abs(phi.sum(axis=1) - 1.0)
@@ -540,20 +536,6 @@ def load_lda(path) -> LdaModel:
             seed=payload["seed"],
             log_likelihood=payload["log_likelihood"],
         )
-
-
-def _number_array(value, ndim: int) -> np.ndarray:
-    """A JSON list of numbers (ndim 1), or a list of such lists (ndim 2), as
-    float64; anything else, a string, true, false or null in it included,
-    raises ValueError."""
-    items = [value]
-    for _ in range(ndim):
-        if not all(type(item) is list for item in items):
-            raise ValueError(f"expected {ndim} levels of lists of numbers")
-        items = list(chain.from_iterable(items))
-    if not {type(item) for item in items} <= {int, float}:
-        raise ValueError("an array element is not a number")
-    return np.array(value, dtype=np.float64)
 
 
 def _vocabulary(terms) -> Vocabulary:

@@ -7,7 +7,12 @@ from reference import random_tree
 from tweetlink import cascade
 from tweetlink.cascade import Cascade, CascadeMember
 from tweetlink.corpus import Document
-from tweetlink.errors import CycleDetectedError, EmptyInputError, RaggedRowsError
+from tweetlink.errors import (
+    ConfigInvalidError,
+    CycleDetectedError,
+    EmptyInputError,
+    RaggedRowsError,
+)
 
 
 def _tweet(tid, created_at, parent=None):
@@ -40,6 +45,11 @@ class TestBuildCascades:
         with pytest.raises(CycleDetectedError) as err:
             cascade.build_cascades(docs)
         assert set(err.value.ids) == {"t1", "t2"}
+
+    def test_reply_before_its_parent_rejected(self):
+        docs = [_tweet("t1", 5), _tweet("t2", 4, "t1")]
+        with pytest.raises(ConfigInvalidError, match="'t2'.*'t1'"):
+            cascade.build_cascades(docs)
 
     def test_orphan_promoted(self, caplog):
         docs = [_tweet("t1", 1), _tweet("t2", 2, "ghost")]

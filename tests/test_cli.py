@@ -1,5 +1,9 @@
 import argparse
+import ast
+import csv
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -186,6 +190,29 @@ class TestExitCodes:
         assert proc.returncode == 2, proc.stderr
         assert "embeddings.jsonl:" in proc.stderr
 
+    @pytest.mark.parametrize("text, message", [
+        ("aaaaai\nAaaaab\n", "keywords.txt:2: keyword 'Aaaaab' is not lowercase"),
+        ("\n  \n", "keywords.txt holds no keywords"),
+    ])
+    def test_bad_keywords_file_exit_2(self, small_corpus, make_config, tmp_path, text, message,
+                                      capsys):
+        keywords = tmp_path / "keywords.txt"
+        keywords.write_text(text)
+        assert cli.main(["--config", str(make_config({"keywords": str(keywords)})), "ingest"]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["cascades"], ["sweep-size", "--sizes", "1,2"]])
+    def test_reply_before_its_parent_exit_2(self, small_corpus, make_config, command, capsys):
+        docs = small_corpus["docs"]
+        created = {d.id: d.created_at for d in docs}
+        reply = next(d for d in docs if d.parent_id is not None)
+        early = dataclasses.replace(reply, created_at=created[reply.parent_id] - 1)
+        corpus.write_documents([early if d is reply else d for d in docs],
+                               small_corpus["documents"])
+        assert cli.main(["--config", str(make_config()), *command]) == 2
+        err = capsys.readouterr().err
+        assert repr(reply.id) in err and repr(reply.parent_id) in err
+
     def test_zero_width_embeddings_exit_2(self, small_corpus, make_config, tmp_path, capsys):
         emb = tmp_path / "embeddings.jsonl"
         emb.write_text("".join(f'{{"id": "{d.id}", "vector": []}}\n' for d in small_corpus["docs"]))
@@ -350,6 +377,22 @@ class TestSubcommands:
         assert cli.main(["--config", str(cfg_path), "fit", "--model", "lda"]) == 0
         assert (tmp_path / "out" / "model_tfidf.json").exists()
         assert (tmp_path / "out" / "model_lda.json").exists()
+
+    @pytest.mark.parametrize("kind", ["tfidf", "lda"])
+    def test_fit_file_loads_back_bit_for_bit(self, small_corpus, make_config, tmp_path, kind):
+        cfg_path = make_config({"lda": {"n_topics": 2, "iters": 5}})
+        assert cli.main(["--config", str(cfg_path), "fit", "--model", kind]) == 0
+        load = {"tfidf": vectorize.load_tfidf, "lda": vectorize.load_lda}[kind]
+        loaded = load(tmp_path / "out" / f"model_{kind}.json")
+        run = cli._Run(RunConfig.from_file(cfg_path))
+        fitted, _ = cli._fit_with_docs(run.cfg, kind, run.tokens, run.tweet_ids, run.article_ids)
+        assert loaded.vocab.index == fitted.vocab.index
+        array = {"tfidf": "idf", "lda": "phi"}[kind]
+        have, want = getattr(loaded, array), getattr(fitted, array)
+        assert (have.shape, have.tobytes()) == (want.shape, want.tobytes())
+        scalars = {"tfidf": ["n_docs"],
+                   "lda": ["n_topics", "alpha", "beta", "seed", "log_likelihood"]}[kind]
+        assert [getattr(loaded, s) for s in scalars] == [getattr(fitted, s) for s in scalars]
 
     def test_train_writes_encoder(self, small_corpus, make_config, tmp_path):
         cfg_path = make_config({
@@ -663,6 +706,32 @@ class TestEmitReport:
         with pytest.raises(ConfigInvalidError):
             cli.emit_report({"a": 1}, "xml", tmp_path / "r.xml")
 
+    def test_csv_quotes_a_cell_holding_a_comma(self, tmp_path):
+        path = tmp_path / "r.csv"
+        cli.emit_report([{"name": "x,y", "ap": 0.5}], "csv", path)
+        assert path.read_text() == 'name,ap\n"x,y",0.500000\n'
+        with open(path, newline="") as fh:
+            assert list(csv.reader(fh)) == [["name", "ap"], ["x,y", "0.500000"]]
+
+    def test_csv_rows_with_unlike_keys_rejected(self, tmp_path):
+        with pytest.raises(ConfigInvalidError, match="same keys"):
+            cli.emit_report([{"a": 1.5}, {"b": 2}], "csv", tmp_path / "r.csv")
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_exit_2(self, tmp_path, fmt, value, capsys):
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps([{"n": 1, "ap": value}]))
+        command = ["--out-dir", str(tmp_path), "report", "--input", str(src), "--format", fmt]
+        assert cli.main(command) == 2
+        assert "NaN or infinity" in capsys.readouterr().err
+        assert not (tmp_path / f"report.{fmt}").exists()
+
+    def test_nested_non_finite_value_rejected(self, tmp_path):
+        with pytest.raises(ConfigInvalidError, match="NaN or infinity"):
+            cli.emit_report({"rows": [{"ap": math.nan}]}, "json", tmp_path / "r.json")
+
 
 class TestCommandsAgree:
     """score, calibrate, sweep-size and train run the stages eval runs, on the same positives."""
@@ -773,6 +842,59 @@ def test_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# numpy functions, and keywords of older functions, added after numpy 1.24,
+# the floor that pyproject.toml declares.
+_NUMPY_NAMES_AFTER_FLOOR = {
+    "unique_values", "unique_counts", "unique_inverse", "unique_all", "cumulative_sum",
+    "cumulative_prod", "concat", "astype", "vecdot", "matrix_transpose", "permute_dims", "pow",
+    "bitwise_count", "isdtype", "trapezoid",
+}
+_NUMPY_KEYWORDS_AFTER_FLOOR = {"unique": "sorted", "asarray": "copy"}
+
+
+def _numpy_names_after_floor(source: str) -> list[str]:
+    """Each use in `source` of a numpy name or keyword newer than the floor."""
+    tree = ast.parse(source)
+    aliases = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for a in node.names if a.name == "numpy"}
+
+    def numpy_path(node):  # ["np", "linalg", "vecdot"] for np.linalg.vecdot, else None
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.insert(0, node.attr)
+            node = node.value
+        if parts and isinstance(node, ast.Name) and node.id in aliases:
+            return [node.id, *parts]
+        return None
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            found += [f"{node.lineno}: {a.name}" for a in node.names
+                      if a.name in _NUMPY_NAMES_AFTER_FLOOR]
+        path = numpy_path(node)
+        if path and path[-1] in _NUMPY_NAMES_AFTER_FLOOR:
+            found.append(f"{node.lineno}: {'.'.join(path)}")
+        path = numpy_path(node.func) if isinstance(node, ast.Call) else None
+        keyword = _NUMPY_KEYWORDS_AFTER_FLOOR.get(path[-1]) if path else None
+        if keyword and keyword in {k.arg for k in node.keywords}:
+            found.append(f"{node.lineno}: {'.'.join(path)}({keyword}=...)")
+    return sorted(found)
+
+
+def test_src_uses_no_numpy_name_newer_than_the_floor():
+    """A partial stand-in for the CI dependency-floor job, which installs
+    numpy 1.24 and cannot run offline: src/ calls no numpy function, and
+    passes no keyword, that numpy 1.24 lacks."""
+    sample = ("import numpy as xp\nfrom numpy import concat\nxp.linalg.vecdot(a, b)\n"
+              "xp.unique(a, sorted=True)\nxp.asarray(a, copy=False)\na.astype(float)\n")
+    assert _numpy_names_after_floor(sample) == [
+        "2: concat", "3: xp.linalg.vecdot", "4: xp.unique(sorted=...)", "5: xp.asarray(copy=...)",
+    ]
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        assert _numpy_names_after_floor(path.read_text(encoding="utf-8")) == [], path.name
 
 
 @pytest.mark.parametrize("sizes", ["1,x", "1.5"])

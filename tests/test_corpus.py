@@ -1,10 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from tweetlink import corpus
 from tweetlink.errors import (
+    ConfigInvalidError,
     ConflictingLabelError,
     DuplicateIdError,
     EmptyArticleError,
@@ -283,6 +285,15 @@ class TestOtherLoaders:
         path = tmp_path / "kw.txt"
         path.write_text("putin\n#ukraine\n\nwar\n")
         assert corpus.load_keywords(path).entries == ("putin", "#ukraine", "war")
+
+    def test_keywords_file_errors_name_the_file(self, tmp_path):
+        path = tmp_path / "kw.txt"
+        path.write_text("putin\n\n  Aaaaab \n")
+        with pytest.raises(MalformedLineError, match=re.escape(f"{path}:3: keyword 'Aaaaab'")):
+            corpus.load_keywords(path)
+        path.write_text("\n \n")
+        with pytest.raises(ConfigInvalidError, match=re.escape(f"{path} holds no keywords")):
+            corpus.load_keywords(path)
 
 
 def _synth_pairs():

@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 import re
@@ -16,6 +17,13 @@ from tweetlink.errors import (
     MalformedLineError,
     MissingEmbeddingError,
 )
+
+
+def _array(values, **fields):
+    """`values` as a model-file array object, with `fields` replaced."""
+    a = np.asarray(values, dtype="<f8")
+    data = base64.b64encode(a.tobytes()).decode("ascii")
+    return {"dtype": "<f8", "shape": list(a.shape), "data": data, **fields}
 
 
 def _fixture_tokens(seed=11, n_articles=10, vocab=30):
@@ -220,11 +228,13 @@ class TestLda:
             {"alpha": math.nan},
             {"beta": 0.0},
             {"beta": math.inf},
-            {"phi": [[0.5, 0.5], [0.5, -0.5]]},
-            {"phi": [[0.5, math.nan], [0.5, 0.5]]},
-            {"phi": [[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]]},
-            {"phi": [[1.0], [1.0]]},
-            {"phi": [[0.5, 0.5], [1.0]]},
+            # A negative entry in rows that sum to 1, a NaN, two wrong shapes,
+            # and data that does not fill its shape.
+            {"phi": _array([[0.5, 0.5], [1.5, -0.5]])},
+            {"phi": _array([[0.5, math.nan], [0.5, 0.5]])},
+            {"phi": _array([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])},
+            {"phi": _array([[1.0], [1.0]])},
+            {"phi": _array([[0.5, 0.5], [1.0, 0.0]], shape=[2, 3])},
         ],
     )
     def test_load_rejects_bad_model(self, tmp_path, edit):
@@ -285,12 +295,12 @@ class TestModelFileErrors:
     @pytest.mark.parametrize(
         "fmt, edit",
         [
-            ("tfidf", {"idf": [1.0, 2.0]}),  # shorter than the 3-term vocabulary
-            ("tfidf", {"idf": [1.0, 2.0, 3.0, 4.0]}),
-            ("tfidf", {"idf": [1.0, math.nan, 1.0]}),
-            ("tfidf", {"idf": [1.0, math.inf, 1.0]}),
-            ("tfidf", {"idf": [[1.0], [2.0], [3.0]]}),
-            ("tfidf", {"idf": ["x", 1.0, 1.0]}),
+            ("tfidf", {"idf": _array([1.0, 2.0])}),  # shorter than the 3-term vocabulary
+            ("tfidf", {"idf": _array([1.0, 2.0, 3.0, 4.0])}),
+            ("tfidf", {"idf": _array([1.0, math.nan, 1.0])}),
+            ("tfidf", {"idf": _array([1.0, math.inf, 1.0])}),
+            ("tfidf", {"idf": _array([[1.0], [2.0], [3.0]])}),
+            ("tfidf", {"idf": _array([1.0, 1.0, 1.0], dtype="<f4")}),
             ("tfidf", {"idf": None}),
             ("tfidf", {"n_docs": None}),
             ("tfidf", {"vocab": ["a", "a", "b"]}),
@@ -299,14 +309,14 @@ class TestModelFileErrors:
             ("lda", {"seed": "x"}),
             ("lda", {"n_topics": None}),
             ("lda", {"log_likelihood": []}),
-            # Each of these loaded by a cast or a silent conversion: a field or
-            # array element of the wrong JSON type, or an idf below its floor of 1.
+            # A field of the wrong JSON type, array data that is not canonical
+            # base64 or does not fill its shape, or an idf below its floor of 1.
             ("tfidf", {"n_docs": "7"}),
             ("tfidf", {"n_docs": 2.5}),
-            ("tfidf", {"idf": ["1", "2", "3"]}),
-            ("tfidf", {"idf": [True, 1.0, 1.0]}),
-            ("tfidf", {"idf": [-5.0, 1.0, 1.0]}),
-            ("tfidf", {"idf": [0.5, 1.0, 1.0]}),
+            ("tfidf", {"idf": _array([1.0, 2.0, 3.0], data="!" + _array([1.0, 2.0, 3.0])["data"])}),
+            ("tfidf", {"idf": _array([1.0, 2.0, 3.0], shape=[4])}),
+            ("tfidf", {"idf": _array([-5.0, 1.0, 1.0])}),
+            ("tfidf", {"idf": _array([0.5, 1.0, 1.0])}),
             ("tfidf", {"version": 1.0}),
             ("tfidf", {"version": True}),
             ("lda", {"seed": 3.9}),
@@ -314,21 +324,35 @@ class TestModelFileErrors:
             ("lda", {"alpha": "0.5"}),
             ("lda", {"beta": True}),
             ("lda", {"log_likelihood": "-3.5"}),
-            ("lda", {"phi": [["0.5", "0.5"], ["0.5", "0.5"]]}),
-            # An integer too large for a float raised a bare OverflowError.
-            ("tfidf", {"idf": [10**400, 1.0, 1.0]}),
+            ("lda", {"phi": [[0.5, 0.5], [0.5, 0.5]]}),  # not an array object
+            ("tfidf", {"idf": _array([1.0, 1.0, 1.0], data=10**400)}),
             # phi rows that are not distributions over the vocabulary loaded,
             # and lda_infer_batch returned a theta from them.
-            ("lda", {"phi": [[0.0, 0.0], [0.0, 0.0]]}),
-            ("lda", {"phi": [[5.0, 7.0], [0.0, 3.0]]}),
-            ("lda", {"phi": [[0.5, 0.5], [0.5, 0.4999]]}),
-            ("lda", {"phi": [[0.5, 0.5], [0.5, 0.5 + 1e-12]]}),
+            ("lda", {"phi": _array([[0.0, 0.0], [0.0, 0.0]])}),
+            ("lda", {"phi": _array([[5.0, 7.0], [0.0, 3.0]])}),
+            ("lda", {"phi": _array([[0.5, 0.5], [0.5, 0.4999]])}),
+            ("lda", {"phi": _array([[0.5, 0.5], [0.5, 0.5 + 1e-12]])}),
+            # A size numpy would infer from the data.
+            ("tfidf", {"idf": _array([1.0, 2.0, 3.0], shape=[-1])}),
         ],
     )
     def test_malformed_field(self, tmp_path, fmt, edit):
         path, load = _saved_models(tmp_path)[fmt]
         _edited(path, lambda payload: payload.update(edit))
         with pytest.raises(ConfigInvalidError, match=re.escape(str(path))):
+            load(path)
+
+    @pytest.mark.parametrize("fmt, key", [("tfidf", "idf"), ("lda", "phi")])
+    def test_version_1_file_is_rejected(self, tmp_path, fmt, key):
+        """Version 1 held idf and phi as JSON float lists; it is no longer read,
+        and such a list in a version-2 file is not an array object."""
+        path, load = _saved_models(tmp_path)[fmt]
+        values = getattr(load(path), key).tolist()
+        _edited(path, lambda payload: payload.update({"version": 1, key: values}))
+        with pytest.raises(ConfigInvalidError, match=f"{re.escape(str(path))}.*version 1"):
+            load(path)
+        _edited(path, lambda payload: payload.update(version=2))
+        with pytest.raises(ConfigInvalidError, match="list is not an array object"):
             load(path)
 
 
