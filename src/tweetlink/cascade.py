@@ -9,14 +9,12 @@ cutting to the n oldest tweets a simple prefix operation.
 from __future__ import annotations
 
 import json
-import logging
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigInvalidError, CycleDetectedError, EmptyInputError, RaggedRowsError
-
-log = logging.getLogger(__name__)
 
 AGGREGATIONS = ("mean", "median", "max")
 
@@ -101,9 +99,9 @@ def build_cascades(docs) -> list[Cascade]:
     """Group tweets into cascades by their reply/quote parentage.
 
     Tweets whose parent is missing from the corpus are promoted to roots of
-    their own (partial) cascades, with a logged warning. A parent loop among
-    the inputs raises CycleDetectedError, and a tweet created before its
-    parent ConfigInvalidError.
+    their own (partial) cascades, each with a warning (warnings.warn). A
+    parent loop among the inputs raises CycleDetectedError, and a tweet
+    created before its parent ConfigInvalidError.
     """
     tweets = list(docs)
     for doc in tweets:
@@ -117,7 +115,10 @@ def build_cascades(docs) -> list[Cascade]:
         if doc.parent_id is None:
             roots.append(doc.id)
         elif doc.parent_id not in by_id:
-            log.warning("tweet %s has missing parent %s; promoted to root", doc.id, doc.parent_id)
+            warnings.warn(
+                f"tweet {doc.id} has missing parent {doc.parent_id}; promoted to root",
+                stacklevel=2,
+            )
             roots.append(doc.id)
         else:
             children.setdefault(doc.parent_id, []).append(doc.id)

@@ -214,7 +214,9 @@ def write_model(path, payload: dict) -> None:
     array in it, at any depth, as {"dtype": "<f8", "shape": [...], "data":
     base64 of its C-order little-endian float64 bytes}. One string per array
     instead of a float repr per value makes the save a few milliseconds and
-    halves the file; the arrays load back bit for bit (read_array)."""
+    halves the file; the arrays load back bit for bit (read_array). A NaN or
+    infinite scalar, which JSON cannot hold, raises NonFiniteValueError
+    naming `path` before the file is opened; array values are not checked."""
     arrays = []
 
     def array_object(obj):
@@ -227,7 +229,11 @@ def write_model(path, payload: dict) -> None:
     # pure-Python one. Each array's base64, which needs no escaping, is written in
     # quotes where its index stands, one array at a time, so neither a whole-file
     # copy nor every array's text is held at once.
-    text = json.dumps(payload, sort_keys=True, default=array_object) + "\n"
+    try:
+        text = json.dumps(payload, sort_keys=True, default=array_object, allow_nan=False)
+    except ValueError as exc:  # allow_nan=False met a NaN or infinite scalar
+        raise NonFiniteValueError(f"cannot write {path}: {exc}") from None
+    text += "\n"
     parts = re.split(r'(?<=\{"data": )(\d+)(?=, "dtype": ")', text)
     with open(path, "wb") as fh:
         for i, part in enumerate(parts):
@@ -285,10 +291,11 @@ def check_types(cls, values: dict, prefix: str = "") -> None:
     """Reject a value in `values` whose JSON type does not fit the field of
     dataclass `cls` it names, naming its key after `prefix`.
 
-    An int field takes an integer (not a bool), a float field a finite
-    number, a bool field true or false and a str field a string; a field
-    typed `... | None` also takes null. Keys that are not fields, and fields
-    of other types, are left to the caller.
+    An int field takes an integer (not a bool), a float field a number that
+    is finite as a float (not an integer too large for one), a bool field
+    true or false and a str field a string; a field typed `... | None` also
+    takes null. Keys that are not fields, and fields of other types, are left
+    to the caller.
     """
     for f in fields(cls):
         if f.name not in values:
@@ -300,7 +307,10 @@ def check_types(cls, values: dict, prefix: str = "") -> None:
         if kind == "int":
             ok, want = type(value) is int, "an integer"
         elif kind == "float":
-            ok = type(value) is int or (type(value) is float and math.isfinite(value))
+            try:
+                ok = type(value) in (int, float) and math.isfinite(value)
+            except OverflowError:  # an integer too large for a float
+                ok = False
             want = "a finite number"
         elif kind == "bool":
             ok, want = type(value) is bool, "true or false"

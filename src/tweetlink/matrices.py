@@ -116,32 +116,102 @@ def _check_shape(values: np.ndarray, tweet_ids, article_ids) -> None:
 # Decimals of the float cells write_matrix_csv writes: a cell read back is
 # within half a unit of the last decimal of the value written.
 CSV_DECIMALS = 6
+_FLOAT_CELL = f"%.{CSV_DECIMALS}f"
+
+# write_matrix_csv builds the float cells of about this many values at a time.
+_BLOCK_CELLS = 8192
+
+# An 8-byte cell "u.mmmnnn" for |rint(v * 1e6)| = 1000 h + n, read as a
+# little-endian uint64: _HEAD[h] holds "u.mmm" (h = 1000 u + mmm, up to
+# 1.000), _TAIL[n] the last three digits. _DIGITS3[n] is "%03d" % (n % 1000)
+# in the low three bytes.
+_N = np.arange(1001, dtype=np.uint64)
+_TEN, _ZERO = np.uint64(10), np.uint64(ord("0"))
+_DIGITS3 = (
+    (_N // np.uint64(100) % _TEN + _ZERO)
+    | (_N // _TEN % _TEN + _ZERO) << np.uint64(8)
+    | (_N % _TEN + _ZERO) << np.uint64(16)
+)
+_HEAD = (_N // np.uint64(1000) + np.uint64(ord("0") | ord(".") << 8)) | _DIGITS3 << np.uint64(16)
+_TAIL = _DIGITS3[:1000] << np.uint64(40)
+del _N, _TEN, _ZERO, _DIGITS3
+
+# One float cell as written, ",[-]u.mmmnnn": a NUL sign byte is dropped.
+_CELL = np.dtype([("comma", "u1"), ("sign", "u1"), ("digits", "<u8")])
+
+# v * 1e6 for |v| <= 1 + RANGE_TOL is within 2**-33 of its exact value, so it
+# rounds to the same integer as the exact value unless it lies this close to
+# a half unit; such a cell is formatted by _FLOAT_CELL itself.
+_HALF_TOL = 1e-9
+
+
+def _float_lines(block: np.ndarray) -> list[str]:
+    """Each row of the float64 `block` as ",<cell>" per value, every cell
+    exactly `_FLOAT_CELL % value`.
+
+    Cells of 1 + RANGE_TOL or less in magnitude get their digits from the
+    integer rint(v * 1e6), as in Ryu (Adams, PLDI 2018): digits from integers,
+    not a float format per value. The others, and cells near a half unit, are
+    formatted one by one.
+    """
+    in_range = np.abs(block) <= 1 + RANGE_TOL  # NaN is not
+    scaled = np.where(in_range, block, 0.0) * 1e6
+    q = np.rint(scaled)
+    redo = ~in_range | (np.abs(scaled - q) >= 0.5 - _HALF_TOL)
+    # |q| <= 1e6 is an integer, so both parts are exact.
+    magnitude = np.abs(q)
+    head = np.floor(magnitude / 1000.0)
+    tail = magnitude - head * 1000.0
+    rows = np.empty(len(block), [("cells", _CELL, block.shape[1:]), ("end", "u1")])
+    cells = rows["cells"]
+    cells["comma"] = ord(",")
+    cells["sign"] = np.signbit(block) * np.uint8(ord("-"))
+    cells["digits"] = _HEAD[head.astype(np.intp)] | _TAIL[tail.astype(np.intp)]
+    rows["end"] = ord("\n")
+    lines = rows.tobytes().translate(None, b"\0").decode("ascii").split("\n")
+    for i in np.flatnonzero(redo.any(axis=1)):
+        parts = lines[i].split(",")
+        for j in np.flatnonzero(redo[i]):
+            parts[j + 1] = _FLOAT_CELL % block[i, j]
+        lines[i] = ",".join(parts)
+    return lines[:-1]
 
 
 def write_matrix_csv(matrix, path) -> None:
     """Export with article ids as the header row and tweet ids as the first column.
 
-    Floats are fixed at CSV_DECIMALS decimals so identical runs emit identical bytes.
+    Floats are fixed at CSV_DECIMALS decimals so identical runs emit identical
+    bytes; _float_lines builds them for about _BLOCK_CELLS values at a time.
     """
     n_cols = len(matrix.article_ids)
-    cell = f"%.{CSV_DECIMALS}f" if matrix.values.dtype.kind == "f" else "%d"
+    is_float = matrix.values.dtype.kind == "f"
+    values = matrix.values.astype(np.float64, copy=False) if is_float else matrix.values
+    cells = ",%d" * n_cols
+    step = max(1, _BLOCK_CELLS // max(n_cols, 1))
     # csv.writer's dialect: comma-separated, "\r\n"-terminated lines.
-    cells = ("," + cell) * n_cols + "\r\n"
     quoted = io.StringIO()
     quote = csv.writer(quoted)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["tweet_id", *matrix.article_ids])
-        for tid, row in zip(matrix.tweet_ids, matrix.values):
-            if not n_cols:
+        if not n_cols:
+            for tid in matrix.tweet_ids:
                 writer.writerow([tid])  # csv quotes a lone empty field
-                continue
-            # The id as csv writes it in a row of several fields: "<id>,\r\n".
-            quoted.seek(0)
-            quoted.truncate()
-            quote.writerow([tid, ""])
-            # Python floats and ints: formatting numpy scalars one by one is slower.
-            fh.write(quoted.getvalue()[:-3] + cells % tuple(row.tolist()))
+            return
+        for start in range(0, len(values), step):
+            block = values[start : start + step]
+            if is_float:
+                lines = _float_lines(block)
+            else:  # Python ints: formatting numpy scalars one by one is slower.
+                lines = [cells % tuple(row) for row in block.tolist()]
+            text = []
+            for tid, line in zip(matrix.tweet_ids[start : start + step], lines):
+                # The id as csv writes it in a row of several fields: "<id>,\r\n".
+                quoted.seek(0)
+                quoted.truncate()
+                quote.writerow([tid, ""])
+                text.append(quoted.getvalue()[:-3] + line + "\r\n")
+            fh.write("".join(text))
 
 
 def read_similarity_csv(path) -> SimilarityMatrix:

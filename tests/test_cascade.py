@@ -51,13 +51,13 @@ class TestBuildCascades:
         with pytest.raises(ConfigInvalidError, match="'t2'.*'t1'"):
             cascade.build_cascades(docs)
 
-    def test_orphan_promoted(self, caplog):
+    def test_orphan_promoted(self):
         docs = [_tweet("t1", 1), _tweet("t2", 2, "ghost")]
-        with caplog.at_level("WARNING"):
+        with pytest.warns(UserWarning, match="tweet t2 has missing parent ghost") as record:
             out = cascade.build_cascades(docs)
         assert len(out) == 2
         assert {c.root_id for c in out} == {"t1", "t2"}
-        assert any("ghost" in rec.getMessage() for rec in caplog.records)
+        assert record[0].filename == __file__  # stacklevel=2: the caller's line
 
     def test_partition_property(self):
         rng = np.random.default_rng(0)

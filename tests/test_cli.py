@@ -107,7 +107,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "prior",
-        [{"alpha": float("nan")}, {"alpha": 0.0}, {"alpha": -1.0}, {"beta": 0.0}, {"beta": -1.0}],
+        [{"alpha": float("nan")}, {"alpha": 0.0}, {"alpha": -1.0}, {"beta": 0.0}, {"beta": -1.0},
+         # An integer too large for a float: a config error, not an OverflowError.
+         {"alpha": 10**400}, {"beta": 10**400}],
     )
     def test_bad_lda_prior_exit_2(self, small_corpus, make_config, prior, capsys):
         cfg_path = make_config({"model": "lda", "lda": {"iters": 2, **prior}})
@@ -832,16 +834,29 @@ def test_sweep_size_matches_a_cascade_cut_per_size(small_corpus, make_config, ag
     assert cli.sweep_size(run, sizes) == expected
 
 
-def test_import_loads_no_scipy():
-    """Importing the CLI loads no scipy: numpy is the only runtime dependency."""
+def _packages_after_cli_import() -> set[str]:
+    """The top-level names in sys.modules after `import tweetlink.cli` in a fresh interpreter."""
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, tweetlink.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = "import sys, tweetlink.cli; print(' '.join(sorted({m.split('.')[0] for m in sys.modules})))"
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return set(proc.stdout.split())
+
+
+def test_import_loads_no_scipy():
+    """Importing the CLI loads no scipy: numpy is the only runtime dependency."""
+    assert "scipy" not in _packages_after_cli_import()
+
+
+def test_import_loads_no_logging():
+    """Importing the CLI loads no logging: the cascade orphan warning goes
+    through warnings, which the interpreter always has loaded."""
+    packages = _packages_after_cli_import()
+    assert "tweetlink" in packages
+    assert "logging" not in packages
 
 
 # numpy functions, and keywords of older functions, added after numpy 1.24,

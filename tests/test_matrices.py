@@ -1,10 +1,15 @@
 import csv
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tweetlink.errors import MalformedLineError, NonFiniteValueError
 from tweetlink.matrices import (
+    RANGE_TOL,
     ClassificationMatrix,
     SimilarityMatrix,
     read_similarity_csv,
@@ -112,3 +117,43 @@ class TestWriteMatrixCsv:
         write_matrix_csv(sim, tmp_path / "fast.csv")
         _write_per_numpy_scalar(sim, tmp_path / "slow.csv")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
+
+
+# Half units of the sixth decimal, (k + 0.5) / 1e6, and their float neighbours:
+# the cells where rounding v * 1e6 could disagree with "%.6f".
+_half_units = st.integers(-1_000_000, 999_999).map(lambda k: (k + 0.5) / 1e6)
+_cell_values = st.one_of(
+    _half_units,
+    st.tuples(_half_units, st.sampled_from([-2.0, 2.0])).map(lambda p: float(np.nextafter(*p))),
+    st.integers(-128, 128).map(lambda j: j / 128),  # exact binary ties such as 1/128
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1 + RANGE_TOL, -1 - RANGE_TOL]),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),  # subnormals
+    st.floats(-1.0, 1.0),
+)
+
+
+@st.composite
+def _similarity_matrices(draw):
+    """A matrix tiled from drawn cell values, with ids that csv quotes. Widths
+    of 4,097 and 8,193 cells put one row in each block of about 8K cells; 70
+    rows of 120 span two blocks of several rows."""
+    n_rows, n_cols = draw(st.one_of(
+        st.tuples(st.integers(0, 4), st.sampled_from([0, 1, 2, 7, 4097, 8193])),
+        st.just((70, 120)),
+    ))
+    pool = draw(st.lists(_cell_values, min_size=1, max_size=40))
+    values = np.resize(pool, n_rows * n_cols).reshape(n_rows, n_cols)
+    prefix = draw(st.text(alphabet=',"\r\n a', max_size=3))
+    tweet_ids = tuple(f"{prefix}{i}" if i else prefix for i in range(n_rows))
+    article_ids = tuple(f"{prefix}{i}" for i in range(n_cols))
+    return SimilarityMatrix(tweet_ids, article_ids, values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_similarity_matrices())
+def test_written_bytes_match_per_scalar_formatting(matrix):
+    with tempfile.TemporaryDirectory() as tmp:
+        fast, slow = Path(tmp, "fast.csv"), Path(tmp, "slow.csv")
+        write_matrix_csv(matrix, fast)
+        _write_per_numpy_scalar(matrix, slow)
+        assert fast.read_bytes() == slow.read_bytes()

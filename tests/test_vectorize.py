@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import json
 import math
 import re
@@ -16,6 +17,7 @@ from tweetlink.errors import (
     EmptyCorpusError,
     MalformedLineError,
     MissingEmbeddingError,
+    NonFiniteValueError,
 )
 
 
@@ -228,6 +230,7 @@ class TestLda:
             {"alpha": math.nan},
             {"beta": 0.0},
             {"beta": math.inf},
+            {"alpha": 10**400},  # an integer too large for a float
             # A negative entry in rows that sum to 1, a NaN, two wrong shapes,
             # and data that does not fill its shape.
             {"phi": _array([[0.5, 0.5], [1.5, -0.5]])},
@@ -354,6 +357,37 @@ class TestModelFileErrors:
         _edited(path, lambda payload: payload.update(version=2))
         with pytest.raises(ConfigInvalidError, match="list is not an array object"):
             load(path)
+
+
+class TestModelFileWrite:
+    def test_bytes_are_the_json_dumps_of_the_payload(self, tmp_path):
+        tfidf = vectorize.tfidf_fit([["a", "b"], ["a", "c"]])
+        lda = vectorize.lda_fit([["a", "b"], ["a"]], n_topics=2, iters=2, seed=3)
+        cases = [
+            (vectorize.save_tfidf, tfidf, {
+                "format": "tfidf", "version": 2, "n_docs": 2, "vocab": tfidf.vocab.terms(),
+                "idf": _array(tfidf.idf),
+            }),
+            (vectorize.save_lda, lda, {
+                "format": "lda", "version": 2, "n_topics": 2, "alpha": lda.alpha,
+                "beta": lda.beta, "seed": 3, "log_likelihood": lda.log_likelihood,
+                "vocab": lda.vocab.terms(), "phi": _array(lda.phi),
+            }),
+        ]
+        for save, model, payload in cases:
+            path = tmp_path / f"{payload['format']}.json"
+            save(model, path)
+            assert path.read_bytes() == (json.dumps(payload, sort_keys=True) + "\n").encode()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scalar_is_not_written(self, tmp_path, value):
+        """JSON has no NaN or infinity: such a scalar fails the save, naming
+        the file, instead of writing a file that load_lda rejects."""
+        model = vectorize.lda_fit([["a", "b"], ["a"]], n_topics=2, iters=2, seed=3)
+        path = tmp_path / "lda.json"
+        with pytest.raises(NonFiniteValueError, match=re.escape(str(path))):
+            vectorize.save_lda(dataclasses.replace(model, log_likelihood=value), path)
+        assert not path.exists()
 
 
 class TestEmbeddings:
