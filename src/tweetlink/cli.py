@@ -713,7 +713,16 @@ def _cmd_score(run: _Run, args) -> None:
 def _cmd_calibrate(run: _Run, args) -> None:
     if args.matrix:
         run.similarity = read_similarity_csv(args.matrix)
-    threshold, f1 = linker.calibrate_threshold(run.similarity, run.ground_truth)
+    try:
+        gt = run.ground_truth
+    except UnknownIdError as exc:
+        if not args.matrix:
+            raise
+        # A labeled pair whose row or column the CSV lacks: a problem of that input.
+        raise ConfigInvalidError(
+            f"{args.matrix}: labeled id {exc.doc_id!r} is not in the matrix"
+        ) from None
+    threshold, f1 = linker.calibrate_threshold(run.similarity, gt)
     result = {"threshold": threshold, "f1": f1}
     if args.matrix:
         # The CSV's rounded cells, not the scores the model computed.

@@ -319,4 +319,7 @@ def check_types(cls, values: dict, prefix: str = "") -> None:
         else:
             continue
         if not ok:
-            raise ConfigInvalidError(f"{prefix}{f.name} must be {want}, got {value!r}")
+            # An integer past 4,300 digits has no repr; name its size instead.
+            big = type(value) is int and value.bit_length() > 64
+            shown = f"an integer of {value.bit_length()} bits" if big else repr(value)
+            raise ConfigInvalidError(f"{prefix}{f.name} must be {want}, got {shown}")

@@ -1,0 +1,150 @@
+"""Smoke checks of the package as a user installs it, without the test extra.
+
+    python tests/smoke.py WORKDIR
+
+numpy is the only runtime dependency, so this script needs only the standard
+library and tweetlink: no pytest, hypothesis or scipy. It writes a synthetic
+corpus into WORKDIR, runs the CLI commands there through `tweetlink.cli.main`,
+and exits non-zero at the first check that fails.
+
+- The pairs are written three times: by write_pairs, whose blocks
+  load_pair_table codes from one regex pass each; compact with CRLF line
+  ends, whose blocks it parses line by line; and by write_pairs with one line
+  re-spaced, so that only that line's block is parsed line by line. All three
+  must give the same artifacts.
+- LDA fit, eval, sweep-size, sweep-hp and ingest must succeed. The tfidf and
+  lda model files that fit writes must load back, and a copy with a
+  fractional integer field must be a config error.
+- The dual encoder runs under mean_chunks with each nonlinearity, with and
+  without momentum, and reruns must write the same encoder.json.
+"""
+
+import json
+import os
+import sys
+from pathlib import Path
+
+from tweetlink import cli, corpus, vectorize
+from tweetlink.errors import ConfigInvalidError
+
+
+def run(config, *command):
+    argv = ["--config", config, *command]
+    if cli.main(argv) != 0:
+        raise SystemExit(f"tweetlink {' '.join(argv)} failed")
+
+
+def require_files(*paths):
+    missing = [p for p in paths if not Path(p).is_file()]
+    if missing:
+        raise SystemExit(f"missing artifacts: {missing}")
+
+
+def require_same(a, b):
+    if Path(a).read_bytes() != Path(b).read_bytes():
+        raise SystemExit(f"{a} and {b} differ")
+
+
+def write_json(path, value):
+    with open(path, "w") as fh:
+        json.dump(value, fh)
+
+
+def lda_smoke():
+    # 2,304 pairs: about 165K characters, so load_pair_table reads 3 blocks.
+    docs, pairs = corpus.synth_fixture(
+        seed=1, n_topics=3, n_articles=24, tweets_per_article=4, vocab_per_topic=30
+    )
+    corpus.write_documents(docs, "documents.jsonl")
+    corpus.write_pairs(pairs, "pairs.jsonl")
+    with open("pairs_compact.jsonl", "w", newline="") as fh:
+        for p in pairs:
+            row = {"tweet_id": p.tweet_id, "article_id": p.article_id, "label": p.label}
+            fh.write(json.dumps(row, separators=(",", ":")) + "\r\n")
+    with open("pairs.jsonl") as fh:
+        lines = fh.readlines()
+    lines[-3] = lines[-3].replace('", "', '",  "', 1)
+    with open("pairs_respaced.jsonl", "w") as fh:
+        fh.writelines(lines)
+    for name, pairs_path, out in [
+        ("config.json", "pairs.jsonl", "out"),
+        ("config_compact.json", "pairs_compact.jsonl", "out_compact"),
+        ("config_respaced.json", "pairs_respaced.jsonl", "out_respaced"),
+    ]:
+        write_json(name, {
+            "documents": "documents.jsonl", "pairs": pairs_path, "model": "lda",
+            "lda": {"n_topics": 3, "iters": 20}, "out_dir": out,
+        })
+
+    run("config.json", "fit", "--model", "lda")
+    run("config.json", "fit", "--model", "tfidf")
+    for load, path, key in [
+        (vectorize.load_tfidf, "out/model_tfidf.json", "n_docs"),
+        (vectorize.load_lda, "out/model_lda.json", "seed"),
+    ]:
+        load(path)
+        with open(path) as fh:
+            payload = json.load(fh)
+        payload[key] = 3.9
+        write_json("edited.json", payload)
+        try:
+            load("edited.json")
+        except ConfigInvalidError as exc:
+            print("rejected as expected:", exc)
+        else:
+            raise SystemExit(f"{path} with {key} 3.9 loaded")
+    run("config.json", "eval")
+    run("config.json", "sweep-size", "--sizes", "1,2,4")
+    write_json("grid.json", [{"lda.n_topics": 2}, {"lda.n_topics": 3}])
+    run("config.json", "sweep-hp", "--grid", "grid.json")
+    require_files("out/model_lda.json", "out/report.json", "out/sweep_size.csv",
+                  "out/sweep_hp.json")
+    run("config.json", "ingest")
+    for variant in ("compact", "respaced"):
+        run(f"config_{variant}.json", "ingest")
+        run(f"config_{variant}.json", "eval")
+        for f in ("ingest.json", "report.json", "similarity.csv"):
+            require_same(f"out/{f}", f"out_{variant}/{f}")
+
+
+def dual_smoke():
+    # Chunks short enough that articles have several pieces: the affine
+    # encoder trains on each article's mean piece row, tanh on the pieces
+    # themselves. Each nonlinearity runs without and with momentum (the
+    # velocity update), and each config runs twice: the two encoder.json
+    # files must match.
+    docs, pairs = corpus.synth_fixture(
+        seed=1, n_topics=3, n_articles=12, tweets_per_article=4, vocab_per_topic=30
+    )
+    corpus.write_documents(docs, "documents.jsonl")
+    corpus.write_pairs(pairs, "pairs.jsonl")
+    for nonlinearity in ("none", "tanh"):
+        for momentum in (0.0, 0.9):
+            name = f"{nonlinearity}_m{momentum}"
+            for rerun in (1, 2):
+                out = f"out_{name}_{rerun}"
+                write_json(f"config_{name}_{rerun}.json", {
+                    "documents": "documents.jsonl", "pairs": "pairs.jsonl",
+                    "model": "dual", "features": "tfidf", "strategy": "mean_chunks",
+                    "chunking": {"content_len": 8}, "out_dir": out,
+                    "train": {"epochs": 5, "batch_size": 8, "joint_dim": 8,
+                              "nonlinearity": nonlinearity, "momentum": momentum},
+                })
+                run(f"config_{name}_{rerun}.json", "eval")
+                require_files(f"{out}/report.json", f"{out}/encoder.json")
+            require_same(f"out_{name}_1/encoder.json", f"out_{name}_2/encoder.json")
+
+
+def main(workdir):
+    root = Path(workdir).resolve()
+    for name, smoke in [("lda", lda_smoke), ("dual", dual_smoke)]:
+        (root / name).mkdir(parents=True, exist_ok=True)
+        os.chdir(root / name)
+        smoke()
+    print("smoke checks passed")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        raise SystemExit("usage: python tests/smoke.py WORKDIR")
+    main(sys.argv[1])

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -81,6 +82,12 @@ class TestRunConfig:
             RunConfig.from_dict({"documents": "d", "pairs": "p", "lda": prior})
         RunConfig.from_dict({"documents": "d", "pairs": "p", "lda": {"alpha": None, "beta": 1e-9}})
 
+    def test_integer_too_long_to_print_is_a_config_error(self):
+        # 5,000 digits: past the 4,300-digit limit of int-to-str, so the
+        # message names the size instead of the value.
+        with pytest.raises(ConfigInvalidError, match="lda.alpha .* an integer of 16610 bits"):
+            RunConfig.from_dict({"documents": "d", "pairs": "p", "lda": {"alpha": 10**5000}})
+
 
 class TestExitCodes:
     def test_eval_success(self, small_corpus, make_config, capsys):
@@ -154,6 +161,20 @@ class TestExitCodes:
         assert cli.main(["--config", str(cfg_path), "calibrate", "--matrix", str(matrix)]) == 2
         err = capsys.readouterr().err
         assert f"repeated.csv:{len(lines) + 1}: repeated tweet id {tweet_id!r}" in err
+        assert not (tmp_path / "out" / "threshold.json").exists()
+
+    def test_matrix_missing_labeled_id_exit_2(self, small_corpus, make_config, tmp_path, capsys):
+        # The id is in the corpus; only the matrix lacks its column.
+        cfg_path = make_config()
+        assert cli.main(["--config", str(cfg_path), "score"]) == 0
+        lines = (tmp_path / "out" / "similarity.csv").read_text().splitlines(keepends=True)
+        article_id = lines[0].split(",")[1]
+        lines[0] = lines[0].replace(f",{article_id},", ",renamed,", 1)
+        matrix = tmp_path / "renamed.csv"
+        matrix.write_text("".join(lines))
+        assert cli.main(["--config", str(cfg_path), "calibrate", "--matrix", str(matrix)]) == 2
+        err = capsys.readouterr().err
+        assert f"renamed.csv: labeled id {article_id!r} is not in the matrix" in err
         assert not (tmp_path / "out" / "threshold.json").exists()
 
     def test_non_dual_model_with_dual_inputs_exit_2(self, small_corpus, make_config, tmp_path,
@@ -1114,30 +1135,33 @@ def test_sweep_hp_point_leaving_the_dual_model_resets_its_inputs(
     assert [args[0].model for args, _ in builds] == ["dual", "tfidf"]
 
 
-def test_lda_commands_run_without_scipy(small_corpus, make_config, tmp_path):
-    """With scipy unimportable, LDA fit, eval, sweep-size and sweep-hp all succeed."""
-    grid = tmp_path / "grid.json"
-    grid.write_text(json.dumps([{"lda.n_topics": 2}, {"lda.n_topics": 3}]))
-    cfg_path = str(make_config({"model": "lda", "lda": {"n_topics": 2, "iters": 5}}))
-    commands = [
-        ["fit", "--model", "lda"], ["eval"], ["sweep-size", "--sizes", "1,2"],
-        ["sweep-hp", "--grid", str(grid)],
-    ]
+def test_smoke_script_runs_without_test_extra(tmp_path):
+    """tests/smoke.py, which CI's numpy-only job runs on the installed package,
+    passes with scipy, pytest and hypothesis unimportable."""
+    script = str(Path(__file__).with_name("smoke.py"))
     code = (
-        "import sys; sys.modules['scipy'] = None\n"
-        "from tweetlink import cli\n"
-        f"print([cli.main(['--config', {cfg_path!r}, *c]) for c in {commands!r}])"
+        "import runpy, sys\n"
+        "for name in ('scipy', 'pytest', 'hypothesis'): sys.modules[name] = None\n"
+        f"sys.argv = [{script!r}, {str(tmp_path)!r}]\n"
+        f"runpy.run_path({script!r}, run_name='__main__')"
     )
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[0, 0, 0, 0]", proc.stderr
-    out = tmp_path / "out"
-    for name in ("model_lda.json", "report.json", "sweep_size.csv", "sweep_hp.json"):
-        assert (out / name).is_file()
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "smoke checks passed"
+
+
+def test_ci_numpy_only_job_runs_smoke_script():
+    """The numpy-only job calls tests/smoke.py and holds no heredoc, so its
+    checks stay ones that Tier-1 runs too."""
+    workflow = (Path(__file__).parents[1] / ".github" / "workflows" / "tier1.yml").read_text()
+    # The job's lines: blank or indented deeper than the job names.
+    job = re.search(r"^  numpy-only:\n((?:    .*\n|\n)*)", workflow, re.M)[1]
+    assert "python tests/smoke.py" in job
+    assert "<<" not in job
 
 
 @pytest.mark.parametrize(
