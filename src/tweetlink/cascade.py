@@ -14,13 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import AGGREGATIONS
 from .errors import ConfigInvalidError, CycleDetectedError, EmptyInputError, RaggedRowsError
-
-AGGREGATIONS = ("mean", "median", "max")
 
 
 @dataclass(frozen=True)
 class CascadeMember:
+    """One tweet of a cascade and the member it replies to or quotes (None for the root)."""
+
     tweet_id: str
     parent_id: str | None
     created_at: int
@@ -28,6 +29,8 @@ class CascadeMember:
 
 @dataclass(frozen=True)
 class Cascade:
+    """A rooted reply/quote tree; members are kept in (created_at, depth, id) order."""
+
     root_id: str
     members: tuple[CascadeMember, ...]
 

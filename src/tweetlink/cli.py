@@ -24,8 +24,8 @@ Exit codes: 0 success, 1 degenerate evaluation (e.g. no positive labels),
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
+import importlib.util
 import json
 import sys
 from dataclasses import dataclass, field
@@ -34,8 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cascade as cascade_mod
-from . import contrast, corpus, evalx, linker, textprep, vectorize
+from . import corpus, evalx, linker, textprep, vectorize
+from .config import AGGREGATIONS, STRATEGIES, TrainConfig
 from .errors import (
     ConfigInvalidError,
     DegenerateEvaluationError,
@@ -56,6 +56,27 @@ from .matrices import (
     write_matrix_csv,
 )
 
+
+def _lazy_submodule(name: str):
+    """Submodule `name` of this package, registered in sys.modules now and run
+    on its first attribute access (importlib.util.LazyLoader), so a command
+    that never touches it never compiles it."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# The dual encoder runs only for model=dual, cascades only in cascades and sweep-size.
+contrast = _lazy_submodule("contrast")
+cascade_mod = _lazy_submodule("cascade")
+
 MODELS = ("tfidf", "lda", "dual")
 FEATURES = ("tfidf", "lda", "external")
 # Config keys that select the corpus: one value per run, never per grid point.
@@ -64,6 +85,8 @@ CORPUS_KEYS = frozenset({"documents", "pairs", "keywords", "train_pairs"})
 
 @dataclass(frozen=True)
 class LdaParams:
+    """The config's lda section: topic count, Dirichlet priors and Gibbs sweeps."""
+
     n_topics: int = 10
     alpha: float | None = None
     beta: float = 0.01
@@ -82,6 +105,8 @@ class LdaParams:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's config document; built and checked by from_dict (ConfigInvalidError)."""
+
     documents: str
     pairs: str
     model: str = "tfidf"
@@ -103,20 +128,20 @@ class RunConfig:
         default_factory=lambda: textprep.ChunkingConfig(content_len=510)
     )
     lda: LdaParams = field(default_factory=LdaParams)
-    train: contrast.TrainConfig = field(default_factory=contrast.TrainConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
         if self.model not in MODELS:
             raise ConfigInvalidError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.features not in FEATURES:
             raise ConfigInvalidError(f"features must be one of {FEATURES}, got {self.features!r}")
-        if self.strategy not in contrast.STRATEGIES:
+        if self.strategy not in STRATEGIES:
             raise ConfigInvalidError(
-                f"strategy must be one of {contrast.STRATEGIES}, got {self.strategy!r}"
+                f"strategy must be one of {STRATEGIES}, got {self.strategy!r}"
             )
-        if self.aggregation not in cascade_mod.AGGREGATIONS:
+        if self.aggregation not in AGGREGATIONS:
             raise ConfigInvalidError(
-                f"aggregation must be one of {cascade_mod.AGGREGATIONS}, got {self.aggregation!r}"
+                f"aggregation must be one of {AGGREGATIONS}, got {self.aggregation!r}"
             )
         if self.seed < 0:
             raise ConfigInvalidError(f"seed must be >= 0, got {self.seed}")
@@ -140,12 +165,12 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        data = copy.deepcopy(raw)
+        data = dict(raw)  # only top-level keys are popped; sections are read, never changed
         sections = {
             "cleaning": textprep.CleaningConfig,
             "chunking": textprep.ChunkingConfig,
             "lda": LdaParams,
-            "train": contrast.TrainConfig,
+            "train": TrainConfig,
         }
         kwargs = {}
         for name, section_cls in sections.items():

@@ -56,6 +56,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .config import STRATEGIES, TrainConfig
 from .errors import (
     DimMismatchError,
     EmptyChunkListError,
@@ -69,45 +70,13 @@ from .errors import (
 )
 from .matrices import CsrRows
 
-STRATEGIES = ("truncate", "mean_chunks", "augment")
 SIDES = ("tweet", "article")
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    neg_ratio: float = 1.0
-    lr: float = 0.1
-    epochs: int = 100
-    batch_size: int = 32
-    seed: int = 0
-    margin: float = 0.0
-    nonlinearity: str = "none"  # "none" | "tanh"
-    momentum: float = 0.0
-    joint_dim: int = 64
-
-    def __post_init__(self):
-        if self.neg_ratio <= 0:
-            raise ValueError("neg_ratio must be > 0")
-        if self.lr <= 0:
-            raise ValueError("lr must be > 0")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if not 0.0 <= self.margin < 1.0:
-            raise ValueError("margin must lie in [0, 1)")
-        if self.nonlinearity not in ("none", "tanh"):
-            raise ValueError(f"unknown nonlinearity {self.nonlinearity!r}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
-        if self.joint_dim < 1:
-            raise ValueError("joint_dim must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)
 class AffineMap:
+    """x -> weight @ x + bias, with finite parameters."""
+
     weight: np.ndarray = field(repr=False)  # (out_dim, in_dim)
     bias: np.ndarray = field(repr=False)  # (out_dim,)
 
@@ -128,6 +97,8 @@ class AffineMap:
 
 @dataclass(frozen=True, eq=False)
 class DualEncoder:
+    """One affine map per side into a shared joint space, optionally followed by tanh."""
+
     tweet_map: AffineMap
     article_map: AffineMap
     nonlinearity: str = "none"

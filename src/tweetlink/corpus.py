@@ -39,6 +39,8 @@ _TOKEN_RE = re.compile(r"#?\w+", re.UNICODE)
 
 @dataclass(frozen=True)
 class Document:
+    """A tweet or an article; a tweet may reply to or quote a parent tweet."""
+
     id: str
     kind: str
     text: str
@@ -62,6 +64,8 @@ class Document:
 
 @dataclass(frozen=True)
 class LinkedPair:
+    """One labeled tweet-article cell: match, no_match or unknown."""
+
     tweet_id: str
     article_id: str
     label: str
@@ -210,6 +214,8 @@ def _codes(index: dict, ids: list) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AnnotationRecord:
+    """One annotator's verdict on one tweet-article pair."""
+
     tweet_id: str
     article_id: str
     annotator_id: str
@@ -222,6 +228,8 @@ class AnnotationRecord:
 
 @dataclass(frozen=True)
 class KeywordList:
+    """Nonempty lowercase keywords for keyword_filter."""
+
     entries: tuple[str, ...]
 
     def __post_init__(self):

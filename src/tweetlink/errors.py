@@ -287,11 +287,18 @@ def read_array(obj) -> np.ndarray:
     return np.frombuffer(raw, dtype=_DTYPE).astype(np.float64).reshape(shape)
 
 
+# The largest value of an int field other than a seed: the width of the
+# package's int32 codes and keys. numpy cannot size an array or a draw by a
+# much larger one (lda.n_topics 10**400, train.joint_dim 10**30).
+INT_FIELD_MAX = 2**31 - 1
+
+
 def check_types(cls, values: dict, prefix: str = "") -> None:
     """Reject a value in `values` whose JSON type does not fit the field of
     dataclass `cls` it names, naming its key after `prefix`.
 
-    An int field takes an integer (not a bool), a float field a number that
+    An int field takes an integer (not a bool) of at most INT_FIELD_MAX, or
+    of any size if the field is a `seed`; a float field a number that
     is finite as a float (not an integer too large for one), a bool field
     true or false and a str field a string; a field typed `... | None` also
     takes null. Keys that are not fields, and fields of other types, are left
@@ -306,6 +313,8 @@ def check_types(cls, values: dict, prefix: str = "") -> None:
             continue
         if kind == "int":
             ok, want = type(value) is int, "an integer"
+            if ok and f.name != "seed" and value > INT_FIELD_MAX:
+                ok, want = False, f"at most {INT_FIELD_MAX}"
         elif kind == "float":
             try:
                 ok = type(value) in (int, float) and math.isfinite(value)

@@ -27,6 +27,8 @@ from .matrices import GroundTruthMatrix
 
 @dataclass(frozen=True)
 class MetricsReport:
+    """Threshold metrics and average precision over the evaluated (labeled) cells."""
+
     accuracy: float
     precision: float
     recall: float
@@ -50,6 +52,8 @@ class MetricsReport:
 
 @dataclass(frozen=True)
 class ConsensusEntry:
+    """The annotators' consensus on one pair: a score and its label."""
+
     score: float | None  # None when every verdict was a skip
     label: int  # 1, -1, or 0
 

@@ -54,6 +54,8 @@ def _frozen(values: np.ndarray, dtype) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SimilarityMatrix:
+    """Tweets x articles cosine scores, finite and within [-1, 1]."""
+
     tweet_ids: tuple[str, ...]
     article_ids: tuple[str, ...]
     values: np.ndarray = field(repr=False)
@@ -71,6 +73,8 @@ class SimilarityMatrix:
 
 @dataclass(frozen=True, eq=False)
 class ClassificationMatrix:
+    """Tweets x articles match decisions: +1 or -1."""
+
     tweet_ids: tuple[str, ...]
     article_ids: tuple[str, ...]
     values: np.ndarray = field(repr=False)
@@ -85,6 +89,8 @@ class ClassificationMatrix:
 
 @dataclass(frozen=True, eq=False)
 class GroundTruthMatrix:
+    """Tweets x articles labels: 1 match, -1 no match, 0 unknown (masked)."""
+
     tweet_ids: tuple[str, ...]
     article_ids: tuple[str, ...]
     values: np.ndarray = field(repr=False)

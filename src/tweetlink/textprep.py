@@ -38,6 +38,8 @@ _EMOJI_MODIFIERS = {0xFE0E, 0xFE0F, 0x200D}
 
 @dataclass(frozen=True)
 class CleaningConfig:
+    """How clean() reduces text to words."""
+
     min_word_len: int = 3
     emoji_mode: str = "drop"  # "drop" | "alias"
     strip_hashes: bool = True
@@ -51,6 +53,8 @@ class CleaningConfig:
 
 @dataclass(frozen=True)
 class ChunkingConfig:
+    """Token lengths and sentinels for truncation, chunking and the augment split."""
+
     content_len: int
     bos: str = "<s>"
     eos: str = "</s>"

@@ -71,6 +71,8 @@ class Vocabulary:
 
 @dataclass(frozen=True, eq=False)
 class TfidfModel:
+    """A fitted TF-IDF space: vocabulary, smoothed idf per term and document count."""
+
     vocab: Vocabulary
     idf: np.ndarray = field(repr=False)
     n_docs: int
@@ -78,6 +80,8 @@ class TfidfModel:
 
 @dataclass(frozen=True, eq=False)
 class LdaModel:
+    """A fitted LDA model: topic-word distributions phi over the vocabulary."""
+
     n_topics: int
     alpha: float
     beta: float
@@ -94,6 +98,8 @@ class LdaModel:
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingTable:
+    """Precomputed embeddings by document id, all of width dim."""
+
     vectors: dict[str, np.ndarray]
     dim: int
 

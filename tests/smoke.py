@@ -17,15 +17,32 @@ and exits non-zero at the first check that fails.
   fractional integer field must be a config error.
 - The dual encoder runs under mean_chunks with each nonlinearity, with and
   without momentum, and reruns must write the same encoder.json.
+- A tfidf eval in a fresh interpreter must leave the dual encoder
+  (tweetlink.contrast) and tweetlink.cascade registered but not run: the CLI
+  loads them on first use.
 """
 
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
 from tweetlink import cli, corpus, vectorize
 from tweetlink.errors import ConfigInvalidError
+
+
+# For a fresh interpreter: one CLI call (argv), then the tweetlink modules
+# registered but not run. type() reads no attribute, so it runs none; a module
+# that ran is a plain module again.
+UNRUN_AFTER_CALL = """
+import sys, types
+from tweetlink import cli
+if sys.argv[1:] and cli.main(sys.argv[1:]) != 0:
+    sys.exit("the call failed")
+print(*[name for name, module in sys.modules.items()
+        if name.startswith("tweetlink") and type(module) is not types.ModuleType])
+"""
 
 
 def run(config, *command):
@@ -135,9 +152,28 @@ def dual_smoke():
             require_same(f"out_{name}_1/encoder.json", f"out_{name}_2/encoder.json")
 
 
+def lazy_layers_smoke():
+    docs, pairs = corpus.synth_fixture(
+        seed=1, n_topics=2, n_articles=6, tweets_per_article=3, vocab_per_topic=20
+    )
+    corpus.write_documents(docs, "documents.jsonl")
+    corpus.write_pairs(pairs, "pairs.jsonl")
+    write_json("config.json", {"documents": "documents.jsonl", "pairs": "pairs.jsonl",
+                               "model": "tfidf"})
+    proc = subprocess.run(
+        [sys.executable, "-c", UNRUN_AFTER_CALL, "--config", "config.json", "eval"],
+        capture_output=True, text=True, timeout=120,
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"tfidf eval in a fresh interpreter failed:\n{proc.stderr}")
+    unrun = set(proc.stdout.split())
+    if unrun != {"tweetlink.contrast", "tweetlink.cascade"}:
+        raise SystemExit(f"after a tfidf eval, unrun modules are {sorted(unrun)}")
+
+
 def main(workdir):
     root = Path(workdir).resolve()
-    for name, smoke in [("lda", lda_smoke), ("dual", dual_smoke)]:
+    for name, smoke in [("lda", lda_smoke), ("dual", dual_smoke), ("lazy", lazy_layers_smoke)]:
         (root / name).mkdir(parents=True, exist_ok=True)
         os.chdir(root / name)
         smoke()

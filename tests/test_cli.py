@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from reference import sweep_size_reference
+from smoke import UNRUN_AFTER_CALL
 from tweetlink import cli, contrast, corpus, evalx, linker, textprep, vectorize
 from tweetlink.cli import RunConfig
 from tweetlink.errors import ConfigInvalidError, EmptyCorpusError, EmptyGridError, UnknownIdError
@@ -81,6 +82,18 @@ class TestRunConfig:
         with pytest.raises(ConfigInvalidError, match=f"{name} must be > 0"):
             RunConfig.from_dict({"documents": "d", "pairs": "p", "lda": prior})
         RunConfig.from_dict({"documents": "d", "pairs": "p", "lda": {"alpha": None, "beta": 1e-9}})
+
+    def test_integer_fields_stop_at_int32_but_seeds_do_not(self):
+        base = {"documents": "d", "pairs": "p"}
+        cfg = RunConfig.from_dict({**base, "lda": {"n_topics": 2**31 - 1},
+                                   "seed": 2**40, "train": {"seed": 2**40}})
+        assert (cfg.lda.n_topics, cfg.seed, cfg.train.seed) == (2**31 - 1, 2**40, 2**40)
+        for section, key in [("lda", "iters"), ("train", "epochs"), ("chunking", "part_len")]:
+            message = f"{section}.{key} must be at most 2147483647"
+            with pytest.raises(ConfigInvalidError, match=message):
+                RunConfig.from_dict({**base, section: {key: 2**31}})
+        with pytest.raises(ConfigInvalidError, match="max_summary_chars must be at most"):
+            RunConfig.from_dict({**base, "max_summary_chars": 2**31})
 
     def test_integer_too_long_to_print_is_a_config_error(self):
         # 5,000 digits: past the 4,300-digit limit of int-to-str, so the
@@ -855,16 +868,61 @@ def test_sweep_size_matches_a_cascade_cut_per_size(small_corpus, make_config, ag
     assert cli.sweep_size(run, sizes) == expected
 
 
-def _packages_after_cli_import() -> set[str]:
-    """The top-level names in sys.modules after `import tweetlink.cli` in a fresh interpreter."""
+def _run_fresh(code: str, *argv: str) -> set[str]:
+    """The words that `code` prints, run with `argv` in a fresh interpreter
+    that imports tweetlink from this tree."""
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, tweetlink.cli; print(' '.join(sorted({m.split('.')[0] for m in sys.modules})))"
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.split())
+
+
+def _packages_after_cli_import() -> set[str]:
+    """The top-level names in sys.modules after `import tweetlink.cli` in a fresh interpreter."""
+    return _run_fresh("import sys, tweetlink.cli; print(*{m.split('.')[0] for m in sys.modules})")
+
+
+def test_import_tweetlink_runs_no_submodule():
+    """`import tweetlink` loads none of its modules and no numpy: its public
+    names resolve on first access."""
+    loaded = _run_fresh(
+        "import sys, tweetlink; print(*[m for m in sys.modules "
+        "if m.startswith('tweetlink.') or m.split('.')[0] == 'numpy'])"
+    )
+    assert loaded == set()
+
+
+def test_cli_import_registers_the_dual_encoder_and_cascades_unrun():
+    assert _run_fresh(UNRUN_AFTER_CALL) == {"tweetlink.contrast", "tweetlink.cascade"}
+
+
+@pytest.mark.parametrize("model, command, unrun", [
+    ("tfidf", ["eval"], {"tweetlink.contrast", "tweetlink.cascade"}),
+    ("lda", ["eval"], {"tweetlink.contrast", "tweetlink.cascade"}),
+    ("dual", ["eval"], {"tweetlink.cascade"}),
+    ("tfidf", ["sweep-size", "--sizes", "1,2"], {"tweetlink.contrast"}),
+    ("tfidf", ["cascades"], {"tweetlink.contrast"}),
+], ids=["tfidf-eval", "lda-eval", "dual-eval", "sweep-size", "cascades"])
+def test_a_command_runs_only_the_layers_it_uses(small_corpus, make_config, model, command, unrun):
+    """contrast runs only for model=dual, cascade only in cascades and sweep-size."""
+    cfg_path = make_config({"model": model, "lda": {"n_topics": 2, "iters": 5},
+                            "train": {"epochs": 2}})
+    assert _run_fresh(UNRUN_AFTER_CALL, "--config", str(cfg_path), *command) == unrun
+
+
+def test_every_traced_layer_is_registered_after_cli_import():
+    """perfbench/spans.py reads sys.modules[f"tweetlink.{layer}"] for each name
+    in its LAYERS, so each must be registered, run or not, once the CLI is
+    imported."""
+    spans = Path(__file__).parents[1] / "perfbench" / "spans.py"
+    assignment, = [node for node in ast.parse(spans.read_text(encoding="utf-8")).body
+                   if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "LAYERS"]
+    layers = ast.literal_eval(assignment.value)
+    registered = _run_fresh("import sys, tweetlink.cli; print(*sys.modules)")
+    assert layers and {f"tweetlink.{layer}" for layer in layers} <= registered
 
 
 def test_import_loads_no_scipy():
@@ -1183,6 +1241,10 @@ def test_ci_numpy_only_job_runs_smoke_script():
         pytest.param({"threshold": float("nan")}, [], "threshold", id="threshold=NaN"),
         pytest.param({"threshold": float("inf")}, [], "threshold", id="threshold=Infinity"),
         pytest.param({"max_summary_chars": 0}, [], "max_summary_chars", id="max_summary_chars=0"),
+        pytest.param({"lda": {"n_topics": 10**400}}, [], "lda.n_topics",
+                     id="lda.n_topics=10**400"),
+        pytest.param({"train": {"joint_dim": 10**30}}, [], "train.joint_dim",
+                     id="train.joint_dim=10**30"),
     ],
 )
 def test_bad_config_value_exit_2(small_corpus, make_config, extra, flags, key, capsys):

@@ -1,0 +1,74 @@
+"""The package's public names, which resolve on first access from their home modules."""
+
+import importlib
+
+import pytest
+
+import tweetlink
+from tweetlink import cascade, config, contrast
+
+# Each public name and the module it comes from.
+HOMES = {
+    "cascade": "AGGREGATIONS Cascade CascadeMember aggregate build_cascades cut",
+    "contrast": (
+        "STRATEGIES AffineMap DualEncoder TrainConfig cosine_embedding_loss encode "
+        "encode_batch load_encoder loss_gradient sample_negatives save_encoder train"
+    ),
+    "corpus": (
+        "AnnotationRecord Document KeywordList LinkedPair PairTable build_ground_truth "
+        "extract_summary keyword_filter load_annotations load_documents load_keywords "
+        "load_pair_table load_pairs synth_fixture"
+    ),
+    "evalx": (
+        "ConsensusEntry MetricsReport average_precision binary_metrics consensus_score "
+        "evaluate_masked fleiss_kappa masked_pairs"
+    ),
+    "linker": "calibrate_threshold classify cosine score_matrix",
+    "matrices": "ClassificationMatrix CsrRows GroundTruthMatrix SimilarityMatrix",
+    "textprep": (
+        "ChunkingConfig CleaningConfig augment_split chunk clean load_lemmas "
+        "tokenize_lemmatize truncate"
+    ),
+    "vectorize": (
+        "EmbeddingTable LdaModel TfidfModel Vocabulary lda_fit lda_infer load_embeddings "
+        "tfidf_fit tfidf_transform tfidf_transform_batch"
+    ),
+}
+PUBLIC = [(name, module) for module, names in HOMES.items() for name in names.split()]
+
+
+def test_public_names_are_counted():
+    assert len(PUBLIC) == 66
+    assert sorted(tweetlink.__all__) == sorted(name for name, _module in PUBLIC)
+
+
+@pytest.mark.parametrize("name, module", PUBLIC, ids=[name for name, _ in PUBLIC])
+def test_public_name_is_its_home_module_object(name, module):
+    assert getattr(tweetlink, name) is getattr(importlib.import_module(f"tweetlink.{module}"), name)
+
+
+def test_star_import_and_dir_list_every_public_name():
+    namespace = {}
+    exec("from tweetlink import *", namespace)
+    names = {name for name, _module in PUBLIC}
+    assert names <= namespace.keys()
+    assert names <= set(dir(tweetlink))
+    assert "__version__" in dir(tweetlink)
+
+
+def test_version():
+    assert tweetlink.__version__ == "0.1.0"
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        tweetlink.no_such_name
+    assert not hasattr(tweetlink, "no_such_name")
+
+
+def test_config_names_are_the_layers_names():
+    """RunConfig checks these without running contrast or cascade; the layers
+    re-export the same objects."""
+    assert contrast.TrainConfig is config.TrainConfig
+    assert contrast.STRATEGIES is config.STRATEGIES
+    assert cascade.AGGREGATIONS is config.AGGREGATIONS
