@@ -10,7 +10,7 @@ import io
 import json
 import re
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import count, repeat
 
 import numpy as np
 
@@ -108,7 +108,9 @@ class PairTable:
         if unknown:
             raise ValueError(f"unknown pair labels {sorted(map(repr, unknown))}")
         columns = _PairColumns()
-        columns.append(tweet_ids, article_ids, "".join([label[0] for label in labels]))
+        columns.append(*_coded_lists(
+            tweet_ids, article_ids, "".join([label[0] for label in labels])
+        ))
         self._assign(*columns.coded())
 
     @classmethod
@@ -183,20 +185,23 @@ def _decode(values: tuple, codes: np.ndarray) -> tuple:
 
 
 class _PairColumns:
-    """Pair columns coded as they are appended, a block at a time: each id
-    gets the next code on its first appearance, each label its value."""
+    """Pair columns coded a block at a time: each id gets the next code on
+    its first appearance in the file."""
 
     def __init__(self):
         self.tweet_index: dict[str, int] = {}
         self.article_index: dict[str, int] = {}
         self.blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
-    def append(self, tweet_ids: list, article_ids: list, letters: str) -> None:
-        """Append rows given as id lists and their labels' first letters."""
+    def append(self, tweet_ids: list, tweet_rows: np.ndarray, article_ids: list,
+               article_rows: np.ndarray, label_values: np.ndarray) -> None:
+        """Append a block whose row i is tweet_ids[tweet_rows[i]],
+        article_ids[article_rows[i]] and label_values[i]. Each id list holds
+        the block's distinct ids in order of first appearance."""
         self.blocks.append((
-            _codes(self.tweet_index, tweet_ids),
-            _codes(self.article_index, article_ids),
-            np.frombuffer(letters.encode("ascii").translate(_LETTER_VALUES), np.int8),
+            _codes(self.tweet_index, tweet_ids)[tweet_rows],
+            _codes(self.article_index, article_ids)[article_rows],
+            label_values,
         ))
 
     def coded(self) -> tuple:
@@ -207,9 +212,22 @@ class _PairColumns:
 
 
 def _codes(index: dict, ids: list) -> np.ndarray:
-    for key in dict.fromkeys(ids):
-        index.setdefault(key, len(index))
-    return np.fromiter(map(index.__getitem__, ids), np.int32, len(ids))
+    """The codes of distinct ids; an id new to `index` gets the next code."""
+    return np.fromiter((index.setdefault(key, len(index)) for key in ids), np.int32, len(ids))
+
+
+def _distinct(ids: list) -> tuple[list, np.ndarray]:
+    """The distinct ids in order of first appearance, and each id's index
+    among them."""
+    index = dict(zip(dict.fromkeys(ids), count()))
+    return list(index), np.fromiter(map(index.__getitem__, ids), np.int32, len(ids))
+
+
+def _coded_lists(tweet_ids: list, article_ids: list, letters: str) -> tuple:
+    """The arguments of _PairColumns.append for id lists and their labels'
+    first letters."""
+    values = np.frombuffer(letters.encode("ascii").translate(_LETTER_VALUES), np.int8)
+    return (*_distinct(tweet_ids), *_distinct(article_ids), values)
 
 
 @dataclass(frozen=True)
@@ -284,16 +302,42 @@ def _require(obj: dict, field: str, line_no: int):
     return obj[field]
 
 
+# A document field's JSON type check, and its wording. created_at is an
+# integer of any size: timestamps in milliseconds pass the int32 bound.
+_DOC_FIELDS = {
+    "id": (lambda v: type(v) in (str, int), "a string or an integer"),
+    "text": (lambda v: type(v) is str, "a string"),
+    "created_at": (lambda v: type(v) is int, "an integer"),
+    "summary": (lambda v: v is None or type(v) is str, "a string or null"),
+}
+_JSON_KINDS = {
+    type(None): "null", bool: "a boolean", int: "an integer", str: "a string",
+    float: "a number with a fraction or exponent", list: "an array", dict: "an object",
+}
+
+
+def _doc_field(path, obj: dict, name: str, line_no: int):
+    """The value of a document field (MissingFieldError if a required one is
+    absent); a value of another JSON type raises MalformedLineError."""
+    value = obj.get(name) if name == "summary" else _require(obj, name, line_no)
+    ok, want = _DOC_FIELDS[name]
+    if not ok(value):
+        reason = f"{name} must be {want}, got {_JSON_KINDS[type(value)]}"
+        raise MalformedLineError(str(path), line_no, reason)
+    return value
+
+
 def load_documents(path, kind: str | None = None) -> list[Document]:
     """Load documents.jsonl, preserving file order.
 
     When `kind` is given every line must carry that kind; otherwise mixed
-    files are accepted.
+    files are accepted. A field of the wrong JSON type (_DOC_FIELDS) raises
+    MalformedLineError naming the file and line.
     """
     docs: list[Document] = []
     seen: set[str] = set()
     for line_no, obj in _iter_jsonl(path):
-        doc_id = str(_require(obj, "id", line_no))
+        doc_id = str(_doc_field(path, obj, "id", line_no))
         doc_kind = _require(obj, "kind", line_no)
         if kind is not None and doc_kind != kind:
             raise MalformedLineError(str(path), line_no, f"expected kind {kind!r}, got {doc_kind!r}")
@@ -306,9 +350,9 @@ def load_documents(path, kind: str | None = None) -> list[Document]:
                 Document(
                     id=doc_id,
                     kind=doc_kind,
-                    text=_require(obj, "text", line_no),
-                    created_at=int(_require(obj, "created_at", line_no)),
-                    summary=obj.get("summary"),
+                    text=_doc_field(path, obj, "text", line_no),
+                    created_at=_doc_field(path, obj, "created_at", line_no),
+                    summary=_doc_field(path, obj, "summary", line_no),
                     parent_id=str(parent_id) if parent_id is not None else None,
                     parent_kind=obj.get("parent_kind", "none"),
                 )
@@ -318,15 +362,33 @@ def load_documents(path, kind: str | None = None) -> list[Document]:
     return docs
 
 
-# One pairs.jsonl line exactly as write_pairs writes it, capturing the ids
-# and the label's first letter. An id holding no double quote, backslash or
-# control character is a JSON string as it stands, so json.loads would
-# decode it to itself.
-_PAIR_LINE = (
-    r'^\{"tweet_id": "([^"\\\x00-\x1f]*)", "article_id": "([^"\\\x00-\x1f]*)", '
-    r'"label": "([mnu])(?:(?<=m)atch|(?<=n)o_match|(?<=u)nknown)"\}\n'
+# A pairs.jsonl line as write_pairs writes it, in UTF-8:
+#   {"tweet_id": "<id>", "article_id": "<id>", "label": "<label>"}\n
+# Its tail after the article id is one of _PAIR_TAILS, one per label, held
+# right-aligned in _TAIL_WIDTH bytes (NUL-filled on the left). The byte 8
+# before the newline tells them apart: the quote before "match", the "_" of
+# "no_match" or the first "n" of "unknown" (_TAIL_KIND; any other byte reads
+# as match, whose tail then fails to match).
+_PAIR_HEAD = b'{"tweet_id": "'
+_PAIR_MID = b'", "article_id": "'
+_PAIR_TAILS = [b'", "label": "' + label.encode() + b'"}' for label in PAIR_LABELS]
+_TAIL_WIDTH = max(map(len, _PAIR_TAILS))
+_TAILS = np.array([list(tail.rjust(_TAIL_WIDTH, b"\0")) for tail in _PAIR_TAILS], np.uint8)
+_TAIL_FREE = _TAILS == 0
+_TAIL_LENGTHS = np.array([len(tail) for tail in _PAIR_TAILS])
+_TAIL_VALUES = np.frombuffer(
+    "".join(label[0] for label in PAIR_LABELS).encode().translate(_LETTER_VALUES), np.int8
 )
-_PAIR_BLOCK_CHARS = 1 << 16
+_TAIL_KIND = np.zeros(256, np.intp)
+_TAIL_KIND[_TAILS[:, -8]] = range(len(PAIR_LABELS))
+# Three literals hold 12 quotes; a line holds no other.
+_PAIR_QUOTES = (_PAIR_HEAD + _PAIR_MID + _PAIR_TAILS[0]).count(b'"')
+_PAIR_MIN_LINE = len(_PAIR_HEAD + _PAIR_MID + _PAIR_TAILS[0])
+# An id of more bytes sends its block to the line parser. This bounds the
+# keys' memory, and as padding after a block of lines no shorter than
+# _PAIR_MIN_LINE it keeps every window in the buffer.
+_PAIR_KEY_BYTES = 256
+_PAIR_BLOCK_CHARS = 1 << 18
 
 
 def load_pair_table(path) -> PairTable:
@@ -334,35 +396,117 @@ def load_pair_table(path) -> PairTable:
 
     The file is read once, in blocks of about _PAIR_BLOCK_CHARS that end at
     a newline, and each block is coded before the next is read. A block
-    whose every line is in write_pairs' form is parsed by one findall; any
-    other block line by line (_parse_jsonl), with the same result. A line
-    missing a field raises MissingFieldError (tweet_id, article_id, label
-    checked in that order); a label outside PAIR_LABELS raises
-    MalformedLineError with the file and line.
+    whose every line is in write_pairs' form is coded with array operations
+    on its bytes (_code_pair_block); any other block is parsed line by line
+    (_parse_jsonl), with the same result. A line missing a field raises
+    MissingFieldError (tweet_id, article_id, label checked in that order); a
+    label outside PAIR_LABELS raises MalformedLineError with the file and line.
     """
-    pair_line = re.compile(_PAIR_LINE, re.MULTILINE)  # compiled once, then cached by re
     columns = _PairColumns()
     start = 1
     with open_utf8(path) as fh:
         while block := fh.read(_PAIR_BLOCK_CHARS):
             block += fh.readline()
-            n_lines = block.count("\n")
-            # Matching the first line alone spares a findall over a block in another form.
-            rows = pair_line.findall(block) if pair_line.match(block) else ()
-            if len(rows) == n_lines and block.endswith("\n"):
-                columns.append(
-                    [row[0] for row in rows], [row[1] for row in rows],
-                    "".join([row[2] for row in rows]),
-                )
-            else:
-                columns.append(*_parse_pair_lines(path, block, start))
+            coded = _code_pair_block(block)
+            n_lines = len(coded[-1]) if coded else block.count("\n")
+            columns.append(*(coded or _parse_pair_lines(path, block, start)))
             start += n_lines
     return PairTable._of(*columns.coded())
 
 
-def _parse_pair_lines(path, block: str, start: int) -> tuple[list, list, str]:
-    """The tweet ids, article ids and label letters of a block's lines,
-    parsed one by one and numbered from `start`."""
+def _code_pair_block(block: str) -> tuple | None:
+    """The arguments of _PairColumns.append for a block of lines in
+    write_pairs' form, one row a line, or None for a block in any other form.
+
+    The block must end in a newline and hold no backslash, no control
+    character but its newlines, 12 quotes a line and no line shorter than
+    _PAIR_MIN_LINE. Each line must then hold _PAIR_HEAD at its start,
+    _PAIR_MID at the first quote after that and a tail of _PAIR_TAILS before
+    its newline, in that order and apart. These three literals hold the 12
+    quotes, so no id holds a quote, and each id is a JSON string that
+    decodes to itself. Each id is keyed by a fixed-width window of bytes
+    (_keys), np.unique codes the keys, and only the first row of each
+    distinct key is decoded. Keys of one id that differ after its closing
+    quote are joined again by _PairColumns' dicts.
+    """
+    if not block.endswith("\n") or "\\" in block:
+        return None
+    data = block.encode() + bytes(_PAIR_KEY_BYTES)
+    buf = np.frombuffer(data, np.uint8)
+    text = buf[:-_PAIR_KEY_BYTES]
+    ends = np.flatnonzero(text < 0x20)
+    if ((text[ends] != ord("\n")).any()
+            or np.count_nonzero(text == ord('"')) != _PAIR_QUOTES * len(ends)):
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    lengths = ends - starts
+    if lengths.min() < _PAIR_MIN_LINE:
+        return None
+    # A tweet id ends at the first quote after its start, within `reach`
+    # bytes of it unless its line or the id is too long.
+    reach = min(int(lengths.max()) - _PAIR_MIN_LINE, _PAIR_KEY_BYTES) + 1
+    tweet_starts = starts + len(_PAIR_HEAD)
+    tweet_ends = tweet_starts + (_windows(buf, reach, tweet_starts) == ord('"')).argmax(axis=1)
+    article_starts = tweet_ends + len(_PAIR_MID)
+    tails = _windows(buf, _TAIL_WIDTH, ends - _TAIL_WIDTH)
+    kinds = _TAIL_KIND[tails[:, -8]]
+    article_ends = ends - _TAIL_LENGTHS[kinds]
+    if not (
+        (article_starts <= article_ends).all()
+        and _holds(buf, starts, _PAIR_HEAD)
+        and _holds(buf, tweet_ends, _PAIR_MID)
+        and ((tails == _TAILS[kinds]) | _TAIL_FREE[kinds]).all()
+    ):
+        return None
+    tweet_keys = _keys(buf, tweet_starts, tweet_ends)
+    article_keys = _keys(buf, article_starts, article_ends)
+    if tweet_keys is None or article_keys is None:
+        return None
+    return (
+        *_distinct_keys(data, tweet_keys, tweet_starts, tweet_ends),
+        *_distinct_keys(data, article_keys, article_starts, article_ends),
+        _TAIL_VALUES[kinds],
+    )
+
+
+def _windows(buf: np.ndarray, width: int, starts: np.ndarray) -> np.ndarray:
+    """The `width` bytes from each start, one row each."""
+    return np.lib.stride_tricks.sliding_window_view(buf, width)[starts]
+
+
+def _holds(buf: np.ndarray, starts: np.ndarray, literal: bytes) -> bool:
+    """Whether `literal` starts at every start."""
+    return bool((_windows(buf, len(literal), starts) == np.frombuffer(literal, np.uint8)).all())
+
+
+def _keys(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """Each id's key: the bytes from its start, as many as the longest id's
+    and at least 8 (None if over _PAIR_KEY_BYTES). A shorter id's key holds
+    its closing quote, and a quote ends an id, so equal keys hold equal ids.
+    An 8-byte key is one word, which np.unique sorts as an integer."""
+    width = int((ends - starts).max())
+    if width > _PAIR_KEY_BYTES:
+        return None
+    if width <= 8:
+        return _windows(buf, 8, starts).view(np.uint64)[:, 0]
+    return _windows(buf, width, starts).view(f"S{width}")[:, 0]
+
+
+def _distinct_keys(data: bytes, keys: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """The ids of the distinct keys in order of first appearance, decoded
+    from the key's first row, and each row's index among them."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    rows = first[order]
+    ids = [data[i:j].decode() for i, j in zip(starts[rows].tolist(), ends[rows].tolist())]
+    return ids, rank[inverse]
+
+
+def _parse_pair_lines(path, block: str, start: int) -> tuple:
+    """The arguments of _PairColumns.append for a block's lines, parsed one
+    by one and numbered from `start`."""
     tweet_ids, article_ids, letters = [], [], []
     # The block's lines end at "\n" only, as the file's do when iterated.
     for line_no, obj in _parse_jsonl(path, io.StringIO(block), start):
@@ -376,7 +520,7 @@ def _parse_pair_lines(path, block: str, start: int) -> tuple[list, list, str]:
         tweet_ids.append(str(tweet_id))
         article_ids.append(str(article_id))
         letters.append(label[0])
-    return tweet_ids, article_ids, "".join(letters)
+    return _coded_lists(tweet_ids, article_ids, "".join(letters))
 
 
 def load_pairs(path) -> list[LinkedPair]:

@@ -6,6 +6,7 @@ math only, so a bug in the package cannot hide in its own oracle.
 
 import json
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -648,6 +649,33 @@ def load_pairs_reference(path):
         except ValueError as exc:
             raise MalformedLineError(str(path), line_no, str(exc)) from exc
     return pairs
+
+
+# One pairs.jsonl line exactly as write_pairs writes it: the definition of
+# write_pairs' form. An id holding no double quote, backslash or control
+# character is a JSON string as it stands, so json.loads decodes it to itself.
+WRITE_PAIRS_LINE = re.compile(
+    r'\{"tweet_id": "([^"\\\x00-\x1f]*)", "article_id": "([^"\\\x00-\x1f]*)", '
+    r'"label": "(match|no_match|unknown)"\}'
+)
+_LABEL_VALUES = {"match": 1, "no_match": -1, "unknown": 0}
+
+
+def code_pair_block_reference(block):
+    """A block of newline-ended lines that each fullmatch WRITE_PAIRS_LINE,
+    coded with dicts: the distinct tweet ids and article ids in order of
+    first appearance, each row's tweet and article codes, and its label
+    value (1 match, -1 no_match, 0 unknown). None for any other block."""
+    if not block.endswith("\n"):
+        return None
+    matches = [WRITE_PAIRS_LINE.fullmatch(line) for line in block[:-1].split("\n")]
+    if not all(matches):
+        return None
+    tweets, articles = {}, {}
+    tweet_codes = [tweets.setdefault(m[1], len(tweets)) for m in matches]
+    article_codes = [articles.setdefault(m[2], len(articles)) for m in matches]
+    values = [_LABEL_VALUES[m[3]] for m in matches]
+    return list(tweets), list(articles), tweet_codes, article_codes, values
 
 
 def select_reference(pairs, tweet_ids=None, article_ids=None, labels=None):

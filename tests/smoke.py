@@ -7,11 +7,17 @@ library and tweetlink: no pytest, hypothesis or scipy. It writes a synthetic
 corpus into WORKDIR, runs the CLI commands there through `tweetlink.cli.main`,
 and exits non-zero at the first check that fails.
 
-- The pairs are written three times: by write_pairs, whose blocks
-  load_pair_table codes from one regex pass each; compact with CRLF line
-  ends, whose blocks it parses line by line; and by write_pairs with one line
-  re-spaced, so that only that line's block is parsed line by line. All three
-  must give the same artifacts.
+- The pairs, about 600K characters and so 3 of load_pair_table's blocks,
+  are written five times. Three share the documents: by write_pairs, whose
+  blocks load_pair_table codes with array operations on their bytes;
+  compact with CRLF line ends, whose blocks it parses line by line; and by
+  write_pairs with one line re-spaced, so that only that line's block, the
+  last, is parsed line by line. These three must give the same artifacts.
+  Two give every id non-ASCII characters, with the documents renamed to
+  match: escaped by write_pairs (parsed line by line), and raw with
+  ensure_ascii=False, whose blocks take the array path on UTF-8 bytes. These
+  two must give the same artifacts, and the first three's counts and report.
+  Which blocks are parsed line by line is checked too.
 - LDA fit, eval, sweep-size, sweep-hp and ingest must succeed. The tfidf and
   lda model files that fit writes must load back, and a copy with a
   fractional integer field must be a config error.
@@ -26,6 +32,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from tweetlink import cli, corpus, vectorize
@@ -62,15 +69,33 @@ def require_same(a, b):
         raise SystemExit(f"{a} and {b} differ")
 
 
+def line_parsed_blocks(path):
+    """The first line number of each block of the pairs file that
+    load_pair_table parses line by line, not with array operations."""
+    starts = []
+    parse = corpus._parse_pair_lines
+    corpus._parse_pair_lines = lambda *args: starts.append(args[2]) or parse(*args)
+    try:
+        corpus.load_pair_table(path)
+    finally:
+        corpus._parse_pair_lines = parse
+    return starts
+
+
 def write_json(path, value):
     with open(path, "w") as fh:
         json.dump(value, fh)
 
 
+# Appended to every id of the non-ASCII corpus: 2-, 3- and 4-byte UTF-8
+# characters, so that an id's byte offsets are not its character offsets.
+NON_ASCII = "\u00e9\u65b0\U0001F600"
+
+
 def lda_smoke():
-    # 2,304 pairs: about 165K characters, so load_pair_table reads 3 blocks.
+    # 8,192 pairs: about 600K characters, so load_pair_table reads 3 blocks.
     docs, pairs = corpus.synth_fixture(
-        seed=1, n_topics=3, n_articles=24, tweets_per_article=4, vocab_per_topic=30
+        seed=1, n_topics=3, n_articles=64, tweets_per_article=2, vocab_per_topic=30
     )
     corpus.write_documents(docs, "documents.jsonl")
     corpus.write_pairs(pairs, "pairs.jsonl")
@@ -83,16 +108,37 @@ def lda_smoke():
     lines[-3] = lines[-3].replace('", "', '",  "', 1)
     with open("pairs_respaced.jsonl", "w") as fh:
         fh.writelines(lines)
-    for name, pairs_path, out in [
-        ("config.json", "pairs.jsonl", "out"),
-        ("config_compact.json", "pairs_compact.jsonl", "out_compact"),
-        ("config_respaced.json", "pairs_respaced.jsonl", "out_respaced"),
+    # The same corpus with non-ASCII ids, its pairs written escaped by
+    # write_pairs and raw (ensure_ascii=False), in UTF-8.
+    corpus.write_documents(
+        [replace(d, id=d.id + NON_ASCII, parent_id=d.parent_id and d.parent_id + NON_ASCII)
+         for d in docs],
+        "documents_non_ascii.jsonl",
+    )
+    renamed = [corpus.LinkedPair(p.tweet_id + NON_ASCII, p.article_id + NON_ASCII, p.label)
+               for p in pairs]
+    corpus.write_pairs(renamed, "pairs_escaped.jsonl")
+    with open("pairs_raw.jsonl", "w", encoding="utf-8") as fh:
+        for p in renamed:
+            row = {"tweet_id": p.tweet_id, "article_id": p.article_id, "label": p.label}
+            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+    for name, documents, pairs_path, out in [
+        ("config.json", "documents.jsonl", "pairs.jsonl", "out"),
+        ("config_compact.json", "documents.jsonl", "pairs_compact.jsonl", "out_compact"),
+        ("config_respaced.json", "documents.jsonl", "pairs_respaced.jsonl", "out_respaced"),
+        ("config_escaped.json", "documents_non_ascii.jsonl", "pairs_escaped.jsonl", "out_escaped"),
+        ("config_raw.json", "documents_non_ascii.jsonl", "pairs_raw.jsonl", "out_raw"),
     ]:
         write_json(name, {
-            "documents": "documents.jsonl", "pairs": pairs_path, "model": "lda",
+            "documents": documents, "pairs": pairs_path, "model": "lda",
             "lda": {"n_topics": 3, "iters": 20}, "out_dir": out,
         })
 
+    # Only the re-spaced line's block, the last, is parsed line by line.
+    for path, n_blocks in [("pairs.jsonl", 0), ("pairs_raw.jsonl", 0), ("pairs_respaced.jsonl", 1)]:
+        starts = line_parsed_blocks(path)
+        if len(starts) != n_blocks or 1 in starts:
+            raise SystemExit(f"{path}: blocks from lines {starts} were parsed line by line")
     run("config.json", "fit", "--model", "lda")
     run("config.json", "fit", "--model", "tfidf")
     for load, path, key in [
@@ -117,11 +163,16 @@ def lda_smoke():
     require_files("out/model_lda.json", "out/report.json", "out/sweep_size.csv",
                   "out/sweep_hp.json")
     run("config.json", "ingest")
-    for variant in ("compact", "respaced"):
+    for variant in ("compact", "respaced", "escaped", "raw"):
         run(f"config_{variant}.json", "ingest")
         run(f"config_{variant}.json", "eval")
-        for f in ("ingest.json", "report.json", "similarity.csv"):
-            require_same(f"out/{f}", f"out_{variant}/{f}")
+    # similarity.csv names the ids, so the ASCII and non-ASCII runs share
+    # only their counts and report.
+    artifacts = ("ingest.json", "report.json", "similarity.csv")
+    for a, b, files in [("out", "out_compact", artifacts), ("out", "out_respaced", artifacts),
+                        ("out_escaped", "out_raw", artifacts), ("out", "out_escaped", artifacts[:2])]:
+        for f in files:
+            require_same(f"{a}/{f}", f"{b}/{f}")
 
 
 def dual_smoke():

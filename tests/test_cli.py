@@ -117,6 +117,19 @@ class TestExitCodes:
     def test_missing_config_flag(self, capsys):
         assert cli.main(["eval"]) == 2
 
+    @pytest.mark.parametrize(
+        "field, value", [("created_at", "3.9"), ("created_at", "1e400"), ("text", "7"), ("id", "null")]
+    )
+    def test_ill_typed_document_field_exit_2(self, small_corpus, make_config, field, value, capsys):
+        path = small_corpus["documents"]
+        lines = path.read_text().splitlines(keepends=True)
+        obj = json.loads(lines[3])
+        lines[3] = json.dumps({**obj, field: "@"}).replace('"@"', value) + "\n"
+        path.write_text("".join(lines))
+        assert cli.main(["--config", str(make_config()), "eval"]) == 2
+        err = capsys.readouterr().err
+        assert f"documents.jsonl:4: {field} must be" in err and "Traceback" not in err
+
     def test_unhashable_pair_label_exit_2(self, small_corpus, make_config, capsys):
         path = small_corpus["pairs_path"]
         lines = path.read_text().splitlines(keepends=True)

@@ -67,6 +67,43 @@ class TestLoadDocuments:
         with pytest.raises(MalformedLineError):
             corpus.load_documents(path, kind="tweet")
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("created_at", 3.9, "created_at must be an integer, got a number with a fraction"),
+            ("created_at", 3.0, "created_at must be an integer, got a number with a fraction"),
+            ("created_at", True, "created_at must be an integer, got a boolean"),
+            ("created_at", "5", "created_at must be an integer, got a string"),
+            ("created_at", float("inf"), "created_at must be an integer"),  # written 1e400
+            ("text", 7, "text must be a string, got an integer"),
+            ("text", None, "text must be a string, got null"),
+            ("text", ["a"], "text must be a string, got an array"),
+            ("summary", 5, "summary must be a string or null, got an integer"),
+            ("id", None, "id must be a string or an integer, got null"),
+            ("id", False, "id must be a string or an integer, got a boolean"),
+            ("id", {"n": 1}, "id must be a string or an integer, got an object"),
+        ],
+    )
+    def test_ill_typed_field_names_file_and_line(self, tmp_path, field, value, message):
+        path = tmp_path / "d.jsonl"
+        good = {"id": "a1", "kind": "article", "text": "x", "created_at": 1}
+        text = json.dumps(good) + "\n" + json.dumps({**good, "id": "a2", field: value}) + "\n"
+        path.write_text(text.replace("Infinity", "1e400"))
+        with pytest.raises(MalformedLineError, match=re.escape(f"{path}:2: {message}")):
+            corpus.load_documents(path)
+
+    def test_well_typed_fields_load_as_written(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        ms = 1_700_000_000_000_000  # past the int32 bound of config integers
+        path.write_text(
+            json.dumps({"id": 12, "kind": "article", "text": "x", "created_at": ms,
+                        "summary": None}) + "\n"
+            + json.dumps({"id": "a2", "kind": "article", "text": "y", "created_at": -3,
+                          "summary": "s"}) + "\n"
+        )
+        docs = corpus.load_documents(path)
+        assert [(d.id, d.created_at, d.summary) for d in docs] == [("12", ms, None), ("a2", -3, "s")]
+
     def test_parent_roundtrip(self, tmp_path):
         path = tmp_path / "d.jsonl"
         docs = [
@@ -316,8 +353,9 @@ def line_parsed_blocks(monkeypatch):
 
 
 class TestPairTableLoader:
-    """load_pair_table codes a block of write_pairs lines from one findall and
-    parses any other block line by line, with one outcome either way."""
+    """load_pair_table codes a block of write_pairs lines with array
+    operations on its bytes and parses any other block line by line, with
+    one outcome either way."""
 
     def test_write_pairs_file_over_many_blocks(self, tmp_path, monkeypatch, line_parsed_blocks):
         path = tmp_path / "p.jsonl"

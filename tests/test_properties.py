@@ -30,6 +30,7 @@ from reference import (
     build_training_pairs_reference,
     calibrate_reference,
     clean_reference,
+    code_pair_block_reference,
     gammaln_ll_reference,
     gammaln_ll_rounding,
     iter_jsonl_reference,
@@ -906,9 +907,11 @@ def pair_lines(draw):
 
 # Ids as write_pairs may meet them: plain, or holding a character json.dumps
 # escapes (quote, backslash, control, non-ASCII), or one it writes as is.
+# Non-ASCII characters of 2, 3 and 4 UTF-8 bytes put an id's byte offsets
+# off its character offsets.
 write_pairs_ids = st.one_of(
     st.sampled_from(["t1", "t2", "a1", "", "x y"]),
-    st.text(st.sampled_from('ab"\\\x00\x1f\x7f\xe9\u2028 {}:,'), max_size=3),
+    st.text(st.sampled_from('ab"\\\x00\x1f\x7f\xe9\u2028\u65b0\U0001F600 {}:,'), max_size=3),
 )
 
 
@@ -969,6 +972,75 @@ def test_load_pair_table_matches_per_pair_loader(text, block_chars):
         with mock.patch.object(corpus, "_PAIR_BLOCK_CHARS", block_chars):
             assert _outcome(corpus.load_pair_table, path) == want
             assert _outcome(corpus.load_pairs, path) == want
+
+
+@st.composite
+def pair_blocks(draw):
+    """A block of lines in write_pairs' form, non-ASCII escaped or not, with
+    up to two edits: a character inserted, deleted or replaced. An edit can
+    break a line and keep the block's quote count."""
+    lines = [
+        json.dumps(
+            {"tweet_id": draw(write_pairs_ids), "article_id": draw(write_pairs_ids),
+             "label": draw(st.sampled_from(corpus.PAIR_LABELS))},
+            ensure_ascii=draw(st.booleans()),
+        )
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    block = "\n".join(lines) + "\n"
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(block) - 1))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        char = "" if edit == "delete" else draw(st.sampled_from('"\\ x\n\x01\x7f\xe9}'))
+        block = block[:at] + char + block[at + (edit != "insert"):]
+    return block
+
+
+def _line(tweet_id, article_id, label="match"):
+    return json.dumps({"tweet_id": tweet_id, "article_id": article_id, "label": label},
+                      ensure_ascii=False) + "\n"
+
+
+@settings(max_examples=600, deadline=None)
+@given(pair_blocks())
+# One line holds an extra quote and the next lacks one: the count is still 12 a line.
+@example(_line("t1", "a1").replace("a1", 'a"1') + _line("t2", "a1").replace('a1"', "a1", 1))
+@example(_line("t1", "a1").replace('"match"', '"natch"'))  # label look-alikes
+@example(_line("t1", "a1") + _line("t2", "a1", "unknown").replace("unknown", "unknowm"))
+@example(_line("t1", "a1", "no_match").replace("no_match", "no_matcx"))
+@example(_line("", "") + _line("", "a1") + _line("t1", ""))  # empty ids
+@example(_line("", ""))  # a line of exactly the minimum length
+@example(_line("", "").replace(', "label"', ',"label"'))  # one byte short
+# A long id first and short ids last: every key window reaches past the block.
+@example(_line("x" * 200, "a" * 3) + _line("t1", "a1") + _line("t1", "a2") + _line("", ""))
+@example(_line("\U0001F600" * 64, "\u65b0" * 85) + _line("t", "a"))  # 256 and 255 bytes
+# Lines too short for the literals, holding 12 quotes each: first, and last
+# after a line long enough that a tweet id's quote is sought 257 bytes on.
+@example('"' * 12 + "\n" + _line("t1", "a1"))
+@example(_line("x" * 255, "a1") + '"' * 12 + "\n")
+# The tail overlaps the article id's opening quote (11 quotes), and the next
+# line holds an extra one.
+@example('{"tweet_id": "t1", "article_id": ", "label": "match"}\n'
+         + _line("t2", "a2").replace("a2", 'a"2'))
+@example(_line("y" * 257, "a1") + _line("t1", "a1"))  # an id too long to key
+@example(_line("t1", "z" * 257) + _line("t1", "a1"))
+def test_array_pair_block_codes_as_the_write_pairs_regex(block):
+    """The array path accepts a block only if every line is in write_pairs'
+    form (WRITE_PAIRS_LINE), and then codes it as the regex and dicts do. It
+    declines such a block only for an id of over _PAIR_KEY_BYTES bytes."""
+    want = code_pair_block_reference(block)
+    got = corpus._code_pair_block(block)
+    if got is None:
+        ids = [] if want is None else [*want[0], *want[1]]
+        assert want is None or max(len(i.encode()) for i in ids) > corpus._PAIR_KEY_BYTES
+        return
+    assert want is not None
+    columns = corpus._PairColumns()
+    columns.append(*got)
+    tweet_ids, article_ids, tweet_codes, article_codes, values = columns.coded()
+    assert (list(tweet_ids), list(article_ids)) == want[:2]
+    assert [tweet_codes.tolist(), article_codes.tolist(), values.tolist()] == list(want[2:])
+    assert tweet_codes.dtype == article_codes.dtype == np.int32 and values.dtype == np.int8
 
 
 @st.composite
