@@ -33,8 +33,8 @@ _HOMES = {
     "linker": "calibrate_threshold classify cosine score_matrix",
     "matrices": "ClassificationMatrix CsrRows GroundTruthMatrix SimilarityMatrix",
     "textprep": (
-        "ChunkingConfig CleaningConfig augment_split chunk clean load_lemmas "
-        "tokenize_lemmatize truncate"
+        "ChunkingConfig CleaningConfig augment_split chunk clean clean_words "
+        "load_lemmas tokenize_lemmatize truncate"
     ),
     "vectorize": (
         "EmbeddingTable LdaModel TfidfModel Vocabulary lda_fit lda_infer load_embeddings "

@@ -251,13 +251,14 @@ def _prepare_tokens(cfg: RunConfig, tweets, articles) -> dict[str, list[str]]:
     use_summary = cfg.summary_articles
     if use_summary is None:
         use_summary = cfg.model == "tfidf"
-    tokens: dict[str, list[str]] = {}
-    for doc in tweets:
-        tokens[doc.id] = textprep.tokenize_lemmatize(textprep.clean(doc.text, cfg.cleaning), lemmas)
-    for doc in articles:
-        text = corpus.extract_summary(doc, cfg.max_summary_chars) if use_summary else doc.text
-        tokens[doc.id] = textprep.tokenize_lemmatize(textprep.clean(text, cfg.cleaning), lemmas)
-    return tokens
+    texts = [doc.text for doc in tweets] + [
+        corpus.extract_summary(doc, cfg.max_summary_chars) if use_summary else doc.text
+        for doc in articles
+    ]
+    words = textprep.clean_words(texts, cfg.cleaning)
+    if lemmas:
+        words = [[lemmas.get(w, w) for w in doc_words] for doc_words in words]
+    return dict(zip([doc.id for doc in [*tweets, *articles]], words))
 
 
 def _article_pieces(cfg: RunConfig, tokens: list[str]) -> list[list[str]]:

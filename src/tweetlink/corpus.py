@@ -277,7 +277,9 @@ def _parse_jsonl(path, lines, start: int):
 
     A line holding a value from its first character, then only JSON
     whitespace, costs one scanner call. Any other line goes to json.loads
-    itself, so it is accepted, rejected and its error worded alike.
+    itself, so it is accepted, rejected and its error worded alike. Every
+    ValueError of json.loads is a malformed line: a JSONDecodeError, or a
+    number too long for int() (over 4,300 digits).
     """
     for line_no, line in enumerate(lines, start):
         try:
@@ -289,7 +291,7 @@ def _parse_jsonl(path, lines, start: int):
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:
                 raise MalformedLineError(str(path), line_no, str(exc)) from exc
         if not isinstance(obj, dict):
             raise MalformedLineError(str(path), line_no, "expected a JSON object")
@@ -302,10 +304,17 @@ def _require(obj: dict, field: str, line_no: int):
     return obj[field]
 
 
-# A document field's JSON type check, and its wording. created_at is an
-# integer of any size: timestamps in milliseconds pass the int32 bound.
-_DOC_FIELDS = {
-    "id": (lambda v: type(v) in (str, int), "a string or an integer"),
+# A field's JSON type check, and its wording. Every id is a string or an
+# integer (read as its decimal string). created_at is an integer of any size:
+# timestamps in milliseconds pass the int32 bound. summary and parent_id are
+# optional, and null when absent.
+_ID = (lambda v: type(v) in (str, int), "a string or an integer")
+_FIELDS = {
+    "id": _ID,
+    "tweet_id": _ID,
+    "article_id": _ID,
+    "annotator_id": _ID,
+    "parent_id": (lambda v: v is None or type(v) in (str, int), "a string, an integer or null"),
     "text": (lambda v: type(v) is str, "a string"),
     "created_at": (lambda v: type(v) is int, "an integer"),
     "summary": (lambda v: v is None or type(v) is str, "a string or null"),
@@ -316,44 +325,53 @@ _JSON_KINDS = {
 }
 
 
-def _doc_field(path, obj: dict, name: str, line_no: int):
-    """The value of a document field (MissingFieldError if a required one is
-    absent); a value of another JSON type raises MalformedLineError."""
-    value = obj.get(name) if name == "summary" else _require(obj, name, line_no)
-    ok, want = _DOC_FIELDS[name]
+_OPTIONAL_FIELDS = ("summary", "parent_id")
+
+
+def _field(path, obj: dict, name: str, line_no: int):
+    """The value of a field (MissingFieldError if a required one is absent);
+    a value of another JSON type (_FIELDS) raises MalformedLineError."""
+    value = obj.get(name) if name in _OPTIONAL_FIELDS else _require(obj, name, line_no)
+    ok, want = _FIELDS[name]
     if not ok(value):
         reason = f"{name} must be {want}, got {_JSON_KINDS[type(value)]}"
         raise MalformedLineError(str(path), line_no, reason)
     return value
 
 
+def _id_field(path, obj: dict, name: str, line_no: int) -> str | None:
+    """An id field's value (_field) as a string; None for an absent parent_id."""
+    value = _field(path, obj, name, line_no)
+    return value if value is None or type(value) is str else str(value)
+
+
 def load_documents(path, kind: str | None = None) -> list[Document]:
     """Load documents.jsonl, preserving file order.
 
     When `kind` is given every line must carry that kind; otherwise mixed
-    files are accepted. A field of the wrong JSON type (_DOC_FIELDS) raises
+    files are accepted. A field of the wrong JSON type (_FIELDS) raises
     MalformedLineError naming the file and line.
     """
     docs: list[Document] = []
     seen: set[str] = set()
     for line_no, obj in _iter_jsonl(path):
-        doc_id = str(_doc_field(path, obj, "id", line_no))
+        doc_id = _id_field(path, obj, "id", line_no)
         doc_kind = _require(obj, "kind", line_no)
         if kind is not None and doc_kind != kind:
             raise MalformedLineError(str(path), line_no, f"expected kind {kind!r}, got {doc_kind!r}")
         if doc_id in seen:
             raise DuplicateIdError(doc_id)
         seen.add(doc_id)
-        parent_id = obj.get("parent_id")
+        parent_id = _id_field(path, obj, "parent_id", line_no)
         try:
             docs.append(
                 Document(
                     id=doc_id,
                     kind=doc_kind,
-                    text=_doc_field(path, obj, "text", line_no),
-                    created_at=_doc_field(path, obj, "created_at", line_no),
-                    summary=_doc_field(path, obj, "summary", line_no),
-                    parent_id=str(parent_id) if parent_id is not None else None,
+                    text=_field(path, obj, "text", line_no),
+                    created_at=_field(path, obj, "created_at", line_no),
+                    summary=_field(path, obj, "summary", line_no),
+                    parent_id=parent_id,
                     parent_kind=obj.get("parent_kind", "none"),
                 )
             )
@@ -398,9 +416,10 @@ def load_pair_table(path) -> PairTable:
     a newline, and each block is coded before the next is read. A block
     whose every line is in write_pairs' form is coded with array operations
     on its bytes (_code_pair_block); any other block is parsed line by line
-    (_parse_jsonl), with the same result. A line missing a field raises
-    MissingFieldError (tweet_id, article_id, label checked in that order); a
-    label outside PAIR_LABELS raises MalformedLineError with the file and line.
+    (_parse_jsonl), with the same result. The fields are checked in the order
+    tweet_id, article_id, label: a missing one raises MissingFieldError, and
+    an id that is not a string or an integer (_FIELDS) or a label outside
+    PAIR_LABELS raises MalformedLineError with the file and line.
     """
     columns = _PairColumns()
     start = 1
@@ -510,15 +529,11 @@ def _parse_pair_lines(path, block: str, start: int) -> tuple:
     tweet_ids, article_ids, letters = [], [], []
     # The block's lines end at "\n" only, as the file's do when iterated.
     for line_no, obj in _parse_jsonl(path, io.StringIO(block), start):
-        try:
-            tweet_id, article_id, label = obj["tweet_id"], obj["article_id"], obj["label"]
-        except KeyError:
-            for name in ("tweet_id", "article_id", "label"):
-                _require(obj, name, line_no)
+        tweet_ids.append(_id_field(path, obj, "tweet_id", line_no))
+        article_ids.append(_id_field(path, obj, "article_id", line_no))
+        label = _require(obj, "label", line_no)
         if label not in PAIR_LABELS:
             raise MalformedLineError(str(path), line_no, f"unknown pair label {label!r}")
-        tweet_ids.append(str(tweet_id))
-        article_ids.append(str(article_id))
         letters.append(label[0])
     return _coded_lists(tweet_ids, article_ids, "".join(letters))
 
@@ -534,9 +549,9 @@ def load_annotations(path) -> list[AnnotationRecord]:
     for line_no, obj in _iter_jsonl(path):
         try:
             rec = AnnotationRecord(
-                tweet_id=str(_require(obj, "tweet_id", line_no)),
-                article_id=str(_require(obj, "article_id", line_no)),
-                annotator_id=str(_require(obj, "annotator_id", line_no)),
+                tweet_id=_id_field(path, obj, "tweet_id", line_no),
+                article_id=_id_field(path, obj, "article_id", line_no),
+                annotator_id=_id_field(path, obj, "annotator_id", line_no),
                 verdict=_require(obj, "verdict", line_no),
             )
         except ValueError as exc:
@@ -641,20 +656,19 @@ def build_ground_truth(pairs, tweet_ids, article_ids) -> GroundTruthMatrix:
     unknown = np.flatnonzero((rows < 0) | (cols < 0))
     n = len(table)
     n_known = int(unknown[0]) if len(unknown) else n
-    rows, cols, codes = rows[:n_known], cols[:n_known], codes[:n_known]
-    _, first, inverse = np.unique(
-        rows * len(article_ids) + cols, return_index=True, return_inverse=True
-    )
-    conflicts = np.flatnonzero(codes != codes[first][inverse])
-    if len(conflicts):
-        pair = table[int(conflicts[0])]
+    cells = rows[:n_known] * len(article_ids) + cols[:n_known]
+    codes = codes[:n_known]
+    values = np.zeros((len(tweet_ids), len(article_ids)), dtype=np.int8)
+    flat = values.reshape(-1)
+    flat[cells] = codes
+    # A cell given two labels keeps one, so some pair of it reads back another.
+    if (flat[cells] != codes).any():
+        _, first, inverse = np.unique(cells, return_index=True, return_inverse=True)
+        pair = table[int(np.flatnonzero(codes != codes[first][inverse])[0])]
         raise ConflictingLabelError(pair.tweet_id, pair.article_id)
     if n_known < n:
         pair = table[n_known]
         raise UnknownIdError(pair.tweet_id if pair.tweet_id not in t_index else pair.article_id)
-
-    values = np.zeros((len(tweet_ids), len(article_ids)), dtype=np.int8)
-    values[rows, cols] = codes
     return GroundTruthMatrix(tuple(tweet_ids), tuple(article_ids), values)
 
 

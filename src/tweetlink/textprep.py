@@ -1,9 +1,10 @@
 """Deterministic text normalization and the three long-text strategies.
 
-`clean` applies a fixed, ordered rule list so the same raw text always maps
-to the same normalized string (and cleaning twice changes nothing). Tokens
-are whitespace-delimited units after cleaning; no subword model is involved
-because downstream encoders consume feature vectors, not token ids.
+`clean_words` applies a fixed, ordered rule list to a batch of texts in one
+pass, so the same raw text always maps to the same words (and cleaning twice
+changes nothing); `clean` is its one-text form. Tokens are whitespace-delimited
+units after cleaning; no subword model is involved because downstream
+encoders consume feature vectors, not token ids.
 """
 
 from __future__ import annotations
@@ -17,8 +18,12 @@ from .errors import EmptyInputError, MalformedLineError, open_utf8
 TokenSeq = list[str]
 LemmaMap = dict[str, str]
 
-_URL_RE = re.compile(r"(?:^|(?<=\s))(?:https?://|www\.)\S*")
-_MENTION_RE = re.compile(r"(?:^|(?<=\s))@\S+")
+# A URL or mention starts a token: at the start of the text or after
+# whitespace. Each pattern opens with its literal first character and only
+# then looks back past it ((?<!\Sh): no non-space before the "h"), so re
+# scans for that character instead of trying a lookbehind at every position.
+_URL_RE = re.compile(r"(?:h(?<!\Sh)ttps?://|w(?<!\Sw)ww\.)\S*")
+_MENTION_RE = re.compile(r"@(?<!\S@)\S+")
 _ALIAS_RE = re.compile(r":[a-z0-9_]+:")
 
 # Common emoji blocks; modifiers that only alter a neighboring glyph are
@@ -134,22 +139,35 @@ def _strip_digits_punct(text: str, keep_hash: bool) -> str:
     return "".join(parts)
 
 
-def clean(text: str, cfg: CleaningConfig = CleaningConfig()) -> str:
-    """Normalize raw text with the fixed rule order.
+def clean_words(texts: list[str], cfg: CleaningConfig = CleaningConfig()) -> list[TokenSeq]:
+    """The words of each text after the fixed rule order, one list per text.
 
     lowercase -> drop URLs -> drop @-mentions -> strip '#' (optional) ->
-    emoji per mode -> drop digits/punctuation -> drop short words ->
-    collapse whitespace.
+    emoji per mode -> drop digits/punctuation -> drop short words.
+
+    The texts are cleaned as one string: each text's newlines become spaces,
+    the texts are joined with newlines, each rule runs once over the join, and
+    the result is split at its newlines again. No rule tells a newline from a
+    space (both are \\s, str.isspace and str.split() separators, and neither is
+    cased or case-ignorable to lower()'s final sigma) or matches across one,
+    so every text gets the words it would get alone.
     """
-    t = text.lower()
+    if not texts:
+        return []
+    t = "\n".join([text.replace("\n", " ") for text in texts]).lower()
     t = _URL_RE.sub(" ", t)
     t = _MENTION_RE.sub(" ", t)
     if cfg.strip_hashes:
         t = t.replace("#", "")
     t = _handle_emoji(t, cfg.emoji_mode)
     t = _strip_digits_punct(t, keep_hash=not cfg.strip_hashes)
-    words = [w for w in t.split() if len(w) >= cfg.min_word_len]
-    return " ".join(words)
+    n = cfg.min_word_len
+    return [[w for w in line.split() if len(w) >= n] for line in t.split("\n")]
+
+
+def clean(text: str, cfg: CleaningConfig = CleaningConfig()) -> str:
+    """One text's words after clean_words, joined by single spaces."""
+    return " ".join(clean_words([text], cfg)[0])
 
 
 def tokenize_lemmatize(text: str, lemmas: LemmaMap | None = None) -> TokenSeq:

@@ -118,12 +118,15 @@ def tfidf_fit(docs: list[TokenSeq]) -> TfidfModel:
     nonempty = [doc for doc in docs if doc]
     if not nonempty:
         raise EmptyCorpusError("tfidf_fit needs at least one nonempty document")
-    vocab = Vocabulary.from_terms(tok for doc in nonempty for tok in doc)
+    doc_terms = [set(doc) for doc in nonempty]
+    vocab = Vocabulary.from_terms(set().union(*doc_terms))
     n_docs = len(nonempty)
-    df = np.zeros(vocab.size, dtype=np.int64)
-    for doc in nonempty:
-        for term in set(doc):
-            df[vocab.index[term]] += 1
+    # One id per (document, distinct term): df is their count per term.
+    ids = np.fromiter(
+        map(vocab.index.__getitem__, chain.from_iterable(doc_terms)),
+        np.int64, sum(map(len, doc_terms)),
+    )
+    df = np.bincount(ids, minlength=vocab.size)
     idf = np.log((1.0 + n_docs) / (1.0 + df)) + 1.0
     return TfidfModel(vocab=vocab, idf=idf, n_docs=n_docs)
 

@@ -32,8 +32,6 @@ from tweetlink.textprep import (
     _ALIAS_RE,
     _EMOJI_MODIFIERS,
     _EMOJI_RANGES,
-    _MENTION_RE,
-    _URL_RE,
     _emoji_alias,
 )
 
@@ -121,14 +119,19 @@ def masked_flatten_reference(values, gt_values):
     return out_vals, out_labels
 
 
-def tfidf_reference(docs):
-    """Hand-rolled TF-IDF: returns (term -> idf, transform function)."""
+def document_frequency_reference(docs):
+    """(number of nonempty documents, term -> number of documents holding it)."""
     docs = [list(d) for d in docs if d]
-    n_docs = len(docs)
     df = {}
     for doc in docs:
         for term in set(doc):
             df[term] = df.get(term, 0) + 1
+    return len(docs), df
+
+
+def tfidf_reference(docs):
+    """Hand-rolled TF-IDF: returns (term -> idf, transform function)."""
+    n_docs, df = document_frequency_reference(docs)
     idf = {t: math.log((1 + n_docs) / (1 + c)) + 1.0 for t, c in df.items()}
 
     def transform(doc):
@@ -614,14 +617,16 @@ def train_reference(positives, tweet_features, article_features, cfg, strategy="
 
 
 def iter_jsonl_reference(path):
-    """(line number, object) per non-blank line, each parsed with json.loads."""
+    """(line number, object) per non-blank line, each parsed with json.loads;
+    any ValueError it raises (bad JSON, a number of over 4,300 digits) is a
+    malformed line."""
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:
                 raise MalformedLineError(str(path), line_no, str(exc)) from exc
             if not isinstance(obj, dict):
                 raise MalformedLineError(str(path), line_no, "expected a JSON object")
@@ -634,6 +639,24 @@ def _require(obj, field, line_no):
     return obj[field]
 
 
+_JSON_KIND_WORDS = [
+    (bool, "a boolean"), (int, "an integer"), (str, "a string"), (list, "an array"),
+    (dict, "an object"), (float, "a number with a fraction or exponent"),
+]
+
+
+def id_reference(path, obj, name, line_no):
+    """A required id field: a JSON string as is, an integer as its decimal
+    string; any other value is a malformed line."""
+    value = _require(obj, name, line_no)
+    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+        return str(value)
+    kind = next((word for t, word in _JSON_KIND_WORDS if isinstance(value, t)), "null")
+    raise MalformedLineError(
+        str(path), line_no, f"{name} must be a string or an integer, got {kind}"
+    )
+
+
 def load_pairs_reference(path):
     """One LinkedPair per line; the dataclass rejects an unknown label."""
     pairs = []
@@ -641,8 +664,8 @@ def load_pairs_reference(path):
         try:
             pairs.append(
                 LinkedPair(
-                    tweet_id=str(_require(obj, "tweet_id", line_no)),
-                    article_id=str(_require(obj, "article_id", line_no)),
+                    tweet_id=id_reference(path, obj, "tweet_id", line_no),
+                    article_id=id_reference(path, obj, "article_id", line_no),
                     label=_require(obj, "label", line_no),
                 )
             )
@@ -896,11 +919,16 @@ def _filter_chars_per_char(segment, keep_hash):
     return "".join(out)
 
 
+# A URL or mention starts at the text's start or after whitespace.
+_URL_START_RE = re.compile(r"(?:^|(?<=\s))(?:https?://|www\.)\S*")
+_MENTION_START_RE = re.compile(r"(?:^|(?<=\s))@\S+")
+
+
 def clean_reference(text, cfg):
     """textprep.clean with per-character emoji handling and filtering."""
     t = text.lower()
-    t = _URL_RE.sub(" ", t)
-    t = _MENTION_RE.sub(" ", t)
+    t = _URL_START_RE.sub(" ", t)
+    t = _MENTION_START_RE.sub(" ", t)
     if cfg.strip_hashes:
         t = t.replace("#", "")
     t = _handle_emoji_per_char(t, cfg.emoji_mode)

@@ -23,6 +23,10 @@ and exits non-zero at the first check that fails.
   fractional integer field must be a config error.
 - The dual encoder runs under mean_chunks with each nonlinearity, with and
   without momentum, and reruns must write the same encoder.json.
+- prep cleans every text in one batch: on articles over several lines and
+  tweets with emoji, URLs, mentions and hashtags, each document's tokens
+  must be the words textprep.clean gives its text alone, with article
+  summaries and with full articles.
 - A tfidf eval in a fresh interpreter must leave the dual encoder
   (tweetlink.contrast) and tweetlink.cascade registered but not run: the CLI
   loads them on first use.
@@ -35,7 +39,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from tweetlink import cli, corpus, vectorize
+from tweetlink import cli, corpus, textprep, vectorize
 from tweetlink.errors import ConfigInvalidError
 
 
@@ -203,6 +207,50 @@ def dual_smoke():
             require_same(f"out_{name}_1/encoder.json", f"out_{name}_2/encoder.json")
 
 
+# Appended to the tweets in turn: emoji (with a skin tone and a variation
+# selector), URLs, mentions, hashtags, an alias look-alike, a final sigma
+# and a Windows line end.
+TWEET_TAILS = [
+    " \U0001F600 http://t.co/x9 so good", " @who #News\U0001F44D\U0001F3FD www.a.b",
+    " :fire: \u2764\ufe0f \u039f\u0394\u039f\u03a3 #a#b", "\r\nsee https://x.y/z?q=1 now",
+]
+
+
+def prep_smoke():
+    docs, pairs = corpus.synth_fixture(
+        seed=1, n_topics=2, n_articles=6, tweets_per_article=3, vocab_per_topic=20
+    )
+    edited = []
+    for i, d in enumerate(docs):
+        if d.kind == corpus.KIND_ARTICLE:
+            words = d.text.split()
+            lines = [" ".join(words[k : k + 4]) for k in range(0, len(words), 4)]
+            text = "\n".join(lines) + "\n\n\u0130stanbul #Later \U0001F680 paragraph\n"
+        else:
+            text = d.text + TWEET_TAILS[i % len(TWEET_TAILS)]
+        edited.append(replace(d, text=text))
+    corpus.write_documents(edited, "documents.jsonl")
+    corpus.write_pairs(pairs, "pairs.jsonl")
+    cleaning = {"emoji_mode": "alias", "strip_hashes": False, "min_word_len": 2}
+    cfg = textprep.CleaningConfig(**cleaning)
+    for summaries in (True, False):
+        out = f"out_{summaries}"
+        write_json("config.json", {
+            "documents": "documents.jsonl", "pairs": "pairs.jsonl", "model": "tfidf",
+            "summary_articles": summaries, "cleaning": cleaning, "out_dir": out,
+        })
+        run("config.json", "prep")
+        with open(f"{out}/prepared.jsonl", encoding="utf-8") as fh:
+            got = {row["id"]: row["tokens"] for row in map(json.loads, fh)}
+        for d in edited:
+            text = corpus.extract_summary(d) if summaries and d.kind == "article" else d.text
+            want = textprep.clean(text, cfg).split()
+            if got.get(d.id) != want:
+                raise SystemExit(f"prep tokens of {d.id} are {got.get(d.id)}, not {want}")
+        if len(got) != len(edited):
+            raise SystemExit(f"prep wrote {len(got)} documents, not {len(edited)}")
+
+
 def lazy_layers_smoke():
     docs, pairs = corpus.synth_fixture(
         seed=1, n_topics=2, n_articles=6, tweets_per_article=3, vocab_per_topic=20
@@ -224,7 +272,8 @@ def lazy_layers_smoke():
 
 def main(workdir):
     root = Path(workdir).resolve()
-    for name, smoke in [("lda", lda_smoke), ("dual", dual_smoke), ("lazy", lazy_layers_smoke)]:
+    for name, smoke in [("lda", lda_smoke), ("dual", dual_smoke), ("prep", prep_smoke),
+                        ("lazy", lazy_layers_smoke)]:
         (root / name).mkdir(parents=True, exist_ok=True)
         os.chdir(root / name)
         smoke()

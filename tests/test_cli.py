@@ -262,6 +262,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert repr(reply.id) in err and repr(reply.parent_id) in err
 
+    @pytest.mark.parametrize("which, value", [
+        ("documents", r'"created_at": -?\d+'), ("pairs_path", r'"tweet_id": "[^"]*"'),
+    ])
+    def test_number_past_the_int_digit_limit_exit_2(self, small_corpus, make_config, which,
+                                                     value, capsys):
+        # json.loads raises a plain ValueError for a number of over 4,300 digits.
+        path = small_corpus[which]
+        lines = path.read_text().splitlines(keepends=True)
+        field = value.split(":")[0]
+        lines[1] = re.sub(value, f"{field}: 1" + "0" * 5000, lines[1], count=1)
+        assert "0" * 5000 in lines[1]
+        path.write_text("".join(lines))
+        assert cli.main(["--config", str(make_config()), "eval"]) == 2
+        assert f"{path}:2: Exceeds the limit" in capsys.readouterr().err
+
     def test_zero_width_embeddings_exit_2(self, small_corpus, make_config, tmp_path, capsys):
         emb = tmp_path / "embeddings.jsonl"
         emb.write_text("".join(f'{{"id": "{d.id}", "vector": []}}\n' for d in small_corpus["docs"]))

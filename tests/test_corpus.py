@@ -82,6 +82,9 @@ class TestLoadDocuments:
             ("id", None, "id must be a string or an integer, got null"),
             ("id", False, "id must be a string or an integer, got a boolean"),
             ("id", {"n": 1}, "id must be a string or an integer, got an object"),
+            ("parent_id", [1], "parent_id must be a string, an integer or null, got an array"),
+            ("parent_id", True, "parent_id must be a string, an integer or null, got a boolean"),
+            ("parent_id", 1.5, "parent_id must be a string, an integer or null, got a number"),
         ],
     )
     def test_ill_typed_field_names_file_and_line(self, tmp_path, field, value, message):
@@ -103,6 +106,24 @@ class TestLoadDocuments:
         )
         docs = corpus.load_documents(path)
         assert [(d.id, d.created_at, d.summary) for d in docs] == [("12", ms, None), ("a2", -3, "s")]
+
+    def test_integer_parent_id_loads_as_its_string(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        _write_lines(path, [
+            {"id": 7, "kind": "tweet", "text": "x", "created_at": 1},
+            {"id": "t8", "kind": "tweet", "text": "y", "created_at": 2, "parent_id": 7,
+             "parent_kind": "reply"},
+        ])
+        assert [d.parent_id for d in corpus.load_documents(path)] == [None, "7"]
+
+    def test_number_past_the_int_digit_limit_is_malformed(self, tmp_path):
+        # json.loads raises a plain ValueError for it, not a JSONDecodeError.
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"id": "a1", "kind": "article", "text": "x", "created_at": 1}\n'
+                        '{"id": "a2", "kind": "article", "text": "x", "created_at": 1'
+                        + "0" * 5000 + "}\n")
+        with pytest.raises(MalformedLineError, match=re.escape(f"{path}:2: Exceeds the limit")):
+            corpus.load_documents(path)
 
     def test_parent_roundtrip(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -300,6 +321,26 @@ class TestOtherLoaders:
         with pytest.raises(MalformedLineError):
             corpus.load_pairs(path)
 
+    @pytest.mark.parametrize("line, message", [
+        ({"tweet_id": True, "article_id": [1], "label": "match"},
+         "tweet_id must be a string or an integer, got a boolean"),
+        ({"tweet_id": "t", "article_id": [1], "label": "match"},
+         "article_id must be a string or an integer, got an array"),
+        ({"tweet_id": None, "label": "match"}, "tweet_id must be a string or an integer, got null"),
+        ({"tweet_id": "t", "article_id": 2.5, "label": "maybe"},
+         "article_id must be a string or an integer, got a number"),
+    ])
+    def test_ill_typed_pair_id_names_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "p.jsonl"
+        _write_lines(path, [{"tweet_id": 1, "article_id": "a", "label": "match"}, line])
+        with pytest.raises(MalformedLineError, match=re.escape(f"{path}:2: {message}")):
+            corpus.load_pair_table(path)
+
+    def test_integer_pair_ids_load_as_their_strings(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        _write_lines(path, [{"tweet_id": 1, "article_id": -2, "label": "match"}])
+        assert corpus.load_pairs(path) == [corpus.LinkedPair("1", "-2", "match")]
+
     def test_pair_table_decodes_on_access(self):
         labels = ("match", "no_match", "unknown")
         table = corpus.PairTable(("t2", "t1", "t2"), ("a1", "a1", "a2"), labels)
@@ -316,6 +357,20 @@ class TestOtherLoaders:
         rec = {"tweet_id": "t", "article_id": "a", "annotator_id": "u1", "verdict": "match"}
         _write_lines(path, [rec, rec])
         with pytest.raises(DuplicateIdError):
+            corpus.load_annotations(path)
+
+    @pytest.mark.parametrize("name, value, kind", [
+        ("tweet_id", [1], "an array"), ("article_id", {}, "an object"),
+        ("annotator_id", None, "null"), ("annotator_id", False, "a boolean"),
+    ])
+    def test_ill_typed_annotation_id_names_file_and_line(self, tmp_path, name, value, kind):
+        path = tmp_path / "ann.jsonl"
+        rec = {"tweet_id": "t", "article_id": 3, "annotator_id": "u1", "verdict": "match"}
+        _write_lines(path, [rec])
+        assert corpus.load_annotations(path) == [corpus.AnnotationRecord("t", "3", "u1", "match")]
+        _write_lines(path, [rec, {**rec, name: value}])
+        message = f"{path}:2: {name} must be a string or an integer, got {kind}"
+        with pytest.raises(MalformedLineError, match=re.escape(message)):
             corpus.load_annotations(path)
 
     def test_keywords_file(self, tmp_path):

@@ -26,8 +26,8 @@ HOMES = {
     "linker": "calibrate_threshold classify cosine score_matrix",
     "matrices": "ClassificationMatrix CsrRows GroundTruthMatrix SimilarityMatrix",
     "textprep": (
-        "ChunkingConfig CleaningConfig augment_split chunk clean load_lemmas "
-        "tokenize_lemmatize truncate"
+        "ChunkingConfig CleaningConfig augment_split chunk clean clean_words "
+        "load_lemmas tokenize_lemmatize truncate"
     ),
     "vectorize": (
         "EmbeddingTable LdaModel TfidfModel Vocabulary lda_fit lda_infer load_embeddings "
@@ -38,7 +38,7 @@ PUBLIC = [(name, module) for module, names in HOMES.items() for name in names.sp
 
 
 def test_public_names_are_counted():
-    assert len(PUBLIC) == 66
+    assert len(PUBLIC) == 67
     assert sorted(tweetlink.__all__) == sorted(name for name, _module in PUBLIC)
 
 

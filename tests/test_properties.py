@@ -7,8 +7,9 @@ loop (against dense and per-step-gather oracles), its
 epoch gather plan (against the per-batch gather), its pooled article rows
 (against the dense mean) and its row-index
 examples (against the per-pair vector builder), text
-cleaning, and the JSONL reader, pair table loader and ground-truth builder
-against the oracles they replace."""
+cleaning one text at a time and in batches, the TF-IDF document frequencies,
+and the JSONL reader, pair table loader and ground-truth builder against the
+oracles they replace."""
 
 import json
 import tempfile
@@ -31,6 +32,7 @@ from reference import (
     calibrate_reference,
     clean_reference,
     code_pair_block_reference,
+    document_frequency_reference,
     gammaln_ll_reference,
     gammaln_ll_rounding,
     iter_jsonl_reference,
@@ -235,6 +237,27 @@ def tfidf_cases(draw):
         ),
     )
     return fit_docs, draw(st.lists(query, max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.lists(st.one_of(st.sampled_from(["a", "b", "c", "\u00e9", "B"]), st.text(max_size=2)),
+             max_size=10),
+    max_size=12,
+).filter(any))
+@example([["a"]])
+@example([[], ["b", "a", "b"], [], ["a", "a", "a"], ["c"]])
+def test_tfidf_fit_counts_document_frequency_as_the_reference(docs):
+    """idf is ln((1 + N) / (1 + df)) + 1 of the oracle's per-document term
+    sets, bit for bit with numpy's log, and within rounding of math.log's."""
+    model = vectorize.tfidf_fit(docs)
+    n_docs, df = document_frequency_reference(docs)
+    terms = model.vocab.terms()
+    assert terms == sorted(df) and model.n_docs == n_docs
+    counts = np.array([df[t] for t in terms], dtype=np.int64)
+    assert model.idf.tobytes() == (np.log((1.0 + n_docs) / (1.0 + counts)) + 1.0).tobytes()
+    ref_idf, _transform = tfidf_reference(docs)
+    np.testing.assert_allclose(model.idf, [ref_idf[t] for t in terms], rtol=1e-15, atol=0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -866,6 +889,7 @@ def _outcome(fn, *args):
 @example(['{"a": 1}x'], False)
 @example(['{"v": NaN}', '{"v": Infinity}', ' {"v": -Infinity} '], True)
 @example(["", "  ", "\x0b", "\u2028\x1c", '{"a": 1}', "\t", "[1]"], True)
+@example(['{"a": 1' + "0" * 5000 + "}", '{"b": 2}'], True)  # past int()'s digit limit
 def test_iter_jsonl_matches_json_loads(lines, final_newline):
     with tempfile.TemporaryDirectory() as tmp:
         path = _write(tmp, lines + [""] if final_newline else lines)
@@ -874,7 +898,7 @@ def test_iter_jsonl_matches_json_loads(lines, final_newline):
 
 pair_ids = st.one_of(
     st.sampled_from(["t1", "t2", "a1"]), st.integers(-2, 2), st.none(), st.floats(-1, 1),
-    st.lists(st.integers(0, 2), max_size=2),
+    st.lists(st.integers(0, 2), max_size=2), st.booleans(), st.just({}),
 )
 bad_labels = st.one_of(
     st.sampled_from(["maybe", "Match", ""]), st.none(), st.integers(0, 2),
@@ -953,6 +977,8 @@ _PAIR = '{"tweet_id": "t1", "article_id": "a1", "label": "match"}'
 @example("\n".join(["", _PAIR, '["t1", "a1", "match"]']), 200)
 @example("\n".join([_PAIR, _PAIR, '{"tweet_id": "t1", "article_id": "a1", "label": "maybe"}']), 1)
 @example("\n".join([_PAIR, '{"tweet_id": 5, "article_id": null, "label": []}']), 200)
+@example("\n".join([_PAIR, '{"tweet_id": true, "article_id": [1], "label": "match"}']), 200)
+@example("\n".join([_PAIR, '{"tweet_id": 1' + "0" * 5000 + ', "article_id": "a1"}']), 200)
 @example('{"tweet_id": "t1", "article_id": "a1", "label": {}}', 200)
 @example(_PAIR + "\n" + _PAIR, 1)  # no final newline
 @example(_PAIR + "\n\n" + _PAIR + "\n", 1)  # a blank line
@@ -1145,12 +1171,48 @@ def _pairs(*rows):
 # Consistent duplicates pass.
 @example((_pairs(("t0", "a1", "no_match"), ("t0", "a1", "no_match"), ("t1", "a0", "unknown"),
                  ("t1", "a0", "unknown"), ("t0", "a0", "match")), ["t0", "t1"], ["a0", "a1"]))
+# unknown (0, the matrix's fill) against match, in both orders.
+@example((_pairs(("t0", "a0", "unknown"), ("t0", "a0", "match")), ["t0"], ["a0"]))
+@example((_pairs(("t0", "a0", "match"), ("t0", "a0", "unknown")), ["t0"], ["a0"]))
 def test_build_ground_truth_matches_per_pair_loop(case):
     pairs, tweet_ids, article_ids = case
     want = _ground_truth_outcome(pairs, tweet_ids, article_ids, build_ground_truth_reference)
     for given_pairs in (corpus.PairTable.from_pairs(pairs), pairs, iter(pairs)):
         got = _ground_truth_outcome(given_pairs, tweet_ids, article_ids, corpus.build_ground_truth)
         assert got == want
+
+
+@st.composite
+def labeled_grids(draw):
+    """(pairs, tweet ids, article ids): consistent labels on up to 12 x 12
+    cells, repeated, with up to two pairs relabeling a labeled cell and at
+    times a pair with an unknown id, each put at a drawn position."""
+    tweet_ids = [f"t{i}" for i in range(draw(st.integers(1, 12)))]
+    article_ids = [f"a{j}" for j in range(draw(st.integers(1, 12)))]
+    cell = st.tuples(st.sampled_from(tweet_ids), st.sampled_from(article_ids))
+    cells = draw(st.lists(cell, min_size=1, max_size=80))
+    labels = {c: draw(st.sampled_from(corpus.PAIR_LABELS)) for c in dict.fromkeys(cells)}
+    pairs = [corpus.LinkedPair(*c, labels[c]) for c in cells]
+    for _ in range(draw(st.integers(0, 2))):
+        c = draw(st.sampled_from(cells))
+        other = draw(st.sampled_from([x for x in corpus.PAIR_LABELS if x != labels[c]]))
+        pairs.insert(draw(st.integers(0, len(pairs))), corpus.LinkedPair(*c, other))
+    if draw(st.booleans()):
+        t, a = draw(cell)
+        stranger = draw(st.sampled_from([("t?", a), (t, "a?"), ("t?", "a?")]))
+        pairs.insert(draw(st.integers(0, len(pairs))), corpus.LinkedPair(*stranger, "match"))
+    return pairs, tweet_ids, article_ids
+
+
+@settings(max_examples=300, deadline=None)
+@given(labeled_grids())
+def test_build_ground_truth_scatter_matches_per_pair_loop(case):
+    """Many repeated cells, few conflicts: the same matrix as the per-pair
+    loop, or the same error type naming the same ids."""
+    pairs, tweet_ids, article_ids = case
+    want = _ground_truth_outcome(pairs, tweet_ids, article_ids, build_ground_truth_reference)
+    table = corpus.PairTable.from_pairs(pairs)
+    assert _ground_truth_outcome(table, tweet_ids, article_ids, corpus.build_ground_truth) == want
 
 
 # --- text cleaning ---------------------------------------------------------------
@@ -1185,3 +1247,42 @@ def test_clean_matches_per_character_reference(text, emoji_mode, strip_hashes, m
         min_word_len=min_word_len, emoji_mode=emoji_mode, strip_hashes=strip_hashes
     )
     assert textprep.clean(text, cfg) == clean_reference(text, cfg)
+
+
+# Pieces where cleaning a batch as one newline-joined string could go wrong:
+# line ends of every kind, other whitespace split() and \s know, the final
+# sigma and other case mappings with the case-ignorable characters around
+# them, and URLs, mentions, aliases and hashes at a text's edges.
+_BATCH_PIECES = [
+    "\n", "\r\n", "\r", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", " ", "\u2028", "\u2029",
+    "\u03a3", "a\u03a3", "\u03a3a", "\u0130", "'", ".", "\u0307", "\u00ad",
+    "\U0001F600", "\U0001F44D\U0001F3FD", "\ufe0f", "\u200d", "\u2764\ufe0f",
+    "http://x.y/z", "https://a", "www.b.c", "@who", "@", ":smile:", ":a_1:", ":", "::",
+    "#", "#tag", "a#b", "abc", "Word", "\u00e9t\u00e9", "42",
+]
+_batch_texts = st.lists(
+    st.one_of(st.sampled_from(_BATCH_PIECES), st.sampled_from(_TEXT_PIECES), st.characters()),
+    max_size=10,
+).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(_batch_texts, max_size=6),
+    st.sampled_from(["drop", "alias"]),
+    st.booleans(),
+    st.integers(1, 4),
+)
+@example([], "drop", True, 3)
+@example([""], "alias", False, 1)
+@example(["", "", ""], "drop", True, 1)
+@example(["a\u03a3", "\u03a3b", "x\u03a3'", "'\u03a3y"], "drop", True, 1)
+@example(["http://x\ny", "@a\r\nb", "#c\n#d", ":ok:\n:ok:"], "alias", False, 1)
+@example(["abc\U0001F600", "\u200d:smile:", "www.a\x85www.b"], "alias", True, 2)
+# URLs and mentions inside a token stay; at its start they go.
+@example(["xhttp://a.b hhttps://c wwww.d a@b @@c", "http://x@y @h www.e\u2028@f"], "drop", True, 1)
+def test_clean_words_matches_per_text_reference(texts, emoji_mode, strip_hashes, min_word_len):
+    cfg = textprep.CleaningConfig(
+        min_word_len=min_word_len, emoji_mode=emoji_mode, strip_hashes=strip_hashes
+    )
+    assert textprep.clean_words(texts, cfg) == [clean_reference(t, cfg).split() for t in texts]
