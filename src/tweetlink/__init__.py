@@ -27,8 +27,8 @@ _HOMES = {
         "load_pair_table load_pairs synth_fixture"
     ),
     "evalx": (
-        "ConsensusEntry MetricsReport average_precision binary_metrics consensus_score "
-        "evaluate_masked fleiss_kappa masked_pairs"
+        "MetricsReport average_precision binary_metrics evaluate_masked fleiss_kappa "
+        "masked_pairs"
     ),
     "linker": "calibrate_threshold classify cosine score_matrix",
     "matrices": "ClassificationMatrix CsrRows GroundTruthMatrix SimilarityMatrix",

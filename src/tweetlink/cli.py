@@ -42,7 +42,6 @@ from .errors import (
     DuplicateIdError,
     EmptyGridError,
     MalformedLineError,
-    MissingFieldError,
     TweetLinkError,
     UnknownIdError,
     check_types,
@@ -853,7 +852,7 @@ def main(argv=None) -> int:
             run = _Run(cfg)
         args.handler(run, args)
         return 0
-    except (ConfigInvalidError, OSError, MalformedLineError, MissingFieldError, DuplicateIdError) as exc:
+    except (ConfigInvalidError, OSError, MalformedLineError, DuplicateIdError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DegenerateEvaluationError as exc:

@@ -11,6 +11,7 @@ import json
 import re
 from dataclasses import dataclass
 from itertools import count, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -223,8 +224,8 @@ def _distinct(ids: list) -> tuple[list, np.ndarray]:
     return list(index), np.fromiter(map(index.__getitem__, ids), np.int32, len(ids))
 
 
-def _coded_lists(tweet_ids: list, article_ids: list, letters: str) -> tuple:
-    """The arguments of _PairColumns.append for id lists and their labels'
+def _coded_lists(tweet_ids, article_ids, letters: str) -> tuple:
+    """The arguments of _PairColumns.append for id sequences and their labels'
     first letters."""
     values = np.frombuffer(letters.encode("ascii").translate(_LETTER_VALUES), np.int8)
     return (*_distinct(tweet_ids), *_distinct(article_ids), values)
@@ -278,104 +279,104 @@ def _parse_jsonl(path, lines, start: int):
     A line holding a value from its first character, then only JSON
     whitespace, costs one scanner call. Any other line goes to json.loads
     itself, so it is accepted, rejected and its error worded alike. Every
-    ValueError of json.loads is a malformed line: a JSONDecodeError, or a
-    number too long for int() (over 4,300 digits).
+    ValueError of json.loads (bad JSON, a number of over 4,300 digits) or
+    RecursionError (a value nested past the recursion limit) is a malformed line.
     """
     for line_no, line in enumerate(lines, start):
         try:
             obj, end = _scan_once(line, 0)
-        except (StopIteration, ValueError):
+        except (StopIteration, ValueError, RecursionError):
             end = None
         if end is None or line[end:].strip(_JSON_WS):
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise MalformedLineError(str(path), line_no, str(exc)) from exc
         if not isinstance(obj, dict):
             raise MalformedLineError(str(path), line_no, "expected a JSON object")
         yield line_no, obj
 
 
-def _require(obj: dict, field: str, line_no: int):
-    if field not in obj:
-        raise MissingFieldError(field, line_no)
-    return obj[field]
+_REQUIRED = object()  # the default of a field that must be present
 
 
-# A field's JSON type check, and its wording. Every id is a string or an
-# integer (read as its decimal string). created_at is an integer of any size:
-# timestamps in milliseconds pass the int32 bound. summary and parent_id are
-# optional, and null when absent.
-_ID = (lambda v: type(v) in (str, int), "a string or an integer")
-_FIELDS = {
+class _Field(NamedTuple):
+    """A line format's field: the types of the JSON values it takes, their
+    wording, its default and, for a field of a fixed set of strings, the set."""
+
+    types: tuple
+    want: str
+    default: object = _REQUIRED
+    fixed: tuple = ()
+
+
+def _one_of(values: tuple, default=_REQUIRED) -> _Field:
+    return _Field((str,), "one of " + ", ".join(map(repr, values)), default, values)
+
+
+# One table per JSONL line format. Fields are read in table order, which is
+# the order of the record's own fields (Document, LinkedPair, AnnotationRecord).
+# A field that takes strings and integers is an id, and an integer is read as
+# its decimal string. created_at is an integer of any size: timestamps in
+# milliseconds pass the int32 bound. load_embeddings checks a vector's values.
+_NULL = type(None)
+_ID = _Field((str, int), "a string or an integer")
+_DOCUMENT_FIELDS = {
     "id": _ID,
-    "tweet_id": _ID,
-    "article_id": _ID,
-    "annotator_id": _ID,
-    "parent_id": (lambda v: v is None or type(v) in (str, int), "a string, an integer or null"),
-    "text": (lambda v: type(v) is str, "a string"),
-    "created_at": (lambda v: type(v) is int, "an integer"),
-    "summary": (lambda v: v is None or type(v) is str, "a string or null"),
+    "kind": _one_of(KINDS),
+    "text": _Field((str,), "a string"),
+    "created_at": _Field((int,), "an integer"),
+    "summary": _Field((str, _NULL), "a string or null", None),
+    "parent_id": _Field((str, int, _NULL), "a string, an integer or null", None),
+    "parent_kind": _one_of(PARENT_KINDS, "none"),
 }
+_PAIR_FIELDS = {"tweet_id": _ID, "article_id": _ID, "label": _one_of(PAIR_LABELS)}
+_ANNOTATION_FIELDS = {"tweet_id": _ID, "article_id": _ID, "annotator_id": _ID,
+                      "verdict": _one_of(VERDICTS)}
+_EMBEDDING_FIELDS = {"id": _ID, "vector": _Field((list,), "a nonempty array of finite numbers")}
 _JSON_KINDS = {
-    type(None): "null", bool: "a boolean", int: "an integer", str: "a string",
+    _NULL: "null", bool: "a boolean", int: "an integer", str: "a string",
     float: "a number with a fraction or exponent", list: "an array", dict: "an object",
 }
 
 
-_OPTIONAL_FIELDS = ("summary", "parent_id")
+def _read_fields(path, line_no: int, obj: dict, table: dict) -> list:
+    """The values of `table`'s fields in the parsed line `obj`, in table order.
+    An absent field takes its default, or raises MissingFieldError if required;
+    a value of another JSON type or outside its fixed set, MalformedLineError."""
+    values = []
+    for name, (types, want, default, fixed) in table.items():
+        value = obj.get(name, default)
+        if type(value) not in types:
+            if value is _REQUIRED:
+                raise MissingFieldError(str(path), line_no, name)
+            raise _field_error(path, line_no, name, want, _JSON_KINDS[type(value)])
+        if fixed and value not in fixed:
+            raise _field_error(path, line_no, name, want, repr(value))
+        values.append(f"{value:d}" if type(value) is int and str in types else value)
+    return values
 
 
-def _field(path, obj: dict, name: str, line_no: int):
-    """The value of a field (MissingFieldError if a required one is absent);
-    a value of another JSON type (_FIELDS) raises MalformedLineError."""
-    value = obj.get(name) if name in _OPTIONAL_FIELDS else _require(obj, name, line_no)
-    ok, want = _FIELDS[name]
-    if not ok(value):
-        reason = f"{name} must be {want}, got {_JSON_KINDS[type(value)]}"
-        raise MalformedLineError(str(path), line_no, reason)
-    return value
+def _field_error(path, line_no: int, name: str, want: str, got: str) -> MalformedLineError:
+    return MalformedLineError(str(path), line_no, f"{name} must be {want}, got {got}")
 
 
-def _id_field(path, obj: dict, name: str, line_no: int) -> str | None:
-    """An id field's value (_field) as a string; None for an absent parent_id."""
-    value = _field(path, obj, name, line_no)
-    return value if value is None or type(value) is str else str(value)
-
-
-def load_documents(path, kind: str | None = None) -> list[Document]:
-    """Load documents.jsonl, preserving file order.
-
-    When `kind` is given every line must carry that kind; otherwise mixed
-    files are accepted. A field of the wrong JSON type (_FIELDS) raises
-    MalformedLineError naming the file and line.
-    """
+def load_documents(path) -> list[Document]:
+    """Load documents.jsonl (_DOCUMENT_FIELDS), preserving file order. A
+    repeated id raises DuplicateIdError; a line breaking a Document rule (only
+    tweets have parents, given with their parent_kind) MalformedLineError."""
     docs: list[Document] = []
     seen: set[str] = set()
     for line_no, obj in _iter_jsonl(path):
-        doc_id = _id_field(path, obj, "id", line_no)
-        doc_kind = _require(obj, "kind", line_no)
-        if kind is not None and doc_kind != kind:
-            raise MalformedLineError(str(path), line_no, f"expected kind {kind!r}, got {doc_kind!r}")
-        if doc_id in seen:
-            raise DuplicateIdError(doc_id)
-        seen.add(doc_id)
-        parent_id = _id_field(path, obj, "parent_id", line_no)
+        values = _read_fields(path, line_no, obj, _DOCUMENT_FIELDS)
+        if values[0] in seen:
+            raise DuplicateIdError(values[0])
+        seen.add(values[0])
         try:
-            docs.append(
-                Document(
-                    id=doc_id,
-                    kind=doc_kind,
-                    text=_field(path, obj, "text", line_no),
-                    created_at=_field(path, obj, "created_at", line_no),
-                    summary=_field(path, obj, "summary", line_no),
-                    parent_id=parent_id,
-                    parent_kind=obj.get("parent_kind", "none"),
-                )
-            )
-        except (ValueError, TypeError) as exc:
+            docs.append(Document(*values))
+        except ValueError as exc:
             raise MalformedLineError(str(path), line_no, str(exc)) from exc
     return docs
 
@@ -416,10 +417,7 @@ def load_pair_table(path) -> PairTable:
     a newline, and each block is coded before the next is read. A block
     whose every line is in write_pairs' form is coded with array operations
     on its bytes (_code_pair_block); any other block is parsed line by line
-    (_parse_jsonl), with the same result. The fields are checked in the order
-    tweet_id, article_id, label: a missing one raises MissingFieldError, and
-    an id that is not a string or an integer (_FIELDS) or a label outside
-    PAIR_LABELS raises MalformedLineError with the file and line.
+    (_parse_jsonl, _read_fields with _PAIR_FIELDS), with the same result.
     """
     columns = _PairColumns()
     start = 1
@@ -526,16 +524,11 @@ def _distinct_keys(data: bytes, keys: np.ndarray, starts: np.ndarray, ends: np.n
 def _parse_pair_lines(path, block: str, start: int) -> tuple:
     """The arguments of _PairColumns.append for a block's lines, parsed one
     by one and numbered from `start`."""
-    tweet_ids, article_ids, letters = [], [], []
     # The block's lines end at "\n" only, as the file's do when iterated.
-    for line_no, obj in _parse_jsonl(path, io.StringIO(block), start):
-        tweet_ids.append(_id_field(path, obj, "tweet_id", line_no))
-        article_ids.append(_id_field(path, obj, "article_id", line_no))
-        label = _require(obj, "label", line_no)
-        if label not in PAIR_LABELS:
-            raise MalformedLineError(str(path), line_no, f"unknown pair label {label!r}")
-        letters.append(label[0])
-    return _coded_lists(tweet_ids, article_ids, "".join(letters))
+    rows = [_read_fields(path, line_no, obj, _PAIR_FIELDS)
+            for line_no, obj in _parse_jsonl(path, io.StringIO(block), start)]
+    tweet_ids, article_ids, labels = zip(*rows) if rows else ((), (), ())
+    return _coded_lists(tweet_ids, article_ids, "".join(label[0] for label in labels))
 
 
 def load_pairs(path) -> list[LinkedPair]:
@@ -544,18 +537,11 @@ def load_pairs(path) -> list[LinkedPair]:
 
 
 def load_annotations(path) -> list[AnnotationRecord]:
+    """Read annotations.jsonl (_ANNOTATION_FIELDS); a repeated key raises DuplicateIdError."""
     records = []
     seen = set()
     for line_no, obj in _iter_jsonl(path):
-        try:
-            rec = AnnotationRecord(
-                tweet_id=_id_field(path, obj, "tweet_id", line_no),
-                article_id=_id_field(path, obj, "article_id", line_no),
-                annotator_id=_id_field(path, obj, "annotator_id", line_no),
-                verdict=_require(obj, "verdict", line_no),
-            )
-        except ValueError as exc:
-            raise MalformedLineError(str(path), line_no, str(exc)) from exc
+        rec = AnnotationRecord(*_read_fields(path, line_no, obj, _ANNOTATION_FIELDS))
         key = (rec.tweet_id, rec.article_id, rec.annotator_id)
         if key in seen:
             raise DuplicateIdError("/".join(key))

@@ -50,11 +50,10 @@ def open_utf8(path, **kwargs):
         raise  # the file changed between the two reads
 
 
-class MissingFieldError(TweetLinkError):
-    def __init__(self, field: str, line_no: int):
-        super().__init__(f"line {line_no}: missing required field {field!r}")
+class MissingFieldError(MalformedLineError):
+    def __init__(self, path: str, line_no: int, field: str):
+        super().__init__(path, line_no, f"missing required field {field!r}")
         self.field = field
-        self.line_no = line_no
 
 
 class DuplicateIdError(TweetLinkError):
@@ -190,14 +189,14 @@ class EmptyGridError(TweetLinkError):
 def read_json(path, what: str, kind: type | tuple[type, ...]):
     """The JSON document in `path`, whose top-level value must be a `kind`
     (dict, list or a tuple of them). A file that cannot be opened, is not
-    UTF-8, is not valid JSON or holds another kind of value raises
-    ConfigInvalidError naming `what` and `path`."""
+    UTF-8, is not valid JSON, nests deeper than the recursion limit or holds
+    another kind of value raises ConfigInvalidError naming `what` and `path`."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigInvalidError(f"cannot read {what} {path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on a non-UTF-8 byte
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
         raise ConfigInvalidError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, kind):
         names = {dict: "object", list: "list"}

@@ -50,14 +50,6 @@ class MetricsReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-@dataclass(frozen=True)
-class ConsensusEntry:
-    """The annotators' consensus on one pair: a score and its label."""
-
-    score: float | None  # None when every verdict was a skip
-    label: int  # 1, -1, or 0
-
-
 def masked_pairs(values, gt: GroundTruthMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Flatten row-major and drop positions where the ground truth is 0."""
     vals = np.asarray(values, dtype=np.float64)
@@ -144,32 +136,6 @@ def evaluate_masked(sim_values, cls_values, gt: GroundTruthMatrix) -> MetricsRep
     preds, _ = masked_pairs(cls_values, gt)
     report = binary_metrics(preds.astype(np.int8), labels)
     return replace(report, average_precision=average_precision(scores, labels))
-
-
-def consensus_score(records, threshold: float = 0.5) -> dict[tuple[str, str], ConsensusEntry]:
-    """Annotator consensus per (tweet, article) pair.
-
-    Skips are excluded; the score is the mean of match=1 / no_match=0 and the
-    label is 1 when score >= threshold (inclusive), else -1. Pairs where all
-    annotators skipped get label 0 (unknown) and no score.
-    """
-    votes: dict[tuple[str, str], list[int]] = {}
-    for rec in records:
-        key = (rec.tweet_id, rec.article_id)
-        votes.setdefault(key, [])
-        if rec.verdict == "match":
-            votes[key].append(1)
-        elif rec.verdict == "no_match":
-            votes[key].append(0)
-
-    out = {}
-    for key, vals in votes.items():
-        if not vals:
-            out[key] = ConsensusEntry(score=None, label=0)
-        else:
-            score = sum(vals) / len(vals)
-            out[key] = ConsensusEntry(score=score, label=1 if score >= threshold else -1)
-    return out
 
 
 def fleiss_kappa(table) -> float:

@@ -30,14 +30,13 @@ from itertools import chain
 
 import numpy as np
 
-from .corpus import _iter_jsonl
+from .corpus import _EMBEDDING_FIELDS, _JSON_KINDS, _field_error, _iter_jsonl, _read_fields
 from .errors import (
     ConfigInvalidError,
     DegenerateKError,
     DimMismatchError,
     DuplicateIdError,
     EmptyCorpusError,
-    MalformedLineError,
     MissingEmbeddingError,
     read_array,
     read_model,
@@ -444,22 +443,12 @@ def lda_infer_batch(
 
 
 def load_embeddings(path) -> EmbeddingTable:
-    """Read embeddings.jsonl ({"id": ..., "vector": [...]}); dim fixed by the first row."""
+    """Read embeddings.jsonl (corpus._EMBEDDING_FIELDS); dim fixed by the first row."""
     vectors: dict[str, np.ndarray] = {}
     dim = None
     for line_no, obj in _iter_jsonl(path):
-        try:
-            doc_id = str(obj["id"])
-            vec = np.asarray(obj["vector"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedLineError(str(path), line_no, str(exc)) from exc
-        if vec.ndim != 1:
-            raise MalformedLineError(str(path), line_no, "vector must be a flat list")
-        if not len(vec):
-            raise MalformedLineError(str(path), line_no, "vector is empty")
-        # JSON decoding accepts the NaN and Infinity literals.
-        if not np.isfinite(vec).all():
-            raise MalformedLineError(str(path), line_no, "vector holds NaN or Infinity")
+        doc_id, values = _read_fields(path, line_no, obj, _EMBEDDING_FIELDS)
+        vec = _vector(path, line_no, values)
         if doc_id in vectors:
             raise DuplicateIdError(doc_id)
         if dim is None:
@@ -468,6 +457,31 @@ def load_embeddings(path) -> EmbeddingTable:
             raise DimMismatchError(f"id {doc_id!r} has dim {len(vec)}, expected {dim}")
         vectors[doc_id] = vec
     return EmbeddingTable(vectors=vectors, dim=dim or 0)
+
+
+_NUMBERS = {int, float}
+
+
+def _vector(path, line_no: int, values: list) -> np.ndarray:
+    """An embeddings line's vector as float64. It must be nonempty and hold
+    only numbers (not booleans), each finite as a float64: NaN and the
+    infinities, whose literals JSON decoding accepts, and integers past
+    float64's range are rejected. Anything else raises MalformedLineError
+    naming the file and line."""
+    if not values:
+        got = "an empty array"
+    elif not set(map(type, values)) <= _NUMBERS:
+        bad = next(v for v in values if type(v) not in _NUMBERS)
+        got = f"an array holding {_JSON_KINDS[type(bad)]}"
+    else:
+        try:
+            vec = np.array(values, np.float64)
+        except OverflowError:  # an integer past float64's range
+            vec = None
+        if vec is not None and np.isfinite(vec).all():
+            return vec
+        got = "an array holding a number that is not finite as a float64"
+    raise _field_error(path, line_no, "vector", _EMBEDDING_FIELDS["vector"].want, got)
 
 
 # --- model persistence ------------------------------------------------------

@@ -15,10 +15,11 @@ from scipy.special import gammaln
 
 from tweetlink.cascade import aggregate, cut
 from tweetlink.contrast import STRATEGIES, sample_negatives
-from tweetlink.corpus import LinkedPair
+from tweetlink.corpus import AnnotationRecord, Document, LinkedPair
 from tweetlink.errors import (
     ConflictingLabelError,
     DimMismatchError,
+    DuplicateIdError,
     EmptyChunkListError,
     EmptyInputError,
     MalformedLineError,
@@ -618,25 +619,32 @@ def train_reference(positives, tweet_features, article_features, cfg, strategy="
 
 def iter_jsonl_reference(path):
     """(line number, object) per non-blank line, each parsed with json.loads;
-    any ValueError it raises (bad JSON, a number of over 4,300 digits) is a
-    malformed line."""
+    any ValueError it raises (bad JSON, a number of over 4,300 digits), or
+    RecursionError (a value nested past the recursion limit), is a malformed
+    line."""
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise MalformedLineError(str(path), line_no, str(exc)) from exc
             if not isinstance(obj, dict):
                 raise MalformedLineError(str(path), line_no, "expected a JSON object")
             yield line_no, obj
 
 
-def _require(obj, field, line_no):
-    if field not in obj:
-        raise MissingFieldError(field, line_no)
-    return obj[field]
+_ABSENT = object()
+
+
+def _require(path, obj, field, line_no, default=_ABSENT):
+    """A field's value; `default` if it is absent, unless it is required."""
+    if field in obj:
+        return obj[field]
+    if default is _ABSENT:
+        raise MissingFieldError(str(path), line_no, field)
+    return default
 
 
 _JSON_KIND_WORDS = [
@@ -645,33 +653,151 @@ _JSON_KIND_WORDS = [
 ]
 
 
-def id_reference(path, obj, name, line_no):
-    """A required id field: a JSON string as is, an integer as its decimal
-    string; any other value is a malformed line."""
-    value = _require(obj, name, line_no)
-    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+def _kind_word(value):
+    return next((word for t, word in _JSON_KIND_WORDS if isinstance(value, t)), "null")
+
+
+def _ill_typed(path, line_no, name, want, got):
+    return MalformedLineError(str(path), line_no, f"{name} must be {want}, got {got}")
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def id_reference(path, obj, name, line_no, optional=False):
+    """An id field: a JSON string as is, an integer as its decimal string;
+    any other value is a malformed line. An optional id (parent_id) is None
+    when absent or null."""
+    value = _require(path, obj, name, line_no, None if optional else _ABSENT)
+    if optional and value is None:
+        return None
+    if isinstance(value, str) or _is_int(value):
         return str(value)
-    kind = next((word for t, word in _JSON_KIND_WORDS if isinstance(value, t)), "null")
-    raise MalformedLineError(
-        str(path), line_no, f"{name} must be a string or an integer, got {kind}"
-    )
+    want = "a string, an integer or null" if optional else "a string or an integer"
+    raise _ill_typed(path, line_no, name, want, _kind_word(value))
+
+
+def typed_reference(path, obj, name, line_no, ok, want, default=_ABSENT):
+    """A field whose value passes `ok`, worded `want`."""
+    value = _require(path, obj, name, line_no, default)
+    if not ok(value):
+        raise _ill_typed(path, line_no, name, want, _kind_word(value))
+    return value
+
+
+def choice_reference(path, obj, name, line_no, choices, default=_ABSENT):
+    """A field whose value is one of the strings `choices`."""
+    value = _require(path, obj, name, line_no, default)
+    if isinstance(value, str) and value in choices:
+        return value
+    want = "one of " + ", ".join(repr(c) for c in choices)
+    got = repr(value) if isinstance(value, str) else _kind_word(value)
+    raise _ill_typed(path, line_no, name, want, got)
+
+
+def load_documents_reference(path):
+    """One Document per line, its fields read in the order id, kind, text,
+    created_at, summary, parent_id, parent_kind; then a repeated id, then the
+    dataclass's own rules (only tweets have parents, with a parent_kind)."""
+    docs, seen = [], set()
+    for line_no, obj in iter_jsonl_reference(path):
+        doc_id = id_reference(path, obj, "id", line_no)
+        fields = dict(
+            kind=choice_reference(path, obj, "kind", line_no, ("tweet", "article")),
+            text=typed_reference(path, obj, "text", line_no, lambda v: isinstance(v, str),
+                                 "a string"),
+            created_at=typed_reference(path, obj, "created_at", line_no, _is_int, "an integer"),
+            summary=typed_reference(path, obj, "summary", line_no,
+                                    lambda v: v is None or isinstance(v, str),
+                                    "a string or null", None),
+            parent_id=id_reference(path, obj, "parent_id", line_no, optional=True),
+            parent_kind=choice_reference(path, obj, "parent_kind", line_no,
+                                         ("none", "reply", "quote"), "none"),
+        )
+        if doc_id in seen:
+            raise DuplicateIdError(doc_id)
+        seen.add(doc_id)
+        try:
+            docs.append(Document(id=doc_id, **fields))
+        except ValueError as exc:
+            raise MalformedLineError(str(path), line_no, str(exc)) from exc
+    return docs
 
 
 def load_pairs_reference(path):
-    """One LinkedPair per line; the dataclass rejects an unknown label."""
-    pairs = []
+    """One LinkedPair per line, its fields read in the order tweet_id,
+    article_id, label."""
+    return [
+        LinkedPair(
+            id_reference(path, obj, "tweet_id", line_no),
+            id_reference(path, obj, "article_id", line_no),
+            choice_reference(path, obj, "label", line_no, ("match", "no_match", "unknown")),
+        )
+        for line_no, obj in iter_jsonl_reference(path)
+    ]
+
+
+def load_annotations_reference(path):
+    """One AnnotationRecord per line, its fields read in the order tweet_id,
+    article_id, annotator_id, verdict; then a repeated (tweet, article,
+    annotator)."""
+    records, seen = [], set()
     for line_no, obj in iter_jsonl_reference(path):
+        rec = AnnotationRecord(
+            id_reference(path, obj, "tweet_id", line_no),
+            id_reference(path, obj, "article_id", line_no),
+            id_reference(path, obj, "annotator_id", line_no),
+            choice_reference(path, obj, "verdict", line_no, ("match", "no_match", "skip")),
+        )
+        key = (rec.tweet_id, rec.article_id, rec.annotator_id)
+        if key in seen:
+            raise DuplicateIdError("/".join(key))
+        seen.add(key)
+        records.append(rec)
+    return records
+
+
+def vector_reference(path, obj, line_no):
+    """An embeddings line's vector as a list of floats: a nonempty array of
+    numbers (not booleans), each finite as a float, checked one value at a
+    time, types first."""
+    value = _require(path, obj, "vector", line_no)
+    want = "a nonempty array of finite numbers"
+    if not isinstance(value, list):
+        raise _ill_typed(path, line_no, "vector", want, _kind_word(value))
+    if not value:
+        raise _ill_typed(path, line_no, "vector", want, "an empty array")
+    for x in value:
+        if not (_is_int(x) or isinstance(x, float)):
+            raise _ill_typed(path, line_no, "vector", want, f"an array holding {_kind_word(x)}")
+    floats = []
+    for x in value:
         try:
-            pairs.append(
-                LinkedPair(
-                    tweet_id=id_reference(path, obj, "tweet_id", line_no),
-                    article_id=id_reference(path, obj, "article_id", line_no),
-                    label=_require(obj, "label", line_no),
-                )
-            )
-        except ValueError as exc:
-            raise MalformedLineError(str(path), line_no, str(exc)) from exc
-    return pairs
+            x = float(x)
+        except OverflowError:
+            x = math.inf
+        if not math.isfinite(x):
+            got = "an array holding a number that is not finite as a float64"
+            raise _ill_typed(path, line_no, "vector", want, got)
+        floats.append(x)
+    return floats
+
+
+def load_embeddings_reference(path):
+    """(id, vector as floats) per line in order; a repeated id, then a
+    vector of another length than the first line's, is an error."""
+    rows = {}
+    for line_no, obj in iter_jsonl_reference(path):
+        doc_id = id_reference(path, obj, "id", line_no)
+        vec = vector_reference(path, obj, line_no)
+        if doc_id in rows:
+            raise DuplicateIdError(doc_id)
+        dim = len(next(iter(rows.values()), vec))
+        if len(vec) != dim:
+            raise DimMismatchError(f"id {doc_id!r} has dim {len(vec)}, expected {dim}")
+        rows[doc_id] = vec
+    return list(rows.items())
 
 
 # One pairs.jsonl line exactly as write_pairs writes it: the definition of

@@ -27,15 +27,20 @@ and exits non-zero at the first check that fails.
   tweets with emoji, URLs, mentions and hashtags, each document's tokens
   must be the words textprep.clean gives its text alone, with article
   summaries and with full articles.
+- In each JSONL input (documents, pairs, annotations, embeddings), an
+  ill-typed line and a line nested past the recursion limit must each make
+  the command exit 2, with the file and line in its error.
 - A tfidf eval in a fresh interpreter must leave the dual encoder
   (tweetlink.contrast) and tweetlink.cascade registered but not run: the CLI
   loads them on first use.
 """
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr
 from dataclasses import replace
 from pathlib import Path
 
@@ -251,6 +256,52 @@ def prep_smoke():
             raise SystemExit(f"prep wrote {len(got)} documents, not {len(edited)}")
 
 
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def bad_lines_smoke():
+    docs, pairs = corpus.synth_fixture(
+        seed=1, n_topics=2, n_articles=6, tweets_per_article=3, vocab_per_topic=20
+    )
+    corpus.write_documents(docs, "documents.jsonl")
+    corpus.write_pairs(pairs, "pairs.jsonl")
+    with open("documents.jsonl") as fh:
+        doc_lines = fh.read().splitlines()
+    with open("pairs.jsonl") as fh:
+        pair_lines = fh.read().splitlines()
+    annotation = '{"tweet_id": "t", "article_id": "a", "annotator_id": "u", "verdict": "match"'
+    vectors = [json.dumps({"id": d.id, "vector": [1.0, i]}) for i, d in enumerate(docs)]
+    external = {"model": "dual", "features": "external", "embeddings": "embeddings.jsonl",
+                "train": {"epochs": 2, "joint_dim": 4}}
+    # Per format: its file's lines, the config keys that read it, the command,
+    # and line 2 ill-typed, then nested past the recursion limit.
+    for name, lines, extra, command, bad in [
+        ("documents", doc_lines, {}, "eval",
+         ['{"id": "a9", "kind": "blog", "text": "x", "created_at": 1}',
+          '{"id": "a9", "kind": "article", "text": ' + DEEP + ', "created_at": 1}']),
+        ("pairs", pair_lines, {}, "eval",
+         ['{"tweet_id": "t", "article_id": "a", "label": 3}',
+          '{"tweet_id": "t", "article_id": "a", "label": ' + DEEP + "}"]),
+        ("annotations", [annotation + "}"] * 2, {"annotations": "annotations.jsonl"}, "ingest",
+         [annotation.replace('"u"', "null") + "}", annotation + ', "note": ' + DEEP + "}"]),
+        ("embeddings", vectors, external, "eval",
+         ['{"id": ["x"], "vector": [1.0, 2.0]}', '{"id": "x", "vector": ' + DEEP + "}"]),
+    ]:
+        for line in bad:
+            path = f"{name}.jsonl"
+            with open(path, "w") as fh:
+                fh.write("\n".join([lines[0], line, *lines[2:]]) + "\n")
+            write_json("config.json", {"documents": "documents.jsonl", "pairs": "pairs.jsonl",
+                                       "model": "tfidf", **extra})
+            err = io.StringIO()
+            with redirect_stderr(err):
+                code = cli.main(["--config", "config.json", command])
+            if code != 2 or f"{path}:2: " not in err.getvalue():
+                raise SystemExit(f"{name} line {line[:60]!r}: exit {code}, {err.getvalue()!r}")
+        with open(f"{name}.jsonl", "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+
+
 def lazy_layers_smoke():
     docs, pairs = corpus.synth_fixture(
         seed=1, n_topics=2, n_articles=6, tweets_per_article=3, vocab_per_topic=20
@@ -273,7 +324,7 @@ def lazy_layers_smoke():
 def main(workdir):
     root = Path(workdir).resolve()
     for name, smoke in [("lda", lda_smoke), ("dual", dual_smoke), ("prep", prep_smoke),
-                        ("lazy", lazy_layers_smoke)]:
+                        ("bad_lines", bad_lines_smoke), ("lazy", lazy_layers_smoke)]:
         (root / name).mkdir(parents=True, exist_ok=True)
         os.chdir(root / name)
         smoke()

@@ -136,7 +136,8 @@ class TestExitCodes:
         lines[2] = '{"tweet_id": "t", "article_id": "a", "label": []}\n'
         path.write_text("".join(lines))
         assert cli.main(["--config", str(make_config()), "eval"]) == 2
-        assert "pairs.jsonl:3: unknown pair label []" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "pairs.jsonl:3: label must be one of 'match', 'no_match', 'unknown', got an array" in err
 
     @pytest.mark.parametrize(
         "prior",
@@ -1333,22 +1334,70 @@ def test_non_utf8_input_exit_2(small_corpus, make_config, tmp_path, kind, capsys
         assert f"{bad}:2: byte 0xff is not UTF-8" in err
 
 
+_DEEP = "[" * 100_000 + "]" * 100_000
+_TWEET = '{"id": "t9", "kind": "tweet", "text": "x", "created_at": 1'
+_ANNOTATION = '{"tweet_id": "t", "article_id": "a", "annotator_id": "u", "verdict": "match"'
+
+
+@pytest.mark.parametrize("kind, line, message", [
+    ("documents", '{"id": "a9", "text": "x", "created_at": 1}', "missing required field 'kind'"),
+    ("documents", _TWEET + ', "parent_kind": 3}', "parent_kind must be one of"),
+    ("documents", _TWEET.replace('"x"', _DEEP) + "}", "maximum recursion depth exceeded"),
+    ("pairs", '{"tweet_id": "t", "article_id": "a", "label": 3}', "label must be one of"),
+    ("pairs", '{"tweet_id": "t", "article_id": "a", "label": ' + _DEEP + "}", "maximum recursion"),
+    ("annotations", _ANNOTATION.replace('"u"', "null") + "}", "annotator_id must be a string"),
+    ("annotations", _ANNOTATION + ', "note": ' + _DEEP + "}", "maximum recursion depth"),
+    ("embeddings", '{"id": ["art-0000"], "vector": [1, 2]}', "id must be a string or an integer"),
+    ("embeddings", '{"id": null, "vector": [1, 2]}', "got null"),
+    ("embeddings", '{"id": true, "vector": [1, 2]}', "got a boolean"),
+    ("embeddings", '{"id": "x", "vector": [1, "2"]}', "got an array holding a string"),
+    ("embeddings", '{"id": "x", "vector": [true, false]}', "got an array holding a boolean"),
+    ("embeddings", '{"id": "x", "vector": [1e308, 1' + "0" * 400 + "]}",
+     "got an array holding a number that is not finite as a float64"),
+    ("embeddings", '{"id": "x", "vector": ' + _DEEP + "}", "maximum recursion depth"),
+])
+def test_ill_typed_or_deeply_nested_line_exit_2(small_corpus, make_config, tmp_path, kind, line,
+                                                message, capsys):
+    """An ill-typed field, or a value nested past the recursion limit, on line
+    2 of a JSONL input is an input error naming the file and line."""
+    path = tmp_path / f"{kind}.jsonl"
+    extra, command = {}, ["eval"]
+    if kind == "documents":
+        lines = small_corpus["documents"].read_text().splitlines()
+    elif kind == "pairs":
+        lines = small_corpus["pairs_path"].read_text().splitlines()
+    elif kind == "annotations":
+        lines, extra, command = [_ANNOTATION + "}"] * 2, {"annotations": str(path)}, ["ingest"]
+    else:
+        lines = [json.dumps({"id": d.id, "vector": [1.0, i]})
+                 for i, d in enumerate(small_corpus["docs"])]
+        extra = {"model": "dual", "features": "external", "embeddings": str(path),
+                 "train": {"epochs": 2, "joint_dim": 4, "seed": 7}}
+    lines[1] = line
+    path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["--config", str(make_config(extra)), *command]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:2: " in err and message in err and "Traceback" not in err
+
+
 _MODEL_LOADERS = {
     "tfidf": vectorize.load_tfidf, "lda": vectorize.load_lda, "encoder": contrast.load_encoder,
 }
 
 
-@pytest.mark.parametrize("content", ["missing", "invalid JSON", "non-UTF-8", "wrong kind"])
+@pytest.mark.parametrize("content", ["missing", "invalid JSON", "non-UTF-8", "wrong kind",
+                                     "nested too deep"])
 @pytest.mark.parametrize("reader", ["config", "grid", "report", *_MODEL_LOADERS])
 def test_json_document_errors_name_the_file(small_corpus, make_config, tmp_path, reader, content,
                                             capsys):
     """Every JSON document input is read by one reader: a file that is missing,
-    is not JSON, is not UTF-8 or holds the wrong kind of top-level value is a
-    ConfigInvalidError naming it, exit code 2 through the CLI."""
+    is not JSON, is not UTF-8, nests past the recursion limit or holds the
+    wrong kind of top-level value is a ConfigInvalidError naming it, exit code
+    2 through the CLI."""
     path = tmp_path / f"bad-{reader}.json"
     wrong_kind = {"grid": b"{}", "report": b"3"}.get(reader, b"[]")
     data = {"missing": None, "invalid JSON": b'{"a": ', "non-UTF-8": b'{"a": "\xff"}',
-            "wrong kind": wrong_kind}[content]
+            "wrong kind": wrong_kind, "nested too deep": _DEEP.encode()}[content]
     if data is not None:
         path.write_bytes(data)
     if reader in _MODEL_LOADERS:

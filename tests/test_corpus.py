@@ -53,19 +53,14 @@ class TestLoadDocuments:
             corpus.load_documents(path)
         assert err.value.field == "text"
         assert err.value.line_no == 3
+        assert str(err.value) == f"{path}:3: missing required field 'text'"
+        assert isinstance(err.value, MalformedLineError)
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text('{"id": "t1", "kind": "tweet"\n')
         with pytest.raises(MalformedLineError):
             corpus.load_documents(path)
-
-    def test_kind_expectation(self, tmp_path):
-        path = tmp_path / "d.jsonl"
-        _write_lines(path, [{"id": "a1", "kind": "article", "text": "x", "created_at": 1}])
-        assert corpus.load_documents(path, kind="article")
-        with pytest.raises(MalformedLineError):
-            corpus.load_documents(path, kind="tweet")
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -85,6 +80,11 @@ class TestLoadDocuments:
             ("parent_id", [1], "parent_id must be a string, an integer or null, got an array"),
             ("parent_id", True, "parent_id must be a string, an integer or null, got a boolean"),
             ("parent_id", 1.5, "parent_id must be a string, an integer or null, got a number"),
+            ("kind", 3, "kind must be one of 'tweet', 'article', got an integer"),
+            ("kind", "blog", "kind must be one of 'tweet', 'article', got 'blog'"),
+            ("parent_kind", 3, "parent_kind must be one of 'none', 'reply', 'quote', got an integer"),
+            ("parent_kind", None, "parent_kind must be one of 'none', 'reply', 'quote', got null"),
+            ("parent_kind", "reply", "document 'a2': parent_kind must match parent_id presence"),
         ],
     )
     def test_ill_typed_field_names_file_and_line(self, tmp_path, field, value, message):
@@ -373,6 +373,19 @@ class TestOtherLoaders:
         with pytest.raises(MalformedLineError, match=re.escape(message)):
             corpus.load_annotations(path)
 
+    @pytest.mark.parametrize("verdict, got", [("maybe", "'maybe'"), (1, "an integer"),
+                                              (None, "null")])
+    def test_annotation_verdict_outside_its_set(self, tmp_path, verdict, got):
+        path = tmp_path / "ann.jsonl"
+        _write_lines(path, [{"tweet_id": "t", "article_id": "a", "annotator_id": "u1",
+                             "verdict": verdict}])
+        message = f"{path}:1: verdict must be one of 'match', 'no_match', 'skip', got {got}"
+        with pytest.raises(MalformedLineError, match=re.escape(message)):
+            corpus.load_annotations(path)
+        _write_lines(path, [{"tweet_id": "t", "article_id": "a", "annotator_id": "u1"}])
+        with pytest.raises(MissingFieldError, match=re.escape(f"{path}:1: missing required")):
+            corpus.load_annotations(path)
+
     def test_keywords_file(self, tmp_path):
         path = tmp_path / "kw.txt"
         path.write_text("putin\n#ukraine\n\nwar\n")
@@ -479,7 +492,7 @@ class TestPairTableLoader:
         "bad, error, message",
         [
             ('{"tweet_id": "t", "article_id": "a", "label": "maybe"}', MalformedLineError,
-             "unknown pair label 'maybe'"),
+             "label must be one of 'match', 'no_match', 'unknown', got 'maybe'"),
             ('{"tweet_id": "t", "label": "match"}', MissingFieldError, "'article_id'"),
             ('{"tweet_id": "t", "article_id": "a", "label": "match"', MalformedLineError,
              "Expecting ',' delimiter"),

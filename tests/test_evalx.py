@@ -8,7 +8,6 @@ from reference import (
     masked_flatten_reference,
 )
 from tweetlink import evalx
-from tweetlink.corpus import AnnotationRecord
 from tweetlink.errors import (
     DegenerateAgreementError,
     EmptyInputError,
@@ -203,41 +202,6 @@ class TestEvaluateMasked:
         )
         for field in ("average_precision", "accuracy", "precision", "recall", "f1"):
             assert getattr(base, field) == pytest.approx(getattr(permuted, field), abs=1e-12)
-
-
-class TestConsensus:
-    def _records(self, verdicts, tweet="t", article="a"):
-        return [
-            AnnotationRecord(tweet, article, f"u{i}", v) for i, v in enumerate(verdicts)
-        ]
-
-    def test_majority_match(self):
-        out = evalx.consensus_score(self._records(["match", "match", "no_match"]))
-        entry = out[("t", "a")]
-        assert entry.score == pytest.approx(2 / 3)
-        assert entry.label == 1
-
-    def test_all_skip_unknown(self):
-        entry = evalx.consensus_score(self._records(["skip", "skip"]))[("t", "a")]
-        assert entry.score is None
-        assert entry.label == 0
-
-    def test_boundary_inclusive(self):
-        entry = evalx.consensus_score(self._records(["match", "no_match"]))[("t", "a")]
-        assert entry.score == 0.5
-        assert entry.label == 1
-
-    def test_threshold_configurable(self):
-        entry = evalx.consensus_score(
-            self._records(["match", "no_match"]), threshold=0.6
-        )[("t", "a")]
-        assert entry.label == -1
-
-    def test_skips_excluded_from_mean(self):
-        entry = evalx.consensus_score(self._records(["match", "skip", "no_match", "skip"]))[
-            ("t", "a")
-        ]
-        assert entry.score == 0.5
 
 
 class TestFleissKappa:

@@ -8,8 +8,9 @@ epoch gather plan (against the per-batch gather), its pooled article rows
 (against the dense mean) and its row-index
 examples (against the per-pair vector builder), text
 cleaning one text at a time and in batches, the TF-IDF document frequencies,
-and the JSONL reader, pair table loader and ground-truth builder against the
-oracles they replace."""
+and the JSONL reader, the loader of each line format (against a field-by-field
+oracle), the pair table loader and ground-truth builder against the oracles
+they replace."""
 
 import json
 import tempfile
@@ -39,6 +40,9 @@ from reference import (
     lda_fit_reference,
     lda_fit_steps_reference,
     lda_infer_reference,
+    load_annotations_reference,
+    load_documents_reference,
+    load_embeddings_reference,
     load_pairs_reference,
     masked_flatten_reference,
     mean_rows_reference,
@@ -998,6 +1002,135 @@ def test_load_pair_table_matches_per_pair_loader(text, block_chars):
         with mock.patch.object(corpus, "_PAIR_BLOCK_CHARS", block_chars):
             assert _outcome(corpus.load_pair_table, path) == want
             assert _outcome(corpus.load_pairs, path) == want
+
+
+# A field of any JSON kind, or absent: every kind a line format's table
+# must sort. Integers of over 400 digits are ids as any other integer, but
+# overflow a float64.
+ABSENT = object()
+big_ints = st.integers(10**400, 10**401) | st.integers(-(10**401), -(10**400))
+any_field = st.one_of(
+    st.just(ABSENT), st.none(), st.booleans(), st.integers(-3, 3),
+    big_ints, st.floats(),
+    st.sampled_from(["", "t1", "a1", "tweet", "article", "reply", "match", "skip"]) | texts,
+    st.lists(st.one_of(st.integers(0, 2), big_ints, st.floats(), st.booleans(), st.none(),
+                       texts, st.just([1])), max_size=2),
+    st.dictionaries(st.sampled_from(["n"]), st.integers(0, 1), max_size=1),
+)
+field_ids = st.sampled_from(["t1", "t2", "a1", "a2", ""]) | st.integers(-2, 2) | st.just(10**400)
+
+
+@st.composite
+def table_lines(draw, valid):
+    """A JSONL line of a format: a line `valid` draws (ABSENT: a field left
+    out), with up to two fields then redrawn as any kind, its keys in any
+    order."""
+    obj = draw(valid)
+    for name in draw(st.lists(st.sampled_from(list(obj)), max_size=2)):
+        obj[name] = draw(any_field)
+    items = [(name, value) for name, value in obj.items() if value is not ABSENT]
+    return json.dumps(dict(draw(st.permutations(items))))
+
+
+def _table_file_outcomes(lines, load, oracle):
+    """(load's outcome, the oracle's) on a file of `lines`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return _outcome(load, path), _outcome(oracle, path)
+
+
+@st.composite
+def valid_documents(draw):
+    """A valid documents line; a tweet has a parent half the time."""
+    doc = {
+        "id": draw(field_ids),
+        "kind": draw(st.sampled_from(corpus.KINDS)),
+        "text": draw(texts),
+        "created_at": draw(st.integers(-2, 2) | st.just(10**400)),
+        "summary": draw(st.just(ABSENT) | st.none() | texts),
+        "parent_id": draw(st.just(ABSENT) | st.none()),
+        "parent_kind": draw(st.sampled_from([ABSENT, "none"])),
+    }
+    if doc["kind"] == "tweet" and draw(st.booleans()):
+        doc["parent_id"] = draw(field_ids)
+        doc["parent_kind"] = draw(st.sampled_from(["reply", "quote"]))
+    return doc
+
+
+_DOC = '{"id": "a1", "kind": "article", "text": "x", "created_at": 1}'
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(table_lines(valid_documents()), min_size=1, max_size=4))
+@example([_DOC, '{"id": "a2", "text": "x", "created_at": 1}'])  # no kind
+@example([_DOC, _DOC.replace('"a1"', '"t2"').replace("}", ', "parent_kind": 3}')])
+@example([_DOC, _DOC.replace('"article"', '"tweet"').replace("}", ', "parent_id": 7, '
+                                                                 '"parent_kind": "quote"}')])
+@example([_DOC, _DOC.replace('"x"', "[" * 5000 + "]" * 5000)])  # past the recursion limit
+@example([_DOC, _DOC.replace('"a1"', "true").replace('"x"', "3")])  # two faults: id first
+@example([_DOC, _DOC.replace('"x"', "3")])  # a repeated id after an ill-typed text
+def test_load_documents_matches_field_table_oracle(lines):
+    got, want = _table_file_outcomes(lines, corpus.load_documents, load_documents_reference)
+    assert got == want
+
+
+PAIR_VALID = st.fixed_dictionaries({
+    "tweet_id": field_ids, "article_id": field_ids,
+    "label": st.sampled_from(corpus.PAIR_LABELS),
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(table_lines(PAIR_VALID), min_size=1, max_size=4))
+@example(['{"tweet_id": 1' + "0" * 400 + ', "article_id": "a1", "label": "match"}'])
+@example(['{"tweet_id": "t1", "article_id": "a1", "label": ' + "[" * 5000 + "]" * 5000 + "}"])
+def test_load_pair_table_matches_field_table_oracle(lines):
+    got, want = _table_file_outcomes(lines, corpus.load_pair_table, load_pairs_reference)
+    assert got == want
+
+
+ANNOTATION_VALID = st.fixed_dictionaries({
+    "tweet_id": field_ids, "article_id": field_ids, "annotator_id": field_ids,
+    "verdict": st.sampled_from(corpus.VERDICTS),
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(table_lines(ANNOTATION_VALID), min_size=1, max_size=4))
+@example(['{"tweet_id": "t", "article_id": 3, "annotator_id": null, "verdict": "match"}'])
+@example(['{"tweet_id": "t", "article_id": 3, "annotator_id": "u", "verdict": "maybe"}'])
+def test_load_annotations_matches_field_table_oracle(lines):
+    got, want = _table_file_outcomes(lines, corpus.load_annotations, load_annotations_reference)
+    assert got == want
+
+
+def _embedding_rows(path):
+    table = vectorize.load_embeddings(path)
+    return [(doc_id, vec.tolist()) for doc_id, vec in table.vectors.items()]
+
+
+numbers = st.integers(-3, 3) | st.floats(-1e3, 1e3) | st.just(2**70 + 1) | st.just(1e308)
+EMBEDDING_VALID = st.fixed_dictionaries({
+    "id": field_ids,
+    "vector": st.lists(numbers, min_size=2, max_size=2) | st.lists(numbers, max_size=3),
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(table_lines(EMBEDDING_VALID), min_size=1, max_size=4))
+@example(['{"id": ["art-0000"], "vector": [1]}'])
+@example(['{"id": null, "vector": [1]}', '{"id": true, "vector": [1]}'])
+@example(['{"id": "x", "vector": [1, "2"]}'])
+@example(['{"id": "x", "vector": [true, false]}'])
+@example(['{"id": "x", "vector": [1e308, 1' + "0" * 400 + "]}"])
+@example(['{"id": "x", "vector": [NaN, "a"]}'])  # the types are checked first
+@example(['{"id": "x", "vector": [[1]]}', '{"id": "x", "vector": []}'])
+@example(['{"id": 1' + "0" * 400 + ', "vector": [1' + "0" * 300 + ", 2]}",
+          '{"id": "x", "vector": [1]}'])
+def test_load_embeddings_matches_field_table_oracle(lines):
+    got, want = _table_file_outcomes(lines, _embedding_rows, load_embeddings_reference)
+    assert got == want
 
 
 @st.composite

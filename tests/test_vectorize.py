@@ -432,6 +432,38 @@ class TestEmbeddings:
         with pytest.raises(MalformedLineError, match=":2:"):
             vectorize.load_embeddings(path)
 
+    @pytest.mark.parametrize("line, message", [
+        ('{"id": ["art-0000"], "vector": [1]}', "id must be a string or an integer, got an array"),
+        ('{"id": null, "vector": [1]}', "id must be a string or an integer, got null"),
+        ('{"id": true, "vector": [1]}', "id must be a string or an integer, got a boolean"),
+        ('{"id": 1.5, "vector": [1]}', "id must be a string or an integer, got a number"),
+        ('{"id": "t2", "vector": 1}', "vector must be a nonempty array of finite numbers, "
+         "got an integer"),
+        ('{"id": "t2", "vector": [1, "2"]}', "got an array holding a string"),
+        ('{"id": "t2", "vector": [true, false]}', "got an array holding a boolean"),
+        ('{"id": "t2", "vector": [[1], [2]]}', "got an array holding an array"),
+        ('{"id": "t2", "vector": [1, null]}', "got an array holding null"),
+        ('{"id": "t2", "vector": [1e308, 1' + "0" * 400 + ']}',
+         "got an array holding a number that is not finite as a float64"),
+        ('{"id": "t2"}', "missing required field 'vector'"),
+        ('{"vector": [1]}', "missing required field 'id'"),
+    ])
+    def test_ill_typed_line_names_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "emb.jsonl"
+        path.write_text('{"id": "t1", "vector": [1.0]}\n' + line + "\n")
+        with pytest.raises(MalformedLineError, match=re.escape(f"{path}:2: ") + ".*"
+                           + re.escape(message)):
+            vectorize.load_embeddings(path)
+
+    def test_integer_ids_and_values_load(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        big = 10**400  # an id of any size; a value as large as a float64 holds
+        path.write_text(f'{{"id": {big}, "vector": [1, {2**70}]}}\n'
+                        '{"id": -3, "vector": [0.5, 1e308]}\n')
+        table = vectorize.load_embeddings(path)
+        assert list(table.vectors) == [str(big), "-3"]
+        assert table.lookup(str(big)).tolist() == [1.0, float(2**70)]
+
     def test_missing_lookup(self, tmp_path):
         path = tmp_path / "emb.jsonl"
         path.write_text('{"id": "t1", "vector": [1.0]}\n')
