@@ -15,7 +15,7 @@ import importlib
 __version__ = "0.1.0"
 
 _HOMES = {
-    "config": "AGGREGATIONS STRATEGIES TrainConfig",
+    "config": "AGGREGATIONS ChunkingConfig CleaningConfig STRATEGIES TrainConfig",
     "cascade": "Cascade CascadeMember aggregate build_cascades cut",
     "contrast": (
         "AffineMap DualEncoder cosine_embedding_loss encode encode_batch load_encoder "
@@ -32,10 +32,7 @@ _HOMES = {
     ),
     "linker": "calibrate_threshold classify cosine score_matrix",
     "matrices": "ClassificationMatrix CsrRows GroundTruthMatrix SimilarityMatrix",
-    "textprep": (
-        "ChunkingConfig CleaningConfig augment_split chunk clean clean_words "
-        "load_lemmas tokenize_lemmatize truncate"
-    ),
+    "textprep": "augment_split chunk clean clean_words load_lemmas tokenize_lemmatize truncate",
     "vectorize": (
         "EmbeddingTable LdaModel TfidfModel Vocabulary lda_fit lda_infer load_embeddings "
         "tfidf_fit tfidf_transform tfidf_transform_batch"

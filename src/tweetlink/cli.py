@@ -28,23 +28,21 @@ import csv
 import importlib.util
 import json
 import sys
-from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from . import corpus, evalx, linker, textprep, vectorize
-from .config import AGGREGATIONS, STRATEGIES, TrainConfig
+# The run config lives in config; its names stay importable from here.
+from .config import FEATURES, MODELS, LdaParams, RunConfig
 from .errors import (
     ConfigInvalidError,
     DegenerateEvaluationError,
-    DuplicateIdError,
     EmptyGridError,
     MalformedLineError,
     TweetLinkError,
     UnknownIdError,
-    check_types,
     read_json,
 )
 from .matrices import (
@@ -76,152 +74,8 @@ def _lazy_submodule(name: str):
 contrast = _lazy_submodule("contrast")
 cascade_mod = _lazy_submodule("cascade")
 
-MODELS = ("tfidf", "lda", "dual")
-FEATURES = ("tfidf", "lda", "external")
 # Config keys that select the corpus: one value per run, never per grid point.
 CORPUS_KEYS = frozenset({"documents", "pairs", "keywords", "train_pairs"})
-
-
-@dataclass(frozen=True)
-class LdaParams:
-    """The config's lda section: topic count, Dirichlet priors and Gibbs sweeps."""
-
-    n_topics: int = 10
-    alpha: float | None = None
-    beta: float = 0.01
-    iters: int = 100
-    infer_iters: int = 50
-
-    def __post_init__(self):
-        for name in ("n_topics", "iters", "infer_iters"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        for name in ("alpha", "beta"):
-            prior = getattr(self, name)
-            if prior is not None and not prior > 0:
-                raise ValueError(f"{name} must be > 0, got {prior!r}")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One run's config document; built and checked by from_dict (ConfigInvalidError)."""
-
-    documents: str
-    pairs: str
-    model: str = "tfidf"
-    features: str = "tfidf"
-    strategy: str = "truncate"
-    aggregation: str = "mean"
-    seed: int = 0
-    threshold: float | None = None
-    out_dir: str = "out"
-    train_pairs: str | None = None
-    annotations: str | None = None
-    embeddings: str | None = None
-    lemmas: str | None = None
-    keywords: str | None = None
-    summary_articles: bool | None = None  # None: summaries for tfidf, full text otherwise
-    max_summary_chars: int = 600
-    cleaning: textprep.CleaningConfig = field(default_factory=textprep.CleaningConfig)
-    chunking: textprep.ChunkingConfig = field(
-        default_factory=lambda: textprep.ChunkingConfig(content_len=510)
-    )
-    lda: LdaParams = field(default_factory=LdaParams)
-    train: TrainConfig = field(default_factory=TrainConfig)
-
-    def __post_init__(self):
-        if self.model not in MODELS:
-            raise ConfigInvalidError(f"model must be one of {MODELS}, got {self.model!r}")
-        if self.features not in FEATURES:
-            raise ConfigInvalidError(f"features must be one of {FEATURES}, got {self.features!r}")
-        if self.strategy not in STRATEGIES:
-            raise ConfigInvalidError(
-                f"strategy must be one of {STRATEGIES}, got {self.strategy!r}"
-            )
-        if self.aggregation not in AGGREGATIONS:
-            raise ConfigInvalidError(
-                f"aggregation must be one of {AGGREGATIONS}, got {self.aggregation!r}"
-            )
-        if self.seed < 0:
-            raise ConfigInvalidError(f"seed must be >= 0, got {self.seed}")
-        if self.max_summary_chars < 1:
-            raise ConfigInvalidError(
-                f"max_summary_chars must be >= 1, got {self.max_summary_chars}"
-            )
-        if self.model != "dual" and (self.features, self.strategy) != ("tfidf", "truncate"):
-            raise ConfigInvalidError(
-                f"features and strategy choose the dual encoder's input; model {self.model!r} "
-                f"reads neither, so they must keep their defaults (got features="
-                f"{self.features!r}, strategy={self.strategy!r})"
-            )
-        if self.features == "external":
-            if not self.embeddings:
-                raise ConfigInvalidError("features=external requires an embeddings path")
-            if self.strategy != "truncate":
-                raise ConfigInvalidError(
-                    "external embeddings carry no token structure; use strategy=truncate"
-                )
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "RunConfig":
-        data = dict(raw)  # only top-level keys are popped; sections are read, never changed
-        sections = {
-            "cleaning": textprep.CleaningConfig,
-            "chunking": textprep.ChunkingConfig,
-            "lda": LdaParams,
-            "train": TrainConfig,
-        }
-        kwargs = {}
-        for name, section_cls in sections.items():
-            if name not in data:
-                continue
-            values = data.pop(name)
-            if not isinstance(values, dict):
-                raise ConfigInvalidError(f"config section {name!r} must be an object")
-            check_types(section_cls, values, f"{name}.")
-            try:
-                kwargs[name] = section_cls(**values)
-            except (TypeError, ValueError) as exc:
-                raise ConfigInvalidError(f"invalid {name} config: {exc}") from exc
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigInvalidError(f"unknown config keys: {sorted(unknown)}")
-        if "documents" not in data or "pairs" not in data:
-            raise ConfigInvalidError("config must set 'documents' and 'pairs' paths")
-        check_types(cls, data)
-        try:
-            return cls(**data, **kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigInvalidError(f"invalid config: {exc}") from exc
-
-    @classmethod
-    def from_file(cls, path) -> "RunConfig":
-        return cls.from_dict(read_json(path, "config", dict))
-
-    def to_dict(self) -> dict:
-        out = {}
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            if hasattr(value, "__dataclass_fields__"):
-                out[name] = {k: getattr(value, k) for k in value.__dataclass_fields__}
-            else:
-                out[name] = value
-        return out
-
-    def with_overrides(self, dotted: dict) -> "RunConfig":
-        """Apply {'train.lr': 0.5, 'lda.n_topics': 4, ...} onto a copy."""
-        data = self.to_dict()
-        for key, value in dotted.items():
-            target = data
-            parts = key.split(".")
-            for part in parts[:-1]:
-                if part not in target or not isinstance(target[part], dict):
-                    raise ConfigInvalidError(f"unknown config section in override {key!r}")
-                target = target[part]
-            if parts[-1] not in target:
-                raise ConfigInvalidError(f"unknown config key in override {key!r}")
-            target[parts[-1]] = value
-        return RunConfig.from_dict(data)
 
 
 # --- stages --------------------------------------------------------------------
@@ -852,7 +706,7 @@ def main(argv=None) -> int:
             run = _Run(cfg)
         args.handler(run, args)
         return 0
-    except (ConfigInvalidError, OSError, MalformedLineError, DuplicateIdError) as exc:
+    except (ConfigInvalidError, OSError, MalformedLineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DegenerateEvaluationError as exc:

@@ -56,7 +56,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .config import STRATEGIES, TrainConfig
+from .config import NONLINEARITIES, STRATEGIES, TrainConfig
 from .errors import (
     DimMismatchError,
     EmptyChunkListError,
@@ -106,7 +106,7 @@ class DualEncoder:
     def __post_init__(self):
         if self.tweet_map.out_dim != self.article_map.out_dim:
             raise DimMismatchError("tweet and article maps must share the joint dimension")
-        if self.nonlinearity not in ("none", "tanh"):
+        if self.nonlinearity not in NONLINEARITIES:
             raise ValueError(f"unknown nonlinearity {self.nonlinearity!r}")
 
     @property

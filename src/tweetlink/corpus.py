@@ -372,7 +372,7 @@ def load_documents(path) -> list[Document]:
     for line_no, obj in _iter_jsonl(path):
         values = _read_fields(path, line_no, obj, _DOCUMENT_FIELDS)
         if values[0] in seen:
-            raise DuplicateIdError(values[0])
+            raise DuplicateIdError(str(path), line_no, values[0])
         seen.add(values[0])
         try:
             docs.append(Document(*values))
@@ -544,7 +544,7 @@ def load_annotations(path) -> list[AnnotationRecord]:
         rec = AnnotationRecord(*_read_fields(path, line_no, obj, _ANNOTATION_FIELDS))
         key = (rec.tweet_id, rec.article_id, rec.annotator_id)
         if key in seen:
-            raise DuplicateIdError("/".join(key))
+            raise DuplicateIdError(str(path), line_no, "/".join(key))
         seen.add(key)
         records.append(rec)
     return records

@@ -2,7 +2,7 @@
 that turn bad input into one of them: the text-file opener for a byte that
 is not UTF-8, the one JSON document reader, the one model-file writer and
 reader (write_model, read_model, read_array) and the field-type check every
-config value and model-file scalar passes."""
+config value and model-file scalar passes: its type, then its range or choices."""
 
 from __future__ import annotations
 
@@ -56,9 +56,9 @@ class MissingFieldError(MalformedLineError):
         self.field = field
 
 
-class DuplicateIdError(TweetLinkError):
-    def __init__(self, doc_id: str):
-        super().__init__(f"duplicate id {doc_id!r}")
+class DuplicateIdError(MalformedLineError):
+    def __init__(self, path: str, line_no: int, doc_id: str):
+        super().__init__(path, line_no, f"duplicate id {doc_id!r}")
         self.doc_id = doc_id
 
 
@@ -175,7 +175,7 @@ class CycleDetectedError(TweetLinkError):
 # --- CLI ----------------------------------------------------------------
 
 
-class ConfigInvalidError(TweetLinkError):
+class ConfigInvalidError(TweetLinkError, ValueError):
     """Bad run configuration or unusable input files (maps to CLI exit code 2)."""
 
 
@@ -293,15 +293,18 @@ INT_FIELD_MAX = 2**31 - 1
 
 
 def check_types(cls, values: dict, prefix: str = "") -> None:
-    """Reject a value in `values` whose JSON type does not fit the field of
-    dataclass `cls` it names, naming its key after `prefix`.
+    """Reject a value in `values` that does not fit the field of dataclass
+    `cls` it names, naming its key after `prefix` (ConfigInvalidError).
 
-    An int field takes an integer (not a bool) of at most INT_FIELD_MAX, or
-    of any size if the field is a `seed`; a float field a number that
-    is finite as a float (not an integer too large for one), a bool field
-    true or false and a str field a string; a field typed `... | None` also
-    takes null. Keys that are not fields, and fields of other types, are left
-    to the caller.
+    The field's annotation gives the JSON type: an int field takes an integer
+    (not a bool) of at most INT_FIELD_MAX, or of any size if the field is a
+    `seed`; a float field a number that is finite as a float (not an integer
+    too large for one), a bool field true or false and a str field a string;
+    a field typed `... | None` also takes null. A field whose default_factory
+    is a class (a config section) takes an instance of it. The field's "rule"
+    metadata, if any, then bounds the value: ">= N", "> N", "[lo, hi)", or a
+    tuple of the values it may take. Keys that are not fields, and fields of
+    other types, are left to the caller.
     """
     for f in fields(cls):
         if f.name not in values:
@@ -324,10 +327,26 @@ def check_types(cls, values: dict, prefix: str = "") -> None:
             ok, want = type(value) is bool, "true or false"
         elif kind == "str":
             ok, want = type(value) is str, "a string"
+        elif isinstance(f.default_factory, type):
+            ok, want = isinstance(value, f.default_factory), "an object"
         else:
             continue
+        rule = f.metadata.get("rule")
+        if ok and rule is not None:
+            ok, want = _meets(value, rule)
         if not ok:
             # An integer past 4,300 digits has no repr; name its size instead.
             big = type(value) is int and value.bit_length() > 64
             shown = f"an integer of {value.bit_length()} bits" if big else repr(value)
             raise ConfigInvalidError(f"{prefix}{f.name} must be {want}, got {shown}")
+
+
+def _meets(value, rule) -> tuple[bool, str]:
+    """Whether `value` meets a check_types rule, and the rule in words."""
+    if isinstance(rule, tuple):
+        return value in rule, "one of " + ", ".join(map(repr, rule))
+    if rule.startswith("["):
+        lo, hi = map(float, rule[1:-1].split(","))
+        return lo <= value < hi, f"in {rule}"
+    op, bound = rule.split()
+    return (value >= float(bound) if op == ">=" else value > float(bound)), rule

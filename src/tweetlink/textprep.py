@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass
-
+from .config import ChunkingConfig, CleaningConfig
 from .errors import EmptyInputError, MalformedLineError, open_utf8
 
 TokenSeq = list[str]
@@ -39,40 +38,6 @@ _EMOJI_RANGES = (
     (0x1F1E6, 0x1F1FF),
 )
 _EMOJI_MODIFIERS = {0xFE0E, 0xFE0F, 0x200D}
-
-
-@dataclass(frozen=True)
-class CleaningConfig:
-    """How clean() reduces text to words."""
-
-    min_word_len: int = 3
-    emoji_mode: str = "drop"  # "drop" | "alias"
-    strip_hashes: bool = True
-
-    def __post_init__(self):
-        if self.min_word_len < 1:
-            raise ValueError("min_word_len must be >= 1")
-        if self.emoji_mode not in ("drop", "alias"):
-            raise ValueError(f"unknown emoji_mode {self.emoji_mode!r}")
-
-
-@dataclass(frozen=True)
-class ChunkingConfig:
-    """Token lengths and sentinels for truncation, chunking and the augment split."""
-
-    content_len: int
-    bos: str = "<s>"
-    eos: str = "</s>"
-    pad: str = "<pad>"
-    truncate_limit: int = 512
-    header_len: int = 256
-    part_len: int = 256
-
-    def __post_init__(self):
-        if min(self.content_len, self.truncate_limit, self.header_len, self.part_len) < 1:
-            raise ValueError("all chunking lengths must be >= 1")
-        if len({self.bos, self.eos, self.pad}) != 3:
-            raise ValueError("bos/eos/pad sentinels must be pairwise distinct")
 
 
 class _CharFilter(dict):

@@ -34,9 +34,9 @@ from .corpus import _EMBEDDING_FIELDS, _JSON_KINDS, _field_error, _iter_jsonl, _
 from .errors import (
     ConfigInvalidError,
     DegenerateKError,
-    DimMismatchError,
     DuplicateIdError,
     EmptyCorpusError,
+    MalformedLineError,
     MissingEmbeddingError,
     read_array,
     read_model,
@@ -443,18 +443,22 @@ def lda_infer_batch(
 
 
 def load_embeddings(path) -> EmbeddingTable:
-    """Read embeddings.jsonl (corpus._EMBEDDING_FIELDS); dim fixed by the first row."""
+    """Read embeddings.jsonl (corpus._EMBEDDING_FIELDS); dim fixed by the first
+    row. A repeated id or a vector of another width raises MalformedLineError
+    (DuplicateIdError for the id) naming the file and line."""
     vectors: dict[str, np.ndarray] = {}
     dim = None
     for line_no, obj in _iter_jsonl(path):
         doc_id, values = _read_fields(path, line_no, obj, _EMBEDDING_FIELDS)
         vec = _vector(path, line_no, values)
         if doc_id in vectors:
-            raise DuplicateIdError(doc_id)
+            raise DuplicateIdError(str(path), line_no, doc_id)
         if dim is None:
             dim = len(vec)
         elif len(vec) != dim:
-            raise DimMismatchError(f"id {doc_id!r} has dim {len(vec)}, expected {dim}")
+            raise MalformedLineError(
+                str(path), line_no, f"id {doc_id!r} has dim {len(vec)}, expected {dim}"
+            )
         vectors[doc_id] = vec
     return EmbeddingTable(vectors=vectors, dim=dim or 0)
 

@@ -716,7 +716,7 @@ def load_documents_reference(path):
                                          ("none", "reply", "quote"), "none"),
         )
         if doc_id in seen:
-            raise DuplicateIdError(doc_id)
+            raise DuplicateIdError(str(path), line_no, doc_id)
         seen.add(doc_id)
         try:
             docs.append(Document(id=doc_id, **fields))
@@ -752,7 +752,7 @@ def load_annotations_reference(path):
         )
         key = (rec.tweet_id, rec.article_id, rec.annotator_id)
         if key in seen:
-            raise DuplicateIdError("/".join(key))
+            raise DuplicateIdError(str(path), line_no, "/".join(key))
         seen.add(key)
         records.append(rec)
     return records
@@ -792,10 +792,11 @@ def load_embeddings_reference(path):
         doc_id = id_reference(path, obj, "id", line_no)
         vec = vector_reference(path, obj, line_no)
         if doc_id in rows:
-            raise DuplicateIdError(doc_id)
+            raise DuplicateIdError(str(path), line_no, doc_id)
         dim = len(next(iter(rows.values()), vec))
         if len(vec) != dim:
-            raise DimMismatchError(f"id {doc_id!r} has dim {len(vec)}, expected {dim}")
+            reason = f"id {doc_id!r} has dim {len(vec)}, expected {dim}"
+            raise MalformedLineError(str(path), line_no, reason)
         rows[doc_id] = vec
     return list(rows.items())
 

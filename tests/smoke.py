@@ -30,6 +30,9 @@ and exits non-zero at the first check that fails.
 - In each JSONL input (documents, pairs, annotations, embeddings), an
   ill-typed line and a line nested past the recursion limit must each make
   the command exit 2, with the file and line in its error.
+- In each config section (top level, cleaning, chunking, lda, train), a key
+  of the wrong type or out of range, and an unknown key, must make the
+  command exit 2, naming `<section>.<key>` in its error.
 - A tfidf eval in a fresh interpreter must leave the dual encoder
   (tweetlink.contrast) and tweetlink.cascade registered but not run: the CLI
   loads them on first use.
@@ -302,6 +305,34 @@ def bad_lines_smoke():
             fh.write("\n".join(lines) + "\n")
 
 
+# Per config section, a bad value of one key, by the name the error gives it.
+BAD_CONFIG = [
+    ("threshold", {"threshold": float("nan")}),
+    ("cleaning.min_word_len", {"cleaning": {"min_word_len": True}}),
+    ("chunking.part_len", {"chunking": {"part_len": 0}}),
+    ("lda.beta", {"lda": {"beta": float("inf")}}),
+    ("lda.bogus", {"lda": {"bogus": 1}}),
+    ("train.lr", {"train": {"lr": float("nan")}}),
+    ("train.epochs", {"train": {"epochs": 2.5}}),
+]
+
+
+def bad_config_smoke():
+    docs, pairs = corpus.synth_fixture(
+        seed=1, n_topics=2, n_articles=6, tweets_per_article=3, vocab_per_topic=20
+    )
+    corpus.write_documents(docs, "documents.jsonl")
+    corpus.write_pairs(pairs, "pairs.jsonl")
+    for key, extra in BAD_CONFIG:
+        write_json("config.json", {"documents": "documents.jsonl", "pairs": "pairs.jsonl",
+                                   "model": "lda", **extra})
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code = cli.main(["--config", "config.json", "eval"])
+        if code != 2 or key not in err.getvalue():
+            raise SystemExit(f"config {extra}: exit {code}, {err.getvalue()!r}")
+
+
 def lazy_layers_smoke():
     docs, pairs = corpus.synth_fixture(
         seed=1, n_topics=2, n_articles=6, tweets_per_article=3, vocab_per_topic=20
@@ -323,8 +354,14 @@ def lazy_layers_smoke():
 
 def main(workdir):
     root = Path(workdir).resolve()
+    # The checks run in WORKDIR, and lazy_layers_smoke's fresh interpreter
+    # with them: resolve a relative PYTHONPATH against where this started.
+    if os.environ.get("PYTHONPATH"):
+        paths = os.environ["PYTHONPATH"].split(os.pathsep)
+        os.environ["PYTHONPATH"] = os.pathsep.join(os.path.abspath(p) for p in paths)
     for name, smoke in [("lda", lda_smoke), ("dual", dual_smoke), ("prep", prep_smoke),
-                        ("bad_lines", bad_lines_smoke), ("lazy", lazy_layers_smoke)]:
+                        ("bad_lines", bad_lines_smoke), ("bad_config", bad_config_smoke),
+                        ("lazy", lazy_layers_smoke)]:
         (root / name).mkdir(parents=True, exist_ok=True)
         os.chdir(root / name)
         smoke()

@@ -101,6 +101,42 @@ class TestRunConfig:
         with pytest.raises(ConfigInvalidError, match="lda.alpha .* an integer of 16610 bits"):
             RunConfig.from_dict({"documents": "d", "pairs": "p", "lda": {"alpha": 10**5000}})
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("train", "lr", math.nan), ("train", "epochs", 2.5), ("lda", "n_topics", 2.5),
+        ("lda", "beta", math.inf), ("cleaning", "min_word_len", True), ("", "threshold", math.nan),
+    ])
+    def test_bad_value_rejected_in_python_as_in_json(self, section, key, value):
+        """A Python caller meets the one check as a JSON config does, with the same message."""
+        base = {"documents": "d", "pairs": "p"}
+        if section:
+            section_cls = type(getattr(RunConfig(**base), section))
+            raw = {**base, section: {key: value}}
+            build = lambda: RunConfig(**base, **{section: section_cls(**{key: value})})
+        else:
+            raw = {**base, key: value}
+            build = lambda: RunConfig(**raw)
+        qualified = f"{section}.{key}" if section else key
+        with pytest.raises(ConfigInvalidError, match=f"^{re.escape(qualified)} must be ") as json_err:
+            RunConfig.from_dict(raw)
+        with pytest.raises(ValueError) as python_err:
+            build()
+        assert isinstance(python_err.value, ConfigInvalidError)
+        assert str(python_err.value) == str(json_err.value)
+
+    def test_unknown_section_key_named_with_its_section(self):
+        with pytest.raises(ConfigInvalidError, match=re.escape("unknown config keys: ['lda.bogus']")):
+            RunConfig.from_dict({"documents": "d", "pairs": "p", "lda": {"bogus": 1}})
+
+    def test_section_of_another_type_rejected(self):
+        with pytest.raises(ConfigInvalidError, match="^lda must be an object, got 3$"):
+            RunConfig.from_dict({"documents": "d", "pairs": "p", "lda": 3})
+
+    def test_chunking_content_len_defaults_to_510(self):
+        cfg = RunConfig.from_dict({"documents": "d", "pairs": "p",
+                                   "chunking": {"truncate_limit": 100}})
+        assert (cfg.chunking.content_len, cfg.chunking.truncate_limit) == (510, 100)
+        assert cfg.chunking == textprep.ChunkingConfig(truncate_limit=100)
+
 
 class TestExitCodes:
     def test_eval_success(self, small_corpus, make_config, capsys):
@@ -1224,18 +1260,19 @@ def test_sweep_hp_point_leaving_the_dual_model_resets_its_inputs(
 
 def test_smoke_script_runs_without_test_extra(tmp_path):
     """tests/smoke.py, which CI's numpy-only job runs on the installed package,
-    passes with scipy, pytest and hypothesis unimportable."""
-    script = str(Path(__file__).with_name("smoke.py"))
+    passes with scipy, pytest and hypothesis unimportable, run from the repo
+    root with the relative PYTHONPATH=src."""
+    root = Path(__file__).parents[1]
     code = (
         "import runpy, sys\n"
         "for name in ('scipy', 'pytest', 'hypothesis'): sys.modules[name] = None\n"
-        f"sys.argv = [{script!r}, {str(tmp_path)!r}]\n"
-        f"runpy.run_path({script!r}, run_name='__main__')"
+        f"sys.argv = ['tests/smoke.py', {str(tmp_path)!r}]\n"
+        "runpy.run_path('tests/smoke.py', run_name='__main__')"
     )
-    src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(["src", os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines()[-1] == "smoke checks passed"
@@ -1274,6 +1311,12 @@ def test_ci_numpy_only_job_runs_smoke_script():
                      id="lda.n_topics=10**400"),
         pytest.param({"train": {"joint_dim": 10**30}}, [], "train.joint_dim",
                      id="train.joint_dim=10**30"),
+        pytest.param({"train": {"lr": float("nan")}}, [], "train.lr", id="train.lr=NaN"),
+        pytest.param({"lda": {"n_topics": 2.5}}, [], "lda.n_topics", id="lda.n_topics=2.5"),
+        pytest.param({"lda": {"beta": float("inf")}}, [], "lda.beta", id="lda.beta=Infinity"),
+        pytest.param({"cleaning": {"min_word_len": True}}, [], "cleaning.min_word_len",
+                     id="cleaning.min_word_len=true"),
+        pytest.param({"lda": {"bogus": 1}}, [], "['lda.bogus']", id="lda.bogus"),
     ],
 )
 def test_bad_config_value_exit_2(small_corpus, make_config, extra, flags, key, capsys):
@@ -1343,10 +1386,13 @@ _ANNOTATION = '{"tweet_id": "t", "article_id": "a", "annotator_id": "u", "verdic
     ("documents", '{"id": "a9", "text": "x", "created_at": 1}', "missing required field 'kind'"),
     ("documents", _TWEET + ', "parent_kind": 3}', "parent_kind must be one of"),
     ("documents", _TWEET.replace('"x"', _DEEP) + "}", "maximum recursion depth exceeded"),
+    ("documents", '{"id": "art-0000", "kind": "article", "text": "x", "created_at": 1}',
+     "duplicate id 'art-0000'"),
     ("pairs", '{"tweet_id": "t", "article_id": "a", "label": 3}', "label must be one of"),
     ("pairs", '{"tweet_id": "t", "article_id": "a", "label": ' + _DEEP + "}", "maximum recursion"),
     ("annotations", _ANNOTATION.replace('"u"', "null") + "}", "annotator_id must be a string"),
     ("annotations", _ANNOTATION + ', "note": ' + _DEEP + "}", "maximum recursion depth"),
+    ("annotations", _ANNOTATION + "}", "duplicate id 't/a/u'"),
     ("embeddings", '{"id": ["art-0000"], "vector": [1, 2]}', "id must be a string or an integer"),
     ("embeddings", '{"id": null, "vector": [1, 2]}', "got null"),
     ("embeddings", '{"id": true, "vector": [1, 2]}', "got a boolean"),
@@ -1355,11 +1401,14 @@ _ANNOTATION = '{"tweet_id": "t", "article_id": "a", "annotator_id": "u", "verdic
     ("embeddings", '{"id": "x", "vector": [1e308, 1' + "0" * 400 + "]}",
      "got an array holding a number that is not finite as a float64"),
     ("embeddings", '{"id": "x", "vector": ' + _DEEP + "}", "maximum recursion depth"),
+    ("embeddings", '{"id": "art-0000", "vector": [1, 2]}', "duplicate id 'art-0000'"),
+    ("embeddings", '{"id": "x", "vector": [1, 2, 3]}', "id 'x' has dim 3, expected 2"),
 ])
 def test_ill_typed_or_deeply_nested_line_exit_2(small_corpus, make_config, tmp_path, kind, line,
                                                 message, capsys):
-    """An ill-typed field, or a value nested past the recursion limit, on line
-    2 of a JSONL input is an input error naming the file and line."""
+    """An ill-typed field, a value nested past the recursion limit, a repeated
+    id or a vector of another width on line 2 of a JSONL input is an input
+    error naming the file and line."""
     path = tmp_path / f"{kind}.jsonl"
     extra, command = {}, ["eval"]
     if kind == "documents":

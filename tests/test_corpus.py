@@ -38,9 +38,10 @@ class TestLoadDocuments:
             {"id": "t1", "kind": "tweet", "text": "a", "created_at": 1},
             {"id": "t1", "kind": "tweet", "text": "b", "created_at": 2},
         ])
-        with pytest.raises(DuplicateIdError) as err:
+        with pytest.raises(DuplicateIdError, match=re.escape(f"{path}:2: duplicate id 't1'")) as err:
             corpus.load_documents(path)
         assert err.value.doc_id == "t1"
+        assert isinstance(err.value, MalformedLineError)
 
     def test_missing_field_reports_line(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -356,7 +357,7 @@ class TestOtherLoaders:
         path = tmp_path / "ann.jsonl"
         rec = {"tweet_id": "t", "article_id": "a", "annotator_id": "u1", "verdict": "match"}
         _write_lines(path, [rec, rec])
-        with pytest.raises(DuplicateIdError):
+        with pytest.raises(DuplicateIdError, match=re.escape(f"{path}:2: duplicate id 't/a/u1'")):
             corpus.load_annotations(path)
 
     @pytest.mark.parametrize("name, value, kind", [

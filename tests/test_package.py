@@ -1,11 +1,15 @@
 """The package's public names, which resolve on first access from their home modules."""
 
 import importlib
+import json
+import re
+from dataclasses import MISSING, fields
+from pathlib import Path
 
 import pytest
 
 import tweetlink
-from tweetlink import cascade, config, contrast
+from tweetlink import cascade, cli, config, contrast, textprep
 
 # Each public name and the module it comes from.
 HOMES = {
@@ -67,8 +71,44 @@ def test_unknown_name_raises_attribute_error():
 
 
 def test_config_names_are_the_layers_names():
-    """RunConfig checks these without running contrast or cascade; the layers
-    re-export the same objects."""
+    """config declares every config dataclass, and RunConfig checks these
+    without running contrast or cascade; the layers re-export the same objects."""
+    assert cli.RunConfig is config.RunConfig and cli.LdaParams is config.LdaParams
+    assert cli.MODELS is config.MODELS and cli.FEATURES is config.FEATURES
+    assert textprep.CleaningConfig is config.CleaningConfig
+    assert textprep.ChunkingConfig is config.ChunkingConfig
     assert contrast.TrainConfig is config.TrainConfig
     assert contrast.STRATEGIES is config.STRATEGIES
     assert cascade.AGGREGATIONS is config.AGGREGATIONS
+
+
+_JSON_TYPES = {"int": "integer", "float": "number", "bool": "true or false", "str": "string"}
+
+
+def _declared_rows(cls, prefix=""):
+    """(key, JSON type, default, rule) of each non-section field of `cls`, as
+    README's config table words them."""
+    for f in fields(cls):
+        if isinstance(f.default_factory, type):  # a section: its own rows follow
+            continue
+        kind, _, optional = f.type.partition(" | ")
+        rule = f.metadata.get("rule", "")
+        yield (
+            f"`{prefix}{f.name}`",
+            _JSON_TYPES[kind] + (" or null" if optional else ""),
+            "required" if f.default is MISSING else f"`{json.dumps(f.default)}`",
+            ", ".join(f"`{c}`" for c in rule) if isinstance(rule, tuple) else rule,
+        )
+
+
+def test_readme_config_table_matches_the_declarations():
+    """README lists every config key with the type, default and rule that its
+    field in tweetlink.config declares."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = [tuple(cell.strip() for cell in row.split("|")[1:5])
+             for row in re.findall(r"^\| `\w+(?:\.\w+)?` \|.*$", readme, re.M)
+             if row.count("|") == 6]
+    want = [*_declared_rows(config.RunConfig)]
+    for section, cls in config._SECTIONS.items():
+        want += _declared_rows(cls, f"{section}.")
+    assert table == want

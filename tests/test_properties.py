@@ -13,14 +13,16 @@ oracle), the pair table loader and ground-truth builder against the oracles
 they replace."""
 
 import json
+import math
 import tempfile
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 from numpy.testing import assert_array_equal
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from reference import (
@@ -53,8 +55,9 @@ from reference import (
     train_reference,
     train_stepwise_reference,
 )
-from tweetlink import cli, contrast, corpus, evalx, linker, textprep, vectorize
+from tweetlink import cli, config, contrast, corpus, evalx, linker, textprep, vectorize
 from tweetlink.errors import (
+    ConfigInvalidError,
     DimMismatchError,
     EmptyInputError,
     MissingEmbeddingError,
@@ -1419,3 +1422,66 @@ def test_clean_words_matches_per_text_reference(texts, emoji_mode, strip_hashes,
         min_word_len=min_word_len, emoji_mode=emoji_mode, strip_hashes=strip_hashes
     )
     assert textprep.clean_words(texts, cfg) == [clean_reference(t, cfg).split() for t in texts]
+
+
+# --- config keys -------------------------------------------------------------
+
+# Each config key as (section, key), section "" for a top-level key, the four
+# sections among them.
+CONFIG_KEYS = [("", f.name) for f in fields(config.RunConfig)] + [
+    (section, f.name) for section, cls in config._SECTIONS.items() for f in fields(cls)
+]
+# Strings that are valid somewhere: every choice and sentinel, and paths.
+_CONFIG_STRINGS = sorted({
+    *config.MODELS, *config.FEATURES, *config.STRATEGIES, *config.AGGREGATIONS,
+    *config.NONLINEARITIES, *config.EMOJI_MODES, "<s>", "</s>", "<pad>", "", "d", "e.jsonl",
+})
+config_values = st.one_of(
+    st.just(ABSENT), st.none(), st.booleans(), st.integers(-2, 3),
+    st.sampled_from([10**4999, -(10**4999), 2**31 - 1, 2**31]),  # 5,000 digits; the int32 cap
+    st.floats(-2, 2) | st.sampled_from([1e-300, 0.999, 1e300]),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.sampled_from(_CONFIG_STRINGS), st.lists(st.integers(0, 1), max_size=1),
+)
+
+
+def _config_outcome(build):
+    try:
+        return build()
+    except ConfigInvalidError as exc:
+        return f"ConfigInvalidError: {exc}"
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(CONFIG_KEYS), config_values, st.sampled_from(["tfidf", "dual"]))
+@example(("", "threshold"), math.nan, "tfidf")
+@example(("train", "lr"), math.nan, "dual")
+@example(("lda", "n_topics"), 2.5, "tfidf")
+@example(("lda", "beta"), math.inf, "tfidf")
+@example(("cleaning", "min_word_len"), True, "tfidf")
+@example(("chunking", "content_len"), ABSENT, "tfidf")
+@example(("lda", "alpha"), 10**4999, "tfidf")
+@example(("", "seed"), 10**4999, "tfidf")
+def test_config_from_dict_and_construction_agree(key, value, model):
+    """A config key's value, read from a config document or passed to the
+    dataclasses in Python, meets one check: both give equal configs, or both
+    raise ConfigInvalidError with one message, naming `<section>.<key>`."""
+    section, name = key
+    assume(not (value is ABSENT and name in ("documents", "pairs") and not section))
+    base = {"documents": "d", "pairs": "p", "model": model}
+    given_key = {} if value is ABSENT else {name: value}
+    if section:
+        raw = {**base, section: given_key}
+        built = lambda: config.RunConfig(**base, **{section: config._SECTIONS[section](**given_key)})
+    else:
+        raw = {**base, **given_key}
+        built = lambda: config.RunConfig(**raw)
+    from_dict = _config_outcome(lambda: config.RunConfig.from_dict(raw))
+    assert from_dict == _config_outcome(built)
+    if isinstance(from_dict, str):
+        message = from_dict.removeprefix("ConfigInvalidError: ")
+        qualified = f"{section}.{name}" if section else name
+        if message.startswith(("features and strategy", "chunking.bos, chunking.eos and")):
+            assert qualified in message  # a rule joining two keys names both
+        else:
+            assert message.startswith(qualified)

@@ -12,7 +12,6 @@ from tweetlink import corpus, textprep, vectorize
 from tweetlink.errors import (
     ConfigInvalidError,
     DegenerateKError,
-    DimMismatchError,
     DuplicateIdError,
     EmptyCorpusError,
     MalformedLineError,
@@ -404,13 +403,13 @@ class TestEmbeddings:
     def test_dim_mismatch(self, tmp_path):
         path = tmp_path / "emb.jsonl"
         path.write_text('{"id": "t1", "vector": [1, 2, 3]}\n{"id": "t2", "vector": [1, 2, 3, 4]}\n')
-        with pytest.raises(DimMismatchError):
+        with pytest.raises(MalformedLineError, match=re.escape(f"{path}:2: id 't2' has dim 4, expected 3")):
             vectorize.load_embeddings(path)
 
     def test_duplicate_id(self, tmp_path):
         path = tmp_path / "emb.jsonl"
         path.write_text('{"id": "t1", "vector": [1]}\n{"id": "t1", "vector": [2]}\n')
-        with pytest.raises(DuplicateIdError):
+        with pytest.raises(DuplicateIdError, match=re.escape(f"{path}:2: duplicate id 't1'")):
             vectorize.load_embeddings(path)
 
     def test_malformed(self, tmp_path):
