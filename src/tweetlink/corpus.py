@@ -23,6 +23,7 @@ from .errors import (
     MalformedLineError,
     MissingFieldError,
     UnknownIdError,
+    check_utf8,
     open_utf8,
 )
 from .matrices import GroundTruthMatrix
@@ -407,37 +408,46 @@ _PAIR_MIN_LINE = len(_PAIR_HEAD + _PAIR_MID + _PAIR_TAILS[0])
 # keys' memory, and as padding after a block of lines no shorter than
 # _PAIR_MIN_LINE it keeps every window in the buffer.
 _PAIR_KEY_BYTES = 256
-_PAIR_BLOCK_CHARS = 1 << 18
+_PAIR_BLOCK_CHARS = 1 << 18  # bytes read before a block is completed to its newline
 
 
 def load_pair_table(path) -> PairTable:
     """Read pairs.jsonl into a PairTable, building no per-pair objects.
 
-    The file is read once, in blocks of about _PAIR_BLOCK_CHARS that end at
-    a newline, and each block is coded before the next is read. A block
-    whose every line is in write_pairs' form is coded with array operations
-    on its bytes (_code_pair_block); any other block is parsed line by line
-    (_parse_jsonl, _read_fields with _PAIR_FIELDS), with the same result.
+    The file is read once as bytes, in blocks of about _PAIR_BLOCK_CHARS
+    that end at a newline, and each block is coded before the next is read.
+    A block that is not all ASCII is checked to be UTF-8 (check_utf8), and
+    a block holding "\\r" has its line ends translated as text mode's
+    universal newlines would, so lines, their numbers and errors are those
+    of the file read as text. A block whose every line is in write_pairs'
+    form is coded with array operations on its bytes (_code_pair_block);
+    any other block is decoded and parsed line by line (_parse_jsonl,
+    _read_fields with _PAIR_FIELDS), with the same result.
     """
     columns = _PairColumns()
     start = 1
-    with open_utf8(path) as fh:
+    with open(path, "rb") as fh:
         while block := fh.read(_PAIR_BLOCK_CHARS):
             block += fh.readline()
+            if not block.isascii():
+                check_utf8(path, block, start)
+            if b"\r" in block:
+                block = block.replace(b"\r\n", b"\n")
+                block = block.replace(b"\r", b"\n")
             coded = _code_pair_block(block)
-            n_lines = len(coded[-1]) if coded else block.count("\n")
-            columns.append(*(coded or _parse_pair_lines(path, block, start)))
+            n_lines = len(coded[-1]) if coded else block.count(b"\n")
+            columns.append(*(coded or _parse_pair_lines(path, block.decode(), start)))
             start += n_lines
     return PairTable._of(*columns.coded())
 
 
-def _code_pair_block(block: str) -> tuple | None:
+def _code_pair_block(block: bytes) -> tuple | None:
     """The arguments of _PairColumns.append for a block of lines in
     write_pairs' form, one row a line, or None for a block in any other form.
 
-    The block must end in a newline and hold no backslash, no control
-    character but its newlines, 12 quotes a line and no line shorter than
-    _PAIR_MIN_LINE. Each line must then hold _PAIR_HEAD at its start,
+    The block, valid UTF-8, must end in a newline and hold no backslash, no
+    control character but its newlines, 12 quotes a line and no line shorter
+    than _PAIR_MIN_LINE. Each line must then hold _PAIR_HEAD at its start,
     _PAIR_MID at the first quote after that and a tail of _PAIR_TAILS before
     its newline, in that order and apart. These three literals hold the 12
     quotes, so no id holds a quote, and each id is a JSON string that
@@ -446,9 +456,9 @@ def _code_pair_block(block: str) -> tuple | None:
     distinct key is decoded. Keys of one id that differ after its closing
     quote are joined again by _PairColumns' dicts.
     """
-    if not block.endswith("\n") or "\\" in block:
+    if not block.endswith(b"\n") or b"\\" in block:
         return None
-    data = block.encode() + bytes(_PAIR_KEY_BYTES)
+    data = block + bytes(_PAIR_KEY_BYTES)
     buf = np.frombuffer(data, np.uint8)
     text = buf[:-_PAIR_KEY_BYTES]
     ends = np.flatnonzero(text < 0x20)
@@ -487,8 +497,10 @@ def _code_pair_block(block: str) -> tuple | None:
 
 
 def _windows(buf: np.ndarray, width: int, starts: np.ndarray) -> np.ndarray:
-    """The `width` bytes from each start, one row each."""
-    return np.lib.stride_tricks.sliding_window_view(buf, width)[starts]
+    """The `width` bytes from each start, one row each: rows of a view whose
+    row i is buf[i:i + width]."""
+    view = np.ndarray((len(buf) - width + 1, width), np.uint8, buf, strides=(1, 1))
+    return view[starts]
 
 
 def _holds(buf: np.ndarray, starts: np.ndarray, literal: bytes) -> bool:
@@ -524,7 +536,7 @@ def _distinct_keys(data: bytes, keys: np.ndarray, starts: np.ndarray, ends: np.n
 def _parse_pair_lines(path, block: str, start: int) -> tuple:
     """The arguments of _PairColumns.append for a block's lines, parsed one
     by one and numbered from `start`."""
-    # The block's lines end at "\n" only, as the file's do when iterated.
+    # The block's lines end at "\n" only: load_pair_table translated any "\r".
     rows = [_read_fields(path, line_no, obj, _PAIR_FIELDS)
             for line_no, obj in _parse_jsonl(path, io.StringIO(block), start)]
     tweet_ids, article_ids, labels = zip(*rows) if rows else ((), (), ())
@@ -563,8 +575,18 @@ def load_keywords(path) -> KeywordList:
     return KeywordList(tuple(filter(None, lines)))
 
 
+def _json_line(obj: dict) -> bytes:
+    """`obj` as one JSON line in UTF-8, its non-ASCII characters as they are.
+    A lone surrogate, which UTF-8 cannot hold, is written escaped instead, as
+    is every non-ASCII character of its line."""
+    try:
+        return (json.dumps(obj, ensure_ascii=False) + "\n").encode()
+    except UnicodeEncodeError:
+        return (json.dumps(obj) + "\n").encode()
+
+
 def write_documents(docs, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         for doc in docs:
             obj = {"id": doc.id, "kind": doc.kind, "text": doc.text, "created_at": doc.created_at}
             if doc.summary is not None:
@@ -572,18 +594,17 @@ def write_documents(docs, path) -> None:
             if doc.parent_id is not None:
                 obj["parent_id"] = doc.parent_id
                 obj["parent_kind"] = doc.parent_kind
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+            fh.write(_json_line(obj))
 
 
 def write_pairs(pairs, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write pairs.jsonl in the form load_pair_table codes with array
+    operations: ids in UTF-8, escaped only where JSON requires it."""
+    with open(path, "wb") as fh:
         for pair in pairs:
-            fh.write(
-                json.dumps(
-                    {"tweet_id": pair.tweet_id, "article_id": pair.article_id, "label": pair.label}
-                )
-                + "\n"
-            )
+            fh.write(_json_line(
+                {"tweet_id": pair.tweet_id, "article_id": pair.article_id, "label": pair.label}
+            ))
 
 
 def extract_summary(article: Document, max_chars: int = 600) -> str:

@@ -1,8 +1,9 @@
 """Exception hierarchy shared by all tweetlink modules, and the input readers
-that turn bad input into one of them: the text-file opener for a byte that
-is not UTF-8, the one JSON document reader, the one model-file writer and
-reader (write_model, read_model, read_array) and the field-type check every
-config value and model-file scalar passes: its type, then its range or choices."""
+that turn bad input into one of them: the UTF-8 check and the text-file
+opener for a byte that is not UTF-8, the one JSON document reader, the one
+model-file writer and reader (write_model, read_model, read_array) and the
+field-type check every config value and model-file scalar passes: its type,
+then its range or choices."""
 
 from __future__ import annotations
 
@@ -33,21 +34,29 @@ class MalformedLineError(TweetLinkError):
 @contextmanager
 def open_utf8(path, **kwargs):
     """open(path) for reading UTF-8 text. A byte that is not UTF-8 raises
-    MalformedLineError naming its line; only then is the file read again, as
-    bytes, to find that line."""
+    MalformedLineError naming its line (check_utf8); only then is the file
+    read again, as bytes, to find that line."""
     try:
         with open(path, encoding="utf-8", **kwargs) as fh:
             yield fh
     except UnicodeDecodeError:
         with open(path, "rb") as fh:
-            data = fh.read()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line_no = data.count(b"\n", 0, exc.start) + 1
-            reason = f"byte 0x{data[exc.start]:02x} is not UTF-8"
-            raise MalformedLineError(str(path), line_no, reason) from None
+            check_utf8(path, fh.read())
         raise  # the file changed between the two reads
+
+
+def check_utf8(path, data: bytes, first_line: int = 1) -> None:
+    """Raise MalformedLineError if `data`, read from `path`, is not UTF-8,
+    naming the line of its first bad byte. Lines are numbered from
+    `first_line` at the start of `data`, and end at "\\n", "\\r\\n" or a lone
+    "\\r", as text mode reads them."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        line_no = first_line + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        reason = f"byte 0x{data[exc.start]:02x} is not UTF-8"
+        raise MalformedLineError(str(path), line_no, reason) from None
 
 
 class MissingFieldError(MalformedLineError):

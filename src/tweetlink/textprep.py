@@ -116,15 +116,21 @@ def clean_words(texts: list[str], cfg: CleaningConfig = CleaningConfig()) -> lis
     space (both are \\s, str.isspace and str.split() separators, and neither is
     cased or case-ignorable to lower()'s final sigma) or matches across one,
     so every text gets the words it would get alone.
+
+    A rule that cannot match is skipped: the URL rule when the text holds
+    neither "://" nor "www.", and the emoji rule when it is all ASCII, since
+    every emoji and modifier lies above U+007F.
     """
     if not texts:
         return []
     t = "\n".join([text.replace("\n", " ") for text in texts]).lower()
-    t = _URL_RE.sub(" ", t)
+    if "://" in t or "www." in t:
+        t = _URL_RE.sub(" ", t)
     t = _MENTION_RE.sub(" ", t)
     if cfg.strip_hashes:
         t = t.replace("#", "")
-    t = _handle_emoji(t, cfg.emoji_mode)
+    if not t.isascii():
+        t = _handle_emoji(t, cfg.emoji_mode)
     t = _strip_digits_punct(t, keep_hash=not cfg.strip_hashes)
     n = cfg.min_word_len
     return [[w for w in line.split() if len(w) >= n] for line in t.split("\n")]

@@ -7,17 +7,18 @@ library and tweetlink: no pytest, hypothesis or scipy. It writes a synthetic
 corpus into WORKDIR, runs the CLI commands there through `tweetlink.cli.main`,
 and exits non-zero at the first check that fails.
 
-- The pairs, about 600K characters and so 3 of load_pair_table's blocks,
-  are written five times. Three share the documents: by write_pairs, whose
+- The pairs, about 600K bytes and so 3 of load_pair_table's blocks, are
+  written six times. Three share the documents: by write_pairs, whose
   blocks load_pair_table codes with array operations on their bytes;
   compact with CRLF line ends, whose blocks it parses line by line; and by
   write_pairs with one line re-spaced, so that only that line's block, the
   last, is parsed line by line. These three must give the same artifacts.
-  Two give every id non-ASCII characters, with the documents renamed to
-  match: escaped by write_pairs (parsed line by line), and raw with
-  ensure_ascii=False, whose blocks take the array path on UTF-8 bytes. These
-  two must give the same artifacts, and the first three's counts and report.
-  Which blocks are parsed line by line is checked too.
+  Three give every id non-ASCII characters, with the documents renamed to
+  match: escaped by json.dumps (parsed line by line), and raw in UTF-8 by
+  write_pairs, with LF and with CRLF line ends, whose blocks all take the
+  array path. These three must give the same artifacts, and the first
+  three's counts and report. Which blocks are parsed line by line is
+  checked too.
 - LDA fit, eval, sweep-size, sweep-hp and ingest must succeed. The tfidf and
   lda model files that fit writes must load back, and a copy with a
   fractional integer field must be a config error.
@@ -105,7 +106,7 @@ NON_ASCII = "\u00e9\u65b0\U0001F600"
 
 
 def lda_smoke():
-    # 8,192 pairs: about 600K characters, so load_pair_table reads 3 blocks.
+    # 8,192 pairs: about 600K bytes, so load_pair_table reads 3 blocks.
     docs, pairs = corpus.synth_fixture(
         seed=1, n_topics=3, n_articles=64, tweets_per_article=2, vocab_per_topic=30
     )
@@ -121,7 +122,7 @@ def lda_smoke():
     with open("pairs_respaced.jsonl", "w") as fh:
         fh.writelines(lines)
     # The same corpus with non-ASCII ids, its pairs written escaped by
-    # write_pairs and raw (ensure_ascii=False), in UTF-8.
+    # json.dumps, and raw in UTF-8 by write_pairs, then with CRLF line ends.
     corpus.write_documents(
         [replace(d, id=d.id + NON_ASCII, parent_id=d.parent_id and d.parent_id + NON_ASCII)
          for d in docs],
@@ -129,17 +130,21 @@ def lda_smoke():
     )
     renamed = [corpus.LinkedPair(p.tweet_id + NON_ASCII, p.article_id + NON_ASCII, p.label)
                for p in pairs]
-    corpus.write_pairs(renamed, "pairs_escaped.jsonl")
-    with open("pairs_raw.jsonl", "w", encoding="utf-8") as fh:
+    with open("pairs_escaped.jsonl", "w") as fh:
         for p in renamed:
             row = {"tweet_id": p.tweet_id, "article_id": p.article_id, "label": p.label}
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+            fh.write(json.dumps(row) + "\n")
+    corpus.write_pairs(renamed, "pairs_raw.jsonl")
+    raw = Path("pairs_raw.jsonl").read_bytes()
+    Path("pairs_raw_crlf.jsonl").write_bytes(raw.replace(b"\n", b"\r\n"))
     for name, documents, pairs_path, out in [
         ("config.json", "documents.jsonl", "pairs.jsonl", "out"),
         ("config_compact.json", "documents.jsonl", "pairs_compact.jsonl", "out_compact"),
         ("config_respaced.json", "documents.jsonl", "pairs_respaced.jsonl", "out_respaced"),
         ("config_escaped.json", "documents_non_ascii.jsonl", "pairs_escaped.jsonl", "out_escaped"),
         ("config_raw.json", "documents_non_ascii.jsonl", "pairs_raw.jsonl", "out_raw"),
+        ("config_raw_crlf.json", "documents_non_ascii.jsonl", "pairs_raw_crlf.jsonl",
+         "out_raw_crlf"),
     ]:
         write_json(name, {
             "documents": documents, "pairs": pairs_path, "model": "lda",
@@ -147,7 +152,8 @@ def lda_smoke():
         })
 
     # Only the re-spaced line's block, the last, is parsed line by line.
-    for path, n_blocks in [("pairs.jsonl", 0), ("pairs_raw.jsonl", 0), ("pairs_respaced.jsonl", 1)]:
+    for path, n_blocks in [("pairs.jsonl", 0), ("pairs_raw.jsonl", 0),
+                           ("pairs_raw_crlf.jsonl", 0), ("pairs_respaced.jsonl", 1)]:
         starts = line_parsed_blocks(path)
         if len(starts) != n_blocks or 1 in starts:
             raise SystemExit(f"{path}: blocks from lines {starts} were parsed line by line")
@@ -175,14 +181,16 @@ def lda_smoke():
     require_files("out/model_lda.json", "out/report.json", "out/sweep_size.csv",
                   "out/sweep_hp.json")
     run("config.json", "ingest")
-    for variant in ("compact", "respaced", "escaped", "raw"):
+    for variant in ("compact", "respaced", "escaped", "raw", "raw_crlf"):
         run(f"config_{variant}.json", "ingest")
         run(f"config_{variant}.json", "eval")
     # similarity.csv names the ids, so the ASCII and non-ASCII runs share
     # only their counts and report.
     artifacts = ("ingest.json", "report.json", "similarity.csv")
     for a, b, files in [("out", "out_compact", artifacts), ("out", "out_respaced", artifacts),
-                        ("out_escaped", "out_raw", artifacts), ("out", "out_escaped", artifacts[:2])]:
+                        ("out_escaped", "out_raw", artifacts),
+                        ("out_raw", "out_raw_crlf", artifacts),
+                        ("out", "out_escaped", artifacts[:2])]:
         for f in files:
             require_same(f"{a}/{f}", f"{b}/{f}")
 

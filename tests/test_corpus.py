@@ -13,6 +13,7 @@ from tweetlink.errors import (
     MalformedLineError,
     MissingFieldError,
     UnknownIdError,
+    open_utf8,
 )
 
 
@@ -292,6 +293,19 @@ class TestOtherLoaders:
         corpus.write_pairs(pairs, path)
         assert corpus.load_pairs(path) == pairs
 
+    def test_non_ascii_pairs_roundtrip(self, tmp_path):
+        """Ids are written in UTF-8; a line holding a lone surrogate, which
+        UTF-8 cannot hold, is written escaped."""
+        path = tmp_path / "p.jsonl"
+        pairs = [corpus.LinkedPair("tw\u00e9-1", "\u65b0\u805e", "match"),
+                 corpus.LinkedPair("\ud800", "a\u00e9", "no_match")]
+        corpus.write_pairs(pairs, path)
+        assert path.read_bytes().splitlines() == [
+            '{"tweet_id": "tw\u00e9-1", "article_id": "\u65b0\u805e", "label": "match"}'.encode(),
+            b'{"tweet_id": "\\ud800", "article_id": "a\\u00e9", "label": "no_match"}',
+        ]
+        assert corpus.load_pairs(path) == pairs
+
     def test_pair_table_columns(self, tmp_path):
         path = tmp_path / "p.jsonl"
         _write_lines(path, [
@@ -455,9 +469,41 @@ class TestPairTableLoader:
     def test_escaped_ids_take_the_line_parser(self, tmp_path, tweet_id, line_parsed_blocks):
         path = tmp_path / "p.jsonl"
         pairs = [corpus.LinkedPair("t1", "a1", "match"), corpus.LinkedPair(tweet_id, "a1", "unknown")]
-        corpus.write_pairs(pairs, path)
+        # json.dumps escapes a quote, a backslash, a control character and
+        # every non-ASCII character.
+        _write_lines(path, [vars(p) for p in pairs])
+        assert b"\\" in path.read_bytes()
         assert list(corpus.load_pair_table(path)) == pairs
         assert line_parsed_blocks == [1]
+
+    @pytest.mark.parametrize("tweet_id", ["tw\u00e9-1", "\u2028", "\u65b0\U0001F600"])
+    def test_write_pairs_writes_non_ascii_ids_as_utf8(self, tmp_path, tweet_id,
+                                                      line_parsed_blocks):
+        path = tmp_path / "p.jsonl"
+        pairs = [corpus.LinkedPair("t1", "a1", "match"), corpus.LinkedPair(tweet_id, "a1", "unknown")]
+        corpus.write_pairs(pairs, path)
+        assert tweet_id.encode() in path.read_bytes()
+        assert list(corpus.load_pair_table(path)) == pairs
+        assert line_parsed_blocks == []  # the array path codes every block
+
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
+    def test_bad_utf8_byte_in_a_later_block_names_its_line(self, tmp_path, monkeypatch, end):
+        """In open_utf8's words, with the line counted as text mode counts it."""
+        path = tmp_path / "p.jsonl"
+        pairs = _synth_pairs()
+        corpus.write_pairs(pairs, path)
+        lines = path.read_bytes().splitlines()
+        path.write_bytes(end.join(lines) + end)
+        monkeypatch.setattr(corpus, "_PAIR_BLOCK_CHARS", 1000)  # about 14 lines a block
+        assert list(corpus.load_pair_table(path)) == pairs
+        lines[299] = lines[299].replace(b"twt", b"tw\xff", 1)
+        path.write_bytes(end.join(lines) + end)
+        message = re.escape(f"{path}:300: byte 0xff is not UTF-8")
+        with pytest.raises(MalformedLineError, match=message) as info:
+            corpus.load_pair_table(path)
+        assert info.value.line_no == 300
+        with pytest.raises(MalformedLineError, match=message), open_utf8(path) as fh:
+            fh.read()
 
     def test_raw_non_ascii_ids_parse_in_bulk(self, tmp_path, line_parsed_blocks):
         path = tmp_path / "p.jsonl"

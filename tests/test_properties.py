@@ -26,6 +26,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from reference import (
+    WRITE_PAIRS_LINE,
     _csr_rows,
     _gather_rows,
     ap_reference,
@@ -1007,6 +1008,36 @@ def test_load_pair_table_matches_per_pair_loader(text, block_chars):
             assert _outcome(corpus.load_pairs, path) == want
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(write_pairs_ids, write_pairs_ids, st.sampled_from(corpus.PAIR_LABELS)),
+             min_size=1, max_size=12),
+    st.sampled_from(["\r\n", "\r", "\n"]),
+    st.booleans(),
+    st.integers(1, 200),
+)
+@example([("t\u00e9", "\u65b0", "match")] * 3, "\r", True, 1)
+@example([("t1", "a1", "match"), ("\U0001F600", "a", "unknown")], "\r\n", True, 60)
+def test_load_pair_table_reads_line_ends_as_text_mode(rows, end, final_end, block_bytes):
+    """A file of write_pairs lines with raw non-ASCII ids and any line end,
+    read as bytes in blocks of any size: the per-line oracle's outcome, which
+    reads the file as text. Every block whose lines are all in write_pairs'
+    form is coded with array operations, after its "\r"s are translated."""
+    lines = [json.dumps({"tweet_id": t, "article_id": a, "label": label}, ensure_ascii=False)
+             for t, a, label in rows]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pairs.jsonl"
+        path.write_text(end.join(lines) + (end if final_end else ""), encoding="utf-8",
+                        newline="")
+        want = _outcome(load_pairs_reference, path)
+        parse = corpus._parse_pair_lines
+        with mock.patch.object(corpus, "_PAIR_BLOCK_CHARS", block_bytes), \
+                mock.patch.object(corpus, "_parse_pair_lines", side_effect=parse) as spy:
+            assert _outcome(corpus.load_pair_table, path) == want
+    if final_end and all(map(WRITE_PAIRS_LINE.fullmatch, lines)):
+        assert spy.call_count == 0
+
+
 # A field of any JSON kind, or absent: every kind a line format's table
 # must sort. Integers of over 400 digits are ids as any other integer, but
 # overflow a float64.
@@ -1187,11 +1218,12 @@ def _line(tweet_id, article_id, label="match"):
 @example(_line("y" * 257, "a1") + _line("t1", "a1"))  # an id too long to key
 @example(_line("t1", "z" * 257) + _line("t1", "a1"))
 def test_array_pair_block_codes_as_the_write_pairs_regex(block):
-    """The array path accepts a block only if every line is in write_pairs'
-    form (WRITE_PAIRS_LINE), and then codes it as the regex and dicts do. It
-    declines such a block only for an id of over _PAIR_KEY_BYTES bytes."""
+    """The array path accepts a block's UTF-8 bytes only if every line is in
+    write_pairs' form (WRITE_PAIRS_LINE), and then codes it as the regex and
+    dicts do. It declines such a block only for an id of over _PAIR_KEY_BYTES
+    bytes."""
     want = code_pair_block_reference(block)
-    got = corpus._code_pair_block(block)
+    got = corpus._code_pair_block(block.encode())
     if got is None:
         ids = [] if want is None else [*want[0], *want[1]]
         assert want is None or max(len(i.encode()) for i in ids) > corpus._PAIR_KEY_BYTES
@@ -1422,6 +1454,52 @@ def test_clean_words_matches_per_text_reference(texts, emoji_mode, strip_hashes,
         min_word_len=min_word_len, emoji_mode=emoji_mode, strip_hashes=strip_hashes
     )
     assert textprep.clean_words(texts, cfg) == [clean_reference(t, cfg).split() for t in texts]
+
+
+# ASCII pieces around the cheap tests that let clean_words skip a rule: the
+# URL rule runs only on text holding "://" or "www.", the emoji rule only on
+# text that is not all ASCII.
+_ASCII_PIECES = [
+    "http://a.b", "https://c", "www.d.e", "WWW.F", "HTTP://G", "://", ":/", "//", "www",
+    "ww.", "w.", "www.", "xhttp://a", "wwww.b", "@who", "#tag", ":smile:", ":", "abc", "Word",
+    "42", " ", "\n", "\t", ".",
+]
+_ascii_texts = st.lists(
+    st.sampled_from(_ASCII_PIECES) | st.characters(max_codepoint=0x7F), max_size=10
+).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(_ascii_texts, min_size=1, max_size=6),
+    st.sampled_from(_TEXT_PIECES + ["\U0001F600", "\u00e9", "\u212a"]),
+    st.booleans(),
+    st.sampled_from(["drop", "alias"]),
+    st.booleans(),
+    st.integers(1, 4),
+)
+@example(["see http://x.y z", "www.a b"], "\u00e9", False, "alias", True, 1)
+@example(["://x", "wwW.a"], "\U0001F600", True, "alias", False, 1)
+@example(["\u212aa"], "\u212a", True, "drop", True, 1)  # the Kelvin sign lowers to "k"
+def test_clean_words_skips_only_rules_that_cannot_match(
+    texts, piece, add_piece, emoji_mode, strip_hashes, min_word_len
+):
+    """ASCII texts, or the same with one non-ASCII piece added: the words of
+    a reference that always runs the URL and emoji rules."""
+    if add_piece:
+        texts = [texts[0] + piece, *texts[1:]]
+    cfg = textprep.CleaningConfig(
+        min_word_len=min_word_len, emoji_mode=emoji_mode, strip_hashes=strip_hashes
+    )
+    assert textprep.clean_words(texts, cfg) == [clean_reference(t, cfg).split() for t in texts]
+
+
+def test_every_emoji_and_modifier_is_outside_ascii():
+    """clean_words skips the emoji rule on ASCII text, so no character the
+    rule matches may be ASCII."""
+    bounds = [cp for pair in textprep._EMOJI_RANGES for cp in pair]
+    assert min(bounds + list(textprep._EMOJI_MODIFIERS)) > 0x7F
+    assert not any(textprep._EMOJI_OR_MODIFIER_RE.search(chr(cp)) for cp in range(0x80))
 
 
 # --- config keys -------------------------------------------------------------
