@@ -22,9 +22,9 @@ _HOMES = {
         "loss_gradient sample_negatives save_encoder train"
     ),
     "corpus": (
-        "AnnotationRecord Document KeywordList LinkedPair PairTable build_ground_truth "
-        "extract_summary keyword_filter load_annotations load_documents load_keywords "
-        "load_pair_table load_pairs synth_fixture"
+        "AnnotationRecord Document EmbeddingTable KeywordList LinkedPair PairTable "
+        "build_ground_truth extract_summary keyword_filter load_annotations load_documents "
+        "load_embeddings load_keywords load_pair_table load_pairs synth_fixture"
     ),
     "evalx": (
         "MetricsReport average_precision binary_metrics evaluate_masked fleiss_kappa "
@@ -34,8 +34,8 @@ _HOMES = {
     "matrices": "ClassificationMatrix CsrRows GroundTruthMatrix SimilarityMatrix",
     "textprep": "augment_split chunk clean clean_words load_lemmas tokenize_lemmatize truncate",
     "vectorize": (
-        "EmbeddingTable LdaModel TfidfModel Vocabulary lda_fit lda_infer load_embeddings "
-        "tfidf_fit tfidf_transform tfidf_transform_batch"
+        "LdaModel TfidfModel Vocabulary lda_fit lda_infer tfidf_fit tfidf_transform "
+        "tfidf_transform_batch"
     ),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names.split()}

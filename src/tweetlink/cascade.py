@@ -8,13 +8,13 @@ cutting to the n oldest tweets a simple prefix operation.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import AGGREGATIONS
+from .corpus import write_jsonl
 from .errors import ConfigInvalidError, CycleDetectedError, EmptyInputError, RaggedRowsError
 
 
@@ -176,6 +176,4 @@ def aggregate(rows, fn: str) -> np.ndarray:
 
 
 def write_cascades_jsonl(cascades, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for c in cascades:
-            fh.write(json.dumps({"root_id": c.root_id, "member_ids": list(c.member_ids)}) + "\n")
+    write_jsonl(({"root_id": c.root_id, "member_ids": list(c.member_ids)} for c in cascades), path)

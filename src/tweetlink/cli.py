@@ -219,7 +219,7 @@ def _featurizer(cfg: RunConfig, kind: str, tokens, fit_tweet_ids, fit_article_id
     sweeps.
     """
     if kind == "external":
-        table = vectorize.load_embeddings(cfg.embeddings)
+        table = corpus.load_embeddings(cfg.embeddings)
         return lambda docs: np.array(
             [table.lookup(doc_id) for doc_id, _toks in docs], dtype=np.float64
         ).reshape(len(docs), table.dim)
@@ -346,7 +346,7 @@ def run_pipeline(run: _Run | RunConfig) -> tuple[SimilarityMatrix, evalx.Metrics
                 f"{hint} to evaluate on unseen pairs",
                 file=sys.stderr,
             )
-    _write_json(out / "report.json", summary, exact=True)
+    _write_json(out / "report.json", summary)
     return sim, report
 
 
@@ -383,7 +383,7 @@ def split_by_article(article_ids, match_pairs, seed: int, val_fraction: float = 
     train_tweets, val_tweets = [], []
     for t in sorted(matches_by_tweet):
         home = matches_by_tweet[t][int(rng.integers(0, len(matches_by_tweet[t])))]
-        (train_tweets if home in train_articles else val_tweets).append(t)
+        (val_tweets if home in val_articles else train_tweets).append(t)
     return {
         "train_articles": list(train_articles),
         "val_articles": sorted(val_articles),
@@ -495,11 +495,11 @@ def emit_report(results, fmt: str, path) -> None:
     if results is None or (hasattr(results, "__len__") and len(results) == 0):
         raise ConfigInvalidError("refusing to emit an empty report")
     try:
-        json.dumps(results, allow_nan=False)
+        text = json.dumps(results, allow_nan=False)
     except ValueError:
         raise ConfigInvalidError("refusing to emit a report holding NaN or infinity") from None
     if fmt == "json":
-        _write_json(path, results)
+        _write_json(path, json.loads(text, parse_float=lambda s: round(float(s), 6)))
     elif fmt == "csv":
         rows = results if isinstance(results, list) else [results]
         if not all(isinstance(r, dict) and r.keys() == rows[0].keys() for r in rows):
@@ -522,21 +522,11 @@ def _csv_cell(value):
     return f"{value:.6f}" if isinstance(value, float) else value
 
 
-def _round_floats(obj):
-    if isinstance(obj, float):
-        return round(obj, 6)
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
-
-
-def _write_json(path, obj, exact: bool = False) -> None:
-    """Floats go out at 6 decimals, or with `exact` in shortest round-trip form,
-    so that a threshold read back makes the same decisions."""
+def _write_json(path, obj) -> None:
+    """Floats go out in shortest round-trip form, so every value read back is
+    the one written: a threshold makes the same decisions, a grid point replays."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj if exact else _round_floats(obj), fh, sort_keys=True, indent=2)
+        json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
@@ -565,9 +555,8 @@ def _cmd_ingest(run: _Run, args) -> None:
 def _cmd_prep(run: _Run, args) -> None:
     tweets, articles, _pairs = run.corpus
     tokens = run.tokens
-    with open(_out_dir(run.cfg) / "prepared.jsonl", "w", encoding="utf-8") as fh:
-        for doc in [*tweets, *articles]:
-            fh.write(json.dumps({"id": doc.id, "kind": doc.kind, "tokens": tokens[doc.id]}) + "\n")
+    rows = ({"id": d.id, "kind": d.kind, "tokens": tokens[d.id]} for d in [*tweets, *articles])
+    corpus.write_jsonl(rows, _out_dir(run.cfg) / "prepared.jsonl")
 
 
 def _cmd_fit(run: _Run, args) -> None:
@@ -607,7 +596,7 @@ def _cmd_calibrate(run: _Run, args) -> None:
         # The CSV's rounded cells, not the scores the model computed.
         result["score_decimals"] = CSV_DECIMALS
         result["max_score_error"] = 0.5 * 10.0**-CSV_DECIMALS
-    _write_json(_out_dir(run.cfg) / "threshold.json", result, exact=True)
+    _write_json(_out_dir(run.cfg) / "threshold.json", result)
 
 
 def _cmd_eval(run: _Run, args) -> None:

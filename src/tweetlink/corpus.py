@@ -1,4 +1,4 @@
-"""Data model and ingestion for tweets, articles, linked pairs, and annotations.
+"""Data model and ingestion for tweets, articles, linked pairs, annotations and embeddings.
 
 Everything enters through JSONL files (one object per line); ids are opaque
 strings because real tweet ids overflow 64-bit integers in some exports.
@@ -21,6 +21,7 @@ from .errors import (
     DuplicateIdError,
     EmptyArticleError,
     MalformedLineError,
+    MissingEmbeddingError,
     MissingFieldError,
     UnknownIdError,
     check_utf8,
@@ -260,6 +261,20 @@ class KeywordList:
                 raise ValueError(f"keyword {entry!r} must be lowercase")
 
 
+@dataclass(frozen=True, eq=False)
+class EmbeddingTable:
+    """Precomputed embeddings by document id, all of width dim."""
+
+    vectors: dict[str, np.ndarray]
+    dim: int
+
+    def lookup(self, doc_id: str) -> np.ndarray:
+        try:
+            return self.vectors[doc_id]
+        except KeyError:
+            raise MissingEmbeddingError(doc_id) from None
+
+
 # json.loads' own scanner: one C call returns a value and the index after it.
 _scan_once = json.JSONDecoder().scan_once
 _JSON_WS = " \t\n\r"
@@ -408,37 +423,64 @@ _PAIR_MIN_LINE = len(_PAIR_HEAD + _PAIR_MID + _PAIR_TAILS[0])
 # keys' memory, and as padding after a block of lines no shorter than
 # _PAIR_MIN_LINE it keeps every window in the buffer.
 _PAIR_KEY_BYTES = 256
-_PAIR_BLOCK_CHARS = 1 << 18  # bytes read before a block is completed to its newline
+_PAIR_BLOCK_CHARS = 1 << 18  # bytes read before a block is completed to its line end
 
 
 def load_pair_table(path) -> PairTable:
     """Read pairs.jsonl into a PairTable, building no per-pair objects.
 
-    The file is read once as bytes, in blocks of about _PAIR_BLOCK_CHARS
-    that end at a newline, and each block is coded before the next is read.
-    A block that is not all ASCII is checked to be UTF-8 (check_utf8), and
-    a block holding "\\r" has its line ends translated as text mode's
-    universal newlines would, so lines, their numbers and errors are those
-    of the file read as text. A block whose every line is in write_pairs'
-    form is coded with array operations on its bytes (_code_pair_block);
-    any other block is decoded and parsed line by line (_parse_jsonl,
-    _read_fields with _PAIR_FIELDS), with the same result.
+    The file is read once as bytes, in blocks of whole lines whose line
+    ends are translated to "\n" as text mode's universal newlines would
+    (_line_blocks), and each block is coded before the next is read. A
+    block that is not all ASCII is checked to be UTF-8 (check_utf8), so
+    lines, their numbers and errors are those of the file read as text. A
+    block whose every line is in write_pairs' form is coded with array
+    operations on its bytes (_code_pair_block); any other block is decoded
+    and parsed line by line (_parse_jsonl, _read_fields with _PAIR_FIELDS),
+    with the same result.
     """
     columns = _PairColumns()
     start = 1
     with open(path, "rb") as fh:
-        while block := fh.read(_PAIR_BLOCK_CHARS):
-            block += fh.readline()
+        for block in _line_blocks(fh):
             if not block.isascii():
                 check_utf8(path, block, start)
-            if b"\r" in block:
-                block = block.replace(b"\r\n", b"\n")
-                block = block.replace(b"\r", b"\n")
             coded = _code_pair_block(block)
             n_lines = len(coded[-1]) if coded else block.count(b"\n")
             columns.append(*(coded or _parse_pair_lines(path, block.decode(), start)))
             start += n_lines
     return PairTable._of(*columns.coded())
+
+
+def _line_blocks(fh):
+    """The bytes of `fh` in blocks of about _PAIR_BLOCK_CHARS that end at a
+    line end, each with "\r\n" and then a lone "\r" replaced by "\n". A
+    read holding a "\n" is completed to the next one. A read without, whose
+    lines end in a lone "\r", is cut after its last "\r" but a final one,
+    which may begin a "\r\n"; the rest starts the next block."""
+    held = []  # the next block's bytes, read so far
+    while chunk := fh.read(_PAIR_BLOCK_CHARS):
+        if b"\n" in chunk:
+            held += (chunk, fh.readline())
+            chunk = b""
+        elif cut := chunk.rfind(b"\r", 0, -1) + 1:
+            held.append(chunk[:cut])
+            chunk = chunk[cut:]
+        else:  # no line end to cut at yet
+            held.append(chunk)
+            continue
+        block = _newlines(b"".join(held))
+        held = [chunk]
+        yield block
+    if block := b"".join(held):
+        yield _newlines(block)
+
+
+def _newlines(block: bytes) -> bytes:
+    """`block` with "\r\n" and then a lone "\r" replaced by "\n"."""
+    if b"\r" not in block:
+        return block
+    return block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
 
 
 def _code_pair_block(block: bytes) -> tuple | None:
@@ -562,6 +604,52 @@ def load_annotations(path) -> list[AnnotationRecord]:
     return records
 
 
+def load_embeddings(path) -> EmbeddingTable:
+    """Read embeddings.jsonl (_EMBEDDING_FIELDS); dim fixed by the first
+    row. A repeated id or a vector of another width raises MalformedLineError
+    (DuplicateIdError for the id) naming the file and line."""
+    vectors: dict[str, np.ndarray] = {}
+    dim = None
+    for line_no, obj in _iter_jsonl(path):
+        doc_id, values = _read_fields(path, line_no, obj, _EMBEDDING_FIELDS)
+        vec = _vector(path, line_no, values)
+        if doc_id in vectors:
+            raise DuplicateIdError(str(path), line_no, doc_id)
+        if dim is None:
+            dim = len(vec)
+        elif len(vec) != dim:
+            raise MalformedLineError(
+                str(path), line_no, f"id {doc_id!r} has dim {len(vec)}, expected {dim}"
+            )
+        vectors[doc_id] = vec
+    return EmbeddingTable(vectors=vectors, dim=dim or 0)
+
+
+_NUMBERS = {int, float}
+
+
+def _vector(path, line_no: int, values: list) -> np.ndarray:
+    """An embeddings line's vector as float64. It must be nonempty and hold
+    only numbers (not booleans), each finite as a float64: NaN and the
+    infinities, whose literals JSON decoding accepts, and integers past
+    float64's range are rejected. Anything else raises MalformedLineError
+    naming the file and line."""
+    if not values:
+        got = "an empty array"
+    elif not set(map(type, values)) <= _NUMBERS:
+        bad = next(v for v in values if type(v) not in _NUMBERS)
+        got = f"an array holding {_JSON_KINDS[type(bad)]}"
+    else:
+        try:
+            vec = np.array(values, np.float64)
+        except OverflowError:  # an integer past float64's range
+            vec = None
+        if vec is not None and np.isfinite(vec).all():
+            return vec
+        got = "an array holding a number that is not finite as a float64"
+    raise _field_error(path, line_no, "vector", _EMBEDDING_FIELDS["vector"].want, got)
+
+
 def load_keywords(path) -> KeywordList:
     """The stripped non-blank lines of a keywords file (KeywordList), with
     errors that name the file and, for an entry not in lowercase, its line."""
@@ -575,36 +663,35 @@ def load_keywords(path) -> KeywordList:
     return KeywordList(tuple(filter(None, lines)))
 
 
-def _json_line(obj: dict) -> bytes:
-    """`obj` as one JSON line in UTF-8, its non-ASCII characters as they are.
-    A lone surrogate, which UTF-8 cannot hold, is written escaped instead, as
-    is every non-ASCII character of its line."""
-    try:
-        return (json.dumps(obj, ensure_ascii=False) + "\n").encode()
-    except UnicodeEncodeError:
-        return (json.dumps(obj) + "\n").encode()
+def write_jsonl(objects, path) -> None:
+    """Write each object as one JSON line in UTF-8, its non-ASCII characters
+    as they are. A line holding a lone surrogate, which UTF-8 cannot hold, is
+    written escaped instead, as is every non-ASCII character of that line."""
+    with open(path, "wb") as fh:
+        for obj in objects:
+            try:
+                fh.write((json.dumps(obj, ensure_ascii=False) + "\n").encode())
+            except UnicodeEncodeError:
+                fh.write((json.dumps(obj) + "\n").encode())
 
 
 def write_documents(docs, path) -> None:
-    with open(path, "wb") as fh:
-        for doc in docs:
-            obj = {"id": doc.id, "kind": doc.kind, "text": doc.text, "created_at": doc.created_at}
-            if doc.summary is not None:
-                obj["summary"] = doc.summary
-            if doc.parent_id is not None:
-                obj["parent_id"] = doc.parent_id
-                obj["parent_kind"] = doc.parent_kind
-            fh.write(_json_line(obj))
+    """Write documents.jsonl: each document's fields in _DOCUMENT_FIELDS
+    order, leaving out a field that holds its default."""
+    write_jsonl(
+        ({name: value for name, field in _DOCUMENT_FIELDS.items()
+          if (value := getattr(doc, name)) != field.default} for doc in docs),
+        path,
+    )
 
 
 def write_pairs(pairs, path) -> None:
     """Write pairs.jsonl in the form load_pair_table codes with array
     operations: ids in UTF-8, escaped only where JSON requires it."""
-    with open(path, "wb") as fh:
-        for pair in pairs:
-            fh.write(_json_line(
-                {"tweet_id": pair.tweet_id, "article_id": pair.article_id, "label": pair.label}
-            ))
+    write_jsonl(
+        ({"tweet_id": p.tweet_id, "article_id": p.article_id, "label": p.label} for p in pairs),
+        path,
+    )
 
 
 def extract_summary(article: Document, max_chars: int = 600) -> str:

@@ -61,7 +61,7 @@ def masked_pairs(values, gt: GroundTruthMatrix) -> tuple[np.ndarray, np.ndarray]
     return flat_vals[keep], flat_gt[keep].astype(np.int8)
 
 
-def _ranked_sweep(scores, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def ranked_sweep(scores, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Precision-recall steps of thresholding at each distinct score.
 
     Returns (distinct scores descending, positives scoring >= each, pairs
@@ -94,7 +94,7 @@ def average_precision(scores, labels) -> float:
     if total_pos == 0:
         raise NoPositivesError("average_precision needs at least one positive label")
 
-    _, tp, kept = _ranked_sweep(scores, labels)
+    _, tp, kept = ranked_sweep(scores, labels)
     recall = tp / total_pos
     steps = np.diff(recall, prepend=0.0) * (tp / kept)
     # cumsum adds strictly left to right, as a loop over the steps would.
@@ -118,9 +118,7 @@ def binary_metrics(preds, labels) -> MetricsReport:
     tn = int(np.sum((preds == -1) & (labels == -1)))
     n = tp + fp + fn + tn
 
-    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-    recall = tp / (tp + fn) if tp + fn > 0 else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    precision, recall, f1 = map(float, precision_recall_f1(tp, tp + fp, tp + fn))
     return MetricsReport(
         accuracy=(tp + tn) / n,
         precision=precision,
@@ -128,6 +126,17 @@ def binary_metrics(preds, labels) -> MetricsReport:
         f1=f1,
         n_evaluated=n,
     )
+
+
+def precision_recall_f1(tp, n_predicted, n_positive) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Precision tp / n_predicted, recall tp / n_positive and F1, their
+    harmonic mean, elementwise over counts; each is 0 where its denominator is."""
+    tp, n_predicted, n_positive = np.asarray(tp), np.asarray(n_predicted), np.asarray(n_positive)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        precision = np.where(n_predicted > 0, tp / n_predicted, 0.0)
+        recall = np.where(n_positive > 0, tp / n_positive, 0.0)
+        f1 = np.where(precision + recall > 0, 2 * precision * recall / (precision + recall), 0.0)
+    return precision, recall, f1
 
 
 def evaluate_masked(sim_values, cls_values, gt: GroundTruthMatrix) -> MetricsReport:

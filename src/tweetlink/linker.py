@@ -167,7 +167,7 @@ def calibrate_threshold(sim: SimilarityMatrix, gt: GroundTruthMatrix) -> tuple[f
     if not (labels == 1).any():
         raise NoPositivesError("calibration needs at least one positive cell")
 
-    ranked, tp_ge, kept_ge = evalx._ranked_sweep(scores, labels)
+    ranked, tp_ge, kept_ge = evalx.ranked_sweep(scores, labels)
     distinct, tp_ge, kept_ge = ranked[::-1], tp_ge[::-1], kept_ge[::-1]
     candidates = np.concatenate(
         [
@@ -182,11 +182,6 @@ def calibrate_threshold(sim: SimilarityMatrix, gt: GroundTruthMatrix) -> tuple[f
     tp = np.append(tp_ge, 0)[first]
     kept = np.append(kept_ge, 0)[first]
 
-    # binary_metrics' formulas, with 0 for a zero denominator.
-    total_pos = tp_ge[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        precision = np.where(kept > 0, tp / kept, 0.0)
-        recall = tp / total_pos
-        f1 = np.where(precision + recall > 0, 2 * precision * recall / (precision + recall), 0.0)
+    _, _, f1 = evalx.precision_recall_f1(tp, kept, tp_ge[0])
     best = int(np.argmax(f1))  # the first maximum: ties go to the smallest threshold
     return float(candidates[best]), float(f1[best])

@@ -46,63 +46,6 @@ class CsrRows:
         return out
 
 
-def _frozen(values: np.ndarray, dtype) -> np.ndarray:
-    out = np.asarray(values, dtype=dtype)
-    out.setflags(write=False)
-    return out
-
-
-@dataclass(frozen=True, eq=False)
-class SimilarityMatrix:
-    """Tweets x articles cosine scores, finite and within [-1, 1]."""
-
-    tweet_ids: tuple[str, ...]
-    article_ids: tuple[str, ...]
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        vals = _frozen(self.values, np.float64)
-        _check_shape(vals, self.tweet_ids, self.article_ids)
-        _check_similarities(vals)
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
-
-
-@dataclass(frozen=True, eq=False)
-class ClassificationMatrix:
-    """Tweets x articles match decisions: +1 or -1."""
-
-    tweet_ids: tuple[str, ...]
-    article_ids: tuple[str, ...]
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        vals = _frozen(self.values, np.int8)
-        _check_shape(vals, self.tweet_ids, self.article_ids)
-        if not np.isin(vals, (-1, 1)).all():
-            raise ValueError("classification values must be +1 or -1")
-        object.__setattr__(self, "values", vals)
-
-
-@dataclass(frozen=True, eq=False)
-class GroundTruthMatrix:
-    """Tweets x articles labels: 1 match, -1 no match, 0 unknown (masked)."""
-
-    tweet_ids: tuple[str, ...]
-    article_ids: tuple[str, ...]
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        vals = _frozen(self.values, np.int8)
-        _check_shape(vals, self.tweet_ids, self.article_ids)
-        if not np.isin(vals, (-1, 0, 1)).all():
-            raise ValueError("ground-truth values must be 1, -1 or 0")
-        object.__setattr__(self, "values", vals)
-
-
 def _check_similarities(values: np.ndarray) -> None:
     # NaN fails no range comparison, so finiteness is checked on its own.
     if not np.isfinite(values).all():
@@ -111,12 +54,60 @@ def _check_similarities(values: np.ndarray) -> None:
         raise ValueError("similarity values must lie within [-1, 1]")
 
 
-def _check_shape(values: np.ndarray, tweet_ids, article_ids) -> None:
-    if values.ndim != 2 or values.shape != (len(tweet_ids), len(article_ids)):
-        raise ShapeMismatchError(
-            f"matrix shape {values.shape} does not match "
-            f"{len(tweet_ids)} tweets x {len(article_ids)} articles"
-        )
+@dataclass(frozen=True, eq=False)
+class _LabeledMatrix:
+    """Tweets x articles values, one row per tweet id and one column per
+    article id, held read-only as `_dtype`. `_check` rejects a value outside
+    a subclass's `_allowed` with a ValueError worded `_rule`."""
+
+    tweet_ids: tuple[str, ...]
+    article_ids: tuple[str, ...]
+    values: np.ndarray = field(repr=False)
+
+    _dtype = np.int8
+
+    def __post_init__(self):
+        vals = np.asarray(self.values, dtype=self._dtype)
+        vals.setflags(write=False)
+        if vals.ndim != 2 or vals.shape != (len(self.tweet_ids), len(self.article_ids)):
+            raise ShapeMismatchError(
+                f"matrix shape {vals.shape} does not match "
+                f"{len(self.tweet_ids)} tweets x {len(self.article_ids)} articles"
+            )
+        self._check(vals)
+        object.__setattr__(self, "values", vals)
+
+    def _check(self, values: np.ndarray) -> None:
+        if not np.isin(values, self._allowed).all():
+            raise ValueError(self._rule)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.values.shape
+
+
+@dataclass(frozen=True, eq=False)
+class SimilarityMatrix(_LabeledMatrix):
+    """Tweets x articles cosine scores, finite and within [-1, 1]."""
+
+    _dtype = np.float64
+    _check = staticmethod(_check_similarities)
+
+
+@dataclass(frozen=True, eq=False)
+class ClassificationMatrix(_LabeledMatrix):
+    """Tweets x articles match decisions: +1 or -1."""
+
+    _allowed = (-1, 1)
+    _rule = "classification values must be +1 or -1"
+
+
+@dataclass(frozen=True, eq=False)
+class GroundTruthMatrix(_LabeledMatrix):
+    """Tweets x articles labels: 1 match, -1 no match, 0 unknown (masked)."""
+
+    _allowed = (-1, 0, 1)
+    _rule = "ground-truth values must be 1, -1 or 0"
 
 
 # Decimals of the float cells write_matrix_csv writes: a cell read back is

@@ -23,7 +23,7 @@ LemmaMap = dict[str, str]
 # scans for that character instead of trying a lookbehind at every position.
 _URL_RE = re.compile(r"(?:h(?<!\Sh)ttps?://|w(?<!\Sw)ww\.)\S*")
 _MENTION_RE = re.compile(r"@(?<!\S@)\S+")
-_ALIAS_RE = re.compile(r":[a-z0-9_]+:")
+_ALIAS_RE = re.compile(r"(:[a-z0-9_]+:)")
 
 # Common emoji blocks; modifiers that only alter a neighboring glyph are
 # always dropped, never aliased.
@@ -58,7 +58,6 @@ class _CharFilter(dict):
         return kept
 
 
-_KEEP_LETTERS = _CharFilter()
 _KEEP_LETTERS_AND_HASH = _CharFilter("#")
 # Once only letters, whitespace and '#' are left, a '#' whose left neighbour
 # is not whitespace does not start its token, so only token-leading '#'s stay.
@@ -84,23 +83,17 @@ def _handle_emoji(text: str, mode: str) -> str:
     return _EMOJI_OR_MODIFIER_RE.sub(_alias_or_drop if mode == "alias" else "", text)
 
 
-def _filter_chars(segment: str, keep_hash: bool) -> str:
-    # Drops digits, punctuation and symbols; keeps letters and whitespace.
-    # With keep_hash, a token-leading '#' survives so hashtags stay marked.
-    if not keep_hash:
-        return segment.translate(_KEEP_LETTERS)
-    return _INNER_HASH_RE.sub("", segment.translate(_KEEP_LETTERS_AND_HASH))
+def _filter_chars(segment: str) -> str:
+    # Drops digits, punctuation and symbols; keeps letters and whitespace,
+    # and a token-leading '#' (one strip_hashes left), so hashtags stay marked.
+    kept = segment.translate(_KEEP_LETTERS_AND_HASH)
+    return _INNER_HASH_RE.sub("", kept) if "#" in kept else kept
 
 
-def _strip_digits_punct(text: str, keep_hash: bool) -> str:
-    # ':name:' emoji aliases pass through untouched.
-    parts = []
-    pos = 0
-    for m in _ALIAS_RE.finditer(text):
-        parts.append(_filter_chars(text[pos : m.start()], keep_hash))
-        parts.append(m.group())
-        pos = m.end()
-    parts.append(_filter_chars(text[pos:], keep_hash))
+def _strip_digits_punct(text: str) -> str:
+    # ':name:' emoji aliases, the odd parts of the split, pass through untouched.
+    parts = _ALIAS_RE.split(text)
+    parts[::2] = map(_filter_chars, parts[::2])
     return "".join(parts)
 
 
@@ -131,7 +124,7 @@ def clean_words(texts: list[str], cfg: CleaningConfig = CleaningConfig()) -> lis
         t = t.replace("#", "")
     if not t.isascii():
         t = _handle_emoji(t, cfg.emoji_mode)
-    t = _strip_digits_punct(t, keep_hash=not cfg.strip_hashes)
+    t = _strip_digits_punct(t)
     n = cfg.min_word_len
     return [[w for w in line.split() if len(w) >= n] for line in t.split("\n")]
 

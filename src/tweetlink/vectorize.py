@@ -1,4 +1,4 @@
-"""Document vectorizers: TF-IDF, LDA topic proportions, and file-based embeddings.
+"""Document vectorizers: TF-IDF and LDA topic proportions.
 
 TF-IDF uses the smoothed convention idf(t) = ln((1+N)/(1+df(t))) + 1 with raw
 term counts and L2 normalization; the exact variant is pinned here so tests
@@ -30,14 +30,10 @@ from itertools import chain
 
 import numpy as np
 
-from .corpus import _EMBEDDING_FIELDS, _JSON_KINDS, _field_error, _iter_jsonl, _read_fields
 from .errors import (
     ConfigInvalidError,
     DegenerateKError,
-    DuplicateIdError,
     EmptyCorpusError,
-    MalformedLineError,
-    MissingEmbeddingError,
     read_array,
     read_model,
     write_model,
@@ -93,20 +89,6 @@ class LdaModel:
     # (n_docs, n_topics) topic proportions of the documents lda_fit sampled,
     # in input order; None for a model loaded from a file, which omits them.
     theta: np.ndarray | None = field(default=None, repr=False)
-
-
-@dataclass(frozen=True, eq=False)
-class EmbeddingTable:
-    """Precomputed embeddings by document id, all of width dim."""
-
-    vectors: dict[str, np.ndarray]
-    dim: int
-
-    def lookup(self, doc_id: str) -> np.ndarray:
-        try:
-            return self.vectors[doc_id]
-        except KeyError:
-            raise MissingEmbeddingError(doc_id) from None
 
 
 # --- TF-IDF ---------------------------------------------------------------
@@ -437,55 +419,6 @@ def lda_infer_batch(
             cells[new] += 1
     theta[known] = (counts[rank] + alpha) / (np.array(lens) + n_topics * alpha)[:, None]
     return theta
-
-
-# --- external embeddings ----------------------------------------------------
-
-
-def load_embeddings(path) -> EmbeddingTable:
-    """Read embeddings.jsonl (corpus._EMBEDDING_FIELDS); dim fixed by the first
-    row. A repeated id or a vector of another width raises MalformedLineError
-    (DuplicateIdError for the id) naming the file and line."""
-    vectors: dict[str, np.ndarray] = {}
-    dim = None
-    for line_no, obj in _iter_jsonl(path):
-        doc_id, values = _read_fields(path, line_no, obj, _EMBEDDING_FIELDS)
-        vec = _vector(path, line_no, values)
-        if doc_id in vectors:
-            raise DuplicateIdError(str(path), line_no, doc_id)
-        if dim is None:
-            dim = len(vec)
-        elif len(vec) != dim:
-            raise MalformedLineError(
-                str(path), line_no, f"id {doc_id!r} has dim {len(vec)}, expected {dim}"
-            )
-        vectors[doc_id] = vec
-    return EmbeddingTable(vectors=vectors, dim=dim or 0)
-
-
-_NUMBERS = {int, float}
-
-
-def _vector(path, line_no: int, values: list) -> np.ndarray:
-    """An embeddings line's vector as float64. It must be nonempty and hold
-    only numbers (not booleans), each finite as a float64: NaN and the
-    infinities, whose literals JSON decoding accepts, and integers past
-    float64's range are rejected. Anything else raises MalformedLineError
-    naming the file and line."""
-    if not values:
-        got = "an empty array"
-    elif not set(map(type, values)) <= _NUMBERS:
-        bad = next(v for v in values if type(v) not in _NUMBERS)
-        got = f"an array holding {_JSON_KINDS[type(bad)]}"
-    else:
-        try:
-            vec = np.array(values, np.float64)
-        except OverflowError:  # an integer past float64's range
-            vec = None
-        if vec is not None and np.isfinite(vec).all():
-            return vec
-        got = "an array holding a number that is not finite as a float64"
-    raise _field_error(path, line_no, "vector", _EMBEDDING_FIELDS["vector"].want, got)
 
 
 # --- model persistence ------------------------------------------------------

@@ -21,7 +21,8 @@ and exits non-zero at the first check that fails.
   checked too.
 - LDA fit, eval, sweep-size, sweep-hp and ingest must succeed. The tfidf and
   lda model files that fit writes must load back, and a copy with a
-  fractional integer field must be a config error.
+  fractional integer field must be a config error. sweep_hp.json must give
+  back its grid exactly, a float of 10 significant digits included.
 - The dual encoder runs under mean_chunks with each nonlinearity, with and
   without momentum, and reruns must write the same encoder.json.
 - prep cleans every text in one batch: on articles over several lines and
@@ -176,10 +177,16 @@ def lda_smoke():
             raise SystemExit(f"{path} with {key} 3.9 loaded")
     run("config.json", "eval")
     run("config.json", "sweep-size", "--sizes", "1,2,4")
-    write_json("grid.json", [{"lda.n_topics": 2}, {"lda.n_topics": 3}])
+    # A float of 10 significant digits: sweep_hp.json must give the grid back exactly.
+    grid = [{"lda.n_topics": 2}, {"lda.n_topics": 3, "lda.alpha": 0.1234567891}]
+    write_json("grid.json", grid)
     run("config.json", "sweep-hp", "--grid", "grid.json")
     require_files("out/model_lda.json", "out/report.json", "out/sweep_size.csv",
                   "out/sweep_hp.json")
+    with open("out/sweep_hp.json") as fh:
+        params = [row["params"] for row in json.load(fh)["rows"]]
+    if params != grid:
+        raise SystemExit(f"sweep_hp.json gives back the grid {grid} as {params}")
     run("config.json", "ingest")
     for variant in ("compact", "respaced", "escaped", "raw", "raw_crlf"):
         run(f"config_{variant}.json", "ingest")

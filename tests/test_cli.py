@@ -472,6 +472,30 @@ class TestSubcommands:
         row = json.loads(lines[0])
         assert set(row) == {"id", "kind", "tokens"}
 
+    def test_prep_and_cascades_write_non_ascii_as_utf8(self, make_config, tmp_path):
+        """prepared.jsonl and cascades.jsonl are written as documents and pairs
+        are (corpus.write_jsonl): non-ASCII characters raw, in UTF-8."""
+        tweet, reply, article = "tw\u00e9et", "r\u00e9ply", "\u65b0\u805e"
+        corpus.write_documents([
+            corpus.Document(tweet, "tweet", "caf\u00e9 na\u00efve", 1),
+            corpus.Document(reply, "tweet", "d\u00e9j\u00e0", 2, None, tweet, "reply"),
+            corpus.Document(article, "article", "\u65b0\u805e\u8a18\u4e8b text", 3),
+        ], tmp_path / "documents.jsonl")
+        corpus.write_pairs([corpus.LinkedPair(tweet, article, "match")], tmp_path / "pairs.jsonl")
+        cfg_path = make_config()
+        assert cli.main(["--config", str(cfg_path), "prep"]) == 0
+        assert cli.main(["--config", str(cfg_path), "cascades"]) == 0
+        for name, rows in [
+            ("prepared.jsonl", [
+                {"id": tweet, "kind": "tweet", "tokens": ["caf\u00e9", "na\u00efve"]},
+                {"id": reply, "kind": "tweet", "tokens": ["d\u00e9j\u00e0"]},
+                {"id": article, "kind": "article", "tokens": ["\u65b0\u805e\u8a18\u4e8b", "text"]},
+            ]),
+            ("cascades.jsonl", [{"root_id": tweet, "member_ids": [tweet, reply]}]),
+        ]:
+            want = "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
+            assert (tmp_path / "out" / name).read_bytes() == want.encode()
+
     def test_fit_tfidf_and_lda(self, small_corpus, make_config, tmp_path):
         cfg_path = make_config({"lda": {"n_topics": 2, "iters": 5}})
         assert cli.main(["--config", str(cfg_path), "fit", "--model", "tfidf"]) == 0
@@ -1239,6 +1263,21 @@ def test_sweep_hp_bad_lda_prior_fails_before_any_point(small_corpus, make_config
     assert "beta must be > 0" in capsys.readouterr().err
     assert fits == []
     assert not (tmp_path / "out" / "sweep_hp.json").exists()
+
+
+def test_sweep_hp_json_replays_its_grid_points(small_corpus, make_config, tmp_path):
+    """sweep_hp.json gives back every grid point exactly, floats of more than
+    6 significant digits included, so best_params replays as a config."""
+    points = [{"train.lr": 1e-7, "lda.alpha": 0.1234567891}, {"train.lr": 1e-7, "lda.alpha": 0.5}]
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(points))
+    cfg_path = make_config({"model": "lda", "lda": {"n_topics": 2, "iters": 2}})
+    assert cli.main(["--config", str(cfg_path), "sweep-hp", "--grid", str(grid)]) == 0
+    result = json.loads((tmp_path / "out" / "sweep_hp.json").read_text())
+    assert [row["params"] for row in result["rows"]] == points
+    assert result["best_params"] in points
+    replayed = RunConfig.from_file(cfg_path).with_overrides(result["best_params"])
+    assert replayed.train.lr == 1e-7
 
 
 def test_sweep_hp_point_leaving_the_dual_model_resets_its_inputs(

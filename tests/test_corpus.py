@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from reference import load_pairs_reference
 from tweetlink import corpus
 from tweetlink.errors import (
     ConfigInvalidError,
@@ -504,6 +505,23 @@ class TestPairTableLoader:
         assert info.value.line_no == 300
         with pytest.raises(MalformedLineError, match=message), open_utf8(path) as fh:
             fh.read()
+
+    def test_lone_cr_line_ends_are_read_in_blocks(self, tmp_path, monkeypatch,
+                                                  line_parsed_blocks):
+        """With no "\\n" to complete a block at, each block is cut after a
+        lone "\\r": the file is coded a block at a time, every block by arrays."""
+        path = tmp_path / "p.jsonl"
+        corpus.write_pairs(_synth_pairs(), path)
+        path.write_bytes(b"\r".join(path.read_bytes().splitlines()) + b"\r")
+        monkeypatch.setattr(corpus, "_PAIR_BLOCK_CHARS", 1000)  # about 14 lines a block
+        code = corpus._code_pair_block
+        blocks = []
+        monkeypatch.setattr(corpus, "_code_pair_block", lambda b: blocks.append(b) or code(b))
+        assert list(corpus.load_pair_table(path)) == load_pairs_reference(path)
+        # A block is one read and the unended line the read before it left.
+        longest = max(map(len, path.read_bytes().split(b"\r")))
+        assert len(blocks) > 1 and max(map(len, blocks)) <= 1000 + longest
+        assert line_parsed_blocks == []
 
     def test_raw_non_ascii_ids_parse_in_bulk(self, tmp_path, line_parsed_blocks):
         path = tmp_path / "p.jsonl"

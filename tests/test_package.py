@@ -1,8 +1,10 @@
 """The package's public names, which resolve on first access from their home modules."""
 
+import ast
 import importlib
 import json
 import re
+import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -19,9 +21,9 @@ HOMES = {
         "encode_batch load_encoder loss_gradient sample_negatives save_encoder train"
     ),
     "corpus": (
-        "AnnotationRecord Document KeywordList LinkedPair PairTable build_ground_truth "
-        "extract_summary keyword_filter load_annotations load_documents load_keywords "
-        "load_pair_table load_pairs synth_fixture"
+        "AnnotationRecord Document EmbeddingTable KeywordList LinkedPair PairTable "
+        "build_ground_truth extract_summary keyword_filter load_annotations load_documents "
+        "load_embeddings load_keywords load_pair_table load_pairs synth_fixture"
     ),
     "evalx": (
         "MetricsReport average_precision binary_metrics evaluate_masked fleiss_kappa "
@@ -34,8 +36,8 @@ HOMES = {
         "load_lemmas tokenize_lemmatize truncate"
     ),
     "vectorize": (
-        "EmbeddingTable LdaModel TfidfModel Vocabulary lda_fit lda_infer load_embeddings "
-        "tfidf_fit tfidf_transform tfidf_transform_batch"
+        "LdaModel TfidfModel Vocabulary lda_fit lda_infer tfidf_fit tfidf_transform "
+        "tfidf_transform_batch"
     ),
 }
 PUBLIC = [(name, module) for module, names in HOMES.items() for name in names.split()]
@@ -68,6 +70,41 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         tweetlink.no_such_name
     assert not hasattr(tweetlink, "no_such_name")
+
+
+def _private_reads(source: str, modules: set[str]) -> list[str]:
+    """Each import of a `_`-prefixed name from a tweetlink module, and each
+    read of one through a name in `modules` (names bound to tweetlink modules)."""
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("tweetlink")):
+            found += [f"{node.lineno}: imports {a.name}" for a in node.names if private(a.name)]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules and private(node.attr)):
+            found.append(f"{node.lineno}: reads {node.value.id}.{node.attr}")
+    return found
+
+
+def test_private_reads_are_found():
+    source = "from .corpus import _read_fields, load_documents\nx = evalx._sweep(y._z)\n"
+    assert _private_reads(source, {"evalx"}) == ["1: imports _read_fields", "2: reads evalx._sweep"]
+
+
+def test_no_module_reads_another_modules_private_names():
+    """Every rule is reached through its owner module's public names: no
+    tweetlink module imports or reads a `_`-prefixed name of another."""
+    package = Path(tweetlink.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        module = importlib.import_module(f"tweetlink.{path.stem}".removesuffix(".__init__"))
+        # Names bound to package modules, lazily loaded ones (cli's) included.
+        submodules = {id(m) for name, m in sys.modules.items() if name.startswith("tweetlink.")}
+        modules = {name for name, value in vars(module).items() if id(value) in submodules}
+        found += [f"{path.name}:{hit}" for hit in _private_reads(path.read_text("utf-8"), modules)]
+    assert found == []
 
 
 def test_config_names_are_the_layers_names():

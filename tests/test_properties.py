@@ -1140,7 +1140,7 @@ def test_load_annotations_matches_field_table_oracle(lines):
 
 
 def _embedding_rows(path):
-    table = vectorize.load_embeddings(path)
+    table = corpus.load_embeddings(path)
     return [(doc_id, vec.tolist()) for doc_id, vec in table.vectors.items()]
 
 

@@ -395,7 +395,7 @@ class TestEmbeddings:
         path.write_text(
             '{"id": "t1", "vector": [1.0, 0.0, 0.0]}\n{"id": "a1", "vector": [0.0, 1.0, 0.0]}\n'
         )
-        table = vectorize.load_embeddings(path)
+        table = corpus.load_embeddings(path)
         assert table.dim == 3
         assert len(table.vectors) == 2
         np.testing.assert_array_equal(table.lookup("t1"), [1.0, 0.0, 0.0])
@@ -404,32 +404,32 @@ class TestEmbeddings:
         path = tmp_path / "emb.jsonl"
         path.write_text('{"id": "t1", "vector": [1, 2, 3]}\n{"id": "t2", "vector": [1, 2, 3, 4]}\n')
         with pytest.raises(MalformedLineError, match=re.escape(f"{path}:2: id 't2' has dim 4, expected 3")):
-            vectorize.load_embeddings(path)
+            corpus.load_embeddings(path)
 
     def test_duplicate_id(self, tmp_path):
         path = tmp_path / "emb.jsonl"
         path.write_text('{"id": "t1", "vector": [1]}\n{"id": "t1", "vector": [2]}\n')
         with pytest.raises(DuplicateIdError, match=re.escape(f"{path}:2: duplicate id 't1'")):
-            vectorize.load_embeddings(path)
+            corpus.load_embeddings(path)
 
     def test_malformed(self, tmp_path):
         path = tmp_path / "emb.jsonl"
         path.write_text('{"id": "t1"}\n')
         with pytest.raises(MalformedLineError):
-            vectorize.load_embeddings(path)
+            corpus.load_embeddings(path)
 
     def test_empty_vector_rejected(self, tmp_path):
         path = tmp_path / "emb.jsonl"
         path.write_text('{"id": "t1", "vector": []}\n{"id": "t2", "vector": []}\n')
         with pytest.raises(MalformedLineError, match=":1:.*empty"):
-            vectorize.load_embeddings(path)
+            corpus.load_embeddings(path)
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_rejected(self, tmp_path, literal):
         path = tmp_path / "emb.jsonl"
         path.write_text(f'{{"id": "t1", "vector": [1.0]}}\n{{"id": "t2", "vector": [{literal}]}}\n')
         with pytest.raises(MalformedLineError, match=":2:"):
-            vectorize.load_embeddings(path)
+            corpus.load_embeddings(path)
 
     @pytest.mark.parametrize("line, message", [
         ('{"id": ["art-0000"], "vector": [1]}', "id must be a string or an integer, got an array"),
@@ -452,20 +452,20 @@ class TestEmbeddings:
         path.write_text('{"id": "t1", "vector": [1.0]}\n' + line + "\n")
         with pytest.raises(MalformedLineError, match=re.escape(f"{path}:2: ") + ".*"
                            + re.escape(message)):
-            vectorize.load_embeddings(path)
+            corpus.load_embeddings(path)
 
     def test_integer_ids_and_values_load(self, tmp_path):
         path = tmp_path / "emb.jsonl"
         big = 10**400  # an id of any size; a value as large as a float64 holds
         path.write_text(f'{{"id": {big}, "vector": [1, {2**70}]}}\n'
                         '{"id": -3, "vector": [0.5, 1e308]}\n')
-        table = vectorize.load_embeddings(path)
+        table = corpus.load_embeddings(path)
         assert list(table.vectors) == [str(big), "-3"]
         assert table.lookup(str(big)).tolist() == [1.0, float(2**70)]
 
     def test_missing_lookup(self, tmp_path):
         path = tmp_path / "emb.jsonl"
         path.write_text('{"id": "t1", "vector": [1.0]}\n')
-        table = vectorize.load_embeddings(path)
+        table = corpus.load_embeddings(path)
         with pytest.raises(MissingEmbeddingError):
             table.lookup("absent")
