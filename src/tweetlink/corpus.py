@@ -423,7 +423,7 @@ _PAIR_MIN_LINE = len(_PAIR_HEAD + _PAIR_MID + _PAIR_TAILS[0])
 # keys' memory, and as padding after a block of lines no shorter than
 # _PAIR_MIN_LINE it keeps every window in the buffer.
 _PAIR_KEY_BYTES = 256
-_PAIR_BLOCK_CHARS = 1 << 18  # bytes read before a block is completed to its line end
+_PAIR_BLOCK_CHARS = 1 << 18  # bytes a block reads, cut after their last line end
 
 
 def load_pair_table(path) -> PairTable:
@@ -453,22 +453,22 @@ def load_pair_table(path) -> PairTable:
 
 
 def _line_blocks(fh):
-    """The bytes of `fh` in blocks of about _PAIR_BLOCK_CHARS that end at a
-    line end, each with "\r\n" and then a lone "\r" replaced by "\n". A
-    read holding a "\n" is completed to the next one. A read without, whose
-    lines end in a lone "\r", is cut after its last "\r" but a final one,
-    which may begin a "\r\n"; the rest starts the next block."""
+    """The bytes of `fh` in blocks that end at a line end, each with "\r\n"
+    and then a lone "\r" replaced by "\n". A block is the line the read
+    before it left unended, then one read of _PAIR_BLOCK_CHARS bytes cut
+    after its last line end; a final "\r", which may begin a "\r\n", is
+    left for the next block. So no block holds more than one read and one
+    line, whatever mix of line ends the file has. A read with no line end
+    to cut at joins the next one, and the last read is not cut."""
     held = []  # the next block's bytes, read so far
     while chunk := fh.read(_PAIR_BLOCK_CHARS):
-        if b"\n" in chunk:
-            held += (chunk, fh.readline())
-            chunk = b""
-        elif cut := chunk.rfind(b"\r", 0, -1) + 1:
-            held.append(chunk[:cut])
-            chunk = chunk[cut:]
-        else:  # no line end to cut at yet
+        end = chunk.rfind(b"\n") + 1
+        cut = chunk.rfind(b"\r", end, -1) + 1 or end
+        if not cut or len(chunk) < _PAIR_BLOCK_CHARS:  # no line end yet, or the last read
             held.append(chunk)
             continue
+        held.append(memoryview(chunk)[:cut])  # a view: the join copies the bytes once
+        chunk = chunk[cut:]
         block = _newlines(b"".join(held))
         held = [chunk]
         yield block

@@ -506,13 +506,16 @@ class TestPairTableLoader:
         with pytest.raises(MalformedLineError, match=message), open_utf8(path) as fh:
             fh.read()
 
+    @pytest.mark.parametrize("first_end", [b"\r", b"\n"])
     def test_lone_cr_line_ends_are_read_in_blocks(self, tmp_path, monkeypatch,
-                                                  line_parsed_blocks):
-        """With no "\\n" to complete a block at, each block is cut after a
-        lone "\\r": the file is coded a block at a time, every block by arrays."""
+                                                  line_parsed_blocks, first_end):
+        """Lines that end in a lone "\\r", after a first line that may end in
+        "\\n": each block is cut after a lone "\\r", so the file is coded a
+        block at a time, every block by arrays."""
         path = tmp_path / "p.jsonl"
         corpus.write_pairs(_synth_pairs(), path)
-        path.write_bytes(b"\r".join(path.read_bytes().splitlines()) + b"\r")
+        first, *rest = path.read_bytes().splitlines()
+        path.write_bytes(first + first_end + b"\r".join(rest) + b"\r")
         monkeypatch.setattr(corpus, "_PAIR_BLOCK_CHARS", 1000)  # about 14 lines a block
         code = corpus._code_pair_block
         blocks = []

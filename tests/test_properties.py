@@ -22,7 +22,7 @@ from unittest import mock
 
 import numpy as np
 from numpy.testing import assert_array_equal
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from reference import (
@@ -672,12 +672,29 @@ def test_train_matches_dense_reference(case):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
+def _seven_example_case(batch_size):
+    """7 examples: t0 has 2 positives and t1, t2 one each, and neg_ratio 0.5
+    draws 1 negative per tweet. Batch size 4 gives batches of 4 and 3, and
+    batch size 3 gives 3, 3 and 1, so each takes a power-of-two and another
+    batch."""
+    rng = np.random.default_rng(13)
+    tweets = {f"t{i}": rng.random(5) * (rng.random(5) < 0.7) for i in range(3)}
+    articles = {f"a{j}": rng.random(4) for j in range(4)}
+    positives = [("t0", "a0"), ("t0", "a1"), ("t1", "a2"), ("t2", "a3")]
+    cfg = contrast.TrainConfig(
+        neg_ratio=0.5, lr=0.5, epochs=3, batch_size=batch_size, seed=6, momentum=0.9, joint_dim=3,
+    )
+    return positives, tweets, articles, cfg, "truncate"
+
+
 @settings(max_examples=300, deadline=None)
 @given(training_cases())
 @example(_multi_piece_case(momentum=0.0))
 @example(_multi_piece_case(momentum=0.9))
 @example(_multi_piece_case(momentum=0.5, nonlinearity="tanh"))
 @example(_two_width_case())
+@example(_seven_example_case(batch_size=4))
+@example(_seven_example_case(batch_size=3))
 def test_train_matches_stepwise_reference_exactly(case):
     encoder, trace = contrast.train(*case)
     w_t, b_t, w_a, b_a, ref_trace = train_stepwise_reference(*case)
@@ -688,18 +705,39 @@ def test_train_matches_stepwise_reference_exactly(case):
     assert trace == ref_trace
 
 
+def _dense_rows(rng, n_rows, n_cols):
+    """CsrRows with every cell nonzero, except some rows that are all zero."""
+    values = (rng.random((n_rows, n_cols)) + 0.1) * (rng.random((n_rows, 1)) < 0.8)
+    rows, cols = np.nonzero(values)
+    indptr = np.searchsorted(rows, np.arange(n_rows + 1))
+    return CsrRows(indptr, cols, values[rows, cols], n_cols)
+
+
+def _bitmap_plan(case):
+    """Whether contrast._epoch_blocks plans `case` on its bitmap path: at most
+    _BITMAP_CELLS_PER_NONZERO cells of n_batches x stacked width per nonzero."""
+    cells = len(case[0][1]) * sum(csr.n_cols for csr, _ in case)
+    nonzeros = sum(int(np.diff(csr.indptr)[np.concatenate(batches)].sum()) for csr, batches in case)
+    return cells <= contrast._BITMAP_CELLS_PER_NONZERO * nonzeros
+
+
 @st.composite
 def epoch_gather_cases(draw):
     """[(tweet CsrRows, batches), (article CsrRows, batches)]: each tower's
-    sparse rows over its own width, and the rows of each of the same 1-5
-    batches (1-6 of them, repeats allowed). In one batch, a tower's rows may
-    all be zero, which gives that tower a zero-width block."""
+    rows over its own width, and the rows of each of the same 1-5 batches
+    (1-6 of them, repeats allowed). Rows are sparse over 1-40 columns, sparse
+    over 200-2,000 (far more cells per nonzero than the bitmap plan takes),
+    or dense over 1-12, so cases fall on both sides of
+    contrast._BITMAP_CELLS_PER_NONZERO. In one batch, a tower's rows may all
+    be zero, which gives that tower a zero-width block."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_batches = draw(st.integers(1, 5))
+    widths = {"narrow": (1, 40), "wide": (200, 2000), "dense": (1, 12)}
+    kind = draw(st.sampled_from(sorted(widths)))
     towers = []
     for _ in range(2):
-        n_rows = draw(st.integers(1, 12))
-        csr = _sparse_rows(rng, n_rows, draw(st.integers(1, 40)))
+        n_rows, n_cols = draw(st.integers(1, 12)), draw(st.integers(*widths[kind]))
+        csr = (_dense_rows if kind == "dense" else _sparse_rows)(rng, n_rows, n_cols)
         zero_rows = np.flatnonzero(np.diff(csr.indptr) == 0)
         batches = [rng.integers(0, n_rows, size=int(rng.integers(1, 7))) for _ in range(n_batches)]
         if len(zero_rows) and draw(st.booleans()):
@@ -717,11 +755,33 @@ def _zero_width_blocks_case():
     return [(x_t, [np.array([0, 0]), np.array([1, 0])]), (x_a, [np.array([0]), np.array([1, 1])])]
 
 
+def _wide_sparse_case():
+    """2 batches over 600 + 400 columns with 10 nonzeros: 200 cells per nonzero."""
+    x_t = CsrRows(np.array([0, 2, 3, 5]), np.array([7, 599, 300, 0, 42]), np.arange(1.0, 6.0), 600)
+    x_a = CsrRows(np.array([0, 1, 3]), np.array([399, 5, 17]), np.array([0.5, 1.5, 2.5]), 400)
+    return [(x_t, [np.array([0, 1]), np.array([2])]), (x_a, [np.array([1]), np.array([0, 1])])]
+
+
+def _dense_case():
+    """3 batches of dense rows over 3 + 4 columns: fewer cells than nonzeros."""
+    rng = np.random.default_rng(3)
+    x_t, x_a = _dense_rows(rng, 5, 3), _dense_rows(rng, 4, 4)
+    batches_t = [np.array([0, 4]), np.array([1, 2, 3]), np.array([4])]
+    batches_a = [np.array([3]), np.array([0, 1]), np.array([2, 2, 3])]
+    return [(x_t, batches_t), (x_a, batches_a)]
+
+
 @settings(max_examples=300, deadline=None)
-@given(epoch_gather_cases())
-@example(_zero_width_blocks_case())
-def test_epoch_gather_matches_per_batch_gather(case):
-    """Each tower's block of batch k is that tower's rows gathered on their own."""
+@given(epoch_gather_cases(), st.none())
+@example(_zero_width_blocks_case(), None)
+@example(_wide_sparse_case(), False)
+@example(_dense_case(), True)
+def test_epoch_gather_matches_per_batch_gather(case, bitmap):
+    """Each tower's block of batch k is that tower's rows gathered on their
+    own, on either plan path; an example names the path it takes."""
+    if bitmap is not None:
+        assert _bitmap_plan(case) == bitmap
+    event("bitmap plan" if _bitmap_plan(case) else "np.unique plan")
     (x_t, batches_t), (x_a, batches_a) = case
     plan_args = []
     for batches in (batches_t, batches_a):
