@@ -158,14 +158,20 @@ def cut(cascade: Cascade, n: int) -> Cascade:
 
 
 def aggregate(rows, fn: str) -> np.ndarray:
-    """Element-wise mean / median / max across per-tweet similarity rows."""
-    rows = list(rows)
-    if not rows:
+    """Element-wise mean / median / max across per-tweet similarity rows.
+
+    `rows` is an iterable of equal-length rows or a 2-D array; either is
+    reduced as one C-ordered float64 block, so an array gives the same bits
+    as its list of rows, and is copied only when it is not that already.
+    """
+    if not (isinstance(rows, np.ndarray) and rows.ndim == 2):
+        rows = list(rows)
+        lengths = {len(row) for row in rows}
+        if len(lengths) > 1:
+            raise RaggedRowsError(f"rows have mixed lengths: {sorted(lengths)}")
+    if len(rows) == 0:
         raise EmptyInputError("aggregate needs at least one row")
-    lengths = {len(row) for row in rows}
-    if len(lengths) != 1:
-        raise RaggedRowsError(f"rows have mixed lengths: {sorted(lengths)}")
-    stacked = np.asarray(rows, dtype=np.float64)
+    stacked = np.ascontiguousarray(rows, dtype=np.float64)
     if fn == "mean":
         return stacked.mean(axis=0)
     if fn == "median":

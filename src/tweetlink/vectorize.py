@@ -286,8 +286,10 @@ class _DocumentGibbs:
         self.words = np.empty(n_tokens, dtype=np.int64)
         self.words[self.slot] = np.fromiter(chain.from_iterable(word_ids), np.int64, n_tokens)
         self.z = np.empty(n_tokens, dtype=np.int64)
-        # Initial topics per document in document order: the sequential draws.
-        self.z[self.slot] = np.concatenate([rng.integers(0, n_topics, size=n) for n in lens])
+        # Initial topics in document order, in one call: numpy's bounded fill
+        # reads each value straight from the bit generator and buffers none of
+        # its own, so this is the stream of one call per document.
+        self.z[self.slot] = rng.integers(0, n_topics, size=n_tokens)
         doc = np.empty(n_tokens, dtype=np.int64)
         doc[self.slot] = np.repeat(self.rank, lens)
         self.n_dk = np.zeros((len(lens), n_topics))  # rows by rank
@@ -378,9 +380,12 @@ def lda_infer_batch(
     Row i equals folding docs[i] in alone with a fresh generator seeded with
     `seed`, bit for bit. Documents are independent given phi, so the batch
     steps token position j of every document at once; sorted longest first,
-    the documents that still have a token j are a prefix. Out-of-vocabulary
-    tokens are ignored; a document with no known tokens falls back to the
-    symmetric prior, i.e. the uniform distribution.
+    the documents that still have a token j are a prefix. Documents of one
+    length draw the same values from their fresh generators, so the batch
+    keeps one generator per distinct length, and each token reads its value
+    from its length's draw. Out-of-vocabulary tokens are ignored; a document
+    with no known tokens falls back to the symmetric prior, i.e. the uniform
+    distribution.
     """
     n_topics, alpha = model.n_topics, model.alpha
     theta = np.full((len(docs), n_topics), 1.0 / n_topics)
@@ -388,26 +393,33 @@ def lda_infer_batch(
     known = [d for d in range(len(docs)) if len(word_ids[d])]
     if not known:
         return theta
-    lens = [len(word_ids[d]) for d in known]
+    lens = np.array([len(word_ids[d]) for d in known])
     rank, starts, active, slot = _position_major(lens)
     flat = np.empty(len(slot), dtype=np.int64)
     flat[slot] = np.concatenate([word_ids[d] for d in known])
     phi_t = np.ascontiguousarray(model.phi.T)  # (vocab, n_topics): phi[:, w] as a row
 
-    rngs = [np.random.default_rng(seed) for _ in known]
-    z0 = np.concatenate([rng.integers(0, n_topics, size=n) for rng, n in zip(rngs, lens)])
+    lengths, group = np.unique(lens, return_inverse=True)
+    rngs = [np.random.default_rng(seed) for _ in lengths]
+    # source[i]: where token i finds its value in the lengths' draws laid end
+    # to end; a document's token j is j past its length's first value.
+    first = (np.cumsum(lengths) - lengths)[group] - (np.cumsum(lens) - lens)
+    source = np.empty_like(flat)
+    source[slot] = np.arange(len(slot)) + np.repeat(first, lens)
+    lengths = lengths.tolist()
     # Whole numbers held as floats: exact, and count + alpha rounds as it does
     # from an integer count. Rows by rank, so the active documents are a prefix.
     counts = np.zeros((len(known), n_topics))
     cells = counts.reshape(-1)  # counts[r, k] is cells[row_base[r] + k]
     row_base = np.arange(0, counts.size, n_topics)
     cell = np.empty_like(flat)  # each token's topic as its counts cell
-    cell[slot] = np.repeat(row_base[rank], lens) + z0
+    cell[slot] = np.repeat(row_base[rank], lens)
+    z0 = np.concatenate([rng.integers(0, n_topics, size=n) for rng, n in zip(rngs, lengths)])
+    cell += z0[source]
     np.add.at(cells, cell, 1.0)
-    u = np.empty((len(slot), 1))
     for _ in range(iters):
-        # One sweep of uniforms per document, drawn as the lone fold-in would.
-        u[slot, 0] = np.concatenate([rng.random(n) for rng, n in zip(rngs, lens)])
+        # One sweep of uniforms per length, drawn as a lone fold-in would.
+        u = np.concatenate([rng.random(n) for rng, n in zip(rngs, lengths)])[source, None]
         # Each step touches one cell per document, so the fancy-index
         # updates below never hit the same cell twice.
         for lo, a in zip(starts.tolist(), active.tolist()):
@@ -417,7 +429,7 @@ def lda_infer_batch(
             new = row_base[:a] + _draw(cum, u[lo:hi] * cum[:, -1:])
             cell[lo:hi] = new
             cells[new] += 1
-    theta[known] = (counts[rank] + alpha) / (np.array(lens) + n_topics * alpha)[:, None]
+    theta[known] = (counts[rank] + alpha) / (lens + n_topics * alpha)[:, None]
     return theta
 
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
-from tweetlink.cascade import aggregate, cut
 from tweetlink.contrast import STRATEGIES, sample_negatives
 from tweetlink.corpus import AnnotationRecord, Document, LinkedPair
 from tweetlink.errors import (
@@ -229,16 +228,37 @@ def random_tree(rng, n_nodes, base_time=1000):
     return rows
 
 
+def _oldest_member_ids(cascade, n):
+    """The ids of a cascade's n oldest members, in (created_at, depth, id)
+    order, with each depth counted along the parent links."""
+    parent = {m.tweet_id: m.parent_id for m in cascade.members}
+
+    def depth(tweet_id):
+        d = 0
+        while parent[tweet_id] is not None:
+            tweet_id = parent[tweet_id]
+            d += 1
+        return d
+
+    members = sorted(cascade.members, key=lambda m: (m.created_at, depth(m.tweet_id), m.tweet_id))
+    return [m.tweet_id for m in members[:n]]
+
+
+_AGGREGATE_REFERENCE = {"mean": np.mean, "median": np.median, "max": np.max}
+
+
 def sweep_size_reference(sim, sizes, cascades, gt, aggregation):
-    """sweep-size's rows, cutting a Cascade per size: for each n, every
-    cascade cut to its n oldest members, their similarity rows aggregated,
-    and the masked AP of those rows against `gt` (one row per cascade)."""
+    """sweep-size's rows: for each n, every cascade's n oldest members, their
+    similarity rows stacked afresh and reduced column by column, and the
+    masked AP of those rows against `gt` (one row per cascade)."""
     row_of = {tweet_id: sim.values[i] for i, tweet_id in enumerate(sim.tweet_ids)}
+    reduce = _AGGREGATE_REFERENCE[aggregation]
     n_evaluated = int((np.abs(gt.values).sum(axis=1) > 0).sum())
     rows = []
     for n in sizes:
         agg_rows = [
-            aggregate([row_of[t] for t in cut(c, n).member_ids], aggregation) for c in cascades
+            reduce(np.stack([row_of[t] for t in _oldest_member_ids(c, n)]), axis=0)
+            for c in cascades
         ]
         values = np.clip(np.asarray(agg_rows), -1.0, 1.0)
         scores, labels = masked_pairs(values, gt)

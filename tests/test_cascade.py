@@ -171,6 +171,28 @@ class TestAggregate:
         with pytest.raises(ValueError):
             cascade.aggregate([[0.1]], "mode")
 
+    @pytest.mark.parametrize("fn", cascade.AGGREGATIONS)
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            lambda v: v,
+            lambda v: v[::2],
+            lambda v: np.asfortranarray(v),
+            lambda v: np.rint(v * 10).astype(np.int64),
+        ],
+        ids=["c-contiguous", "strided", "fortran", "int"],
+    )
+    def test_array_gives_the_bits_of_its_rows(self, fn, layout):
+        values = np.random.default_rng(5).uniform(-1, 1, size=(9, 13))
+        block = layout(values)
+        assert block.ndim == 2
+        expected = cascade.aggregate(list(block), fn)
+        assert cascade.aggregate(block, fn).tobytes() == expected.tobytes()
+
+    def test_empty_array_raises(self):
+        with pytest.raises(EmptyInputError):
+            cascade.aggregate(np.empty((0, 4)), "mean")
+
     def test_ordering_property(self):
         rng = np.random.default_rng(3)
         for _ in range(30):

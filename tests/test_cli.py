@@ -946,7 +946,7 @@ def test_dual_featurizes_each_document_once(small_corpus, make_config, monkeypat
 @pytest.mark.parametrize("aggregation", cli.cascade_mod.AGGREGATIONS)
 def test_sweep_size_matches_a_cascade_cut_per_size(small_corpus, make_config, aggregation):
     """Each cut aggregates a prefix of its cascade's member rows: the same
-    rows, bit for bit, as cutting a Cascade to its n oldest members."""
+    rows, bit for bit, as the oracle's n oldest members stacked afresh."""
     run = cli._Run(RunConfig.from_file(make_config({"aggregation": aggregation})))
     sizes = [1, 2, 3, 99]
     tweets, _articles, pairs = run.corpus

@@ -1,9 +1,9 @@
 """Property tests: the one-sort calibration and AP sweep, the one-product
 scoring kernel, the batch TF-IDF transform, batched encoding, the LDA
 sampler (against document-parallel and one-document token-by-token oracles),
-its log-likelihood (against the gammaln formula), its draw helper, its
-topic proportions and batched fold-in, the sparse-row dual-encoder training
-loop (against dense and per-step-gather oracles), its
+its log-likelihood (against the gammaln formula), its one-call start, its
+draw helper, its topic proportions and batched fold-in, the sparse-row
+dual-encoder training loop (against dense and per-step-gather oracles), its
 epoch gather plan (against the per-batch gather), its pooled article rows
 (against the dense mean) and its row-index
 examples (against the per-pair vector builder), text
@@ -496,13 +496,46 @@ def test_lda_documents_sweep_keeps_counts_equal_to_assignments(case):
         gibbs.sweep(rng.random(len(words)))
 
 
-@settings(max_examples=100, deadline=None)
-@given(lda_cases(), st.data())
-def test_lda_infer_batch_rows_match_reference(case, data):
-    model = vectorize.lda_fit(**{**case, "iters": 1})
-    known = sorted(model.vocab.index)
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(1, 9), min_size=1, max_size=10),
+    # 2**32 + 5 topics take numpy's 64-bit bounded path, the others its 32-bit one.
+    st.sampled_from([1, 2, 20, 2**32 + 5]),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 9),
+)
+@example([3, 1, 5], 20, 7, 3)  # odd lengths: a 32-bit draw is left buffered between documents
+@example([2, 4, 2], 2, 7, 4)
+@example([3, 2, 1], 2**32 + 5, 7, 3)
+@example([2, 1, 4], 1, 7, 2)  # one topic: values drawn without the bit generator
+def test_lda_start_is_the_per_document_draws(lens, n_topics, seed, k):
+    """The start drawn in one call equals one rng.integers call per document,
+    and leaves the generator where those calls do."""
+    rng = np.random.default_rng(seed)
+    expected = np.concatenate([rng.integers(0, n_topics, size=n) for n in lens])
+    expected_next = rng.random(k)
+    rng = np.random.default_rng(seed)
+    if n_topics <= 20:
+        word_ids = [[j % 3 for j in range(n)] for n in lens]
+        gibbs = vectorize._DocumentGibbs(word_ids, n_topics, 3, 0.5, 0.01, rng)
+        start = gibbs.z[gibbs.slot]
+    else:
+        # No count table of 2**32 + 5 columns can be built: draw the start
+        # as _DocumentGibbs.__init__ does.
+        start = rng.integers(0, n_topics, size=sum(lens))
+    assert_array_equal(start, expected)
+    assert_array_equal(rng.random(k), expected_next)
+
+
+@st.composite
+def lda_infer_cases(draw):
+    """An lda_cases corpus to fit (one sweep), fold-in queries over its terms
+    and two out-of-vocabulary ones followed by the corpus itself, and the
+    fold-in's sweep count and seed."""
+    case = {**draw(lda_cases()), "iters": 1}
+    known = sorted({t for doc in case["docs"] for t in doc})
     token = st.sampled_from(known + ["oov1", "oov2"])
-    queries = data.draw(
+    queries = draw(
         st.lists(
             st.one_of(
                 st.lists(token, max_size=30),
@@ -511,11 +544,34 @@ def test_lda_infer_batch_rows_match_reference(case, data):
             max_size=8,
         )
     )
-    queries += case["docs"]
-    iters = data.draw(st.integers(1, 5))
-    seed = data.draw(st.integers(0, 2**32 - 1))
+    return {
+        "fit": case,
+        "queries": queries + case["docs"],
+        "iters": draw(st.integers(1, 5)),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(lda_infer_cases())
+@example({  # seven documents of three known tokens, an empty and an all-OOV one
+    "fit": {
+        "docs": [["w0", "w1", "w2"], ["w3", "w1"], [], ["w2"]],
+        "n_topics": 4, "alpha": None, "beta": 0.01, "iters": 1, "seed": 3,
+    },
+    "queries": [
+        ["w0", "w1", "w2"], ["w2", "w2", "w3"], ["w1", "oov1", "w0", "w3"], [],
+        ["w3", "w3", "w3"], ["oov2", "oov1"], ["w0", "w0", "w1"], ["w2", "w0"],
+        ["w1", "w3", "w0"], ["w2", "w1", "oov2", "w1"],
+    ],
+    "iters": 4,
+    "seed": 11,
+})
+def test_lda_infer_batch_rows_match_reference(case):
+    model = vectorize.lda_fit(**case["fit"])
+    queries, iters, seed = case["queries"], case["iters"], case["seed"]
     theta = vectorize.lda_infer_batch(model, queries, iters=iters, seed=seed)
-    assert theta.shape == (len(queries), case["n_topics"])
+    assert theta.shape == (len(queries), model.n_topics)
     for row, doc in zip(theta, queries):
         expected = lda_infer_reference(model.phi, model.vocab.index, model.alpha, doc, iters, seed)
         assert np.array_equal(row, expected)
