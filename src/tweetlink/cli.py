@@ -10,12 +10,13 @@ Each stage is computed on first use and kept for the rest of the command:
     corpus           documents and pairs, keyword-filtered     ingest, cascades
     tokens           cleaned and lemmatized tokens per doc      prep, fit
     train_positives  match pairs of train_pairs, else of pairs  (model=dual only)
+    fit_ids          ids the vectors are fitted on: every doc   (sweep-hp: train side)
     vectors          tfidf/lda vectors, or dual-encoder outputs train
     similarity       tweets x articles cosine matrix            score, sweep-size
     ground_truth     corpus labels of the similarity's cells    calibrate, eval
 
-sweep-hp loads the corpus once and redoes tokens and vectors per grid point
-on an article-disjoint train/val split; grid points may not change the corpus.
+sweep-hp loads the corpus once and runs one `_Run` per grid point on an
+article-disjoint train/val split; grid points may not change the corpus.
 
 Exit codes: 0 success, 1 degenerate evaluation (e.g. no positive labels),
 2 config or I/O problems.
@@ -250,8 +251,8 @@ def _featurizer(cfg: RunConfig, kind: str, tokens, fit_tweet_ids, fit_article_id
 class _Run:
     """One pipeline run over `cfg`; each stage is computed on first use, then kept.
 
-    A stage can be supplied instead of computed by assigning it, as
-    `calibrate --matrix` does with the similarity.
+    A stage can be supplied instead of computed by assigning it, as `calibrate --matrix`
+    does with the similarity and sweep-hp with each grid point's corpus, ids and fit_ids.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -283,11 +284,16 @@ class _Run:
         return _match_pairs(self.corpus[2])
 
     @cached_property
+    def fit_ids(self) -> tuple[list[str], list[str]]:
+        """(tweet ids, article ids) the vectors are fitted on: the run's own."""
+        return self.tweet_ids, self.article_ids
+
+    @cached_property
     def vectors(self):
-        """(tweet rows, article rows, dual encoder or None), fitted on every document."""
+        """(tweet rows, article rows, dual encoder or None) of the ids, fitted on fit_ids."""
         ids = (self.tweet_ids, self.article_ids)
         positives = self.train_positives if self.cfg.model == "dual" else None
-        return build_vectors(self.cfg, self.tokens, *ids, *ids, positives)
+        return build_vectors(self.cfg, self.tokens, *self.fit_ids, *ids, positives)
 
     @cached_property
     def similarity(self) -> SimilarityMatrix:
@@ -397,11 +403,11 @@ def sweep_hyperparams(run: _Run | RunConfig, grid, split, budget: int | None = N
 
     The split must keep articles and tweets disjoint between sides; training
     only ever sees train-side positives, evaluation only val-side cells.
-    Each point's tokens are prepared from its derived config, over the
-    corpus the run loaded once; a point that overrides one of CORPUS_KEYS
-    raises ConfigInvalidError. Ties go to the earliest grid point. With a
-    budget (>= 1), a seeded random subset of the grid is visited instead
-    (order preserved).
+    Each point is a _Run of its derived config over the corpus the run
+    loaded once, fitted on the train side and scored on the validation side;
+    a point that overrides one of CORPUS_KEYS raises ConfigInvalidError.
+    Ties go to the earliest grid point. With a budget (>= 1), a seeded
+    random subset of the grid is visited instead (order preserved).
     """
     run = _as_run(run)
     cfg = run.cfg
@@ -430,7 +436,6 @@ def sweep_hyperparams(run: _Run | RunConfig, grid, split, budget: int | None = N
         keep = sorted(rng.choice(len(grid), size=budget, replace=False))
         grid = [grid[i] for i in keep]
 
-    tweets, articles, pairs = run.corpus
     derived_cfgs = [cfg.with_overrides(point) for point in grid]
     train_positives = None
     if any(derived.model == "dual" for derived in derived_cfgs):
@@ -438,17 +443,16 @@ def sweep_hyperparams(run: _Run | RunConfig, grid, split, budget: int | None = N
         train_positives = [
             (t, a) for t, a in run.train_positives if t in train_t_set and a in train_a_set
         ]
-    gt = corpus.build_ground_truth(pairs.select(set(val_t), set(val_a)), val_t, val_a)
+    gt = corpus.build_ground_truth(run.corpus[2].select(set(val_t), set(val_a)), val_t, val_a)
 
     rows = []
     best = None
     for point, derived in zip(grid, derived_cfgs):
-        tokens = _prepare_tokens(derived, tweets, articles)
-        tweet_rows, article_rows, _enc = build_vectors(
-            derived, tokens, train_t, train_a, val_t, val_a, train_positives
-        )
-        sim = linker.score_matrix(tweet_rows, article_rows, val_t, val_a)
-        scores, labels = evalx.masked_pairs(sim.values, gt)
+        point_run = _Run(derived)
+        point_run.corpus, point_run.train_positives = run.corpus, train_positives
+        point_run.tweet_ids, point_run.article_ids = val_t, val_a
+        point_run.fit_ids = (train_t, train_a)
+        scores, labels = evalx.masked_pairs(point_run.similarity.values, gt)
         ap = evalx.average_precision(scores, labels)
         rows.append({"params": point, "val_ap": ap})
         if best is None or ap > best[1]:

@@ -476,16 +476,15 @@ def train(
     x_a, article_ids, piece_counts = _feature_rows(
         article_features, article_ids, piece_counts, "article"
     )
+    tanh = cfg.nonlinearity == "tanh"
+    if strategy == "mean_chunks" and not tanh and (piece_counts > 1).any():
+        # Under an affine map, mean(x_i W + b) = (mean x_i) W + b, and the
+        # gradient sum x_i^T (d / n) is (mean x_i)^T d, so each article trains
+        # on one row, the mean of its piece rows; a one-piece row is its own mean.
+        x_a = _mean_rows(x_a, piece_counts)
+        piece_counts = np.ones_like(piece_counts)
     examples = build_training_pairs(positives, tweet_ids, article_ids, piece_counts, cfg, strategy)
     n_examples = len(examples)
-    tanh = cfg.nonlinearity == "tanh"
-    if not tanh and (examples[:, 2] > 1).any():
-        # mean_chunks under an affine map: mean(x_i W + b) = (mean x_i) W + b,
-        # and the gradient sum x_i^T (d / n) is (mean x_i)^T d, so each article
-        # trains on one row, the mean of its piece rows.
-        x_a = _mean_rows(x_a, piece_counts)
-        examples[:, 1] = np.searchsorted(np.cumsum(piece_counts) - piece_counts, examples[:, 1])
-        examples[:, 2] = 1
 
     rng = np.random.default_rng(cfg.seed)
     # Both maps' transposed (in_dim, joint_dim) weights in one table, tweet rows

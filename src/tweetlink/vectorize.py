@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -94,20 +94,27 @@ class LdaModel:
 # --- TF-IDF ---------------------------------------------------------------
 
 
+def _code_tokens(docs: list[TokenSeq], vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, lens): each document's in-vocabulary token ids, end to end, and their count."""
+    lens = np.fromiter(map(len, docs), np.int64, len(docs))
+    ids = np.fromiter(
+        map(vocab.index.get, chain.from_iterable(docs), repeat(-1)), np.int64, lens.sum()
+    )
+    known = ids >= 0
+    doc_of = np.repeat(np.arange(len(docs)), lens)
+    return ids[known], np.bincount(doc_of[known], minlength=len(docs))
+
+
 def tfidf_fit(docs: list[TokenSeq]) -> TfidfModel:
     """Fit vocabulary and smoothed inverse document frequencies."""
-    nonempty = [doc for doc in docs if doc]
-    if not nonempty:
+    if not any(docs):
         raise EmptyCorpusError("tfidf_fit needs at least one nonempty document")
-    doc_terms = [set(doc) for doc in nonempty]
-    vocab = Vocabulary.from_terms(set().union(*doc_terms))
-    n_docs = len(nonempty)
-    # One id per (document, distinct term): df is their count per term.
-    ids = np.fromiter(
-        map(vocab.index.__getitem__, chain.from_iterable(doc_terms)),
-        np.int64, sum(map(len, doc_terms)),
-    )
-    df = np.bincount(ids, minlength=vocab.size)
+    vocab = Vocabulary.from_terms(chain.from_iterable(docs))
+    ids, lens = _code_tokens(docs, vocab)
+    n_docs = int(np.count_nonzero(lens))
+    # One key per (document, distinct term): df is their count per term.
+    keys = np.unique(np.repeat(np.arange(len(docs)), lens) * vocab.size + ids)
+    df = np.bincount(keys % vocab.size, minlength=vocab.size)
     idf = np.log((1.0 + n_docs) / (1.0 + df)) + 1.0
     return TfidfModel(vocab=vocab, idf=idf, n_docs=n_docs)
 
@@ -123,10 +130,8 @@ def tfidf_transform_batch(model: TfidfModel, docs: list[TokenSeq]) -> CsrRows:
     Each row's columns are sorted. Out-of-vocabulary tokens are ignored, so
     empty and all-OOV documents map to zero rows.
     """
-    index = model.vocab.index
-    ids = [[index[t] for t in doc if t in index] for doc in docs]
-    doc_of = np.repeat(np.arange(len(docs), dtype=np.int64), [len(i) for i in ids])
-    terms = np.fromiter(chain.from_iterable(ids), dtype=np.int64, count=len(doc_of))
+    terms, lens = _code_tokens(docs, model.vocab)
+    doc_of = np.repeat(np.arange(len(docs), dtype=np.int64), lens)
     # One key per (document, term): np.unique sorts them row-major and counts repeats.
     keys, counts = np.unique(doc_of * model.vocab.size + terms, return_counts=True)
     rows, indices = np.divmod(keys, model.vocab.size)
@@ -138,13 +143,6 @@ def tfidf_transform_batch(model: TfidfModel, docs: list[TokenSeq]) -> CsrRows:
 
 
 # --- LDA ------------------------------------------------------------------
-
-
-def _doc_word_ids(docs: list[TokenSeq], vocab: Vocabulary) -> list[np.ndarray]:
-    return [
-        np.array([vocab.index[t] for t in doc if t in vocab.index], dtype=np.int64)
-        for doc in docs
-    ]
 
 
 def _log_rising(counts: np.ndarray, c: float) -> float:
@@ -174,8 +172,9 @@ def _position_major(lens):
     Documents are ranked longest first (ties keep their order), so the
     documents that have a token j are ranks 0..active[j]-1, and token j of
     rank r sits at flat index starts[j] + r: no row is padded. Returns
-    (rank, starts, active, slot); slot[i] is the flat index of the i-th token
-    of the documents concatenated in their given order.
+    (rank, starts, active, slot, token_rank): the i-th token of the documents
+    concatenated in their given order has flat index slot[i], and its
+    document has rank token_rank[i].
     """
     lens = np.asarray(lens, dtype=np.int64)
     order = np.argsort(-lens, kind="stable")
@@ -185,8 +184,8 @@ def _position_major(lens):
     active = len(lens) - np.searchsorted(by_len[::-1], np.arange(by_len[0]), side="right")
     starts = np.concatenate(([0], np.cumsum(active)))
     position = np.arange(by_len.sum()) - np.repeat(np.cumsum(lens) - lens, lens)
-    slot = starts[position] + np.repeat(rank, lens)
-    return rank, starts, active, slot
+    token_rank = np.repeat(rank, lens)
+    return rank, starts, active, starts[position] + token_rank, token_rank
 
 
 def lda_fit(
@@ -215,28 +214,25 @@ def lda_fit(
     if alpha is not None:
         _check_prior("alpha", alpha)
     _check_prior("beta", beta)
-    nonempty = [doc for doc in docs if doc]
-    if not nonempty:
+    if not any(docs):
         raise EmptyCorpusError("lda_fit needs at least one nonempty document")
     if alpha is None:
         alpha = 50.0 / n_topics
 
-    vocab = Vocabulary.from_terms(tok for doc in nonempty for tok in doc)
-    word_ids = [[vocab.index[t] for t in doc] for doc in nonempty]
+    vocab = Vocabulary.from_terms(chain.from_iterable(docs))
+    ids, lens = _code_tokens(docs, vocab)
+    doc_lens = lens[lens > 0]
     beta_sum = vocab.size * beta
     rng = np.random.default_rng(seed)
-    gibbs = _DocumentGibbs(word_ids, n_topics, vocab.size, alpha, beta, rng)
+    gibbs = _DocumentGibbs(ids, doc_lens, n_topics, vocab.size, alpha, beta, rng)
     for _ in range(iters):
         gibbs.sweep(rng.random(len(gibbs.words)))
     n_kw, n_k, n_dk = gibbs.counts()
 
     phi = (n_kw + beta) / (n_k + beta_sum)[:, None]
-    doc_lens = np.array([len(w) for w in word_ids], dtype=np.int64)
     ll = _gibbs_counts_ll(n_kw, n_k, n_dk, doc_lens, alpha, beta)
     theta = np.full((len(docs), n_topics), 1.0 / n_topics)
-    theta[[d for d, doc in enumerate(docs) if doc]] = (
-        (n_dk + alpha) / (doc_lens + n_topics * alpha)[:, None]
-    )
+    theta[lens > 0] = (n_dk + alpha) / (doc_lens + n_topics * alpha)[:, None]
     return LdaModel(
         n_topics=n_topics, alpha=alpha, beta=beta, phi=phi, vocab=vocab, seed=seed,
         log_likelihood=ll, theta=theta,
@@ -276,22 +272,21 @@ class _DocumentGibbs:
     sweep's.
     """
 
-    def __init__(self, word_ids, n_topics, vocab_size, alpha, beta, rng):
-        lens = [len(words) for words in word_ids]
-        self.rank, self.starts, self.active, self.slot = _position_major(lens)
+    def __init__(self, ids, lens, n_topics, vocab_size, alpha, beta, rng):
+        self.rank, self.starts, self.active, self.slot, token_rank = _position_major(lens)
         self.n_topics, self.alpha, self.beta = n_topics, alpha, beta
         self.beta_sum = vocab_size * beta
         n_tokens = len(self.slot)
         # words[i], z[i]: the word and topic of flat token i.
         self.words = np.empty(n_tokens, dtype=np.int64)
-        self.words[self.slot] = np.fromiter(chain.from_iterable(word_ids), np.int64, n_tokens)
+        self.words[self.slot] = ids
         self.z = np.empty(n_tokens, dtype=np.int64)
         # Initial topics in document order, in one call: numpy's bounded fill
         # reads each value straight from the bit generator and buffers none of
         # its own, so this is the stream of one call per document.
         self.z[self.slot] = rng.integers(0, n_topics, size=n_tokens)
         doc = np.empty(n_tokens, dtype=np.int64)
-        doc[self.slot] = np.repeat(self.rank, lens)
+        doc[self.slot] = token_rank
         self.n_dk = np.zeros((len(lens), n_topics))  # rows by rank
         self.n_wk = np.zeros((vocab_size, n_topics))  # word-major
         np.add.at(self.n_dk, (doc, self.z), 1.0)
@@ -389,14 +384,14 @@ def lda_infer_batch(
     """
     n_topics, alpha = model.n_topics, model.alpha
     theta = np.full((len(docs), n_topics), 1.0 / n_topics)
-    word_ids = _doc_word_ids(docs, model.vocab)
-    known = [d for d in range(len(docs)) if len(word_ids[d])]
-    if not known:
+    ids, lens = _code_tokens(docs, model.vocab)
+    known = lens > 0
+    if not known.any():
         return theta
-    lens = np.array([len(word_ids[d]) for d in known])
-    rank, starts, active, slot = _position_major(lens)
-    flat = np.empty(len(slot), dtype=np.int64)
-    flat[slot] = np.concatenate([word_ids[d] for d in known])
+    lens = lens[known]
+    rank, starts, active, slot, token_rank = _position_major(lens)
+    flat = np.empty_like(ids)
+    flat[slot] = ids
     phi_t = np.ascontiguousarray(model.phi.T)  # (vocab, n_topics): phi[:, w] as a row
 
     lengths, group = np.unique(lens, return_inverse=True)
@@ -413,7 +408,7 @@ def lda_infer_batch(
     cells = counts.reshape(-1)  # counts[r, k] is cells[row_base[r] + k]
     row_base = np.arange(0, counts.size, n_topics)
     cell = np.empty_like(flat)  # each token's topic as its counts cell
-    cell[slot] = np.repeat(row_base[rank], lens)
+    cell[slot] = row_base[token_rank]
     z0 = np.concatenate([rng.integers(0, n_topics, size=n) for rng, n in zip(rngs, lengths)])
     cell += z0[source]
     np.add.at(cells, cell, 1.0)

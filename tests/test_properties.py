@@ -479,9 +479,10 @@ def test_lda_documents_sweep_keeps_counts_equal_to_assignments(case):
     word_ids = [[vocab.index[t] for t in doc] for doc in docs]
     n_topics, beta = case["n_topics"], case["beta"]
     rng = np.random.default_rng(case["seed"])
-    gibbs = vectorize._DocumentGibbs(word_ids, n_topics, vocab.size, 0.5, beta, rng)
     words = np.concatenate(word_ids)
-    doc_of = np.repeat(np.arange(len(docs)), [len(w) for w in word_ids])
+    lens = [len(w) for w in word_ids]
+    gibbs = vectorize._DocumentGibbs(words, lens, n_topics, vocab.size, 0.5, beta, rng)
+    doc_of = np.repeat(np.arange(len(docs)), lens)
     for _ in range(case["iters"] + 1):
         z = gibbs.z[gibbs.slot]  # topics in document order
         n_dk = np.zeros((len(docs), n_topics), dtype=np.int64)
@@ -516,8 +517,8 @@ def test_lda_start_is_the_per_document_draws(lens, n_topics, seed, k):
     expected_next = rng.random(k)
     rng = np.random.default_rng(seed)
     if n_topics <= 20:
-        word_ids = [[j % 3 for j in range(n)] for n in lens]
-        gibbs = vectorize._DocumentGibbs(word_ids, n_topics, 3, 0.5, 0.01, rng)
+        word_ids = np.concatenate([np.arange(n) % 3 for n in lens])
+        gibbs = vectorize._DocumentGibbs(word_ids, lens, n_topics, 3, 0.5, 0.01, rng)
         start = gibbs.z[gibbs.slot]
     else:
         # No count table of 2**32 + 5 columns can be built: draw the start
@@ -743,11 +744,31 @@ def _seven_example_case(batch_size):
     return positives, tweets, articles, cfg, "truncate"
 
 
+def _unused_multi_piece_case():
+    """Affine mean_chunks whose examples all have one piece: every positive is
+    on a one-piece article, neg_ratio 0.2 draws no negative for a tweet's one
+    positive, and the three-piece article a1 is in no example. train still
+    pools every article, so a2 and a3 move from piece rows 4 and 5 to rows
+    2 and 3."""
+    rng = np.random.default_rng(8)
+    tweets = {f"t{i}": rng.random(6) * (rng.random(6) < 0.7) for i in range(5)}
+    n_pieces = {"a0": 1, "a1": 3, "a2": 1, "a3": 1}
+    articles = {
+        a: rng.random((n, 5)) * (rng.random((n, 5)) < 0.6) for a, n in n_pieces.items()
+    }
+    positives = [(f"t{i}", ("a0", "a2", "a3")[i % 3]) for i in range(5)]
+    cfg = contrast.TrainConfig(
+        neg_ratio=0.2, lr=0.5, epochs=4, batch_size=3, seed=2, momentum=0.9, joint_dim=3,
+    )
+    return positives, tweets, articles, cfg, "mean_chunks"
+
+
 @settings(max_examples=300, deadline=None)
 @given(training_cases())
 @example(_multi_piece_case(momentum=0.0))
 @example(_multi_piece_case(momentum=0.9))
 @example(_multi_piece_case(momentum=0.5, nonlinearity="tanh"))
+@example(_unused_multi_piece_case())
 @example(_two_width_case())
 @example(_seven_example_case(batch_size=4))
 @example(_seven_example_case(batch_size=3))
